@@ -27,6 +27,8 @@ verify:
 	$(GO) test -race ./internal/runner/... ./internal/resilience/... \
 	    ./internal/ckpt/... ./internal/obs/... ./internal/search/... \
 	    ./internal/policy/... ./internal/dsweep/...
+	$(GO) test -race -run 'TestEnvWarmSimCacheBitIdentical|TestGridSingleflightUnderConcurrency' \
+	    ./internal/experiments/
 
 # race runs the short test suite under the race detector (the grid builder
 # and profiler are the only concurrent paths).

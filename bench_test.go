@@ -46,7 +46,6 @@ func env(b *testing.B) *experiments.Env {
 	benchEnvOnce.Do(func() {
 		benchEnv, benchEnvErr = experiments.NewEnv(nil, experiments.Options{
 			Config:       config.Default(),
-			ProfileCache: "profiles_bench.json",
 			GridCycles:   40_000,
 			GridWarmup:   8_000,
 			EvalCycles:   100_000,

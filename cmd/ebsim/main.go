@@ -35,10 +35,12 @@
 // of the run (inspect with `go tool pprof`); see DESIGN.md's Performance
 // section for the benchmark workflow.
 //
-// -simcache DIR persists simulation results content-addressed by their
-// full configuration; a repeated invocation with identical flags replays
-// bit-identically from disk. Runs with -trace/-chrometrace/-listen bypass
-// the cache (they need the live event stream). -ckpt persists engine
+// -simcache DIR (default ./simcache, "" disables) persists simulation
+// results content-addressed by their full configuration: the alone-run
+// profiles of the workload's applications and the run itself. A repeated
+// invocation with identical flags replays bit-identically from disk.
+// Runs with -trace/-chrometrace/-listen bypass the cache for the run
+// itself (they need the live event stream). -ckpt persists engine
 // snapshots under -ckpt-dir and forks uncached runs from the deepest
 // snapshot sharing their deterministic prefix (so re-running with a longer
 // -cycles only simulates the extension); -ckpt-max-bytes caps the store.
@@ -94,8 +96,7 @@ func run(ctx context.Context) error {
 		cycles    = fs.Uint64("cycles", 300_000, "total simulated core cycles")
 		warmup    = fs.Uint64("warmup", 10_000, "warmup cycles excluded from metrics")
 		window    = fs.Uint64("window", 2_500, "sampling window in cycles")
-		cache     = fs.String("cache", "profiles.json", "alone-profile cache (empty disables)")
-		simc      = fs.String("simcache", "", "simulation-result cache directory (empty disables)")
+		simc      = fs.String("simcache", "simcache", "simulation-result cache directory (empty disables)")
 		ckptOn    = fs.Bool("ckpt", false, "fork uncached runs from prefix checkpoints")
 		ckptDir   = fs.String("ckpt-dir", "ckpt", "prefix-checkpoint store directory (with -ckpt)")
 		ckptMax   = fs.Int64("ckpt-max-bytes", 0, "checkpoint store byte cap, oldest evicted first (0 = unbounded)")
@@ -282,14 +283,11 @@ func run(ctx context.Context) error {
 		fmt.Fprintf(os.Stderr, "ebsim: using %d cores for an equal %d-way split\n",
 			cfg.NumCores, len(wl.Apps))
 	}
-	profOpts := profile.Options{Config: cfg, CoresAlone: cfg.NumCores / len(wl.Apps), Cache: rcache, Mon: mon}
-	cachePath := *cache
-	if len(wl.Apps) != 2 && cachePath != "" {
-		// The default cache holds half-machine profiles; keep other
-		// shares in their own file.
-		cachePath = fmt.Sprintf("profiles_%dapp.json", len(wl.Apps))
-	}
-	suite, err := profile.LoadOrProfile(ctx, cachePath, kernel.All(), profOpts)
+	// Only the workload's own applications are profiled: an application's
+	// alone profile does not depend on the rest of the suite.
+	suite, err := profile.ProfileSuite(ctx, wl.Apps, profile.Options{
+		Config: cfg, CoresAlone: cfg.NumCores / len(wl.Apps), Cache: rcache,
+	})
 	if err != nil {
 		return fmt.Errorf("profiling: %w", err)
 	}
@@ -360,8 +358,7 @@ func run(ctx context.Context) error {
 		defer guard.Close()
 		mgr = guard
 		defer func() {
-			fmt.Fprintf(os.Stderr, "ebsim: sandbox: %d policy faults, %d swaps\n",
-				guard.Faults(), guard.Swaps())
+			fmt.Fprintf(os.Stderr, "ebsim: sandbox: %d policy faults\n", guard.Faults())
 			for _, l := range guard.FaultLabels() {
 				fmt.Fprintf(os.Stderr, "ebsim: sandbox:   %s\n", l)
 			}
@@ -538,10 +535,11 @@ func runAlone(ctx context.Context, cfg config.GPU, name string, rcache *simcache
 	if !ok {
 		return cli.Usagef("unknown application %q; apps: %v", name, kernel.Names())
 	}
-	p, err := profile.ProfileApp(ctx, app, profile.Options{Config: cfg, Cache: rcache, Ckpt: store})
+	suite, err := profile.ProfileSuite(ctx, []kernel.Params{app}, profile.Options{Config: cfg, Cache: rcache, Ckpt: store})
 	if err != nil {
 		return err
 	}
+	p := suite.Profiles[app.Name]
 	fmt.Printf("%s alone (bestTLP=%d, IPC=%.2f, EB=%.3f)\n", name, p.BestTLP, p.BestIPC, p.BestEB)
 	fmt.Printf("%4s %8s %7s %7s %7s %8s %7s\n", "TLP", "IPC", "L1MR", "L2MR", "CMR", "BW", "EB")
 	for _, l := range p.Levels {

@@ -9,12 +9,12 @@
 //	paperfigs -all -quick         # reduced workload set and run lengths
 //	paperfigs -all -out results/  # additionally write one file per panel
 //
-// Alone-run profiles are cached in ./profiles.json by default (-cache "").
-// Simulation results are cached under ./simcache by default (-simcache "");
-// a warm rerun replays grids, evaluations, and profiles from disk. -ckpt
-// additionally persists engine snapshots under -ckpt-dir and forks every
-// uncached simulation from the deepest snapshot sharing its deterministic
-// prefix — a cold -quick pass and the full pass share the prefix work.
+// Simulation results are cached under ./simcache by default (-simcache ""
+// disables); a warm rerun replays alone-run profiles, grids, and
+// evaluations from disk. -ckpt additionally persists engine snapshots
+// under -ckpt-dir and forks every uncached simulation from the deepest
+// snapshot sharing its deterministic prefix — a cold -quick pass and the
+// full pass share the prefix work.
 //
 // SIGINT/SIGTERM cancels the run cooperatively: in-flight simulations
 // abort at their next window boundary, completed results stay persisted
@@ -47,7 +47,6 @@ func run(ctx context.Context) error {
 		id      = fs.String("id", "", "run a single experiment by id (e.g. fig9)")
 		all     = fs.Bool("all", false, "run every experiment")
 		quick   = fs.Bool("quick", false, "reduced run lengths and the 10 representative workloads")
-		cache   = fs.String("cache", "profiles.json", "alone-profile cache path (empty disables)")
 		simc    = fs.String("simcache", "simcache", "simulation-result cache directory (empty disables)")
 		ckptOn  = fs.Bool("ckpt", false, "fork uncached simulations from prefix checkpoints")
 		ckptDir = fs.String("ckpt-dir", "ckpt", "prefix-checkpoint store directory (with -ckpt)")
@@ -76,7 +75,7 @@ func run(ctx context.Context) error {
 		return cli.Usagef("pass -id <experiment>, -all, or -list")
 	}
 
-	opt := experiments.Options{ProfileCache: *cache, SimCache: *simc, Adaptive: *adapt}
+	opt := experiments.Options{SimCache: *simc, Adaptive: *adapt}
 	// -trace-spans: the tracer rides ctx into NewEnv and every experiment
 	// below it; the finished span tree is written as a flamechart at exit.
 	if *spansF != "" {

@@ -30,15 +30,16 @@
 // of the build. Wall-clock time and simulations per second are reported
 // on stderr at exit.
 //
-// Results are persisted per combination under -simcache (default
-// ./simcache), so an interrupted sweep resumes where it left off: already
-// persisted combinations replay from disk, only the missing ones are
-// simulated. -ckpt additionally persists engine snapshots at window
-// boundaries under -ckpt-dir and forks each uncached simulation from the
-// deepest snapshot sharing its deterministic prefix, so even the cold part
-// of a sweep is sub-linear; -ckpt-max-bytes caps the store (oldest
-// checkpoints evicted first). The exit report counts simulations computed,
-// replayed from cache, and forked from checkpoints.
+// Results — the workload's alone-run profiles and every combination —
+// are persisted under -simcache (default ./simcache), so an interrupted
+// sweep resumes where it left off: already persisted combinations replay
+// from disk, only the missing ones are simulated. -ckpt additionally
+// persists engine snapshots at window boundaries under -ckpt-dir and
+// forks each uncached simulation from the deepest snapshot sharing its
+// deterministic prefix, so even the cold part of a sweep is sub-linear;
+// -ckpt-max-bytes caps the store (oldest checkpoints evicted first). The
+// exit report counts simulations computed, replayed from cache, and
+// forked from checkpoints.
 //
 // Provenance and tracing: with -simcache on, every completed run appends
 // one JSON record to a ledger beside the cache directory (-ledger;
@@ -113,7 +114,6 @@ func run(ctx context.Context) error {
 				"finds the same picks in a fraction of the engine work, skips surface printing)")
 		cycles   = fs.Uint64("cycles", 120_000, "cycles per combination")
 		warmup   = fs.Uint64("warmup", 20_000, "warmup cycles")
-		cache    = fs.String("cache", "profiles.json", "alone-profile cache (empty disables)")
 		simc     = fs.String("simcache", "simcache", "simulation-result cache directory (empty disables)")
 		ckptOn   = fs.Bool("ckpt", false, "fork uncached simulations from prefix checkpoints (sub-linear cold sweeps)")
 		ckptDir  = fs.String("ckpt-dir", "ckpt", "prefix-checkpoint store directory (with -ckpt)")
@@ -417,8 +417,10 @@ func run(ctx context.Context) error {
 		}
 	}
 
-	suite, err := profile.LoadOrProfile(ctx, *cache, kernel.All(), profile.Options{
-		Config: cfg, Runner: pool, Cache: rcache, Ckpt: store, Mon: mon,
+	// Only the workload's two applications are profiled; their alone
+	// runs replay from the result cache like every grid cell.
+	suite, err := profile.ProfileSuite(ctx, wl.Apps, profile.Options{
+		Config: cfg, Runner: pool, Cache: rcache, Ckpt: store,
 	})
 	if err != nil {
 		if ctx.Err() != nil {

@@ -222,13 +222,9 @@ type ProfileSuite = profile.Suite
 
 // Profile profiles every application alone across all TLP levels,
 // producing bestTLP, IPC@bestTLP, EB@bestTLP, and the G1..G4 groups.
+// With opts.Cache set (see OpenSimCache), alone-runs replay from disk.
 func Profile(apps []App, opts ProfileOptions) (*ProfileSuite, error) {
 	return profile.ProfileSuite(context.Background(), apps, opts)
-}
-
-// ProfileCached is Profile with a JSON cache at path ("" disables).
-func ProfileCached(path string, apps []App, opts ProfileOptions) (*ProfileSuite, error) {
-	return profile.LoadOrProfile(context.Background(), path, apps, opts)
 }
 
 // Grid holds one Result per TLP combination of a workload, powering the

@@ -24,8 +24,12 @@ func main() {
 		{"PBS-WS", func() ebm.Manager { return ebm.NewPBSWS() }},
 	}
 
-	// Profile the whole suite once (cached on disk for repeat runs).
-	suite, err := ebm.ProfileCached("profiles.json", ebm.Applications(), ebm.ProfileOptions{Config: cfg})
+	// Profile the whole suite; the result cache replays it on repeat runs.
+	cache, err := ebm.OpenSimCache("simcache")
+	if err != nil {
+		log.Fatal(err)
+	}
+	suite, err := ebm.Profile(ebm.Applications(), ebm.ProfileOptions{Config: cfg, Cache: cache})
 	if err != nil {
 		log.Fatal(err)
 	}

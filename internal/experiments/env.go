@@ -29,9 +29,6 @@ import (
 type Options struct {
 	Config config.GPU
 
-	// ProfileCache is an optional JSON path caching alone profiles.
-	ProfileCache string
-
 	// GridCycles/GridWarmup are the per-combination run lengths for the
 	// exhaustive searches.
 	GridCycles, GridWarmup uint64
@@ -128,9 +125,10 @@ type Env struct {
 	evalCache map[string]*Eval
 }
 
-// NewEnv profiles the full application suite (or loads the cache) and
-// returns a ready environment. ctx governs the initial profiling and
-// every simulation later submitted through the environment; nil means
+// NewEnv profiles the full application suite (replaying alone-runs from
+// the result cache when SimCache is set) and returns a ready
+// environment. ctx governs the initial profiling and every simulation
+// later submitted through the environment; nil means
 // context.Background().
 func NewEnv(ctx context.Context, opt Options) (*Env, error) {
 	opt.fillDefaults()
@@ -146,7 +144,7 @@ func NewEnv(ctx context.Context, opt Options) (*Env, error) {
 		}
 		cache.SetLedger(opt.Ledger)
 	}
-	suite, err := profile.LoadOrProfile(ctx, opt.ProfileCache, kernel.All(), profile.Options{
+	suite, err := profile.ProfileSuite(ctx, kernel.All(), profile.Options{
 		Config:       opt.Config,
 		TotalCycles:  opt.GridCycles,
 		WarmupCycles: opt.GridWarmup,
@@ -485,7 +483,7 @@ func (e *Env) EvalWorkload(w workload.Workload) (*Eval, error) {
 
 	// All evaluation-length runs are independent leaf simulations: fan
 	// them out on the shared pool — each distinct static combo once, plus
-	// every online scheme — and collect under one lock.
+	// every online scheme.
 	figSchemes := FigureSchemes(bestTLPs)
 	online := []struct {
 		name string
@@ -499,34 +497,41 @@ func (e *Env) EvalWorkload(w workload.Workload) (*Eval, error) {
 		{SchPBSFI, figSchemes[SchPBSFI]},
 		{SchPBSHS, figSchemes[SchPBSHS]},
 	}
-	type key string
-	comboKey := func(c []int) key { return key(fmt.Sprint(c)) }
+	// Distinct static combos are collected before the fan-out so every
+	// goroutine writes only its own slot.
+	var statics [][]int
+	slot := map[string]int{}
+	for _, c := range combos {
+		k := fmt.Sprint(c)
+		if _, ok := slot[k]; !ok {
+			slot[k] = len(statics)
+			statics = append(statics, c)
+		}
+	}
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	staticResults := map[key]sim.Result{}
-	for _, c := range combos {
-		k := comboKey(c)
-		if _, ok := staticResults[k]; ok {
-			continue
+	fail := func(err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if firstErr == nil {
+			firstErr = err
 		}
-		staticResults[k] = sim.Result{} // claim; filled below
-		c := c
+	}
+	staticResults := make([]sim.Result, len(statics))
+	for i, c := range statics {
+		i, c := i, c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			r, err := e.RunStatic(w, c)
-			mu.Lock()
-			defer mu.Unlock()
 			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
+				fail(err)
 				return
 			}
-			staticResults[k] = r
+			staticResults[i] = r
 		}()
 	}
 	onlineResults := make([]sim.Result, len(online))
@@ -536,12 +541,8 @@ func (e *Env) EvalWorkload(w workload.Workload) (*Eval, error) {
 		go func() {
 			defer wg.Done()
 			r, err := e.RunScheme(w, o.sch)
-			mu.Lock()
-			defer mu.Unlock()
 			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
+				fail(err)
 				return
 			}
 			onlineResults[i] = r
@@ -552,7 +553,7 @@ func (e *Env) EvalWorkload(w workload.Workload) (*Eval, error) {
 		return nil, firstErr
 	}
 	for name, c := range combos {
-		ev.add(name, c, staticResults[comboKey(c)], aloneIPC)
+		ev.add(name, c, staticResults[slot[fmt.Sprint(c)]], aloneIPC)
 	}
 	for i, o := range online {
 		ev.add(o.name, nil, onlineResults[i], aloneIPC)

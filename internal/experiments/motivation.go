@@ -37,18 +37,9 @@ func Fig1(e *Env, w io.Writer) error {
 // for BFS alone, normalized to its bestTLP.
 func Fig2(e *Env, w io.Writer) error {
 	header(w, "Fig. 2: effect of TLP on IPC, BW, CMR, EB for BFS alone (normalized to bestTLP)")
-	app, _ := kernel.ByName("BFS")
-	p, err := profile.ProfileApp(e.ctx, app, profile.Options{
-		Config:       e.Opt.Config,
-		TotalCycles:  e.Opt.GridCycles,
-		WarmupCycles: e.Opt.GridWarmup,
-		Parallelism:  e.Opt.Parallelism,
-		Runner:       e.pool,
-		Cache:        e.cache,
-	})
-	if err != nil {
-		return err
-	}
+	// NewEnv already profiled BFS with this machine, run length, and
+	// level ladder.
+	p := e.Suite.Profiles["BFS"]
 	base, _ := p.AtTLP(p.BestTLP)
 	t := newTable("TLP", "IPC", "BW", "CMR", "EB", "IPC/base", "EB/base")
 	for _, l := range p.Levels {

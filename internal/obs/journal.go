@@ -39,9 +39,6 @@ const (
 	// and the run degrading to the fallback decision; Label carries the
 	// fault detail.
 	EvPolicyFault
-	// EvPolicySwap records a TLP policy being hot-swapped at a window
-	// boundary; Label names the incoming policy.
-	EvPolicySwap
 	// EvDsweep records a distributed-sweep coordinator state transition —
 	// a worker registering or deregistering, a lease granted, expired,
 	// released, or reassigned, a completion accepted or fenced off; Label
@@ -70,8 +67,6 @@ func (k EventKind) String() string {
 		return "resilience"
 	case EvPolicyFault:
 		return "policy-fault"
-	case EvPolicySwap:
-		return "policy-swap"
 	case EvDsweep:
 		return "dsweep"
 	default:

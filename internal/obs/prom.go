@@ -16,8 +16,13 @@ import (
 // exposition format (version 0.0.4), the format served on /metrics.
 func (r *Registry) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	// Snapshot the families and their series under the lock; registration
+	// may append to both while the scrape renders.
 	r.mu.Lock()
-	fams := append([]*family(nil), r.families...)
+	fams := make([]family, len(r.families))
+	for i, f := range r.families {
+		fams[i] = family{name: f.name, help: f.help, typ: f.typ, series: append([]*series(nil), f.series...)}
+	}
 	r.mu.Unlock()
 	for _, f := range fams {
 		if f.help != "" {

@@ -187,10 +187,12 @@ func renderLabels(labels []Label) string {
 	return b.String()
 }
 
-// register finds or creates the family and series for name+labels. It
-// panics on a type conflict (two registrations of one name with different
-// metric types), which is a wiring bug, not a runtime condition.
-func (r *Registry) register(name, help, typ string, labels []Label) *series {
+// register finds or creates the family and series for name+labels; a new
+// series gets its metric from mk while the lock is held, so a concurrent
+// scrape never sees a half-built series. It panics on a type conflict
+// (two registrations of one name with different metric types), which is
+// a wiring bug, not a runtime condition.
+func (r *Registry) register(name, help, typ string, labels []Label, mk func(*series)) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.byName[name]
@@ -207,6 +209,7 @@ func (r *Registry) register(name, help, typ string, labels []Label) *series {
 		return s
 	}
 	s := &series{labels: key}
+	mk(s)
 	f.byKey[key] = s
 	f.series = append(f.series, s)
 	return s
@@ -214,28 +217,16 @@ func (r *Registry) register(name, help, typ string, labels []Label) *series {
 
 // Counter registers (or finds) a counter.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.register(name, help, "counter", labels)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.register(name, help, "counter", labels, func(s *series) { s.c = &Counter{} }).c
 }
 
 // Gauge registers (or finds) a gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.register(name, help, "gauge", labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.register(name, help, "gauge", labels, func(s *series) { s.g = &Gauge{} }).g
 }
 
 // Histogram registers (or finds) a fixed-bucket histogram. The bucket
 // bounds of the first registration win for the whole family.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	s := r.register(name, help, "histogram", labels)
-	if s.h == nil {
-		s.h = newHistogram(bounds)
-	}
-	return s.h
+	return r.register(name, help, "histogram", labels, func(s *series) { s.h = newHistogram(bounds) }).h
 }

@@ -12,10 +12,6 @@
 // configuration the machine boots in). Every fault is counted, labeled,
 // and journaled as obs.EvPolicyFault, so a degraded sweep is visible in
 // the exit report and the provenance ledger rather than silently wrong.
-//
-// The Guard also supports hot-swapping the wrapped policy at a sampling
-// window boundary (Swap), which journals obs.EvPolicySwap and hands the
-// next window to the incoming policy's Initial.
 package policy
 
 import (
@@ -48,9 +44,8 @@ type Options struct {
 	// application count, falls back to all-maxTLP.
 	Safe *tlp.Decision
 
-	// Obs receives EvPolicyFault/EvPolicySwap journal events and the
-	// ebm_policy_faults_total / ebm_policy_swaps_total counters. Nil
-	// disables both.
+	// Obs receives EvPolicyFault journal events and the
+	// ebm_policy_faults_total counter. Nil disables both.
 	Obs *obs.Observer
 }
 
@@ -59,19 +54,16 @@ type Options struct {
 // policy so reports, cache keys, and checkpoint compatibility are
 // unchanged by sandboxing.
 type Guard struct {
-	opts Options
+	opts  Options
+	inner tlp.Manager
 
 	mu       sync.Mutex
-	inner    tlp.Manager
-	pending  tlp.Manager // hot-swap target, applied at the next boundary
 	numApps  int
 	lastGood tlp.Decision
 	labels   []string
 
 	faults atomic.Uint64
-	swaps  atomic.Uint64
 	faultC *obs.Counter
-	swapC  *obs.Counter
 
 	// Budget-mode worker. busy is true while a decision is in flight,
 	// which includes a timed-out decision the worker is still finishing.
@@ -100,8 +92,6 @@ func Wrap(inner tlp.Manager, opts Options) *Guard {
 	if o := opts.Obs; o != nil && o.Metrics != nil {
 		g.faultC = o.Metrics.Counter("ebm_policy_faults_total",
 			"Sandboxed TLP policy faults (panic, blown time budget, invalid decision).")
-		g.swapC = o.Metrics.Counter("ebm_policy_swaps_total",
-			"TLP policy hot-swaps applied at window boundaries.")
 	}
 	if opts.Budget > 0 {
 		g.calls = make(chan decisionCall)
@@ -129,24 +119,10 @@ func (g *Guard) Close() {
 
 // Name implements tlp.Manager by delegation: reports and checkpoint
 // envelopes see the wrapped policy's name.
-func (g *Guard) Name() string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inner.Name()
-}
-
-// Inner returns the currently wrapped policy.
-func (g *Guard) Inner() tlp.Manager {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inner
-}
+func (g *Guard) Name() string { return g.inner.Name() }
 
 // Faults returns how many decisions fell back.
 func (g *Guard) Faults() uint64 { return g.faults.Load() }
-
-// Swaps returns how many hot-swaps were applied.
-func (g *Guard) Swaps() uint64 { return g.swaps.Load() }
 
 // FaultLabels returns the recorded fault details (bounded; the count in
 // Faults is authoritative).
@@ -156,52 +132,24 @@ func (g *Guard) FaultLabels() []string {
 	return append([]string(nil), g.labels...)
 }
 
-// Swap schedules next to replace the wrapped policy at the next sampling
-// window boundary. The incoming policy starts from its own Initial at
-// that boundary. Swapping is journaled as obs.EvPolicySwap.
-func (g *Guard) Swap(next tlp.Manager) error {
-	if next == nil {
-		return fmt.Errorf("policy: swap to nil manager")
-	}
-	g.mu.Lock()
-	g.pending = next
-	g.mu.Unlock()
-	return nil
-}
-
 // Initial implements tlp.Manager. It records the run's application count
 // (the shape every later decision is validated against) and sandboxes
 // the wrapped policy's Initial like any other decision.
 func (g *Guard) Initial(numApps int) tlp.Decision {
 	g.mu.Lock()
 	g.numApps = numApps
-	m := g.inner
 	g.mu.Unlock()
-	d, err := g.run(func() tlp.Decision { return m.Initial(numApps) })
+	d, err := g.run(func() tlp.Decision { return g.inner.Initial(numApps) })
 	return g.accept(d, err, 0)
 }
 
-// OnSample implements tlp.Manager: apply a pending hot-swap, run the
-// policy inside the sandbox, validate what came back, and fall back on
-// any fault.
+// OnSample implements tlp.Manager: run the policy inside the sandbox,
+// validate what came back, and fall back on any fault.
 func (g *Guard) OnSample(s tlp.Sample) tlp.Decision {
 	g.mu.Lock()
 	if g.numApps == 0 {
 		g.numApps = len(s.Apps)
 	}
-	numApps := g.numApps
-	if g.pending != nil {
-		next := g.pending
-		g.pending = nil
-		g.inner = next
-		g.mu.Unlock()
-		g.swaps.Add(1)
-		g.swapC.Inc()
-		g.journal(obs.EvPolicySwap, s.Cycle, next.Name())
-		d, err := g.run(func() tlp.Decision { return next.Initial(numApps) })
-		return g.accept(d, err, s.Cycle)
-	}
-	m := g.inner
 	g.mu.Unlock()
 	var fn func() tlp.Decision
 	if g.opts.Budget > 0 {
@@ -210,9 +158,9 @@ func (g *Guard) OnSample(s tlp.Sample) tlp.Decision {
 		// budget-mode decisions get their own copy.
 		cp := s
 		cp.Apps = append([]tlp.AppSample(nil), s.Apps...)
-		fn = func() tlp.Decision { return m.OnSample(cp) }
+		fn = func() tlp.Decision { return g.inner.OnSample(cp) }
 	} else {
-		fn = func() tlp.Decision { return m.OnSample(s) }
+		fn = func() tlp.Decision { return g.inner.OnSample(s) }
 	}
 	d, err := g.run(fn)
 	return g.accept(d, err, s.Cycle)
@@ -336,8 +284,6 @@ func (g *Guard) StateBytes() ([]byte, error) {
 	if g.opts.Budget > 0 && g.busy.Load() {
 		return nil, fmt.Errorf("policy: state unavailable: a timed-out decision is still running")
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	st, ok := g.inner.(tlp.Stater)
 	if !ok {
 		return nil, fmt.Errorf("policy: manager %q does not support checkpointing", g.inner.Name())
@@ -350,8 +296,6 @@ func (g *Guard) SetStateBytes(b []byte) error {
 	if g.opts.Budget > 0 && g.busy.Load() {
 		return fmt.Errorf("policy: state unavailable: a timed-out decision is still running")
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	st, ok := g.inner.(tlp.Stater)
 	if !ok {
 		return fmt.Errorf("policy: manager %q does not support checkpointing", g.inner.Name())

@@ -195,51 +195,6 @@ func TestClosedGuardFaults(t *testing.T) {
 	}
 }
 
-func TestHotSwapAtBoundary(t *testing.T) {
-	j := obs.NewJournal()
-	a := &fakeMgr{name: "A", onSample: func(s tlp.Sample) tlp.Decision {
-		return tlp.NewDecision(len(s.Apps), 4)
-	}}
-	b := &fakeMgr{
-		name:    "B",
-		initial: func(numApps int) tlp.Decision { return tlp.NewDecision(numApps, 12) },
-		onSample: func(s tlp.Sample) tlp.Decision {
-			return tlp.NewDecision(len(s.Apps), 16)
-		},
-	}
-	g := Wrap(a, Options{Obs: &obs.Observer{Journal: j}})
-	g.Initial(2)
-
-	if err := g.Swap(nil); err == nil {
-		t.Fatal("nil swap accepted")
-	}
-	if err := g.Swap(b); err != nil {
-		t.Fatal(err)
-	}
-	// The swap window runs B's Initial, not OnSample.
-	if d := g.OnSample(sample(2, 100)); d.TLP[0] != 12 {
-		t.Fatalf("swap window decision: %v", d)
-	}
-	if g.Name() != "B" || g.Inner() != tlp.Manager(b) {
-		t.Fatalf("inner after swap: %q", g.Name())
-	}
-	if g.Swaps() != 1 {
-		t.Fatalf("swaps = %d", g.Swaps())
-	}
-	if d := g.OnSample(sample(2, 200)); d.TLP[0] != 16 {
-		t.Fatalf("post-swap decision: %v", d)
-	}
-	var swapEvents int
-	for _, e := range j.Events() {
-		if e.Kind == obs.EvPolicySwap && e.Label == "B" {
-			swapEvents++
-		}
-	}
-	if swapEvents != 1 {
-		t.Fatalf("journal swap events = %d", swapEvents)
-	}
-}
-
 func TestObserverCountersAndJournal(t *testing.T) {
 	reg := obs.NewRegistry()
 	j := obs.NewJournal()
@@ -247,31 +202,21 @@ func TestObserverCountersAndJournal(t *testing.T) {
 	g := Wrap(m, Options{Obs: &obs.Observer{Metrics: reg, Journal: j}})
 	g.Initial(2)
 	g.OnSample(sample(2, 50))
-	g.Swap(&fakeMgr{name: "next", onSample: func(s tlp.Sample) tlp.Decision {
-		return tlp.NewDecision(len(s.Apps), 4)
-	}})
-	g.OnSample(sample(2, 100))
 
 	if v := reg.Counter("ebm_policy_faults_total", "").Value(); v != 1 {
 		t.Fatalf("fault counter = %d", v)
 	}
-	if v := reg.Counter("ebm_policy_swaps_total", "").Value(); v != 1 {
-		t.Fatalf("swap counter = %d", v)
-	}
-	var faults, swaps int
+	var faults int
 	for _, e := range j.Events() {
-		switch e.Kind {
-		case obs.EvPolicyFault:
+		if e.Kind == obs.EvPolicyFault {
 			faults++
 			if e.App != -1 || e.Cycle != 50 {
 				t.Fatalf("fault event: %+v", e)
 			}
-		case obs.EvPolicySwap:
-			swaps++
 		}
 	}
-	if faults != 1 || swaps != 1 {
-		t.Fatalf("journal: %d faults, %d swaps", faults, swaps)
+	if faults != 1 {
+		t.Fatalf("journal: %d faults", faults)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"ebm/internal/config"
 	"ebm/internal/kernel"
 	"ebm/internal/obs"
-	"ebm/internal/resilience"
 	"ebm/internal/runner"
 	"ebm/internal/sim"
 	"ebm/internal/simcache"
@@ -49,11 +48,6 @@ type Options struct {
 	// checkpoint store, forking each from the deepest snapshot a prior
 	// (possibly shorter or interrupted) run of the same prefix persisted.
 	Ckpt *ckpt.Store
-	// Retry is the backoff policy for suite-cache saves (zero value =
-	// resilience.DefaultPolicy); Mon receives retry incidents (nil
-	// discards them).
-	Retry resilience.Policy
-	Mon   *resilience.Monitor
 }
 
 func (o *Options) fillDefaults() {
@@ -135,53 +129,6 @@ func (p *AppProfile) pickBest() {
 	p.BestEB = p.Levels[best].Result.EB
 }
 
-// ProfileApp sweeps one application across every TLP level alone, with the
-// levels in flight concurrently (bounded by opts.Parallelism).
-func ProfileApp(ctx context.Context, app kernel.Params, opts Options) (*AppProfile, error) {
-	opts.fillDefaults()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	p := &AppProfile{Name: app.Name, Levels: make([]LevelResult, len(opts.Levels))}
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-		ec error
-	)
-	sem := make(chan struct{}, opts.Parallelism)
-	for i, lvl := range opts.Levels {
-		if ctx.Err() != nil {
-			break // stop launching; in-flight runs abort at their next window
-		}
-		i, lvl := i, lvl
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res, err := AloneRun(ctx, app, lvl, opts)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if ec == nil {
-					ec = err
-				}
-				return
-			}
-			p.Levels[i] = LevelResult{TLP: lvl, Result: res.Apps[0]}
-		}()
-	}
-	wg.Wait()
-	if ec != nil {
-		return nil, ec
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	p.pickBest()
-	return p, nil
-}
-
 // Suite holds profiles for a set of applications, keyed by name.
 type Suite struct {
 	Profiles map[string]*AppProfile
@@ -193,7 +140,10 @@ type Suite struct {
 // ProfileSuite profiles every application and assigns EB groups by
 // quartile. The (app, level) grid fans out flat — every alone-run is an
 // independent leaf task on the shared pool — with opts.Parallelism
-// bounding how many this call keeps in flight.
+// bounding how many this call keeps in flight. An application's levels
+// and best-TLP fields depend only on it and opts, never on the rest of
+// apps; only Group and GroupMeanEB are relative to the set profiled.
+// With opts.Cache set, every alone-run replays from the result cache.
 func ProfileSuite(ctx context.Context, apps []kernel.Params, opts Options) (*Suite, error) {
 	opts.fillDefaults()
 	if ctx == nil {

@@ -1,12 +1,12 @@
 package profile
 
 import (
-	"os"
-	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ebm/internal/config"
 	"ebm/internal/kernel"
+	"ebm/internal/simcache"
 )
 
 func smallOpts() Options {
@@ -33,11 +33,25 @@ func someApps(names ...string) []kernel.Params {
 	return out
 }
 
-func TestProfileAppFindsBest(t *testing.T) {
-	app, _ := kernel.ByName("JPEG")
-	p, err := ProfileApp(nil, app, smallOpts())
+func openCache(t *testing.T, dir string) *simcache.Cache {
+	t.Helper()
+	c, err := simcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return c
+}
+
+// TestProfileSuiteFindsBest: an application's profile covers every
+// requested level and picks the level with the highest alone IPC.
+func TestProfileSuiteFindsBest(t *testing.T) {
+	suite, err := ProfileSuite(nil, someApps("JPEG"), smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := suite.Profiles["JPEG"]
+	if p == nil {
+		t.Fatal("JPEG missing from its own suite")
 	}
 	if len(p.Levels) != 3 {
 		t.Fatalf("%d levels", len(p.Levels))
@@ -56,6 +70,28 @@ func TestProfileAppFindsBest(t *testing.T) {
 	// Latency-bound JPEG should prefer more TLP over TLP=1.
 	if p.BestTLP == 1 {
 		t.Fatalf("JPEG bestTLP = 1 is implausible")
+	}
+}
+
+// TestProfileIndependentOfSuite: an application's levels and best-TLP
+// fields are the same whether it is profiled alone or inside a larger
+// suite, so callers may profile only the applications they read.
+func TestProfileIndependentOfSuite(t *testing.T) {
+	solo, err := ProfileSuite(nil, someApps("TRD"), smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	trio, err := ProfileSuite(nil, someApps("BLK", "TRD", "JPEG"), smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := solo.Profiles["TRD"], trio.Profiles["TRD"]
+	if !reflect.DeepEqual(a.Levels, b.Levels) {
+		t.Fatalf("levels differ:\n solo %+v\n trio %+v", a.Levels, b.Levels)
+	}
+	if a.BestTLP != b.BestTLP || a.BestIPC != b.BestIPC || a.BestEB != b.BestEB {
+		t.Fatalf("best differs: solo (%d, %v, %v), trio (%d, %v, %v)",
+			a.BestTLP, a.BestIPC, a.BestEB, b.BestTLP, b.BestIPC, b.BestEB)
 	}
 }
 
@@ -114,69 +150,93 @@ func TestSuiteAccessors(t *testing.T) {
 	}
 }
 
+// TestCacheRoundTrip: a suite profiled into a result cache replays from
+// a fresh handle on the same directory without simulating, and is
+// identical to the cold suite.
 func TestCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "profiles.json")
-	opts := smallOpts()
 	apps := someApps("BLK", "TRD")
+	opts := smallOpts()
+	opts.Cache = openCache(t, dir)
+	s1, err := ProfileSuite(nil, apps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Cache = openCache(t, dir)
+	s2, err := ProfileSuite(nil, apps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := opts.Cache.Stats().Writes; w != 0 {
+		t.Fatalf("reopened cache re-simulated %d runs", w)
+	}
+	if !reflect.DeepEqual(s1, s2) {
+		t.Fatal("suite changed across the cache round trip")
+	}
+}
 
-	s1, err := LoadOrProfile(nil, path, apps, opts)
-	if err != nil {
+// TestCacheInvalidatedByConfigChange: a profile is keyed by everything
+// that shapes its alone-runs, so changing the machine, the alone core
+// share, or a run length misses the cache instead of replaying a stale
+// profile.
+func TestCacheInvalidatedByConfigChange(t *testing.T) {
+	dir := t.TempDir()
+	apps := someApps("BLK")
+	opts := smallOpts()
+	opts.Cache = openCache(t, dir)
+	if _, err := ProfileSuite(nil, apps, opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("cache not written: %v", err)
+	mutations := map[string]func(*Options){
+		"config":       func(o *Options) { o.Config.L1MSHRs = 999 },
+		"cores alone":  func(o *Options) { o.CoresAlone = 1 },
+		"total cycles": func(o *Options) { o.TotalCycles += 1000 },
+		"warmup":       func(o *Options) { o.WarmupCycles += 500 },
 	}
-	s2, err := LoadOrProfile(nil, path, apps, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n, p1 := range s1.Profiles {
-		p2 := s2.Profiles[n]
-		if p2 == nil || p2.BestIPC != p1.BestIPC || p2.BestTLP != p1.BestTLP {
-			t.Fatalf("cache round trip lost %s", n)
+	for name, mutate := range mutations {
+		o := smallOpts()
+		mutate(&o)
+		o.Cache = openCache(t, dir)
+		if _, err := ProfileSuite(nil, apps, o); err != nil {
+			t.Fatal(err)
+		}
+		if w := o.Cache.Stats().Writes; w != uint64(len(o.Levels)) {
+			t.Errorf("%s change: %d of %d alone-runs simulated", name, w, len(o.Levels))
 		}
 	}
 }
 
-func TestCacheInvalidatedByConfigChange(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "profiles.json")
-	apps := someApps("BLK")
+// TestProfileSuiteWarmCache: with a result cache attached, a second suite
+// profile replays entirely from disk and produces the identical suite.
+func TestProfileSuiteWarmCache(t *testing.T) {
+	c := openCache(t, t.TempDir())
 	opts := smallOpts()
-	if _, err := LoadOrProfile(nil, path, apps, opts); err != nil {
+	opts.Cache = c
+	apps := someApps("BLK", "JPEG")
+	cold, err := ProfileSuite(nil, apps, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fp1 := Fingerprint(opts, apps)
-	opts2 := opts
-	opts2.Config.L1MSHRs = 999
-	fp2 := Fingerprint(opts2, apps)
-	if fp1 == fp2 {
-		t.Fatal("fingerprint insensitive to config change")
+	if c.Stats().Writes == 0 {
+		t.Fatal("no results persisted")
 	}
-	opts3 := opts
-	opts3.CoresAlone = 1
-	if Fingerprint(opts3, apps) == fp1 {
-		t.Fatal("fingerprint insensitive to the alone core share")
-	}
-	if _, err := Load(path, fp2); err == nil {
-		t.Fatal("stale cache accepted")
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.json"), "x"); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
-func TestLoadCorruptFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+	before := c.Stats()
+	warm, err := ProfileSuite(nil, apps, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path, "x"); err == nil {
-		t.Fatal("corrupt file accepted")
+	after := c.Stats()
+	if after.Writes != before.Writes {
+		t.Fatal("warm pass re-simulated")
+	}
+	if after.Hits-before.Hits < uint64(len(apps)*len(opts.Levels)) {
+		t.Fatalf("warm pass hits %d, want ≥ %d", after.Hits-before.Hits, len(apps)*len(opts.Levels))
+	}
+	for name, p := range cold.Profiles {
+		w := warm.Profiles[name]
+		if w == nil || w.BestTLP != p.BestTLP || w.BestIPC != p.BestIPC || w.BestEB != p.BestEB {
+			t.Fatalf("warm profile for %s differs: %+v vs %+v", name, w, p)
+		}
 	}
 }
 

@@ -134,15 +134,10 @@ func (w *simObs) decision(d tlp.Decision, cycle uint64) {
 	w.j.Record(obs.Event{Cycle: cycle, Kind: obs.EvDecision, App: -1, Label: d.String()})
 }
 
-// policyFault journals a TLP policy misbehaving at a window boundary —
-// a wrong-shaped decision or a rejected hot-swap.
+// policyFault journals a TLP policy returning a wrong-shaped decision at
+// a window boundary.
 func (w *simObs) policyFault(label string, cycle uint64) {
 	w.j.Record(obs.Event{Cycle: cycle, Kind: obs.EvPolicyFault, App: -1, Label: label})
-}
-
-// policySwap journals a TLP policy hot-swap taking effect.
-func (w *simObs) policySwap(name string, cycle uint64) {
-	w.j.Record(obs.Event{Cycle: cycle, Kind: obs.EvPolicySwap, App: -1, Label: name})
 }
 
 // warmup journals the warmup boundary (measurement starts here).

@@ -281,11 +281,6 @@ type Simulator struct {
 	pendDecision *tlp.Decision
 	pendAt       uint64
 
-	// pendSwap is a manager queued by SwapManager; the engine installs it
-	// at the next sampling window boundary (the only point a policy
-	// change is well-defined: decisions are per-window).
-	pendSwap tlp.Manager
-
 	instAtLaunch []uint64 // per app, inst count at last kernel launch
 	kernels      []uint64
 
@@ -587,36 +582,16 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 				s.creditQuiet(ci, now+1)
 			}
 			sample := s.buildSample(now + 1)
-			var d tlp.Decision
-			swapped := false
-			if next := s.pendSwap; next != nil {
-				s.pendSwap = nil
-				nd := next.Initial(len(s.appCores))
-				if len(nd.TLP) == len(s.appCores) {
-					s.opts.Manager = next
-					d = nd
-					swapped = true
-					if s.obsw != nil {
-						s.obsw.policySwap(next.Name(), now+1)
-					}
-				} else if s.obsw != nil {
+			d := s.opts.Manager.OnSample(sample)
+			if len(d.TLP) != len(s.appCores) {
+				// A malformed decision never reaches the schedulers: keep
+				// the current combination and journal the fault.
+				if s.obsw != nil {
 					s.obsw.policyFault(fmt.Sprintf(
-						"swap rejected: manager %q initial decision has %d TLP values for %d applications",
-						next.Name(), len(nd.TLP), len(s.appCores)), now+1)
+						"manager %q decision has %d TLP values for %d applications",
+						s.opts.Manager.Name(), len(d.TLP), len(s.appCores)), now+1)
 				}
-			}
-			if !swapped {
-				d = s.opts.Manager.OnSample(sample)
-				if len(d.TLP) != len(s.appCores) {
-					// A malformed decision never reaches the schedulers: keep
-					// the current combination and journal the fault.
-					if s.obsw != nil {
-						s.obsw.policyFault(fmt.Sprintf(
-							"manager %q decision has %d TLP values for %d applications",
-							s.opts.Manager.Name(), len(d.TLP), len(s.appCores)), now+1)
-					}
-					d = s.curDecision
-				}
+				d = s.curDecision
 			}
 			if !d.Equal(s.curDecision) {
 				dc := d.Clone()
@@ -659,21 +634,6 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	}
 	addWork(s.cycle - counted) // partial final window
 	return s.result(s.windows), nil
-}
-
-// SwapManager queues a replacement TLP manager; the engine installs it
-// at the next sampling window boundary — the only point a policy change
-// is well-defined, since decisions are per-window. Call it from the
-// simulation goroutine (an OnWindow or Hooks callback). The incoming
-// manager's Initial decision becomes that window's decision; an Initial
-// with the wrong number of applications rejects the swap, journals a
-// policy fault, and leaves the current manager in place.
-func (s *Simulator) SwapManager(m tlp.Manager) error {
-	if m == nil {
-		return fmt.Errorf("sim: SwapManager: nil manager")
-	}
-	s.pendSwap = m
-	return nil
 }
 
 // partial assembles the best-effort result of an interrupted run: the
