@@ -481,8 +481,8 @@ func BenchmarkSimulatorCyclesObs(b *testing.B) {
 }
 
 // BenchmarkSimulatorCyclesSandboxed is BenchmarkSimulatorCycles with the
-// manager wrapped in the policy sandbox (panic isolation, decision
-// validation; no time budget). The Makefile's policy-bench target asserts
+// manager wrapped in the policy sandbox (panic isolation and decision
+// validation). The Makefile's policy-bench target asserts
 // its ns/op stays within 5% of the plain benchmark (the sandbox overhead
 // contract of DESIGN.md §14).
 func BenchmarkSimulatorCyclesSandboxed(b *testing.B) {

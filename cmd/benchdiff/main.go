@@ -70,8 +70,9 @@ type File struct {
 
 func main() { cli.Main("benchdiff", run) }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	sess := cli.NewSession(fs, 0, "")
 	var (
 		bench     = fs.String("bench", "CycleTick|RequestPool|MSHRTable|SimulatorCycles", "benchmark regex passed to go test -bench")
 		pkgs      = fs.String("pkgs", "./...", "package pattern to benchmark")
@@ -81,27 +82,22 @@ func run(ctx context.Context) error {
 		old       = fs.String("old", "", "previous snapshot to diff against")
 		baseline  = fs.String("baseline", "", "snapshot to diff against as a one-line ratio table")
 		maxRatio  = fs.String("maxratio", "", "assert ns/op ratio 'BenchA/BenchB=1.05' within this run")
-		version   = fs.Bool("version", false, "print the build version and exit")
 	)
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if done, err := sess.Parse(args); done {
 		return err
 	}
-	if *version {
-		fmt.Println("benchdiff", cli.Version())
-		return nil
-	}
 
-	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchmem",
+	goArgs := []string{"test", "-run", "^$", "-bench", *bench, "-benchmem",
 		"-count", strconv.Itoa(*count)}
 	if *benchtime != "" {
-		args = append(args, "-benchtime", *benchtime)
+		goArgs = append(goArgs, "-benchtime", *benchtime)
 	}
-	args = append(args, *pkgs)
-	cmd := exec.CommandContext(ctx, "go", args...)
+	goArgs = append(goArgs, *pkgs)
+	cmd := exec.CommandContext(ctx, "go", goArgs...)
 	var buf bytes.Buffer
 	cmd.Stdout = &buf
 	cmd.Stderr = os.Stderr
-	fmt.Fprintln(os.Stderr, "benchdiff: go", strings.Join(args, " "))
+	fmt.Fprintln(os.Stderr, "benchdiff: go", strings.Join(goArgs, " "))
 	if err := cmd.Run(); err != nil {
 		os.Stderr.Write(buf.Bytes())
 		if cerr := ctx.Err(); cerr != nil {
@@ -115,7 +111,7 @@ func run(ctx context.Context) error {
 	if len(benches) == 0 {
 		return fmt.Errorf("no benchmark lines matched")
 	}
-	snap := File{Command: "go " + strings.Join(args, " "), Benchmarks: benches}
+	snap := File{Command: "go " + strings.Join(goArgs, " "), Benchmarks: benches}
 
 	if *out != "" {
 		data, err := json.MarshalIndent(snap, "", "  ")

@@ -16,8 +16,7 @@
 // The legacy -tlp flag is sugar for the static/besttlp level list.
 //
 // -sandbox runs the policy inside the internal/policy guard: a policy
-// that panics, returns a malformed decision, or (with -sandbox-budget)
-// overruns its per-decision wall-clock budget degrades the run to a safe
+// that panics or returns a malformed decision degrades the run to a safe
 // fallback instead of aborting it. Degraded results are never cached or
 // checkpointed; the fault tally is printed at exit, and under -chaos the
 // injector also crashes the policy itself to demonstrate the recovery.
@@ -59,11 +58,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -86,8 +84,9 @@ import (
 
 func main() { cli.Main("ebsim", run) }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("ebsim", flag.ContinueOnError)
+	sess := cli.NewSession(fs, cli.Cache|cli.Ckpt|cli.Spans|cli.Profile, "")
 	var (
 		wlName    = fs.String("workload", "", "workload name, e.g. BLK_TRD (suite apps joined by _)")
 		alone     = fs.String("alone", "", "profile a single application across all TLP levels")
@@ -96,106 +95,36 @@ func run(ctx context.Context) error {
 		cycles    = fs.Uint64("cycles", 300_000, "total simulated core cycles")
 		warmup    = fs.Uint64("warmup", 10_000, "warmup cycles excluded from metrics")
 		window    = fs.Uint64("window", 2_500, "sampling window in cycles")
-		simc      = fs.String("simcache", "simcache", "simulation-result cache directory (empty disables)")
-		ckptOn    = fs.Bool("ckpt", false, "fork uncached runs from prefix checkpoints")
-		ckptDir   = fs.String("ckpt-dir", "ckpt", "prefix-checkpoint store directory (with -ckpt)")
-		ckptMax   = fs.Int64("ckpt-max-bytes", 0, "checkpoint store byte cap, oldest evicted first (0 = unbounded)")
 		verbose   = fs.Bool("v", false, "print per-application details")
 		traceF    = fs.String("trace", "", "write per-window TLP/EB/BW/CMR time series to a CSV file")
 		chromeF   = fs.String("chrometrace", "", "write a Chrome trace-event JSON file (open in chrome://tracing)")
 		listen    = fs.String("listen", "", "serve live Prometheus metrics on this address, e.g. :8080 (0 picks a port)")
-		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to `file`")
-		memProf   = fs.String("memprofile", "", "write a pprof heap profile at exit to `file`")
 		chaos     = fs.Bool("chaos", false, "inject deterministic faults (cache I/O errors, stalls) and guard the run with a watchdog")
 		chaosSeed = fs.Int64("chaos-seed", 1, "seed for the -chaos fault injector")
-		ledgerF   = fs.String("ledger", "", "append one provenance record per completed cached run to this JSONL `file` (needs -simcache)")
-		spansF    = fs.String("trace-spans", "", "write the orchestration spans as a Chrome trace-event `file` at exit")
 		sandbox   = fs.Bool("sandbox", false,
 			"run the policy inside the sandbox: panics and malformed decisions degrade to a safe fallback instead of aborting; degraded results are never cached")
-		sandboxBudget = fs.Duration("sandbox-budget", 0,
-			"per-decision wall-clock budget under -sandbox, e.g. 10ms (0 = panic isolation only; implies -sandbox)")
-		version = fs.Bool("version", false, "print the build version and exit")
 	)
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if done, err := sess.Parse(args); done {
 		return err
 	}
-	if *version {
-		fmt.Println("ebsim", cli.Version())
-		return nil
-	}
-	stopProf, err := startProfiles(*cpuProf, *memProf)
+	// -trace-spans: the tracer rides ctx through profiling, the cached
+	// run, and the retry/watchdog layers. -ledger: provenance hangs off
+	// the result-cache handle; observed runs (-trace/-chrometrace/-listen)
+	// bypass the cache and so leave no records.
+	ctx, err = sess.Open(ctx, obs.A("workload", *wlName))
 	if err != nil {
 		return err
 	}
-	defer stopProf()
-
-	cfg := config.Default()
-
-	// -trace-spans: the tracer rides ctx through profiling, the cached
-	// run, and the retry/watchdog layers; the span tree is written as a
-	// Chrome-trace flamechart at exit.
-	if *spansF != "" {
-		tracer := obs.NewTracer()
-		ctx = obs.WithTracer(ctx, tracer)
-		var root *obs.Span
-		ctx, root = obs.StartSpan(ctx, "ebsim", obs.A("workload", *wlName))
-		defer func() {
-			root.End()
-			f, err := os.Create(*spansF)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ebsim:", err)
-				return
-			}
-			werr := obs.WriteSpanTrace(f, tracer)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fmt.Fprintln(os.Stderr, "ebsim:", werr)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "ebsim: wrote %d spans to %s\n", tracer.Len(), *spansF)
-		}()
-	}
-
-	var rcache *simcache.Cache
-	if *simc != "" {
-		rcache, err = simcache.Open(*simc)
-		if err != nil {
-			return err
-		}
-	}
-	// -ledger: provenance hangs off the result-cache handle; observed runs
-	// (-trace/-chrometrace/-listen) bypass the cache and so leave no
-	// records.
-	if *ledgerF != "" {
-		if rcache == nil {
-			return cli.Usagef("-ledger needs -simcache")
-		}
-		l, err := obs.OpenLedger(*ledgerF)
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		defer func() {
-			fmt.Fprintf(os.Stderr, "ebsim: %d provenance records appended to %s\n",
-				l.Appends(), *ledgerF)
-		}()
-		rcache.SetLedger(l)
-	}
-	var store *ckpt.Store
-	if *ckptOn {
-		store, err = ckpt.Open(*ckptDir)
-		if err != nil {
-			return err
-		}
-		store.SetMaxBytes(*ckptMax)
+	defer func() { err = errors.Join(err, sess.Close()) }()
+	rcache, store := sess.Cache(), sess.Ckpt()
+	if store != nil {
 		defer func() {
 			s := store.Stats()
 			fmt.Fprintf(os.Stderr, "ebsim: ckpt: %d forks, %d checkpoints persisted (%s)\n",
 				s.Forks, s.Writes, store.Dir())
 		}()
 	}
+	cfg := config.Default()
 
 	// The live-metrics registry is created up front so the resilience
 	// counters land on the same /metrics endpoint as the engine's.
@@ -223,15 +152,11 @@ func run(ctx context.Context) error {
 			StallEveryWindows: 16,
 			Stall:             time.Millisecond,
 		}
-		if *sandbox || *sandboxBudget > 0 {
-			// With the sandbox on, chaos also crashes (and, when a budget
-			// is set, stalls) the policy itself; the guard absorbs both.
+		if *sandbox {
+			// With the sandbox on, chaos also crashes the policy itself;
+			// the guard absorbs the panics.
 			injCfg.PolicyPanicProb = 0.05
 			injCfg.MaxPolicyPanics = 4
-			if *sandboxBudget > 0 {
-				injCfg.PolicyStallEveryDecisions = 32
-				injCfg.PolicyStall = 2 * *sandboxBudget
-			}
 		}
 		inj = faultinject.New(injCfg)
 		monReg := reg
@@ -239,10 +164,8 @@ func run(ctx context.Context) error {
 			monReg = obs.NewRegistry() // private tally for the exit report
 		}
 		mon = resilience.NewMonitor(monReg, nil)
-		if rcache != nil {
-			rcache.SetHooks(inj)
-			rcache.SetResilience(resilience.DefaultPolicy(), mon)
-		}
+		rcache.SetHooks(inj)
+		rcache.SetResilience(resilience.DefaultPolicy(), mon)
 		// Checkpoint reads and writes face the same injected faults; the
 		// store's degradation ladder turns them into cold execution.
 		store.SetHooks(inj)
@@ -258,8 +181,8 @@ func run(ctx context.Context) error {
 		defer func() {
 			c := inj.Counts()
 			fmt.Fprintf(os.Stderr,
-				"ebsim: chaos: seed=%d injected %d cache read errors, %d cache write errors, %d stalls, %d policy panics, %d policy stalls; cache retries=%d, watchdog tripped=%v\n",
-				*chaosSeed, c.ReadErrs, c.WriteErrs, c.Stalls, c.PolicyPanics, c.PolicyStalls,
+				"ebsim: chaos: seed=%d injected %d cache read errors, %d cache write errors, %d stalls, %d policy panics; cache retries=%d, watchdog tripped=%v\n",
+				*chaosSeed, c.ReadErrs, c.WriteErrs, c.Stalls, c.PolicyPanics,
 				mon.CacheRetries.Value(), dog.Tripped())
 		}()
 	}
@@ -344,18 +267,17 @@ func run(ctx context.Context) error {
 	}
 
 	// -sandbox wraps the manager in the policy guard. Under -chaos the
-	// injector's policy faults (panics, stalls) sit *inside* the guard, so
+	// injector's policy panics sit *inside* the guard, so
 	// the run degrades to the fallback ladder and still completes; the
 	// fault tally is reported at exit. Sandboxed runs skip the checkpoint
 	// store — a degraded prefix must never seed future forks.
 	var guard *policy.Guard
-	if *sandbox || *sandboxBudget > 0 {
+	if *sandbox {
 		inner := mgr
 		if inj != nil {
 			inner = faultinject.WrapManager(inner, inj)
 		}
-		guard = policy.Wrap(inner, policy.Options{Budget: *sandboxBudget, Obs: observer})
-		defer guard.Close()
+		guard = policy.Wrap(inner, policy.Options{Obs: observer})
 		mgr = guard
 		defer func() {
 			fmt.Fprintf(os.Stderr, "ebsim: sandbox: %d policy faults\n", guard.Faults())
@@ -445,38 +367,24 @@ func run(ctx context.Context) error {
 // directRun builds the cache-miss execution path for RunCached: the
 // checkpoint store when -ckpt is on, under -chaos the engine also
 // carries the injector's window hooks and the watchdog's pulse, and
-// under -sandbox the guard replaces the spec-built manager. With none of
-// the four this returns nil and RunCached falls back to sim.Execute.
+// under -sandbox the guard executes the run in place of the store. With
+// none of the four this returns nil and RunCached falls back to
+// sim.Execute.
 func directRun(rs spec.RunSpec, store *ckpt.Store, inj *faultinject.Injector, dog *resilience.Watchdog, guard *policy.Guard) func(context.Context) (sim.Result, error) {
 	if store == nil && inj == nil && dog == nil && guard == nil {
 		return nil // RunCached falls back to sim.Execute
 	}
-	if guard != nil {
-		// A sandboxed policy can degrade the run nondeterministically, so
-		// its snapshots must never seed future checkpoint forks.
-		store = nil
+	chaos := func(opts *sim.Options) {
+		if inj != nil { // a typed-nil *Injector must not become a non-nil Hooks
+			opts.Hooks = inj
+		}
+		opts.Watchdog = dog
 	}
 	return func(ctx context.Context) (sim.Result, error) {
-		res, err := ckpt.ExecuteWith(ctx, store, rs, func(opts *sim.Options) {
-			if inj != nil { // a typed-nil *Injector must not become a non-nil Hooks
-				opts.Hooks = inj
-			}
-			opts.Watchdog = dog
-			if guard != nil {
-				opts.Manager = guard
-			}
-		})
-		if guard != nil && guard.Faults() > 0 {
-			// The fallback ladder changed the decisions this run executed:
-			// the result no longer matches its deterministic cache key, so
-			// it is returned but not persisted, and the provenance ledger
-			// records each fault.
-			simcache.MarkVolatile(ctx)
-			for _, l := range guard.FaultLabels() {
-				obs.TrailFrom(ctx).AddFault("policy: " + l)
-			}
+		if guard != nil {
+			return guard.Execute(ctx, rs, chaos)
 		}
-		return res, err
+		return ckpt.ExecuteWith(ctx, store, rs, chaos)
 	}
 }
 
@@ -495,39 +403,6 @@ func writeFile(path string, write func(*os.File) error) error {
 	}
 	fmt.Fprintf(os.Stderr, "ebsim: wrote %s\n", path)
 	return nil
-}
-
-// startProfiles starts a CPU profile and arranges a heap profile; the
-// returned func stops and writes them. With the single-exit-point run
-// pattern the deferred stop now runs on every path, including errors.
-func startProfiles(cpuPath, memPath string) (func(), error) {
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return func() {
-		if cpuPath != "" {
-			pprof.StopCPUProfile()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ebsim:", err)
-				return
-			}
-			runtime.GC() // settle live-heap accounting before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ebsim:", err)
-			}
-			f.Close()
-		}
-	}, nil
 }
 
 func runAlone(ctx context.Context, cfg config.GPU, name string, rcache *simcache.Cache, store *ckpt.Store) error {

@@ -24,6 +24,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,100 +32,55 @@ import (
 	"path/filepath"
 	"time"
 
-	"ebm/internal/ckpt"
 	"ebm/internal/cli"
 	"ebm/internal/experiments"
-	"ebm/internal/obs"
 	"ebm/internal/workload"
 )
 
 func main() { cli.Main("paperfigs", run) }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("paperfigs", flag.ContinueOnError)
+	sess := cli.NewSession(fs, cli.Cache|cli.Ckpt|cli.Spans, "")
 	var (
-		list    = fs.Bool("list", false, "list experiments and exit")
-		id      = fs.String("id", "", "run a single experiment by id (e.g. fig9)")
-		all     = fs.Bool("all", false, "run every experiment")
-		quick   = fs.Bool("quick", false, "reduced run lengths and the 10 representative workloads")
-		simc    = fs.String("simcache", "simcache", "simulation-result cache directory (empty disables)")
-		ckptOn  = fs.Bool("ckpt", false, "fork uncached simulations from prefix checkpoints")
-		ckptDir = fs.String("ckpt-dir", "ckpt", "prefix-checkpoint store directory (with -ckpt)")
-		ckptMax = fs.Int64("ckpt-max-bytes", 0, "checkpoint store byte cap, oldest evicted first (0 = unbounded)")
-		adapt   = fs.Bool("adaptive", false, "compute bestTLP/oracle columns via the adaptive coarse-to-fine search instead of exhaustive grids")
-		out     = fs.String("out", "", "directory to also write one text file per experiment")
-		ledgerF = fs.String("ledger", "", "append one provenance record per completed run to this JSONL `file` (needs -simcache)")
-		spansF  = fs.String("trace-spans", "", "write the orchestration spans as a Chrome trace-event `file` at exit")
-		version = fs.Bool("version", false, "print the build version and exit")
+		list  = fs.Bool("list", false, "list experiments and exit")
+		id    = fs.String("id", "", "run a single experiment by id (e.g. fig9)")
+		all   = fs.Bool("all", false, "run every experiment")
+		quick = fs.Bool("quick", false, "reduced run lengths and the 10 representative workloads")
+		adapt = fs.Bool("adaptive", false, "compute bestTLP/oracle columns via the adaptive coarse-to-fine search instead of exhaustive grids")
+		out   = fs.String("out", "", "directory to also write one text file per experiment")
 	)
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if done, err := sess.Parse(args); done {
 		return err
 	}
-	if *version {
-		fmt.Println("paperfigs", cli.Version())
-		return nil
-	}
-
 	if *list {
 		for _, x := range experiments.Registry() {
 			fmt.Printf("%-8s %s\n", x.ID, x.Title)
 		}
 		return nil
 	}
-	if !*all && *id == "" {
+	xs := experiments.Registry()
+	switch {
+	case *id != "":
+		x, ok := experiments.ByID(*id)
+		if !ok {
+			return cli.Usagef("unknown experiment %q (try -list)", *id)
+		}
+		xs = []experiments.Experiment{x}
+	case !*all:
 		return cli.Usagef("pass -id <experiment>, -all, or -list")
 	}
 
-	opt := experiments.Options{SimCache: *simc, Adaptive: *adapt}
-	// -trace-spans: the tracer rides ctx into NewEnv and every experiment
-	// below it; the finished span tree is written as a flamechart at exit.
-	if *spansF != "" {
-		tracer := obs.NewTracer()
-		ctx = obs.WithTracer(ctx, tracer)
-		var root *obs.Span
-		ctx, root = obs.StartSpan(ctx, "paperfigs")
-		defer func() {
-			root.End()
-			f, err := os.Create(*spansF)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "paperfigs:", err)
-				return
-			}
-			werr := obs.WriteSpanTrace(f, tracer)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fmt.Fprintln(os.Stderr, "paperfigs:", werr)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "paperfigs: wrote %d spans to %s\n", tracer.Len(), *spansF)
-		}()
+	// The tracer rides ctx into NewEnv and every experiment below it;
+	// provenance records flow through the environment's own handle on
+	// the session's cache directory.
+	ctx, err = sess.Open(ctx)
+	if err != nil {
+		return err
 	}
-	// -ledger: provenance records flow through the environment's simcache
-	// handle, so the cache is a prerequisite.
-	if *ledgerF != "" {
-		if *simc == "" {
-			return cli.Usagef("-ledger needs -simcache")
-		}
-		l, err := obs.OpenLedger(*ledgerF)
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		defer func() {
-			fmt.Fprintf(os.Stderr, "paperfigs: %d provenance records appended to %s\n",
-				l.Appends(), *ledgerF)
-		}()
-		opt.Ledger = l
-	}
-	if *ckptOn {
-		store, err := ckpt.Open(*ckptDir)
-		if err != nil {
-			return err
-		}
-		store.SetMaxBytes(*ckptMax)
-		opt.Ckpt = store
+	defer func() { err = errors.Join(err, sess.Close()) }()
+	opt := experiments.Options{
+		SimCache: sess.Cache().Dir(), Ckpt: sess.Ckpt(), Ledger: sess.Ledger(), Adaptive: *adapt,
 	}
 	if *quick {
 		opt.GridCycles = 60_000
@@ -152,43 +108,36 @@ func run(ctx context.Context) error {
 		}
 	}()
 
-	runOne := func(x experiments.Experiment) error {
-		var w io.Writer = os.Stdout
-		var f *os.File
-		if *out != "" {
-			if err := os.MkdirAll(*out, 0o755); err != nil {
-				return err
-			}
-			var err error
-			f, err = os.Create(filepath.Join(*out, x.ID+".txt"))
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = io.MultiWriter(os.Stdout, f)
-		}
-		t0 := time.Now()
-		if err := x.Run(env, w); err != nil {
-			return fmt.Errorf("%s: %w", x.ID, err)
-		}
-		fmt.Fprintf(os.Stderr, "[%s done in %.1fs]\n", x.ID, time.Since(t0).Seconds())
-		return nil
-	}
-
-	if *id != "" {
-		x, ok := experiments.ByID(*id)
-		if !ok {
-			return cli.Usagef("unknown experiment %q (try -list)", *id)
-		}
-		return runOne(x)
-	}
-	for _, x := range experiments.Registry() {
+	for _, x := range xs {
 		if err := ctx.Err(); err != nil {
 			return err // stop between experiments; completed panels are already printed
 		}
-		if err := runOne(x); err != nil {
+		if err := runOne(env, x, *out); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// runOne prints one experiment to stdout and, with -out, also to
+// DIR/<id>.txt.
+func runOne(env *experiments.Env, x experiments.Experiment, dir string) (err error) {
+	w := io.Writer(os.Stdout)
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		f, ferr := os.Create(filepath.Join(dir, x.ID+".txt"))
+		if ferr != nil {
+			return ferr
+		}
+		defer func() { err = errors.Join(err, f.Close()) }()
+		w = io.MultiWriter(os.Stdout, f)
+	}
+	t0 := time.Now()
+	if err := x.Run(env, w); err != nil {
+		return fmt.Errorf("%s: %w", x.ID, err)
+	}
+	fmt.Fprintf(os.Stderr, "[%s done in %.1fs]\n", x.ID, time.Since(t0).Seconds())
 	return nil
 }

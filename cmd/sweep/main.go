@@ -70,13 +70,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -100,8 +100,9 @@ import (
 
 func main() { cli.Main("sweep", run) }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	sess := cli.NewSession(fs, cli.Cache|cli.Ckpt|cli.Spans|cli.Profile, "auto")
 	var (
 		wlName  = fs.String("workload", "BLK_TRD", "two-application workload, e.g. BLK_TRD")
 		grids   = fs.String("grids", "ws,ebws", "surfaces to print: ws,fi,hs,ebws,ebfi,it,bw")
@@ -114,98 +115,51 @@ func run(ctx context.Context) error {
 				"finds the same picks in a fraction of the engine work, skips surface printing)")
 		cycles   = fs.Uint64("cycles", 120_000, "cycles per combination")
 		warmup   = fs.Uint64("warmup", 20_000, "warmup cycles")
-		simc     = fs.String("simcache", "simcache", "simulation-result cache directory (empty disables)")
-		ckptOn   = fs.Bool("ckpt", false, "fork uncached simulations from prefix checkpoints (sub-linear cold sweeps)")
-		ckptDir  = fs.String("ckpt-dir", "ckpt", "prefix-checkpoint store directory (with -ckpt)")
-		ckptMax  = fs.Int64("ckpt-max-bytes", 0, "checkpoint store byte cap, oldest evicted first (0 = unbounded)")
 		parallel = fs.Int("parallel", runtime.NumCPU(), "concurrent grid simulations (default: all CPUs)")
 		outPath  = fs.String("o", "", "also write the report to this file, e.g. results/blk_trd.txt")
 		listen   = fs.String("listen", "", "serve live sweep-progress metrics on this address, e.g. :8080")
-		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to `file`")
-		memProf  = fs.String("memprofile", "", "write a pprof heap profile at exit to `file`")
-		spansF   = fs.String("trace-spans", "", "write the orchestration spans as a Chrome trace-event `file` at exit")
 		explain  = fs.Bool("explain", false,
 			"read the -ledger file(s) and print a provenance summary instead of sweeping; "+
 				"several -ledger flags (or a directory of *.jsonl) merge, deduplicating by fingerprint and attributing outcomes per worker")
 		workerURL = fs.String("worker", "",
 			"run as a distributed-sweep worker: pull leased cells from the coordinator at this base `URL` (e.g. http://host:9900) until the sweep completes")
 		workerID = fs.String("id", "", "worker identity for -worker (default hostname-pid)")
-		version  = fs.Bool("version", false, "print the build version and exit")
 		sandbox  = fs.Bool("sandbox", false,
 			"run the -schemes policies inside the policy sandbox: a panicking or malformed policy degrades to a safe fallback and the sweep completes; degraded results are not cached")
-		sandboxBudget = fs.Duration("sandbox-budget", 0,
-			"per-decision wall-clock budget for sandboxed -schemes policies, e.g. 10ms (0 = panic isolation only; implies -sandbox)")
 	)
-	var ledgers multiFlag
-	fs.Var(&ledgers, "ledger",
-		"run-provenance ledger appended one JSON record per completed run "+
-			"(auto = ledger.jsonl beside the -simcache directory; empty disables; "+
-			"repeatable with -explain, where each value may be a file or a directory of *.jsonl)")
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if done, err := sess.Parse(args); done {
 		return err
 	}
-	if *version {
-		fmt.Println("sweep", cli.Version())
-		return nil
-	}
-
-	// "auto" ties the ledger's lifetime to the simcache it explains: the
-	// file lands beside the cache directory, so the pair travels together.
-	ledgerPath := "auto"
-	if len(ledgers) > 0 {
-		ledgerPath = ledgers[0]
-	}
-	if ledgerPath == "auto" {
-		ledgerPath = ""
-		if *simc != "" {
-			ledgerPath = filepath.Join(filepath.Dir(*simc), "ledger.jsonl")
-		}
-	}
-
-	// -explain is a reader mode: summarize the ledger(s) a previous sweep
-	// — local or distributed — appended, and exit without simulating.
-	// Several paths (or a directory of per-worker files) merge into one
-	// view: records sharing a fingerprint collapse onto the worker that
-	// actually executed the run.
 	if *explain {
-		paths := []string(ledgers)
-		if len(paths) == 0 || (len(paths) == 1 && paths[0] == "auto") {
-			if ledgerPath == "" {
-				return cli.Usagef("-explain needs a -ledger file (or -simcache for the auto default)")
-			}
-			paths = []string{ledgerPath}
-		}
-		merged := len(paths) > 1
-		if fi, err := os.Stat(paths[0]); err == nil && fi.IsDir() {
-			merged = true
-		}
-		recs, skipped, err := obs.ReadLedgers(paths...)
-		if err != nil {
-			return err
-		}
-		dups := 0
-		if merged {
-			recs, dups = obs.DedupByFingerprint(recs)
-		}
-		sum := obs.SummarizeLedger(recs, 10)
-		sum.Skipped = skipped
-		sum.Dups = dups
-		fmt.Printf("provenance ledger %s\n", strings.Join(paths, ", "))
-		sum.WriteText(os.Stdout)
-		return nil
+		return explainLedgers(sess.LedgerPaths())
 	}
+	adaptive := *searchMode == "adaptive"
+	if !adaptive && *searchMode != "exhaustive" {
+		return cli.Usagef("unknown -search %q (want exhaustive or adaptive)", *searchMode)
+	}
+	wl, ok := workload.ByName(*wlName)
+	if *workerURL == "" && (!ok || len(wl.Apps) != 2) {
+		return cli.Usagef("need a two-application workload; apps: %v", kernel.Names())
+	}
+
+	// -trace-spans: a tracer rides the context through every layer below;
+	// the root "sweep" span parents profiling, the grid build, and the
+	// scheme runs (lanes = concurrent workers). The provenance ledger
+	// hangs off the cache handle: every completed run appends one JSON
+	// record (fingerprint, scheme, cached / forked / cold, retries,
+	// faults, cost) that `sweep -explain` later summarizes.
+	ctx, err = sess.Open(ctx, obs.A("workload", *wlName))
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, sess.Close()) }()
 
 	// -worker is a service mode: the rest of the flags describing what
 	// to sweep are the coordinator's business; this process just
 	// executes whatever cells it is leased, through the same
 	// cache/checkpoint stack a local sweep uses.
 	if *workerURL != "" {
-		return runWorker(ctx, workerConfig{
-			url: *workerURL, id: *workerID,
-			simc: *simc, ledgerPath: ledgerPath,
-			ckptOn: *ckptOn, ckptDir: *ckptDir, ckptMax: *ckptMax,
-			parallel: *parallel,
-		})
+		return runWorker(ctx, sess, *workerURL, *workerID, *parallel)
 	}
 
 	out := io.Writer(os.Stdout)
@@ -229,11 +183,6 @@ func run(ctx context.Context) error {
 		out = io.MultiWriter(os.Stdout, f)
 	}
 
-	adaptive := *searchMode == "adaptive"
-	if !adaptive && *searchMode != "exhaustive" {
-		return cli.Usagef("unknown -search %q (want exhaustive or adaptive)", *searchMode)
-	}
-
 	start := time.Now()
 	work0 := sim.CyclesSimulated() // engine work before this sweep
 	sims := 0                      // simulations actually executed this run
@@ -247,114 +196,18 @@ func run(ctx context.Context) error {
 		fmt.Fprintf(os.Stderr, "sweep: %d engine cycles simulated (cache hits and restored checkpoint prefixes excluded)\n",
 			sim.CyclesSimulated()-work0)
 	}()
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				return
-			}
-			runtime.GC() // settle live-heap accounting before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-			}
-			f.Close()
-		}()
-	}
-
-	// -trace-spans: a tracer rides the context through every layer below;
-	// the root "sweep" span parents profiling, the grid build, and the
-	// scheme runs, and the finished tree is written as a Chrome-trace
-	// flamechart at exit (lanes = concurrent workers).
-	var tracer *obs.Tracer
-	if *spansF != "" {
-		tracer = obs.NewTracer()
-		ctx = obs.WithTracer(ctx, tracer)
-		var root *obs.Span
-		ctx, root = obs.StartSpan(ctx, "sweep", obs.A("workload", *wlName))
-		defer func() {
-			root.End()
-			f, err := os.Create(*spansF)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				return
-			}
-			werr := obs.WriteSpanTrace(f, tracer)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", werr)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "sweep: wrote %d spans to %s\n", tracer.Len(), *spansF)
-		}()
-	}
 
 	cfg := config.Default()
-	wl, ok := workload.ByName(*wlName)
-	if !ok || len(wl.Apps) != 2 {
-		return cli.Usagef("need a two-application workload; apps: %v", kernel.Names())
-	}
 
 	// The result cache is what makes an interrupted sweep resumable:
 	// every finished combination is persisted as it completes, and a rerun
-	// replays those cells instead of re-simulating them. The pool bounds
-	// execution at -parallel workers; closing it waits for in-flight tasks,
-	// which is the orderly drain a SIGINT relies on.
-	var rcache *simcache.Cache
-	if *simc != "" {
-		var err error
-		rcache, err = simcache.Open(*simc)
-		if err != nil {
-			return err
-		}
-	}
-	// The provenance ledger hangs off the cache handle: every completed
-	// run appends one JSON record (fingerprint, scheme, cached / forked /
-	// cold, retries, faults, cost) that `sweep -explain` later summarizes.
-	var ledger *obs.Ledger
-	if ledgerPath != "" {
-		if rcache == nil {
-			fmt.Fprintln(os.Stderr, "sweep: -ledger needs -simcache; provenance disabled")
-		} else {
-			l, err := obs.OpenLedger(ledgerPath)
-			if err != nil {
-				return err
-			}
-			ledger = l
-			defer ledger.Close()
-			defer func() {
-				fmt.Fprintf(os.Stderr, "sweep: %d provenance records appended to %s\n",
-					ledger.Appends(), ledgerPath)
-			}()
-			rcache.SetLedger(ledger)
-		}
-	}
-	// The checkpoint store makes even the *cold* part of a sweep
-	// sub-linear: every uncached simulation forks from the deepest
-	// persisted snapshot of its deterministic prefix (written by earlier
-	// sweeps at other horizons, or by this one before an interruption).
-	var store *ckpt.Store
-	if *ckptOn {
-		var err error
-		store, err = ckpt.Open(*ckptDir)
-		if err != nil {
-			return err
-		}
-		store.SetMaxBytes(*ckptMax)
-	}
+	// replays those cells instead of re-simulating them. The checkpoint
+	// store makes even the *cold* part of a sweep sub-linear: every
+	// uncached simulation forks from the deepest persisted snapshot of
+	// its deterministic prefix. The pool bounds execution at -parallel
+	// workers; closing it waits for in-flight tasks, which is the orderly
+	// drain a SIGINT relies on.
+	rcache, store := sess.Cache(), sess.Ckpt()
 	pool := runner.New(*parallel)
 	defer pool.Close()
 
@@ -390,9 +243,7 @@ func run(ctx context.Context) error {
 		fmt.Fprintf(os.Stderr, "sweep: serving metrics on http://%s/metrics\n", srv.Addr)
 	}
 	mon := resilience.NewMonitor(reg, journal)
-	if rcache != nil {
-		rcache.SetResilience(resilience.DefaultPolicy(), mon)
-	}
+	rcache.SetResilience(resilience.DefaultPolicy(), mon)
 	store.SetResilience(resilience.DefaultPolicy(), mon)
 
 	// resumeReport describes the persisted state after an interruption so
@@ -405,7 +256,7 @@ func run(ctx context.Context) error {
 			s := rcache.Stats()
 			fmt.Fprintf(os.Stderr,
 				"sweep: %d results persisted to %s this run (%d replayed); rerun the same command to resume — finished combinations replay from the cache\n",
-				s.Writes, *simc, s.Hits)
+				s.Writes, rcache.Dir(), s.Hits)
 		} else {
 			fmt.Fprintln(os.Stderr, "sweep: no -simcache directory: a rerun starts from scratch")
 		}
@@ -413,7 +264,7 @@ func run(ctx context.Context) error {
 			cs := store.Stats()
 			fmt.Fprintf(os.Stderr,
 				"sweep: %d checkpoints persisted to %s; a rerun forks interrupted combinations from them\n",
-				cs.Writes, *ckptDir)
+				cs.Writes, store.Dir())
 		}
 	}
 
@@ -624,38 +475,21 @@ func run(ctx context.Context) error {
 			VictimTags:         spec.VictimTagsFor(sch),
 		}
 		runFn := ckpt.Runner(store, rs)
-		if *sandbox || *sandboxBudget > 0 {
-			// Sandboxed scheme runs: the guard absorbs policy panics,
-			// budget overruns, and malformed decisions, so one broken
-			// policy cannot abort the sweep. A degraded run is marked
-			// volatile (returned, never cached) and its faults land on
-			// the provenance trail and in the journal. Checkpoints are
-			// skipped — a degraded prefix must never seed future forks.
-			rsRun := rs
+		if *sandbox {
+			// Sandboxed scheme runs: the guard absorbs policy panics and
+			// malformed decisions, so one broken policy cannot abort the
+			// sweep; its faults also land in the journal.
 			runFn = func(ctx context.Context) (sim.Result, error) {
-				opts, err := sim.FromSpec(rsRun)
+				mgr, err := rs.Manager()
 				if err != nil {
 					return sim.Result{}, err
 				}
-				guard := policy.Wrap(opts.Manager, policy.Options{
-					Budget: *sandboxBudget,
-					Obs:    &obs.Observer{Metrics: reg, Journal: journal},
-				})
-				defer guard.Close()
-				opts.Manager = guard
-				s, err := sim.New(opts)
-				if err != nil {
-					return sim.Result{}, err
-				}
-				res, err := s.RunContext(ctx)
+				guard := policy.Wrap(mgr, policy.Options{Obs: &obs.Observer{Metrics: reg, Journal: journal}})
+				res, err := guard.Execute(ctx, rs, nil)
 				if n := guard.Faults(); n > 0 {
-					simcache.MarkVolatile(ctx)
-					for _, l := range guard.FaultLabels() {
-						obs.TrailFrom(ctx).AddFault("policy: " + l)
-					}
 					fmt.Fprintf(os.Stderr,
 						"sweep: sandbox: %s degraded by %d policy faults (result not cached)\n",
-						rsRun.Scheme.String(), n)
+						rs.Scheme.String(), n)
 				}
 				return res, err
 			}
@@ -681,29 +515,42 @@ func run(ctx context.Context) error {
 	return nil
 }
 
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
-type workerConfig struct {
-	url, id          string
-	simc, ledgerPath string
-	ckptOn           bool
-	ckptDir          string
-	ckptMax          int64
-	parallel         int
+// explainLedgers is sweep -explain, a reader mode: summarize the
+// ledger(s) a previous sweep — local or distributed — appended, without
+// simulating. Several paths (or a directory of per-worker files) merge
+// into one view: records sharing a fingerprint collapse onto the worker
+// that actually executed the run.
+func explainLedgers(paths []string) error {
+	if len(paths) == 0 {
+		return cli.Usagef("-explain needs a -ledger file (or -simcache for the auto default)")
+	}
+	merged := len(paths) > 1
+	if fi, err := os.Stat(paths[0]); err == nil && fi.IsDir() {
+		merged = true
+	}
+	recs, skipped, err := obs.ReadLedgers(paths...)
+	if err != nil {
+		return err
+	}
+	dups := 0
+	if merged {
+		recs, dups = obs.DedupByFingerprint(recs)
+	}
+	sum := obs.SummarizeLedger(recs, 10)
+	sum.Skipped = skipped
+	sum.Dups = dups
+	fmt.Printf("provenance ledger %s\n", strings.Join(paths, ", "))
+	sum.WriteText(os.Stdout)
+	return nil
 }
 
 // runWorker is `sweep -worker`: register with the coordinator, lease
-// cells, execute them through the shared cache/checkpoint stack, and
+// cells, execute them through the session's cache/checkpoint stack, and
 // report each under its fencing token. SIGTERM/SIGINT cancels ctx,
 // which drains gracefully — the in-flight cell finishes, unstarted
 // leases are released, the worker deregisters — and exits 130 through
 // the usual cli contract (a second signal kills immediately).
-func runWorker(ctx context.Context, c workerConfig) error {
-	id := c.id
+func runWorker(ctx context.Context, sess *cli.Session, url, id string, parallel int) error {
 	if id == "" {
 		host, _ := os.Hostname()
 		if host == "" {
@@ -711,49 +558,19 @@ func runWorker(ctx context.Context, c workerConfig) error {
 		}
 		id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	var rcache *simcache.Cache
-	if c.simc != "" {
-		var err error
-		rcache, err = simcache.Open(c.simc)
-		if err != nil {
-			return err
-		}
-		rcache.SetResilience(resilience.DefaultPolicy(), nil)
-	}
 	// The worker's ledger is its slice of the sweep's provenance: every
 	// record is stamped with the worker id, so `sweep -explain` over the
 	// collected per-worker files attributes each run to who satisfied it.
-	if c.ledgerPath != "" && rcache != nil {
-		ledger, err := obs.OpenLedger(c.ledgerPath)
-		if err != nil {
-			return err
-		}
-		ledger.SetWorker(id)
-		rcache.SetLedger(ledger)
-		defer ledger.Close()
-		defer func() {
-			fmt.Fprintf(os.Stderr, "sweep: worker %s: %d provenance records appended to %s\n",
-				id, ledger.Appends(), c.ledgerPath)
-		}()
-	}
-	var store *ckpt.Store
-	if c.ckptOn {
-		var err error
-		store, err = ckpt.Open(c.ckptDir)
-		if err != nil {
-			return err
-		}
-		store.SetMaxBytes(c.ckptMax)
-	}
-	pool := runner.New(c.parallel)
+	sess.Ledger().SetWorker(id)
+	pool := runner.New(parallel)
 	defer pool.Close()
 
 	w := dsweep.NewWorker(dsweep.WorkerOptions{
-		ID: id, URL: c.url,
-		Cache: rcache, Ckpt: store, Runner: pool,
+		ID: id, URL: url,
+		Cache: sess.Cache(), Ckpt: sess.Ckpt(), Runner: pool,
 		Version: cli.Version(),
 	})
-	fmt.Fprintf(os.Stderr, "sweep: worker %s pulling cells from %s\n", id, c.url)
+	fmt.Fprintf(os.Stderr, "sweep: worker %s pulling cells from %s\n", id, url)
 	err := w.Run(ctx)
 	fmt.Fprintf(os.Stderr, "sweep: worker %s: %d completions accepted, %d fenced off\n",
 		id, w.Completed(), w.Fenced())

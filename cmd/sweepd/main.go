@@ -34,12 +34,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -50,37 +50,28 @@ import (
 	"ebm/internal/kernel"
 	"ebm/internal/obs"
 	"ebm/internal/resilience"
-	"ebm/internal/simcache"
 	"ebm/internal/workload"
 )
 
 func main() { cli.Main("sweepd", run) }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
+	sess := cli.NewSession(fs, cli.Cache, "auto")
 	var (
 		wlName  = fs.String("workload", "BLK_TRD", "two-application workload to sweep, e.g. BLK_TRD")
 		levelsF = fs.String("levels", "", "comma-separated TLP levels per axis (default: the full ladder)")
 		cycles  = fs.Uint64("cycles", 120_000, "cycles per combination")
 		warmup  = fs.Uint64("warmup", 20_000, "warmup cycles")
 		listen  = fs.String("listen", ":9900", "address the coordinator serves the wire protocol (and /metrics) on")
-		simc    = fs.String("simcache", "simcache", "shared simulation-result cache directory (empty disables prewarm/persist)")
 		stateF  = fs.String("state", "auto",
 			"assignment-state checkpoint `file` rewritten atomically on every transition "+
 				"(auto = dsweep-state.json beside the -simcache directory; empty disables restart resume)")
 		leaseTTL = fs.Duration("lease-ttl", dsweep.DefaultLeaseTTL,
 			"no-progress deadline per worker: a lease whose holder stops heartbeating or advancing expires and its cell is reassigned")
-		ledgerF = fs.String("ledger", "auto",
-			"provenance ledger appended one worker-attributed record per accepted completion "+
-				"(auto = ledger.jsonl beside the -simcache directory; empty disables)")
-		version = fs.Bool("version", false, "print the build version and exit")
 	)
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if done, err := sess.Parse(args); done {
 		return err
-	}
-	if *version {
-		fmt.Println("sweepd", cli.Version())
-		return nil
 	}
 
 	cfg := config.Default()
@@ -101,38 +92,17 @@ func run(ctx context.Context) error {
 	cells := dsweep.GridCells(wl.Apps, dsweep.GridOptions{
 		Config: cfg, Levels: levels, TotalCycles: *cycles, WarmupCycles: *warmup,
 	})
-
-	var rcache *simcache.Cache
-	if *simc != "" {
-		var err error
-		rcache, err = simcache.Open(*simc)
-		if err != nil {
-			return err
-		}
-	}
 	statePath := *stateF
 	if statePath == "auto" {
-		statePath = ""
-		if *simc != "" {
-			statePath = filepath.Join(filepath.Dir(*simc), "dsweep-state.json")
-		}
+		statePath = sess.Beside("dsweep-state.json")
 	}
-	ledgerPath := *ledgerF
-	if ledgerPath == "auto" {
-		ledgerPath = ""
-		if *simc != "" {
-			ledgerPath = filepath.Join(filepath.Dir(*simc), "ledger.jsonl")
-		}
+	// Accepted completions append worker-attributed provenance records
+	// to the session's ledger (auto = beside the cache directory).
+	ctx, err = sess.Open(ctx)
+	if err != nil {
+		return err
 	}
-	var ledger *obs.Ledger
-	if ledgerPath != "" {
-		l, err := obs.OpenLedger(ledgerPath)
-		if err != nil {
-			return err
-		}
-		ledger = l
-		defer ledger.Close()
-	}
+	defer func() { err = errors.Join(err, sess.Close()) }()
 
 	// Every coordinator state transition lands in the journal; the
 	// stderr subscriber narrates it live, and the registry mirrors the
@@ -148,12 +118,12 @@ func run(ctx context.Context) error {
 
 	coord, err := dsweep.New(dsweep.Options{
 		Cells:     cells,
-		Cache:     rcache,
+		Cache:     sess.Cache(),
 		StatePath: statePath,
 		LeaseTTL:  *leaseTTL,
 		Version:   cli.Version(),
 		Journal:   journal,
-		Ledger:    ledger,
+		Ledger:    sess.Ledger(),
 		Registry:  reg,
 		Mon:       mon,
 	})
@@ -171,7 +141,13 @@ func run(ctx context.Context) error {
 	}
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
-	defer srv.Close()
+	defer func() {
+		// Shutdown, not Close: the completion that finished the sweep may
+		// still be owed its reply, and its worker must hear "accepted".
+		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(sctx)
+	}()
 
 	st := coord.Status()
 	fmt.Fprintf(os.Stderr, "sweepd: %s grid: %d cells (%d already done), serving on http://%s\n",
@@ -197,6 +173,6 @@ func run(ctx context.Context) error {
 	fmt.Fprintf(os.Stderr, "sweepd: leases: %d granted, %d expired, %d reassigned, %d released, %d fenced rejects\n",
 		n.Granted, n.Expired, n.Reassigned, n.Released, n.FencedRejects)
 	fmt.Fprintf(os.Stderr, "sweepd: results persisted to %s — a local `sweep -workload %s` now replays from cache\n",
-		*simc, *wlName)
+		sess.Cache().Dir(), *wlName)
 	return nil
 }

@@ -1,6 +1,7 @@
 // Package cli is the shared command scaffolding for the ebm binaries: a
-// single run(ctx) entry point per command, signal-driven cancellation,
-// and one exit path with conventional codes. Commands parse flags with
+// single run(ctx, args) entry point per command, the Session flag group
+// every command shares, signal-driven cancellation, and one exit path
+// with conventional codes. Commands parse flags with
 // flag.ContinueOnError, wrap bad usage in Usagef, and do all their work
 // under the context — on SIGINT/SIGTERM the context cancels, in-flight
 // simulations abort at their next window boundary, and the process exits
@@ -121,7 +122,8 @@ func Run(name string, stderr io.Writer, fn func(ctx context.Context) error) int 
 	return code
 }
 
-// Main is Run plus os.Exit — the one-line body of every main().
-func Main(name string, fn func(ctx context.Context) error) {
-	os.Exit(Run(name, os.Stderr, fn))
+// Main is Run over the process arguments plus os.Exit — the one-line
+// body of every main().
+func Main(name string, fn func(ctx context.Context, args []string) error) {
+	os.Exit(Run(name, os.Stderr, func(ctx context.Context) error { return fn(ctx, os.Args[1:]) }))
 }

@@ -74,11 +74,6 @@ type Config struct {
 	PolicyPanicProb float64
 	MaxPolicyPanics int
 
-	// PolicyStallEveryDecisions stalls every Nth wrapped OnSample call for
-	// PolicyStall (0 disables). Exercises the sandbox's decision budget.
-	PolicyStallEveryDecisions uint64
-	PolicyStall               time.Duration
-
 	// HeartbeatDropProb is the per-call probability that a distributed-
 	// sweep worker's heartbeat is dropped before it reaches the
 	// coordinator; HeartbeatDelay delays every heartbeat send first
@@ -95,7 +90,6 @@ type Counts struct {
 	Panics         uint64
 	Stalls         uint64
 	PolicyPanics   uint64
-	PolicyStalls   uint64
 	HeartbeatDrops uint64
 }
 
@@ -104,12 +98,11 @@ type Counts struct {
 // *Injector stored in a Hooks interface injects nothing instead of
 // crashing (call sites should still prefer leaving Hooks nil).
 type Injector struct {
-	mu        sync.Mutex
-	cfg       Config
-	rng       *rand.Rand
-	windows   uint64
-	decisions uint64
-	counts    Counts
+	mu      sync.Mutex
+	cfg     Config
+	rng     *rand.Rand
+	windows uint64
+	counts  Counts
 }
 
 // New returns an Injector drawing decisions from cfg.Seed.
@@ -188,8 +181,7 @@ func (in *Injector) TaskStart(label string) {
 	}
 }
 
-// PolicyDecision draws one wrapped-policy fault: it may stall (every
-// PolicyStallEveryDecisions-th call sleeps PolicyStall) and may panic
+// PolicyDecision draws one wrapped-policy fault: it may panic
 // (PolicyPanicProb, capped by MaxPolicyPanics). WrapManager calls it
 // before delegating each OnSample; it is not part of the Hooks seam.
 func (in *Injector) PolicyDecision(window uint64) {
@@ -198,22 +190,13 @@ func (in *Injector) PolicyDecision(window uint64) {
 	}
 
 	in.mu.Lock()
-	in.decisions++
 	hit := in.cfg.PolicyPanicProb > 0 &&
 		(in.cfg.MaxPolicyPanics == 0 || in.counts.PolicyPanics < uint64(in.cfg.MaxPolicyPanics)) &&
 		in.rng.Float64() < in.cfg.PolicyPanicProb
 	if hit {
 		in.counts.PolicyPanics++
 	}
-	stall := in.cfg.PolicyStallEveryDecisions > 0 && in.decisions%in.cfg.PolicyStallEveryDecisions == 0
-	if stall {
-		in.counts.PolicyStalls++
-	}
-	d := in.cfg.PolicyStall
 	in.mu.Unlock()
-	if stall && d > 0 {
-		time.Sleep(d)
-	}
 	if hit {
 		panic(fmt.Sprintf("faultinject: policy decision at window %d: injected panic", window))
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // faultyManager interposes the injector's PolicyDecision draw between
-// the engine and a real TLP manager, so chaos runs can crash or stall a
-// policy mid-sweep and exercise the policy sandbox's recovery paths.
+// the engine and a real TLP manager, so chaos runs can crash a policy
+// mid-sweep and exercise the policy sandbox's recovery paths.
 type faultyManager struct {
 	inner tlp.Manager
 	in    *Injector
@@ -17,8 +17,7 @@ type faultyManager struct {
 
 // WrapManager returns inner with PolicyDecision drawn before every
 // OnSample. A nil injector returns inner unchanged. The wrapper is meant
-// to sit *inside* a policy.Guard: the injected panics and stalls then
-// surface as sandbox faults rather than crashing the run.
+// to sit *inside* a policy.Guard: the injected panics then surface as sandbox faults rather than crashing the run.
 func WrapManager(inner tlp.Manager, in *Injector) tlp.Manager {
 	if in == nil {
 		return inner

@@ -1,10 +1,9 @@
 // Package policy is the sandbox between the cycle engine and TLP
 // management policies: a Guard wraps any tlp.Manager so that a policy
-// that panics, blows its per-decision time budget, or returns a
-// malformed decision degrades the run to a safe fallback instead of
-// killing it. The engine trusts its manager completely — one panicking
-// OnSample used to abort an entire sweep — so third-party policies
-// (spec.Register makes kinds pluggable) run behind a Guard.
+// that panics or returns a malformed decision degrades the run to a safe
+// fallback instead of killing it. The engine trusts its manager
+// completely — one panicking OnSample used to abort an entire sweep — so
+// ebsim -sandbox and sweep -sandbox run their policies behind a Guard.
 //
 // Fault handling follows a fallback ladder: the last decision the policy
 // produced that validated clean, then Options.Safe, then every
@@ -15,13 +14,17 @@
 package policy
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"ebm/internal/ckpt"
 	"ebm/internal/config"
 	"ebm/internal/obs"
+	"ebm/internal/sim"
+	"ebm/internal/simcache"
+	"ebm/internal/spec"
 	"ebm/internal/tlp"
 )
 
@@ -31,14 +34,6 @@ const maxFaultLabels = 64
 
 // Options configure a Guard.
 type Options struct {
-	// Budget is the wall-clock budget for one decision (Initial or
-	// OnSample). Zero disables the budget: decisions run synchronously
-	// on the engine goroutine with panic isolation only. A positive
-	// budget runs decisions on a dedicated worker goroutine; a decision
-	// that overruns is abandoned (the worker finishes it eventually and
-	// the result is discarded) and the window falls back.
-	Budget time.Duration
-
 	// Safe is the fallback decision when no last-good decision exists
 	// yet. Nil, or a Safe whose shape does not match the run's
 	// application count, falls back to all-maxTLP.
@@ -64,23 +59,6 @@ type Guard struct {
 
 	faults atomic.Uint64
 	faultC *obs.Counter
-
-	// Budget-mode worker. busy is true while a decision is in flight,
-	// which includes a timed-out decision the worker is still finishing.
-	calls     chan decisionCall
-	busy      atomic.Bool
-	closed    atomic.Bool
-	closeOnce sync.Once
-}
-
-type decisionCall struct {
-	fn    func() tlp.Decision
-	reply chan decisionReply // buffered: a timed-out reply never blocks the worker
-}
-
-type decisionReply struct {
-	d   tlp.Decision
-	err error
 }
 
 // Wrap sandboxes inner under the given options.
@@ -91,11 +69,7 @@ func Wrap(inner tlp.Manager, opts Options) *Guard {
 	g := &Guard{opts: opts, inner: inner}
 	if o := opts.Obs; o != nil && o.Metrics != nil {
 		g.faultC = o.Metrics.Counter("ebm_policy_faults_total",
-			"Sandboxed TLP policy faults (panic, blown time budget, invalid decision).")
-	}
-	if opts.Budget > 0 {
-		g.calls = make(chan decisionCall)
-		go g.worker()
+			"Sandboxed TLP policy faults (panic, invalid decision).")
 	}
 	return g
 }
@@ -104,18 +78,6 @@ var (
 	_ tlp.Manager = (*Guard)(nil)
 	_ tlp.Stater  = (*Guard)(nil)
 )
-
-// Close stops the budget worker goroutine. Call it once the run is done
-// (a Guard with no budget needs no Close). Decisions requested after
-// Close fall back as faults.
-func (g *Guard) Close() {
-	g.closeOnce.Do(func() {
-		g.closed.Store(true)
-		if g.calls != nil {
-			close(g.calls)
-		}
-	})
-}
 
 // Name implements tlp.Manager by delegation: reports and checkpoint
 // envelopes see the wrapped policy's name.
@@ -132,6 +94,28 @@ func (g *Guard) FaultLabels() []string {
 	return append([]string(nil), g.labels...)
 }
 
+// Execute runs rs with the guard as its policy; mutate (nil for none)
+// adjusts the engine options first. It never forks from or writes
+// checkpoints: a degraded prefix must never seed future forks. When any
+// decision fell back, the result no longer matches its deterministic
+// cache key, so Execute marks it volatile (returned, never cached) and
+// adds each fault to the run's provenance trail.
+func (g *Guard) Execute(ctx context.Context, rs spec.RunSpec, mutate func(*sim.Options)) (sim.Result, error) {
+	res, err := ckpt.ExecuteWith(ctx, nil, rs, func(o *sim.Options) {
+		if mutate != nil {
+			mutate(o)
+		}
+		o.Manager = g
+	})
+	if g.Faults() > 0 {
+		simcache.MarkVolatile(ctx)
+		for _, l := range g.FaultLabels() {
+			obs.TrailFrom(ctx).AddFault("policy: " + l)
+		}
+	}
+	return res, err
+}
+
 // Initial implements tlp.Manager. It records the run's application count
 // (the shape every later decision is validated against) and sandboxes
 // the wrapped policy's Initial like any other decision.
@@ -139,7 +123,7 @@ func (g *Guard) Initial(numApps int) tlp.Decision {
 	g.mu.Lock()
 	g.numApps = numApps
 	g.mu.Unlock()
-	d, err := g.run(func() tlp.Decision { return g.inner.Initial(numApps) })
+	d, err := safeRun(func() tlp.Decision { return g.inner.Initial(numApps) })
 	return g.accept(d, err, 0)
 }
 
@@ -151,63 +135,18 @@ func (g *Guard) OnSample(s tlp.Sample) tlp.Decision {
 		g.numApps = len(s.Apps)
 	}
 	g.mu.Unlock()
-	var fn func() tlp.Decision
-	if g.opts.Budget > 0 {
-		// The engine reuses s.Apps across windows; the worker may still
-		// be reading a timed-out sample when the next window lands, so
-		// budget-mode decisions get their own copy.
-		cp := s
-		cp.Apps = append([]tlp.AppSample(nil), s.Apps...)
-		fn = func() tlp.Decision { return g.inner.OnSample(cp) }
-	} else {
-		fn = func() tlp.Decision { return g.inner.OnSample(s) }
-	}
-	d, err := g.run(fn)
+	d, err := safeRun(func() tlp.Decision { return g.inner.OnSample(s) })
 	return g.accept(d, err, s.Cycle)
 }
 
-// run executes one decision under the sandbox: synchronously with panic
-// isolation when there is no budget, on the worker with a deadline
-// otherwise.
-func (g *Guard) run(fn func() tlp.Decision) (tlp.Decision, error) {
-	if g.opts.Budget <= 0 {
-		r := safeRun(fn)
-		return r.d, r.err
-	}
-	if g.closed.Load() {
-		return tlp.Decision{}, fmt.Errorf("sandbox closed")
-	}
-	if !g.busy.CompareAndSwap(false, true) {
-		// The worker is still inside a previous (timed-out) decision.
-		return tlp.Decision{}, fmt.Errorf("previous decision still running past its %v budget", g.opts.Budget)
-	}
-	reply := make(chan decisionReply, 1)
-	g.calls <- decisionCall{fn: fn, reply: reply}
-	t := time.NewTimer(g.opts.Budget)
-	defer t.Stop()
-	select {
-	case r := <-reply:
-		return r.d, r.err
-	case <-t.C:
-		return tlp.Decision{}, fmt.Errorf("decision exceeded %v budget", g.opts.Budget)
-	}
-}
-
-func (g *Guard) worker() {
-	for c := range g.calls {
-		r := safeRun(c.fn)
-		g.busy.Store(false)
-		c.reply <- r
-	}
-}
-
-func safeRun(fn func() tlp.Decision) (r decisionReply) {
+// safeRun runs one decision, turning a panic into an error.
+func safeRun(fn func() tlp.Decision) (d tlp.Decision, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			r = decisionReply{err: fmt.Errorf("panic: %v", p)}
+			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
-	return decisionReply{d: fn()}
+	return fn(), nil
 }
 
 // accept validates a decision and either records it as last-good or
@@ -276,14 +215,8 @@ func (g *Guard) journal(kind obs.EventKind, cycle uint64, label string) {
 }
 
 // StateBytes implements tlp.Stater by delegation, so checkpoint forking
-// and the adaptive search work through the sandbox. While a timed-out
-// decision is still running the state is unreadable (the policy may be
-// mid-mutation); the checkpoint layer treats that like any other
-// snapshot failure and stops writing.
+// and the adaptive search work through the sandbox.
 func (g *Guard) StateBytes() ([]byte, error) {
-	if g.opts.Budget > 0 && g.busy.Load() {
-		return nil, fmt.Errorf("policy: state unavailable: a timed-out decision is still running")
-	}
 	st, ok := g.inner.(tlp.Stater)
 	if !ok {
 		return nil, fmt.Errorf("policy: manager %q does not support checkpointing", g.inner.Name())
@@ -293,9 +226,6 @@ func (g *Guard) StateBytes() ([]byte, error) {
 
 // SetStateBytes implements tlp.Stater by delegation.
 func (g *Guard) SetStateBytes(b []byte) error {
-	if g.opts.Budget > 0 && g.busy.Load() {
-		return fmt.Errorf("policy: state unavailable: a timed-out decision is still running")
-	}
 	st, ok := g.inner.(tlp.Stater)
 	if !ok {
 		return fmt.Errorf("policy: manager %q does not support checkpointing", g.inner.Name())

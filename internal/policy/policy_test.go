@@ -1,16 +1,20 @@
 package policy
 
 import (
+	"context"
+	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"ebm/internal/config"
 	"ebm/internal/faultinject"
 	"ebm/internal/obs"
+	"ebm/internal/sim"
+	"ebm/internal/simcache"
+	"ebm/internal/spec"
 	"ebm/internal/tlp"
+	"ebm/internal/workload"
 )
 
 // fakeMgr scripts Initial/OnSample per test.
@@ -124,77 +128,6 @@ func TestInvalidDecisionsFault(t *testing.T) {
 	}
 }
 
-func TestBudgetTimeoutAndRecovery(t *testing.T) {
-	gate := make(chan struct{})
-	var slow atomic.Bool
-	m := &fakeMgr{name: "slow", onSample: func(s tlp.Sample) tlp.Decision {
-		if slow.Load() {
-			<-gate
-		}
-		return tlp.NewDecision(len(s.Apps), 8)
-	}}
-	g := Wrap(m, Options{Budget: 20 * time.Millisecond})
-	defer g.Close()
-
-	if d := g.Initial(2); len(d.TLP) != 2 {
-		t.Fatalf("initial: %v", d)
-	}
-	g.OnSample(sample(2, 100)) // record a last-good
-
-	slow.Store(true)
-	d := g.OnSample(sample(2, 200))
-	if g.Faults() != 1 {
-		t.Fatalf("faults = %d after timeout", g.Faults())
-	}
-	if d.TLP[0] != 8 {
-		t.Fatalf("timeout fallback: %v", d)
-	}
-	if !strings.Contains(g.FaultLabels()[0], "exceeded") {
-		t.Fatalf("label: %v", g.FaultLabels())
-	}
-
-	// The worker is still stuck inside the abandoned decision: the next
-	// window faults fast, and checkpoint state is unreadable.
-	d = g.OnSample(sample(2, 300))
-	if g.Faults() != 2 || !strings.Contains(g.FaultLabels()[1], "still running") {
-		t.Fatalf("busy fault: %d %v", g.Faults(), g.FaultLabels())
-	}
-	if _, err := g.StateBytes(); err == nil {
-		t.Fatal("StateBytes succeeded while a timed-out decision is running")
-	}
-
-	slow.Store(false)
-	close(gate) // let the abandoned decision finish
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		before := g.Faults()
-		d = g.OnSample(sample(2, 400))
-		if g.Faults() == before {
-			break // clean decision: the sandbox recovered
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sandbox never recovered: %v", g.FaultLabels())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if d.TLP[0] != 8 {
-		t.Fatalf("post-recovery decision: %v", d)
-	}
-}
-
-func TestClosedGuardFaults(t *testing.T) {
-	m := &fakeMgr{name: "m", onSample: func(s tlp.Sample) tlp.Decision {
-		return tlp.NewDecision(len(s.Apps), 8)
-	}}
-	g := Wrap(m, Options{Budget: time.Second})
-	g.Initial(2)
-	g.Close()
-	g.OnSample(sample(2, 10))
-	if g.Faults() != 1 || !strings.Contains(g.FaultLabels()[0], "closed") {
-		t.Fatalf("closed guard: %d %v", g.Faults(), g.FaultLabels())
-	}
-}
-
 func TestObserverCountersAndJournal(t *testing.T) {
 	reg := obs.NewRegistry()
 	j := obs.NewJournal()
@@ -267,14 +200,63 @@ func TestInjectedPolicyPanicsAreAbsorbed(t *testing.T) {
 	}
 }
 
+// A run Execute degrades is returned but never cached, and its faults
+// land on the provenance ledger.
+func TestExecuteDegradedRunIsVolatile(t *testing.T) {
+	dir := t.TempDir()
+	c, err := simcache.Open(filepath.Join(dir, "simcache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledgerPath := filepath.Join(dir, "ledger.jsonl")
+	l, err := obs.OpenLedger(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetLedger(l)
+	wl := workload.MustMake("BLK", "BFS")
+	rs := spec.RunSpec{
+		Config: config.Default(), Apps: wl.Apps, Scheme: spec.MaxTLP(),
+		TotalCycles: 10_000, WindowCycles: 2_500,
+	}
+	inner, err := rs.Manager()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultinject.New(faultinject.Config{Seed: 1, PolicyPanicProb: 1, MaxPolicyPanics: 1})
+	g := Wrap(faultinject.WrapManager(inner, inj), Options{})
+
+	res, err := simcache.RunCached(context.Background(), c, nil, 0, rs, func(ctx context.Context) (sim.Result, error) {
+		return g.Execute(ctx, rs, nil)
+	})
+	if err != nil || res.Cycles != rs.TotalCycles {
+		t.Fatalf("degraded run: %d cycles, %v", res.Cycles, err)
+	}
+	if g.Faults() != 1 {
+		t.Fatalf("faults = %d, want the 1 injected panic", g.Faults())
+	}
+	if w := c.Stats().Writes; w != 0 {
+		t.Fatalf("degraded run was cached (%d writes)", w)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := obs.ReadLedger(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || len(recs[0].Faults) != 1 || !strings.HasPrefix(recs[0].Faults[0], "policy: panic") {
+		t.Fatalf("ledger records: %+v", recs)
+	}
+}
+
 // The Guard's accessors are safe against concurrent decision traffic
 // (exercised under -race by the verify matrix).
 func TestGuardConcurrentAccess(t *testing.T) {
 	m := &fakeMgr{name: "m", onSample: func(s tlp.Sample) tlp.Decision {
 		return tlp.NewDecision(len(s.Apps), 8)
 	}}
-	g := Wrap(m, Options{Budget: 50 * time.Millisecond})
-	defer g.Close()
+	g := Wrap(m, Options{})
 	g.Initial(2)
 
 	var wg sync.WaitGroup

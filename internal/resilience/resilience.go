@@ -82,7 +82,8 @@ func (m *Monitor) WatchdogTrip(label string) {
 // BaseDelay·2^(attempt-1) capped at MaxDelay between them, each delay
 // scaled by a uniform ±Jitter fraction drawn from a source seeded with
 // Seed — so a given policy value produces the same delay sequence every
-// run. The zero value retries with the defaults of DefaultPolicy.
+// run. The zero value is DefaultPolicy; in any other value a
+// non-positive Attempts, BaseDelay or MaxDelay takes its default.
 type Policy struct {
 	Attempts  int
 	BaseDelay time.Duration
@@ -99,6 +100,9 @@ func DefaultPolicy() Policy {
 
 func (p Policy) withDefaults() Policy {
 	d := DefaultPolicy()
+	if p == (Policy{}) {
+		return d
+	}
 	if p.Attempts <= 0 {
 		p.Attempts = d.Attempts
 	}

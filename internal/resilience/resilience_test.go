@@ -36,8 +36,14 @@ func TestDelaysDeterministicSchedule(t *testing.T) {
 
 func TestZeroPolicyUsesDefaults(t *testing.T) {
 	var p Policy
-	if got, want := len(p.Delays()), DefaultPolicy().Attempts-1; got != want {
-		t.Fatalf("zero policy slept %d times, want %d", got, want)
+	got, want := p.Delays(), DefaultPolicy().Delays()
+	if len(got) != len(want) {
+		t.Fatalf("zero policy slept %d times, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("zero policy delay %d = %v, want DefaultPolicy's %v", i, got[i], want[i])
+		}
 	}
 }
 
