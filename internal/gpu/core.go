@@ -50,10 +50,15 @@ type CoreStats struct {
 	MemInsts     stats.Counter
 	IssuedSlots  stats.Counter // issue slots used (<= 2 per cycle)
 	ActiveCycles stats.Counter // cycles with at least one issue
-	IdleCycles   stats.Counter // cycles with no ready active warp at all
+	IdleCycles   stats.Counter // cycles with no issue: no ready active warp, or every one stalled
 	MemStall     stats.Counter // idle cycles where an active warp waited on memory
 	StallMSHR    stats.Counter // issue aborts due to full MSHRs/inject queue
-	FastForward  stats.Counter // idle cycles credited in bulk by the fast-forward path
+	// FastForward counts the idle cycles credited in bulk (CreditIdle)
+	// instead of ticked: cycles of a core with no issuable warp, or whose
+	// every ready scheduler stalls on MSHR or out-queue space. It is the
+	// one counter the fast-forward changes; every other counter reads as
+	// if each of those cycles had been ticked.
+	FastForward stats.Counter
 }
 
 // NewWindow rolls every counter into a new sampling window.
@@ -160,6 +165,15 @@ func (c *Core) BypassL1() bool { return c.bypassL1 }
 // CanInject reports whether the out-queue has room for n more requests.
 func (c *Core) CanInject(n int) bool { return len(c.outq)+n <= c.outqCap }
 
+// PeekRequest returns the next request destined for the interconnect
+// without removing it, or nil when the out-queue is empty.
+func (c *Core) PeekRequest() *mem.Request {
+	if len(c.outq) == 0 {
+		return nil
+	}
+	return c.outq[0]
+}
+
 // PopRequest removes the next request destined for the interconnect.
 func (c *Core) PopRequest() *mem.Request {
 	if len(c.outq) == 0 {
@@ -174,14 +188,6 @@ func (c *Core) PopRequest() *mem.Request {
 
 // PendingRequests returns the out-queue depth.
 func (c *Core) PendingRequests() int { return len(c.outq) }
-
-// RequeueFront restores a popped request to the head of the out-queue
-// (the simulator's one-entry skid buffer for network back-pressure).
-func (c *Core) RequeueFront(r *mem.Request) {
-	c.outq = append(c.outq, nil)
-	copy(c.outq[1:], c.outq)
-	c.outq[0] = r
-}
 
 // OutstandingMisses returns the number of distinct lines in flight.
 func (c *Core) OutstandingMisses() int { return c.mshr.Len() }
@@ -244,8 +250,15 @@ func (c *Core) HandleFill(lineAddr uint64) {
 }
 
 // Tick advances the core by one cycle: wake-ups, then one issue attempt
-// per scheduler.
-func (c *Core) Tick(now uint64) {
+// per scheduler. It returns how many of those attempts aborted on a
+// structural stall (MSHR capacity or out-queue space), and whether the
+// core is quiet: nothing issued and no wake-up is scheduled. A quiet
+// core's next Tick repeats this one exactly (same picks, same aborts),
+// and so does every later one until an external event touches the core:
+// a fill (HandleFill), an out-queue pop (PopRequest), a TLP or bypass
+// change, or a kernel phase switch on its warp streams. The simulator may
+// therefore skip a quiet core's ticks and credit them through CreditIdle.
+func (c *Core) Tick(now uint64) (stalls int, quiet bool) {
 	if c.wheelBusy > 0 {
 		slot := now % wheelSize
 		if list := c.wheel[slot]; len(list) > 0 {
@@ -278,6 +291,8 @@ func (c *Core) Tick(now uint64) {
 		if c.issue(s, pick, now) {
 			s.lastIssued = pick
 			issued++
+		} else {
+			stalls++
 		}
 	}
 
@@ -290,6 +305,7 @@ func (c *Core) Tick(now uint64) {
 			c.Stats.MemStall.Inc()
 		}
 	}
+	return stalls, issued == 0 && c.wheelBusy == 0
 }
 
 // issue tries to issue the current instruction of the scheduler's warp at
@@ -420,27 +436,9 @@ func waitersContain(xs []int32, x int32) bool {
 	return false
 }
 
-// Quiescent reports whether Tick is a provable no-op until an external
-// event touches the core: no scheduled wake-ups and no issuable warp under
-// the current TLP limit. Only a fill delivery (HandleFill) or a TLP/bypass
-// change can end quiescence, so the simulator may fast-forward the core,
-// crediting the skipped cycles through CreditIdle.
-func (c *Core) Quiescent() bool {
-	if c.wheelBusy > 0 {
-		return false
-	}
-	for si := range c.scheds {
-		s := &c.scheds[si]
-		if s.readyMask&s.activeMask(c.tlp) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ActiveMemWait reports whether any warp inside the active TLP window is
-// blocked on memory. During a quiescent span this predicate is invariant,
-// so the simulator samples it once when the core goes quiet.
+// blocked on memory. During a quiet span (see Tick) this predicate is
+// invariant, so the simulator samples it once when the core goes quiet.
 func (c *Core) ActiveMemWait() bool {
 	for si := range c.scheds {
 		s := &c.scheds[si]
@@ -451,15 +449,17 @@ func (c *Core) ActiveMemWait() bool {
 	return false
 }
 
-// CreditIdle accounts n fast-forwarded cycles exactly as n quiescent Tick
-// calls would have: each is an idle cycle, and a memory stall when an
-// active warp was blocked on a fill.
-func (c *Core) CreditIdle(n uint64, memWait bool) {
+// CreditIdle accounts n fast-forwarded cycles exactly as n quiet Tick
+// calls would have: each is an idle cycle, a memory stall when an active
+// warp was blocked on a fill, and stalls issue aborts (the count the
+// quiet Tick returned).
+func (c *Core) CreditIdle(n uint64, memWait bool, stalls int) {
 	c.Stats.IdleCycles.Add(n)
 	c.Stats.FastForward.Add(n)
 	if memWait {
 		c.Stats.MemStall.Add(n)
 	}
+	c.Stats.StallMSHR.Add(n * uint64(stalls))
 }
 
 // NewWindow starts a new sampling window on the core and L1 counters.

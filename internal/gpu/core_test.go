@@ -1,11 +1,13 @@
 package gpu
 
 import (
+	"reflect"
 	"testing"
 
 	"ebm/internal/config"
 	"ebm/internal/kernel"
 	"ebm/internal/mem"
+	"ebm/internal/stats"
 )
 
 func machine() *config.GPU {
@@ -288,20 +290,132 @@ func TestMSHRMergeSameLine(t *testing.T) {
 	}
 }
 
-func TestRequeueFrontPreservesOrder(t *testing.T) {
+func TestPeekPopFIFO(t *testing.T) {
 	cfg := machine()
 	c := newCore(t, cfg, memHeavy())
+	if c.PeekRequest() != nil {
+		t.Fatal("peek on an empty out-queue returned a request")
+	}
 	c.SetTLP(4)
-	for now := uint64(0); now < 50 && c.PendingRequests() < 2; now++ {
+	for now := uint64(0); now < 50 && c.PendingRequests() < 3; now++ {
 		c.Tick(now)
 	}
-	if c.PendingRequests() < 2 {
-		t.Skip("not enough traffic")
+	if c.PendingRequests() < 3 {
+		t.Fatal("not enough traffic")
 	}
-	first := c.PopRequest()
-	c.RequeueFront(first)
-	if got := c.PopRequest(); got != first {
-		t.Fatal("RequeueFront lost head position")
+	want := append([]*mem.Request(nil), c.outq...)
+	for i, w := range want {
+		head := c.PeekRequest()
+		if again := c.PeekRequest(); again != head || c.PendingRequests() != len(want)-i {
+			t.Fatalf("request %d: peek removed or changed the head", i)
+		}
+		if head != w {
+			t.Fatalf("request %d: peek returned %p, want %p", i, head, w)
+		}
+		if got := c.PopRequest(); got != w {
+			t.Fatalf("request %d: pop returned %p, want %p (FIFO order)", i, got, w)
+		}
+	}
+	if c.PeekRequest() != nil || c.PopRequest() != nil {
+		t.Fatal("drained out-queue still yields requests")
+	}
+}
+
+// stallCore drives a core until a Tick reports it quiet with at least one
+// issue abort, draining the out-queue after every tick when drain is set
+// (so only MSHR capacity can stall it) and never delivering fills. It
+// returns the stall count and the next cycle.
+func stallCore(t *testing.T, c *Core, drain bool) (stalls int, next uint64) {
+	t.Helper()
+	for now := uint64(0); now < 2000; now++ {
+		stalls, quiet := c.Tick(now)
+		if drain {
+			for c.PopRequest() != nil {
+			}
+		}
+		if quiet && stalls > 0 {
+			return stalls, now + 1
+		}
+	}
+	t.Fatal("core never stalled")
+	return 0, 0
+}
+
+// TestCreditIdleMatchesStalledTicks pins the stall fast-forward contract:
+// on a core stalled at issue, n Ticks leave exactly the state of one Tick
+// followed by CreditIdle(n-1, ...) with the Tick's stall count; only the
+// FastForward counter differs.
+func TestCreditIdleMatchesStalledTicks(t *testing.T) {
+	p := memHeavy()
+	p.WriteFrac = 0
+	p.PrivRandom = 1 // distinct lines per warp: every load allocates an MSHR
+	for _, tc := range []struct {
+		name  string
+		mshrs int
+		tlp   int // active warps per scheduler; both cases exceed the resource
+		drain bool
+	}{
+		{"mshr-capacity", 4, 8, true},
+		{"outq-full", 64, 24, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := machine()
+			cfg.L1MSHRs = tc.mshrs
+			ticked, credited := newCore(t, cfg, p), newCore(t, cfg, p)
+			ticked.SetTLP(tc.tlp)
+			credited.SetTLP(tc.tlp)
+			stalls, now := stallCore(t, ticked, tc.drain)
+			if s2, n2 := stallCore(t, credited, tc.drain); s2 != stalls || n2 != now {
+				t.Fatalf("identical cores stalled differently: %d@%d vs %d@%d", stalls, now, s2, n2)
+			}
+			if mshrFull, outqFull := ticked.OutstandingMisses() == tc.mshrs, !ticked.CanInject(1); mshrFull != tc.drain || outqFull == tc.drain {
+				t.Fatalf("stall cause: %d of %d MSHRs in use, %d requests queued",
+					ticked.OutstandingMisses(), tc.mshrs, ticked.PendingRequests())
+			}
+
+			const n = 50
+			for i := uint64(0); i < n; i++ {
+				if s, quiet := ticked.Tick(now + i); !quiet || s != stalls {
+					t.Fatalf("stalled tick %d: stalls %d quiet %v, want %d true", i, s, quiet, stalls)
+				}
+			}
+			credited.Tick(now)
+			credited.CreditIdle(n-1, credited.ActiveMemWait(), stalls)
+
+			if got := credited.Stats.FastForward.Total(); got != n-1 {
+				t.Fatalf("FastForward %d, want %d", got, n-1)
+			}
+			a, b := ticked.State(), credited.State()
+			a.Stats.FastForward, b.Stats.FastForward = stats.CounterState{}, stats.CounterState{}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("credited core diverged from ticked core:\nticked:   %+v\ncredited: %+v", a.Stats, b.Stats)
+			}
+			for w := range ticked.warps {
+				if !reflect.DeepEqual(ticked.warps[w].stream.State(), credited.warps[w].stream.State()) {
+					t.Fatalf("warp %d stream diverged", w)
+				}
+			}
+		})
+	}
+}
+
+func TestTickNotQuietWhenIssuingOrWheelBusy(t *testing.T) {
+	cfg := machine()
+	if _, quiet := newCore(t, cfg, computeOnly()).Tick(0); quiet {
+		t.Fatal("a tick that issued reported quiet")
+	}
+	p := computeOnly()
+	p.ALUDelay = 4
+	c := newCore(t, cfg, p)
+	c.SetTLP(1)
+	c.Tick(0) // each scheduler's one warp issues, then sleeps for 4 cycles
+	before := c.Stats.IssuedSlots.Total()
+	stalls, quiet := c.Tick(1)
+	if c.Stats.IssuedSlots.Total() != before {
+		t.Fatal("a sleeping warp issued")
+	}
+	if quiet || stalls != 0 {
+		t.Fatalf("tick with wake-ups scheduled: stalls %d quiet %v, want 0 false", stalls, quiet)
 	}
 }
 

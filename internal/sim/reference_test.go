@@ -1,0 +1,263 @@
+package sim_test
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"slices"
+	"testing"
+
+	"ebm/internal/config"
+	"ebm/internal/gpu"
+	"ebm/internal/kernel"
+	"ebm/internal/sim"
+	"ebm/internal/spec"
+	"ebm/internal/stats"
+	"ebm/internal/tlp"
+	"ebm/internal/workload"
+)
+
+// run is one engine execution's observable output: the Result, every
+// window sample the manager saw (copied, since the engine reuses the Apps
+// buffer) and every core's final state.
+type run struct {
+	res     sim.Result
+	samples []tlp.Sample
+	cores   []gpu.CoreState
+}
+
+// execute runs rs on the engine build returns. A non-nil sink becomes
+// the run's CkptSink; a non-nil snapshot is restored before the run.
+func execute(t *testing.T, rs spec.RunSpec, build func(sim.Options) (*sim.Simulator, error),
+	sink func(uint64, *sim.Simulator) error, snapshot []byte) run {
+	t.Helper()
+	opts, err := sim.FromSpec(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out run
+	opts.OnWindow = func(sm tlp.Sample) {
+		sm.Apps = slices.Clone(sm.Apps)
+		out.samples = append(out.samples, sm)
+	}
+	opts.CkptSink = sink
+	s, err := build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapshot != nil {
+		if err := s.RestoreBytes(snapshot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out.res = s.Run()
+	out.cores = s.CoreStates()
+	return out
+}
+
+// sameRun reports the first difference between two runs, ignoring the
+// FastForward counter (the one counter the skips are allowed to change).
+func sameRun(got, want run) error {
+	if !reflect.DeepEqual(got.res, want.res) {
+		return fmt.Errorf("Result differs:\n got  %+v\n want %+v", got.res, want.res)
+	}
+	if len(got.samples) != len(want.samples) {
+		return fmt.Errorf("%d window samples, want %d", len(got.samples), len(want.samples))
+	}
+	for i := range got.samples {
+		if !reflect.DeepEqual(got.samples[i], want.samples[i]) {
+			return fmt.Errorf("window %d sample differs:\n got  %+v\n want %+v", i, got.samples[i], want.samples[i])
+		}
+	}
+	for ci := range want.cores {
+		g, w := got.cores[ci], want.cores[ci]
+		g.Stats.FastForward, w.Stats.FastForward = stats.CounterState{}, stats.CounterState{}
+		if !reflect.DeepEqual(g.Stats, w.Stats) {
+			return fmt.Errorf("core %d counters differ:\n got  %+v\n want %+v", ci, g.Stats, w.Stats)
+		}
+		if !reflect.DeepEqual(g, w) {
+			return fmt.Errorf("core %d state differs", ci)
+		}
+	}
+	return nil
+}
+
+// phased returns p with a kernel boundary every kernelInsts instructions,
+// alternating with a compute-heavy phase (same working-set layout).
+func phased(p kernel.Params, kernelInsts uint64) kernel.Params {
+	alt := p
+	alt.Name = ""
+	alt.Rm = 0.05
+	alt.ALUDelay = p.ALUDelay + 3
+	alt.KernelInsts = 0
+	alt.Phases = nil
+	p.KernelInsts = kernelInsts
+	p.Phases = []kernel.Params{alt}
+	return p
+}
+
+// schemeFor builds a spec of the given kind; static and besttlp get a
+// drawn combination.
+func schemeFor(rng *rand.Rand, kind string, numApps int) spec.SchemeSpec {
+	tlps := make([]int, numApps)
+	for i := range tlps {
+		tlps[i] = config.TLPLevels[rng.IntN(len(config.TLPLevels))]
+	}
+	switch kind {
+	case spec.KindStatic:
+		var bypass []bool
+		if rng.IntN(3) == 0 {
+			bypass = make([]bool, numApps)
+			bypass[rng.IntN(numApps)] = true
+		}
+		return spec.Static(tlps, bypass)
+	case spec.KindBestTLP:
+		return spec.BestTLP(tlps)
+	}
+	sp, err := spec.ParseScheme(kind)
+	if err != nil {
+		panic(err)
+	}
+	return sp
+}
+
+// drawRun draws a machine, a workload and the run lengths for one scheme
+// kind: 1-3 cores per app, 1-4 partitions, 4-64 L1 MSHRs, unaligned
+// horizons, and sometimes a phased application.
+func drawRun(rng *rand.Rand, kind string, short bool) spec.RunSpec {
+	names := kernel.Names()
+	numApps := 2 + rng.IntN(2)
+	apps := make([]string, numApps)
+	for i := range apps {
+		apps[i] = names[rng.IntN(len(names))]
+	}
+	wl := workload.MustMake(apps...)
+	if rng.IntN(3) == 0 {
+		i := rng.IntN(numApps)
+		wl.Apps[i] = phased(wl.Apps[i], uint64(1000+rng.IntN(4000)))
+	}
+	cfg := config.Default()
+	cfg.NumCores = numApps * (1 + rng.IntN(3))
+	cfg.NumMemPartitions = 1 << rng.IntN(3)
+	cfg.L1MSHRs = []int{4, 8, 16, 64}[rng.IntN(4)]
+	window := uint64(1000 + 500*rng.IntN(5))
+	windows := uint64(8 + rng.IntN(9))
+	if short {
+		windows = uint64(5 + rng.IntN(4))
+	}
+	total := window*windows + uint64(rng.IntN(int(window)))
+	sch := schemeFor(rng, kind, numApps)
+	return spec.RunSpec{
+		Config:             cfg,
+		Apps:               wl.Apps,
+		Scheme:             sch,
+		TotalCycles:        total,
+		WarmupCycles:       uint64(rng.IntN(int(2 * window))),
+		WindowCycles:       window,
+		DesignatedSampling: rng.IntN(2) == 0,
+		DecisionDelay:      []uint64{0, 1, 100}[rng.IntN(3)],
+		VictimTags:         spec.VictimTagsFor(sch),
+	}
+}
+
+// stalledPhased is the fixed case for the phase-switch wake: a phased
+// application with a kernel boundary almost every window, on cores with
+// 8 L1 MSHRs, so kernel rotations land while cores sit stalled at issue
+// and a stalled warp's regenerated instruction must be seen at once.
+func stalledPhased() spec.RunSpec {
+	cfg := config.Default()
+	cfg.NumCores = 4
+	cfg.NumMemPartitions = 2
+	cfg.L1MSHRs = 8
+	wl := workload.MustMake("BLK", "TRD")
+	wl.Apps[0] = phased(wl.Apps[0], 1500)
+	wl.Apps[1] = phased(wl.Apps[1], 1000)
+	return spec.RunSpec{
+		Config:       cfg,
+		Apps:         wl.Apps,
+		Scheme:       spec.MaxTLP(),
+		TotalCycles:  12_345,
+		WarmupCycles: 1_000,
+		WindowCycles: 1_000,
+	}
+}
+
+// table1Run is a memory-bound pair on the full Table I machine, where
+// most core cycles are stalled at issue behind a saturated DRAM.
+func table1Run() spec.RunSpec {
+	wl := workload.MustMake("GUPS", "SCAN")
+	return spec.RunSpec{
+		Config:             config.Default(),
+		Apps:               wl.Apps,
+		Scheme:             spec.Static([]int{4, 4}, nil),
+		TotalCycles:        20_000,
+		WarmupCycles:       2_000,
+		WindowCycles:       2_500,
+		DesignatedSampling: true,
+	}
+}
+
+// TestFastForwardMatchesReference is the differential test of the
+// engine's skips (per-core fast-forward of quiescent and issue-stalled
+// cores, the quiescent-partition skip): on drawn machines, workloads and
+// every registered scheme kind, the engine must match the always-tick
+// reference on the Result, every window sample and every core's final
+// state (FastForward aside). For kinds whose managers checkpoint, a fork
+// restored at a drawn window boundary must match the straight run too.
+func TestFastForwardMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(14, 2018))
+	draws := 4
+	if testing.Short() {
+		draws = 2
+	}
+	type diffCase struct {
+		name string
+		rs   spec.RunSpec
+	}
+	cases := []diffCase{{"phased-stall", stalledPhased()}, {"table1-machine", table1Run()}}
+	for _, kind := range spec.Kinds() {
+		for d := 0; d < draws; d++ {
+			cases = append(cases, diffCase{fmt.Sprintf("%s/%d", kind, d), drawRun(rng, kind, testing.Short())})
+		}
+	}
+	for _, c := range cases {
+		forkAt := uint64(1 + rng.IntN(int(c.rs.TotalCycles/c.rs.WindowCycles)))
+		t.Run(c.name, func(t *testing.T) {
+			fast := execute(t, c.rs, sim.New, nil, nil)
+			ref := execute(t, c.rs, sim.NewReference, nil, nil)
+			if err := sameRun(fast, ref); err != nil {
+				t.Fatalf("%v\nrun: %+v", err, c.rs)
+			}
+			var ff uint64
+			for _, cs := range fast.cores {
+				ff += cs.Stats.FastForward.Total
+			}
+			if c.name == "phased-stall" && ff == 0 {
+				t.Fatal("no core was fast-forwarded: the case does not exercise the skip")
+			}
+
+			d, _ := spec.Lookup(c.rs.Scheme.Kind)
+			if !d.Stater {
+				return
+			}
+			var snap []byte
+			execute(t, c.rs, sim.New, func(w uint64, s *sim.Simulator) error {
+				if w != forkAt {
+					return nil
+				}
+				var err error
+				snap, err = s.SnapshotBytes()
+				return err
+			}, nil)
+			if snap == nil {
+				t.Fatalf("no snapshot at window %d", forkAt)
+			}
+			forked := execute(t, c.rs, sim.New, nil, snap)
+			tail := fast
+			tail.samples = fast.samples[forkAt:]
+			if err := sameRun(forked, tail); err != nil {
+				t.Fatalf("fork at window %d: %v", forkAt, err)
+			}
+		})
+	}
+}

@@ -253,13 +253,21 @@ type Simulator struct {
 	// simulator, touched only by the (single-goroutine) cycle loop.
 	pool *mem.Pool
 
-	// Idle fast-forward state: a quiescent core (no issuable warp, no
-	// scheduled wake-up) is not ticked; the cycles it would have spent
-	// idling are credited in bulk when an external event (fill delivery,
-	// TLP decision, window boundary, snapshot) next touches it.
+	// Idle fast-forward state: a quiet core (its last Tick issued nothing
+	// and left no wake-up scheduled) is not ticked; the cycles it would
+	// have spent idling are credited in bulk when an event that can change
+	// its next Tick (fill delivery, out-queue injection, TLP decision,
+	// kernel phase switch) wakes it, or a window boundary or snapshot
+	// reads its counters.
 	coreQuiet    []bool
 	quietFrom    []uint64 // first skipped cycle
 	quietMemWait []bool   // ActiveMemWait sampled at quiescence entry
+	quietStalls  []int    // issue aborts per skipped cycle (Tick's stalls)
+
+	// reference disables every skip: each core and each memory partition
+	// is ticked every cycle. Only tests set it, to check the skips against
+	// the plain engine.
+	reference bool
 
 	cycle    uint64
 	memCycle uint64
@@ -312,6 +320,7 @@ func New(opts Options) (*Simulator, error) {
 		coreQuiet:      make([]bool, cfg.NumCores),
 		quietFrom:      make([]uint64, cfg.NumCores),
 		quietMemWait:   make([]bool, cfg.NumCores),
+		quietStalls:    make([]int, cfg.NumCores),
 		instAtLaunch:   make([]uint64, len(opts.Apps)),
 		kernels:        make([]uint64, len(opts.Apps)),
 		tlpAccum:       make([]float64, len(opts.Apps)),
@@ -409,7 +418,7 @@ func (s *Simulator) wakeQuiet(ci int, upTo uint64) {
 		return
 	}
 	if upTo > s.quietFrom[ci] {
-		s.cores[ci].CreditIdle(upTo-s.quietFrom[ci], s.quietMemWait[ci])
+		s.cores[ci].CreditIdle(upTo-s.quietFrom[ci], s.quietMemWait[ci], s.quietStalls[ci])
 	}
 	s.coreQuiet[ci] = false
 }
@@ -421,7 +430,7 @@ func (s *Simulator) creditQuiet(ci int, upTo uint64) {
 	if !s.coreQuiet[ci] || upTo <= s.quietFrom[ci] {
 		return
 	}
-	s.cores[ci].CreditIdle(upTo-s.quietFrom[ci], s.quietMemWait[ci])
+	s.cores[ci].CreditIdle(upTo-s.quietFrom[ci], s.quietMemWait[ci], s.quietStalls[ci])
 	s.quietFrom[ci] = upTo
 }
 
@@ -492,41 +501,42 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			}
 		}
 
-		// Cores execute. A core that reaches quiescence (no issuable warp,
-		// no scheduled wake-up) is fast-forwarded: its Tick is skipped
-		// until a fill or decision arrives, and the skipped idle cycles
-		// are credited in bulk at the next event or window boundary.
+		// Cores execute. A quiet core (its Tick issued nothing and left
+		// no wake-up scheduled) is fast-forwarded: its Tick is skipped
+		// until an event that can change the outcome wakes it, and the
+		// skipped idle cycles and issue aborts are credited in bulk at
+		// that event or the next window boundary.
 		for ci, c := range s.cores {
 			if s.coreQuiet[ci] {
 				continue
 			}
-			c.Tick(now)
-			if c.Quiescent() {
+			if stalls, quiet := c.Tick(now); quiet && !s.reference {
 				s.coreQuiet[ci] = true
 				s.quietFrom[ci] = now + 1
 				s.quietMemWait[ci] = c.ActiveMemWait()
+				s.quietStalls[ci] = stalls
 			}
 		}
 
 		// Core -> memory injection (one message at a time per core, with
-		// flit serialization at the source port).
+		// flit serialization at the source port). A back-pressured head
+		// stays queued; the port retries next cycle.
 		for ci, c := range s.cores {
-			if now < s.coreInjectFree[ci] || c.PendingRequests() == 0 {
+			req := c.PeekRequest()
+			if req == nil || now < s.coreInjectFree[ci] {
 				continue
 			}
-			// Peek destination via the queued head by popping only when
-			// the network has room.
-			req := c.PopRequest()
 			dst := s.cfg.PartitionOf(req.LineAddr)
 			if s.toMem.Pending(dst) >= networkCap {
-				// Put it back by re-queueing at the front is not possible;
-				// instead stall the whole port this cycle. To keep FIFO
-				// semantics we re-inject through a one-slot skid buffer.
-				s.pushBack(c, req)
 				continue
 			}
+			c.PopRequest()
 			s.toMem.Push(dst, req, now)
 			s.coreInjectFree[ci] = now + uint64(req.Flits(s.cfg.IcntFlitSize, s.cfg.L1.LineBytes))
+			if s.quietStalls[ci] > 0 {
+				// The freed slot may let a stalled issue through.
+				s.wakeQuiet(ci, now+1)
+			}
 		}
 
 		// Memory clock domain.
@@ -542,7 +552,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 				// A partition with nothing queued, no in-flight DRAM
 				// events and no refresh clock is a provable no-op; skip
 				// the Tick entirely.
-				if !p.Quiescent() {
+				if s.reference || !p.Quiescent() {
 					p.Tick(s.memCycle)
 				}
 			}
@@ -644,13 +654,6 @@ func (s *Simulator) partial(windows uint64) Result {
 		return Result{Windows: windows}
 	}
 	return s.result(windows)
-}
-
-func (s *Simulator) pushBack(c *gpu.Core, req *mem.Request) {
-	// The core's out-queue is FIFO-popped; restore the head. gpu.Core
-	// exposes only Pop, so the simulator keeps the skid entry itself by
-	// re-pushing through a tiny helper on the core.
-	c.RequeueFront(req)
 }
 
 // Cycle returns the current core cycle (testing hook).

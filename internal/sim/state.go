@@ -16,7 +16,7 @@ import (
 // SnapshotVersion identifies the EngineState layout. Bump it whenever any
 // captured structure changes shape or meaning; stale checkpoints then
 // fail to restore and callers fall back to cold execution.
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
 // AppSnapshotState mirrors the per-app warmup accumulator snapshot.
 type AppSnapshotState struct {
@@ -61,6 +61,7 @@ type EngineState struct {
 	CoreQuiet      []bool
 	QuietFrom      []uint64
 	QuietMemWait   []bool
+	QuietStalls    []int
 
 	CurTLP    []int
 	CurBypass []bool
@@ -127,6 +128,7 @@ func (s *Simulator) Snapshot() (*EngineState, error) {
 		CoreQuiet:      append([]bool(nil), s.coreQuiet...),
 		QuietFrom:      append([]uint64(nil), s.quietFrom...),
 		QuietMemWait:   append([]bool(nil), s.quietMemWait...),
+		QuietStalls:    append([]int(nil), s.quietStalls...),
 		CurTLP:         append([]int(nil), s.curDecision.TLP...),
 		CurBypass:      append([]bool(nil), s.curDecision.BypassL1...),
 		PendAt:         s.pendAt,
@@ -206,7 +208,7 @@ func (s *Simulator) Restore(st *EngineState) error {
 	}
 	if len(st.CoreInjectFree) != len(s.cores) || len(st.CoreQuiet) != len(s.cores) ||
 		len(st.QuietFrom) != len(s.cores) || len(st.QuietMemWait) != len(s.cores) ||
-		len(st.PartRespFree) != len(s.partitions) {
+		len(st.QuietStalls) != len(s.cores) || len(st.PartRespFree) != len(s.partitions) {
 		return fmt.Errorf("sim: snapshot per-core/per-partition vectors have wrong length")
 	}
 	if st.Warm != nil && len(st.Warm) != numApps {
@@ -256,6 +258,7 @@ func (s *Simulator) Restore(st *EngineState) error {
 	copy(s.coreQuiet, st.CoreQuiet)
 	copy(s.quietFrom, st.QuietFrom)
 	copy(s.quietMemWait, st.QuietMemWait)
+	copy(s.quietStalls, st.QuietStalls)
 	copy(s.instAtLaunch, st.InstAtLaunch)
 	copy(s.kernels, st.Kernels)
 	copy(s.tlpAccum, st.TLPAccum)

@@ -249,3 +249,35 @@ func (noStateManager) Initial(numApps int) tlp.Decision { return tlp.NewDecision
 func (noStateManager) OnSample(s tlp.Sample) tlp.Decision {
 	return tlp.NewDecision(len(s.Apps), 8)
 }
+
+// TestRestoreRejectsPreviousSnapshotVersion pins the staleness contract:
+// a snapshot of the previous EngineState layout is refused (callers then
+// run cold) while the same state at the current version restores.
+func TestRestoreRejectsPreviousSnapshotVersion(t *testing.T) {
+	opts := fidelityOpts()
+	opts.TotalCycles = 4_000
+	opts.WarmupCycles = 1_000
+	s, err := sim.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	st, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func(version int) error {
+		st.Version = version
+		fresh, err := sim.New(fidelityOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fresh.Restore(st)
+	}
+	if err := restore(sim.SnapshotVersion - 1); err == nil {
+		t.Fatalf("snapshot version %d restored under version %d", sim.SnapshotVersion-1, sim.SnapshotVersion)
+	}
+	if err := restore(sim.SnapshotVersion); err != nil {
+		t.Fatalf("current-version snapshot: %v", err)
+	}
+}

@@ -115,6 +115,11 @@ func (s *Simulator) buildSample(cycle uint64) tlp.Sample {
 				for _, ws := range s.appStreams[app] {
 					ws.SetPhase(next)
 				}
+				// A warp stalled at issue now holds a regenerated
+				// instruction, so a quiet core's next Tick may differ.
+				for _, ci := range s.appCores[app] {
+					s.wakeQuiet(ci, cycle)
+				}
 			}
 		}
 	}
