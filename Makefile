@@ -2,9 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify race chaos dsweep-chaos bench obs-bench figs-bench \
-    ckpt-bench trace-bench search-bench policy-bench dsweep-bench \
-    cover test build
+.PHONY: all verify race chaos dsweep-chaos cover test build
 
 all: verify
 
@@ -30,8 +28,11 @@ verify:
 	$(GO) test -race -run 'TestEnvWarmSimCacheBitIdentical|TestGridSingleflightUnderConcurrency' \
 	    ./internal/experiments/
 
-# race runs the short test suite under the race detector (the grid builder
-# and profiler are the only concurrent paths).
+# race runs the short test suite under the race detector. The concurrent
+# paths are the ones verify races in full: the runner pool behind grid
+# builds and profiling, the resilience monitor, the checkpoint store's
+# shared reads, obs spans and metrics, adaptive search, the policy guard
+# and the distributed sweep.
 race:
 	$(GO) test -race -short ./...
 
@@ -54,80 +55,6 @@ chaos:
 dsweep-chaos:
 	$(GO) test -race -run 'TestDsweepChaos' .
 	$(GO) test -race ./internal/dsweep/...
-
-# bench snapshots the substrate benchmarks into BENCH_*.json via
-# cmd/benchdiff; BENCH=BENCH_2.json picks the output file, and
-# OLD=BENCH_1.json additionally prints a comparison table.
-BENCH ?= BENCH_1.json
-OLD ?=
-bench:
-	$(GO) run ./cmd/benchdiff -out $(BENCH) $(if $(OLD),-old $(OLD))
-
-# obs-bench enforces the observability overhead contract (DESIGN.md §7):
-# the fully-instrumented simulator benchmark must stay within 5% of the
-# plain one, measured in the same run, and the result is also diffed
-# against the BENCH_1.json baseline.
-obs-bench:
-	$(GO) run ./cmd/benchdiff -pkgs . \
-	    -bench 'SimulatorCycles' -benchtime 5x -count 5 -out '' \
-	    -old BENCH_1.json \
-	    -maxratio 'BenchmarkSimulatorCyclesObs/BenchmarkSimulatorCycles=1.05'
-
-# policy-bench enforces the sandbox overhead contract (DESIGN.md §14):
-# the sandboxed simulator benchmark must stay within 5% of the plain one,
-# measured in the same run. The timings are snapshotted into BENCH_9.json.
-policy-bench:
-	$(GO) run ./cmd/benchdiff -pkgs . \
-	    -bench 'SimulatorCycles' -benchtime 5x -count 5 -out BENCH_9.json \
-	    -maxratio 'BenchmarkSimulatorCyclesSandboxed/BenchmarkSimulatorCycles=1.05'
-
-# figs-bench enforces the warm-cache contract (DESIGN.md §8): a
-# `paperfigs -all -quick`-shaped regeneration against a prewarmed result
-# cache must take at most 0.2x of the cold run (a >=5x speedup). The
-# cold/warm timings are snapshotted into BENCH_3.json.
-figs-bench:
-	$(GO) run ./cmd/benchdiff -pkgs . \
-	    -bench 'PaperFigsQuick' -benchtime 1x -count 3 -out BENCH_3.json \
-	    -maxratio 'BenchmarkPaperFigsQuickWarm/BenchmarkPaperFigsQuickCold=0.2'
-
-# ckpt-bench enforces the sub-linear cold-sweep contract (DESIGN.md §11):
-# a cold 36-cell grid sweep forking from prefix checkpoints must take at
-# most 0.5x of the same sweep simulated from cycle zero, measured in the
-# same run. The cold/forked timings are snapshotted into BENCH_6.json.
-ckpt-bench:
-	$(GO) run ./cmd/benchdiff -pkgs . \
-	    -bench 'CkptSweep' -benchtime 1x -count 3 -out BENCH_6.json \
-	    -maxratio 'BenchmarkCkptSweepForked/BenchmarkCkptSweepCold=0.5'
-
-# trace-bench enforces the span-tracing + provenance overhead contract
-# (DESIGN.md §12): a cold grid sweep with a live tracer and ledger must
-# stay within 5% of the uninstrumented sweep, measured in the same run.
-# The plain/traced timings are snapshotted into BENCH_7.json.
-trace-bench:
-	$(GO) run ./cmd/benchdiff -pkgs . \
-	    -bench 'TraceSweep' -benchtime 1x -count 3 -out BENCH_7.json \
-	    -maxratio 'BenchmarkTraceSweepTraced/BenchmarkTraceSweepPlain=1.05'
-
-# search-bench enforces the adaptive-search contract (DESIGN.md §13): the
-# coarse-to-fine successive-halving search over a cold 64-cell TLP grid
-# must take at most 0.5x of the exhaustive sweep, measured in the same
-# run, while selecting the identical optimum. The exhaustive/adaptive
-# timings — and the ebm_cycles_simulated ratio, recorded as an extra
-# simcycles/op unit — are snapshotted into BENCH_8.json.
-search-bench:
-	$(GO) run ./cmd/benchdiff -pkgs . \
-	    -bench 'AdaptiveVsExhaustive' -benchtime 1x -count 3 -out BENCH_8.json \
-	    -maxratio 'BenchmarkAdaptiveVsExhaustive/adaptive:BenchmarkAdaptiveVsExhaustive/exhaustive=0.5'
-
-# dsweep-bench enforces the distributed-overhead contract (DESIGN.md
-# §15): sweeping the 9-cell grid through the coordinator/worker wire
-# protocol with one worker must stay within 10% of the same sweep run
-# locally and sequentially, measured in the same run. The local/
-# distributed timings are snapshotted into BENCH_10.json.
-dsweep-bench:
-	$(GO) run ./cmd/benchdiff -pkgs . \
-	    -bench 'DistSweep' -benchtime 1x -count 3 -out BENCH_10.json \
-	    -maxratio 'BenchmarkDistSweepOneWorker/BenchmarkDistSweepLocal=1.10'
 
 # cover prints per-package statement coverage and enforces a floor on
 # internal/obs, whose span/ledger/exposition paths this repo's explain

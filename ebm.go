@@ -7,7 +7,6 @@ import (
 	pbscore "ebm/internal/core"
 	"ebm/internal/kernel"
 	"ebm/internal/metrics"
-	"ebm/internal/obs"
 	"ebm/internal/profile"
 	"ebm/internal/runner"
 	"ebm/internal/search"
@@ -268,13 +267,6 @@ var (
 	// ITEval scores by raw instruction throughput.
 	ITEval = search.ITEval
 )
-
-// Recorder captures per-window time series (Fig. 11).
-type Recorder = obs.Recorder
-
-// NewRecorder builds a Recorder for numApps applications; install its Hook
-// as RunOptions.OnWindow.
-func NewRecorder(numApps int) *Recorder { return obs.NewRecorder(numApps) }
 
 // Runner is the process-wide bounded simulation executor: a priority
 // queue with singleflight dedup that profiles, grids, and evaluations

@@ -3,13 +3,14 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"ebm/internal/metrics"
-	"ebm/internal/obs"
 	"ebm/internal/search"
 	"ebm/internal/sim"
 	"ebm/internal/spec"
+	"ebm/internal/tlp"
 	"ebm/internal/workload"
 )
 
@@ -174,8 +175,10 @@ func Fig11(e *Env, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rec := obs.NewRecorder(len(wl.Apps))
-		rec.SearchingFn = mgr.Searching
+		// Per-app TLP per window, and how many windows PBS spent
+		// searching (the shaded regions of the paper's figure).
+		series := make([][]point, len(wl.Apps))
+		windows, searching := 0, 0
 		// Twice the evaluation horizon so kernel-relaunch restarts (and
 		// the re-sampling periods around them) are visible.
 		s, err := sim.New(sim.Options{
@@ -186,7 +189,15 @@ func Fig11(e *Env, w io.Writer) error {
 			WarmupCycles:       e.Opt.EvalWarmup,
 			WindowCycles:       e.Opt.WindowCycles,
 			DesignatedSampling: true,
-			OnWindow:           rec.Hook,
+			OnWindow: func(sm tlp.Sample) {
+				for i, a := range sm.Apps {
+					series[i] = append(series[i], point{sm.Cycle, float64(a.TLP)})
+				}
+				windows++
+				if mgr.Searching() {
+					searching++
+				}
+			},
 		})
 		if err != nil {
 			return err
@@ -195,21 +206,50 @@ func Fig11(e *Env, w io.Writer) error {
 		fmt.Fprintf(w, "\n--- %s ---\n", variant.name)
 		for app := range wl.Apps {
 			fmt.Fprintf(w, "\nTLP-%s over time (bar height = TLP, max 24):\n%s",
-				wl.Apps[app].Name, obs.RenderASCII(rec.TLP[app], 24, 24))
-		}
-		searching := 0
-		for _, p := range rec.Searching.Points {
-			if p.Value > 0 {
-				searching++
-			}
+				wl.Apps[app].Name, renderASCII(series[app], 24, 24))
 		}
 		fmt.Fprintf(w, "\nsampling/search windows: %d of %d (%.0f%%); searches completed: %d; "+
 			"kernel-relaunch restarts: %d\n",
-			searching, len(rec.Searching.Points),
-			100*float64(searching)/float64(max(1, len(rec.Searching.Points))),
+			searching, windows, 100*float64(searching)/float64(max(1, windows)),
 			mgr.Searches(), mgr.Restarts())
 	}
 	fmt.Fprintf(w, "\npaper shape: a preferred combination holds for most of the run, with\n"+
 		"re-sampling periods (shaded in the paper) around kernel relaunches.\n")
 	return nil
+}
+
+// point is one windowed observation of a run time series.
+type point struct {
+	cycle uint64
+	value float64
+}
+
+// renderASCII renders a series as a compact one-line-per-bucket text
+// chart of bucket-averaged value bars, scaled to maxV (the series maximum
+// when maxV <= 0).
+func renderASCII(pts []point, buckets int, maxV float64) string {
+	if len(pts) == 0 || buckets <= 0 {
+		return ""
+	}
+	if maxV <= 0 {
+		for _, p := range pts {
+			maxV = max(maxV, p.value)
+		}
+		if maxV == 0 {
+			maxV = 1
+		}
+	}
+	per := (len(pts) + buckets - 1) / buckets
+	var b strings.Builder
+	for i := 0; i < len(pts); i += per {
+		end := min(i+per, len(pts))
+		sum := 0.0
+		for _, p := range pts[i:end] {
+			sum += p.value
+		}
+		avg := sum / float64(end-i)
+		bars := min(max(int(avg/maxV*40), 0), 40)
+		fmt.Fprintf(&b, "%10d %7.2f %s\n", pts[i].cycle, avg, strings.Repeat("#", bars))
+	}
+	return b.String()
 }

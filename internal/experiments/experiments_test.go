@@ -255,3 +255,35 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("%d lines", len(lines))
 	}
 }
+
+func TestRenderASCII(t *testing.T) {
+	var s []point
+	for i := 0; i < 100; i++ {
+		s = append(s, point{uint64(i * 1000), float64(i % 25)})
+	}
+	out := renderASCII(s, 10, 24)
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 10 {
+		t.Fatalf("%d buckets, want 10", len(lines))
+	}
+	for _, l := range lines {
+		if !strings.Contains(l, "#") && !strings.HasSuffix(strings.TrimSpace(l), "0.00") {
+			t.Fatalf("bucket line without bars: %q", l)
+		}
+	}
+	if renderASCII(nil, 10, 1) != "" {
+		t.Fatal("empty series should render empty")
+	}
+	// Auto max.
+	if renderASCII(s, 5, 0) == "" {
+		t.Fatal("auto-max render empty")
+	}
+}
+
+func TestRenderASCIIClampsBars(t *testing.T) {
+	s := []point{{0, 1e9}} // way above max
+	out := renderASCII(s, 1, 10)
+	if strings.Count(out, "#") > 40 {
+		t.Fatal("bar length not clamped")
+	}
+}

@@ -39,7 +39,8 @@ const DefaultSpanLimit = 1 << 20
 // grid cell, cache get/put, checkpoint fork, pooled execution, retry,
 // watchdog trip. It records at orchestration granularity only — never
 // from the per-cycle engine hot path — so its overhead contract is
-// "unmeasurable on any real run" (enforced by `make trace-bench`).
+// "unmeasurable on any real run" (the repository benchmark reports it as
+// trace_overhead).
 //
 // All methods are safe for concurrent use and nil-safe: a nil *Tracer
 // starts nil *Spans, and every Span method absorbs a nil receiver, so

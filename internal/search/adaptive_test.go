@@ -137,6 +137,52 @@ func TestAdaptiveMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// TestAdaptiveHalvesExhaustiveCycles pins the adaptive search's work
+// saving (DESIGN.md §13) in engine cycles rather than wall-clock. On the
+// reduced machine, BLK_TRD over the full 8-level ladder (64 cells) at a
+// 50,000-cycle horizon, the 4-rung successive-halving search for optWS
+// into a fresh checkpoint store submits at most half the cycles of the
+// exhaustive grid. The horizon matters: at TestAdaptiveMatchesExhaustive's
+// 8,000 cycles the 2,000-cycle warmup dominates the short rungs and the
+// same search submits ~0.72x.
+func TestAdaptiveHalvesExhaustiveCycles(t *testing.T) {
+	const total, warmup = 50_000, 2_000
+	cfg := adaptiveCfg()
+	wl := workload.MustMake("BLK", "TRD")
+	levels := config.TLPLevels
+	top, err := BuildGrid(nil, wl.Apps, GridOptions{
+		Config:       cfg,
+		Levels:       levels[len(levels)-1:],
+		TotalCycles:  total,
+		WarmupCycles: warmup,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aloneIPC, _ := pseudoAlone(t, top)
+	store, err := ckpt.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Adaptive(nil, wl.Apps, SDEval(metrics.ObjWS, aloneIPC), AdaptiveOptions{
+		Config:       cfg,
+		Levels:       levels,
+		TotalCycles:  total,
+		WarmupCycles: warmup,
+		Rungs:        4,
+		Ckpt:         store,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exhaustive := uint64(len(levels)*len(levels)) * total
+	t.Logf("adaptive submitted %d of %d exhaustive cycles (%.3fx)",
+		res.CyclesSubmitted, exhaustive, float64(res.CyclesSubmitted)/float64(exhaustive))
+	if 2*res.CyclesSubmitted > exhaustive {
+		t.Errorf("adaptive submitted %d cycles, more than half the exhaustive %d", res.CyclesSubmitted, exhaustive)
+	}
+}
+
 // TestAdaptiveKeepAllFullHorizonIsExhaustive pins the degenerate ladder:
 // with Coarse = Levels, a single full-horizon rung, and Keep = 1 nothing
 // is pruned, and the adaptive Finals reproduce the exhaustive grid

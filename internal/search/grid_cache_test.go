@@ -5,10 +5,13 @@ import (
 	"reflect"
 	"testing"
 
+	"ebm/internal/ckpt"
 	"ebm/internal/config"
 	"ebm/internal/kernel"
 	"ebm/internal/runner"
+	"ebm/internal/sim"
 	"ebm/internal/simcache"
+	"ebm/internal/workload"
 )
 
 func cacheGridOpts(t *testing.T) (GridOptions, *simcache.Cache) {
@@ -133,5 +136,55 @@ func TestBuildGridNilCacheStillWorks(t *testing.T) {
 		if r.Cycles == 0 {
 			t.Fatalf("cell %d empty", i)
 		}
+	}
+}
+
+// TestBuildGridForksSimulateOnlyTails pins the sub-linear cold sweep of
+// DESIGN.md §11 in engine cycles rather than wall-clock: a cold 9-cell
+// BLK_TRD grid at 50,000 cycles, over a store holding every cell's
+// 30,000-cycle prefix, forks each cell, simulates exactly the 20,000-cycle
+// tails, and is bit-identical to the same grid simulated from cycle zero.
+func TestBuildGridForksSimulateOnlyTails(t *testing.T) {
+	const prefix, total = 30_000, 50_000
+	wl := workload.MustMake("BLK", "TRD")
+	build := func(total uint64, store *ckpt.Store) (*Grid, uint64) {
+		t.Helper()
+		before := sim.CyclesSimulated()
+		g, err := BuildGrid(nil, wl.Apps, GridOptions{
+			Config:       adaptiveCfg(),
+			Levels:       []int{1, 8, 24},
+			TotalCycles:  total,
+			WarmupCycles: 2_000,
+			Ckpt:         store,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, sim.CyclesSimulated() - before
+	}
+	store, err := ckpt.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 30,000 cycles is 6 default windows; Every(6) persists exactly the
+	// run-end snapshot of each combination.
+	store.SetEvery(6)
+	build(prefix, store)
+	store.SetEvery(0) // read-only: the cold sweep forks, never writes
+
+	forked, forkedCycles := build(total, store)
+	cold, coldCycles := build(total, nil)
+	cells := uint64(len(cold.Results))
+	if cells != 9 || coldCycles != cells*total {
+		t.Fatalf("cold grid: %d cells, %d cycles; want 9 cells, %d cycles", cells, coldCycles, 9*total)
+	}
+	if want := cells * (total - prefix); forkedCycles != want {
+		t.Errorf("forked grid simulated %d cycles, want %d (tails only)", forkedCycles, want)
+	}
+	if f := store.Stats().Forks; f != cells {
+		t.Errorf("forked grid made %d forks, want %d", f, cells)
+	}
+	if !reflect.DeepEqual(forked.Results, cold.Results) {
+		t.Error("forked grid differs from the grid simulated from cycle zero")
 	}
 }

@@ -5,7 +5,11 @@ import (
 	"testing"
 
 	"ebm/internal/config"
+	"ebm/internal/metrics"
+	"ebm/internal/obs"
+	"ebm/internal/policy"
 	"ebm/internal/sim"
+	"ebm/internal/spec"
 	"ebm/internal/workload"
 )
 
@@ -31,16 +35,19 @@ func BenchmarkCycleTick(b *testing.B) {
 }
 
 // measureRunMallocs returns the heap allocation count of one Run of the
-// given length (simulator construction excluded).
-func measureRunMallocs(t *testing.T, cycles uint64) uint64 {
+// given length (simulator construction excluded); wire installs the
+// variant's manager and observer on the options first.
+func measureRunMallocs(t *testing.T, cycles uint64, wire func(*testing.T, *sim.Options)) uint64 {
 	t.Helper()
 	wl := workload.MustMake("BLK", "BFS")
-	s, err := sim.New(sim.Options{
+	opts := sim.Options{
 		Config:       config.Default(),
 		Apps:         wl.Apps,
 		TotalCycles:  cycles,
 		WindowCycles: 2_000,
-	})
+	}
+	wire(t, &opts)
+	s, err := sim.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,25 +59,54 @@ func measureRunMallocs(t *testing.T, cycles uint64) uint64 {
 	return m1.Mallocs - m0.Mallocs
 }
 
+// fullObserver turns on every observability sink the engine feeds per
+// window: the metrics registry, the event journal and phase polling.
+func fullObserver(phase func() string) *obs.Observer {
+	return &obs.Observer{Metrics: obs.NewRegistry(), Journal: obs.NewJournal(), PhaseFn: phase}
+}
+
 // TestCyclePathSteadyStateAllocs asserts the steady-state cycle path is
 // allocation-free up to a small slack: the extra allocations of a 3x
 // longer run over a shorter one (which cancels one-time warm-up growth of
 // pools, queues and window buffers) must stay under a fraction of an
 // object per simulated cycle. Before pooling, every L1 miss and DRAM
-// reply allocated, putting this well above 1 per cycle.
+// reply allocated, putting this well above 1 per cycle. The bound holds
+// with every per-window layer on too: a full observer, the policy
+// sandbox's guard, and a searching PBS manager under both.
 func TestCyclePathSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not -short friendly")
 	}
-	short := measureRunMallocs(t, 20_000)
-	long := measureRunMallocs(t, 60_000)
-	var extra uint64
-	if long > short {
-		extra = long - short
-	}
-	perKCycle := float64(extra) / 40.0
-	t.Logf("steady-state allocations: %.1f per 1000 cycles (short=%d long=%d)", perKCycle, short, long)
-	if perKCycle > 50 {
-		t.Errorf("cycle path allocates %.1f objects per 1000 cycles, want <= 50", perKCycle)
+	for _, c := range []struct {
+		name string
+		wire func(*testing.T, *sim.Options)
+	}{
+		{"plain", func(*testing.T, *sim.Options) {}},
+		{"observer", func(_ *testing.T, o *sim.Options) { o.Obs = fullObserver(func() string { return "stable" }) }},
+		{"guard", func(_ *testing.T, o *sim.Options) {
+			o.Manager = policy.Wrap(spec.MustManager(spec.MaxTLP(), len(o.Apps)), policy.Options{})
+		}},
+		{"pbs-guard-observer", func(t *testing.T, o *sim.Options) {
+			pbs, err := spec.PBSManager(spec.PBS(metrics.ObjWS), len(o.Apps))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Obs = fullObserver(pbs.Phase)
+			o.Manager = policy.Wrap(pbs, policy.Options{Obs: o.Obs})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			short := measureRunMallocs(t, 20_000, c.wire)
+			long := measureRunMallocs(t, 60_000, c.wire)
+			var extra uint64
+			if long > short {
+				extra = long - short
+			}
+			perKCycle := float64(extra) / 40.0
+			t.Logf("steady-state allocations: %.1f per 1000 cycles (short=%d long=%d)", perKCycle, short, long)
+			if perKCycle > 50 {
+				t.Errorf("cycle path allocates %.1f objects per 1000 cycles, want <= 50", perKCycle)
+			}
+		})
 	}
 }

@@ -261,3 +261,25 @@ func TestFastForwardMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// FuzzFastForwardMatchesReference widens the differential test past its
+// fixed draws: each seed draws one scheme kind and one run (machine,
+// workload, horizons) and the engine must match the always-tick
+// reference. Plain `go test` runs only the seed corpus; explore with
+//
+//	go test ./internal/sim -run '^$' -fuzz FuzzFastForwardMatchesReference -fuzztime 60s
+func FuzzFastForwardMatchesReference(f *testing.F) {
+	for _, seed := range []uint64{1, 2, 3} {
+		f.Add(seed)
+	}
+	kinds := spec.Kinds()
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		rng := rand.New(rand.NewPCG(seed, 2018))
+		rs := drawRun(rng, kinds[rng.IntN(len(kinds))], testing.Short())
+		fast := execute(t, rs, sim.New, nil, nil)
+		ref := execute(t, rs, sim.NewReference, nil, nil)
+		if err := sameRun(fast, ref); err != nil {
+			t.Fatalf("seed %d: %v\nrun: %+v", seed, err, rs)
+		}
+	})
+}

@@ -7,7 +7,7 @@ package sim
 // cache hits add nothing, checkpoint forks add only their tail, and
 // adaptively pruned candidates add only their short horizons, which is
 // what makes the adaptive search's savings visible (`sweep -search
-// adaptive`, BenchmarkAdaptiveVsExhaustive).
+// adaptive`; TestBuildGridForksSimulateOnlyTails pins the fork case).
 
 import (
 	"sync/atomic"
