@@ -115,8 +115,8 @@ func BenchmarkAblationNaive(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if c, _ := g.PBSOffline(ebm.EBEval(ebm.ObjWS, nil), nil); len(c) != 2 {
-			b.Fatal("search failed")
+		if c, _, err := g.PBSOffline(ebm.ObjWS, nil); err != nil || len(c) != 2 {
+			b.Fatal("search failed", err)
 		}
 		if c, _ := g.Best(ebm.EBEval(ebm.ObjWS, nil)); len(c) != 2 {
 			b.Fatal("exhaustive failed")
@@ -167,7 +167,9 @@ func BenchmarkAblationScaling(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, scale := range [][]float64{nil, group, exact} {
-			g.PBSOfflineFI(scale, nil)
+			if _, _, err := g.PBSOffline(ebm.ObjFI, scale); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

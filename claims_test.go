@@ -112,7 +112,10 @@ func TestClaimPBSOfflineNearOpt(t *testing.T) {
 	}
 	cs := setupClaims(t, "BFS", "FFT")
 	wsEval := ebm.SDEval(ebm.ObjWS, cs.aloneIPC)
-	combo, _ := cs.grid.PBSOffline(ebm.EBEval(ebm.ObjWS, nil), nil)
+	combo, _, err := cs.grid.PBSOffline(ebm.ObjWS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := cs.grid.At(combo)
 	if err != nil {
 		t.Fatal(err)

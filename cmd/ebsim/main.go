@@ -13,7 +13,6 @@
 // README's scheme table): a registered kind — static, besttlp, maxtlp,
 // dyncta, modbypass, ccws, pbs-ws, pbs-fi, pbs-hs, batch, wrs —
 // optionally followed by ":args" carrying TLP levels or key=value knobs.
-// The legacy -tlp flag is sugar for the static/besttlp level list.
 //
 // -sandbox runs the policy inside the internal/policy guard: a policy
 // that panics or returns a malformed decision degrades the run to a safe
@@ -62,7 +61,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"ebm/internal/ckpt"
@@ -91,7 +89,6 @@ func run(ctx context.Context, args []string) (err error) {
 		wlName    = fs.String("workload", "", "workload name, e.g. BLK_TRD (suite apps joined by _)")
 		alone     = fs.String("alone", "", "profile a single application across all TLP levels")
 		scheme    = fs.String("scheme", "pbs-ws", spec.FlagHelp())
-		tlps      = fs.String("tlp", "", "comma-separated TLP combination for -scheme static/besttlp (sugar for static:N,M)")
 		cycles    = fs.Uint64("cycles", 300_000, "total simulated core cycles")
 		warmup    = fs.Uint64("warmup", 10_000, "warmup cycles excluded from metrics")
 		window    = fs.Uint64("window", 2_500, "sampling window in cycles")
@@ -224,10 +221,6 @@ func run(ctx context.Context, args []string) (err error) {
 		return err
 	}
 
-	// Legacy sugar: -tlp appends the level list to a bare scheme kind.
-	if *tlps != "" && !strings.Contains(*scheme, ":") {
-		*scheme += ":" + *tlps
-	}
 	sch, err := spec.ParseScheme(*scheme)
 	if err != nil {
 		return cli.Usagef("%v", err)

@@ -439,17 +439,25 @@ func run(ctx context.Context, args []string) (err error) {
 			return err
 		}
 	}
-	cw, _ := g.PBSOffline(surfaces["ebws"].eval, nil)
-	if err := report("PBS-WS(Offline)", cw); err != nil {
-		return err
-	}
-	cf, _ := g.PBSOfflineFI(aloneEB, nil)
-	if err := report("PBS-FI(Offline)", cf); err != nil {
-		return err
-	}
-	ch, _ := g.PBSOffline(search.EBEval(metrics.ObjHS, aloneEB), nil)
-	if err := report("PBS-HS(Offline)", ch); err != nil {
-		return err
+	for _, x := range []struct {
+		label string
+		obj   metrics.Objective
+		scale []float64
+	}{
+		{"PBS-WS(Offline)", metrics.ObjWS, nil},
+		{"PBS-FI(Offline)", metrics.ObjFI, aloneEB},
+		{"PBS-HS(Offline)", metrics.ObjHS, aloneEB},
+	} {
+		c, _, err := g.PBSOffline(x.obj, x.scale)
+		if err != nil {
+			if ctx.Err() != nil {
+				resumeReport("search " + x.label)
+			}
+			return err
+		}
+		if err := report(x.label, c); err != nil {
+			return err
+		}
 	}
 
 	// -schemes: online comparison points next to the grid searches, run

@@ -89,7 +89,10 @@ func ablSearchCost(e *Env, w io.Writer) error {
 			return err
 		}
 		wsEval := search.SDEval(metrics.ObjWS, aloneIPC)
-		pbsCombo, _ := g.PBSOffline(search.EBEval(metrics.ObjWS, nil), nil)
+		pbsCombo, _, err := g.PBSOffline(metrics.ObjWS, nil)
+		if err != nil {
+			return err
+		}
 		naiveCombo, _ := g.Best(search.EBEval(metrics.ObjWS, nil))
 		rp, err := g.At(pbsCombo)
 		if err != nil {
@@ -173,15 +176,19 @@ func ablScaling(e *Env, w io.Writer) error {
 			return err
 		}
 		fiEval := search.SDEval(metrics.ObjFI, aloneIPC)
-		fiOf := func(scale []float64) float64 {
-			c, _ := g.PBSOfflineFI(scale, nil)
+		var v [3]float64 // no scale, group, exact
+		for i, scale := range [][]float64{nil, group, exact} {
+			c, _, err := g.PBSOffline(metrics.ObjFI, scale)
+			if err != nil {
+				return err
+			}
 			r, err := g.At(c)
 			if err != nil {
-				return 0
+				return err
 			}
-			return fiEval(r)
+			v[i] = fiEval(r)
 		}
-		vNone, vGroup, vExact := fiOf(nil), fiOf(group), fiOf(exact)
+		vNone, vGroup, vExact := v[0], v[1], v[2]
 		_, vOpt := g.Best(fiEval)
 		relG = append(relG, safeRatio(vGroup, vOpt))
 		relE = append(relE, safeRatio(vExact, vOpt))

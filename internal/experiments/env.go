@@ -463,14 +463,20 @@ func (e *Env) EvalWorkload(w workload.Workload) (*Eval, error) {
 	if pickErr != nil {
 		return nil, pickErr
 	}
-	if c, _ := g.PBSOffline(search.EBEval(metrics.ObjWS, nil), nil); c != nil {
-		combos[SchPBSWSOff] = c
-	}
-	if c, _ := g.PBSOfflineFI(aloneEB, nil); c != nil {
-		combos[SchPBSFIOff] = c
-	}
-	if c, _ := g.PBSOffline(search.EBEval(metrics.ObjHS, aloneEB), nil); c != nil {
-		combos[SchPBSHSOff] = c
+	for _, off := range []struct {
+		name  string
+		obj   metrics.Objective
+		scale []float64
+	}{
+		{SchPBSWSOff, metrics.ObjWS, nil},
+		{SchPBSFIOff, metrics.ObjFI, aloneEB},
+		{SchPBSHSOff, metrics.ObjHS, aloneEB},
+	} {
+		c, _, err := g.PBSOffline(off.obj, off.scale)
+		if err != nil {
+			return nil, err
+		}
+		combos[off.name] = c
 	}
 
 	ev := &Eval{

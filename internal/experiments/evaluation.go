@@ -16,7 +16,6 @@ import (
 
 func evalSDFI(aloneIPC []float64) search.Eval { return search.SDEval(metrics.ObjFI, aloneIPC) }
 func evalSDHS(aloneIPC []float64) search.Eval { return search.SDEval(metrics.ObjHS, aloneIPC) }
-func evalEBHS(aloneEB []float64) search.Eval  { return search.EBEval(metrics.ObjHS, aloneEB) }
 
 // evals computes (with caching) the full scheme evaluation for every
 // workload in the environment's evaluation set. Workloads evaluate

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"ebm/internal/config"
 	pbscore "ebm/internal/core"
 	"ebm/internal/metrics"
 	"ebm/internal/workload"
@@ -106,8 +107,14 @@ func Fig7(e *Env, w io.Writer) error {
 	}
 	th.write(w)
 
-	fiCombo, _ := g.PBSOfflineFI(aloneEB, nil)
-	hsCombo, _ := g.PBSOffline(evalEBHS(aloneEB), nil)
+	fiCombo, _, err := g.PBSOffline(metrics.ObjFI, aloneEB)
+	if err != nil {
+		return err
+	}
+	hsCombo, _, err := g.PBSOffline(metrics.ObjHS, aloneEB)
+	if err != nil {
+		return err
+	}
 	aloneIPC, err := e.Suite.AloneIPC(wl.Names())
 	if err != nil {
 		return err
@@ -124,11 +131,13 @@ func Fig7(e *Env, w io.Writer) error {
 // Fig8 prints the mechanism's hardware organization overheads.
 func Fig8(e *Env, w io.Writer) error {
 	header(w, "Fig. 8 / Section V-E: hardware organization and overheads")
-	cost := pbscore.CostModel(2, e.Opt.Config.NumCores, e.Opt.Config.NumMemPartitions)
+	const apps = 2
+	cost := pbscore.CostModel(apps, e.Opt.Config.NumCores, e.Opt.Config.NumMemPartitions)
 	fmt.Fprint(w, cost.String())
+	ladder := len(pbscore.NewPBS(metrics.ObjWS).SweepLevels)
 	fmt.Fprintf(w, "\nsearch footprint: %d sweep samples + <= %d tuning samples per search\n"+
 		"(vs %d combinations for an exhaustive search).\n",
-		2*6, 2*6, 64)
+		apps*ladder, apps*ladder, len(config.TLPLevels)*len(config.TLPLevels))
 	return nil
 }
 

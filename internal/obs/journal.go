@@ -99,26 +99,15 @@ type Event struct {
 // mutex and a slice append), happens at window/decision granularity —
 // never per cycle — and is safe from multiple goroutines (the grid
 // builder records progress from its workers). Subscribers observe every
-// event as it is recorded, even once the storage limit is reached.
+// event as it is recorded.
 type Journal struct {
-	mu      sync.Mutex
-	events  []Event
-	limit   int
-	dropped uint64
-	subs    []func(Event)
+	mu     sync.Mutex
+	events []Event
+	subs   []func(Event)
 }
 
 // NewJournal returns an unbounded journal.
 func NewJournal() *Journal { return &Journal{} }
-
-// SetLimit bounds stored events: once len reaches limit, further events
-// are counted as dropped but still delivered to subscribers. Zero (the
-// default) stores everything.
-func (j *Journal) SetLimit(limit int) {
-	j.mu.Lock()
-	j.limit = limit
-	j.mu.Unlock()
-}
 
 // Record appends one event. A nil journal discards it.
 func (j *Journal) Record(e Event) {
@@ -126,11 +115,7 @@ func (j *Journal) Record(e Event) {
 		return
 	}
 	j.mu.Lock()
-	if j.limit > 0 && len(j.events) >= j.limit {
-		j.dropped++
-	} else {
-		j.events = append(j.events, e)
-	}
+	j.events = append(j.events, e)
 	subs := j.subs
 	j.mu.Unlock()
 	for _, fn := range subs {
@@ -167,16 +152,6 @@ func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.events)
-}
-
-// Dropped returns how many events were discarded due to the limit.
-func (j *Journal) Dropped() uint64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dropped
 }
 
 // Observer bundles the sinks the engine publishes into. Any field may be

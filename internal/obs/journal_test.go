@@ -4,10 +4,15 @@ import "testing"
 
 func TestJournalRecordAndSnapshot(t *testing.T) {
 	j := NewJournal()
+	seen := 0
+	j.Subscribe(func(Event) { seen++ })
 	j.Record(Event{Cycle: 100, Kind: EvWindow, App: -1, Window: 1})
 	j.Record(Event{Cycle: 150, Kind: EvDecision, App: -1, Label: "tlp=[24 1]"})
 	if j.Len() != 2 {
 		t.Fatalf("len = %d, want 2", j.Len())
+	}
+	if seen != 2 {
+		t.Fatalf("subscriber saw %d events, want 2", seen)
 	}
 	ev := j.Events()
 	ev[0].Cycle = 999 // snapshot must be a copy
@@ -19,27 +24,8 @@ func TestJournalRecordAndSnapshot(t *testing.T) {
 func TestJournalNilSafe(t *testing.T) {
 	var j *Journal
 	j.Record(Event{})
-	if j.Len() != 0 || j.Events() != nil || j.Dropped() != 0 {
+	if j.Len() != 0 || j.Events() != nil {
 		t.Fatal("nil journal must be inert")
-	}
-}
-
-func TestJournalLimit(t *testing.T) {
-	j := NewJournal()
-	j.SetLimit(2)
-	seen := 0
-	j.Subscribe(func(Event) { seen++ })
-	for i := 0; i < 5; i++ {
-		j.Record(Event{Cycle: uint64(i)})
-	}
-	if j.Len() != 2 {
-		t.Fatalf("len = %d, want 2 (limit)", j.Len())
-	}
-	if j.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", j.Dropped())
-	}
-	if seen != 5 {
-		t.Fatalf("subscriber saw %d events, want all 5", seen)
 	}
 }
 

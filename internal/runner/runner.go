@@ -59,6 +59,7 @@ type call struct {
 	done chan struct{}
 	val  any
 	err  error
+	dups int // callers that joined it through Group.Do (guarded by Group.mu)
 }
 
 // item is one queued task.
@@ -363,6 +364,7 @@ func (g *Group) Do(key string, fn func() (any, error)) (v any, shared bool, err 
 		g.m = make(map[string]*call)
 	}
 	if c, ok := g.m[key]; ok {
+		c.dups++
 		g.mu.Unlock()
 		<-c.done
 		return c.val, true, c.err

@@ -233,12 +233,14 @@ func TestGroupDedupsAndForgets(t *testing.T) {
 			}
 		}()
 	}
-	// Wait for one execution to be registered, then release.
+	// Release only once the other four callers have joined the in-flight
+	// call; a caller arriving after the release would run fn again.
 	for {
 		g.mu.Lock()
-		n := len(g.m)
+		c := g.m["k"]
+		joined := c != nil && c.dups == 4
 		g.mu.Unlock()
-		if n == 1 {
+		if joined {
 			break
 		}
 		time.Sleep(time.Millisecond)

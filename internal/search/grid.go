@@ -5,21 +5,23 @@
 //     (the oracle the paper normalizes against);
 //   - BF-WS / BF-FI / BF-HS — exhaustive search over the EB-based metric
 //     (how good EB is as a proxy, with no search error);
-//   - PBS-WS/FI/HS (Offline) — the pattern-based search executed on the
-//     grid data, isolating the algorithm from runtime overheads.
+//   - PBS-WS/FI/HS (Offline) — the online PBS manager of internal/core
+//     driven over grid cells, isolating the algorithm from runtime
+//     overheads.
 package search
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
 	"ebm/internal/ckpt"
 	"ebm/internal/config"
+	"ebm/internal/core"
 	"ebm/internal/kernel"
 	"ebm/internal/metrics"
 	"ebm/internal/obs"
@@ -27,6 +29,7 @@ import (
 	"ebm/internal/sim"
 	"ebm/internal/simcache"
 	"ebm/internal/spec"
+	"ebm/internal/tlp"
 )
 
 // GridOptions configures a grid build.
@@ -329,342 +332,36 @@ func (g *Grid) Best(eval Eval) ([]int, float64) {
 	return combos[bestIdx], bestV
 }
 
-// PBSOffline executes the pattern-based search on the grid data: sweeps
-// with co-runners pinned at the maximum level, critical-app selection by
-// largest metric drop, inflection pinning, then downward tuning of the
-// remaining apps with first-non-improvement stopping. It mirrors the
-// online algorithm in internal/core minus all runtime overheads.
-// sweepLevels defaults to the online manager's {1,2,4,8,16,24} subset.
-func (g *Grid) PBSOffline(eval Eval, sweepLevels []int) ([]int, float64) {
-	n := len(g.Apps)
-	maxLevel := g.Levels[len(g.Levels)-1]
-	if sweepLevels == nil {
-		sweepLevels = []int{1, 2, 4, 8, 16, 24}
+// PBSOffline runs PBS-WS/FI/HS (Offline): the online manager of
+// internal/core, driven over grid cells instead of a running GPU. Every
+// probe reads the cell of the manager's current decision, with zero settle
+// windows and one measure window, so the search pays none of the runtime
+// overheads. Its sweep ladder is the manager's default ladder ∩ g.Levels,
+// and co-runners sweep at config.MaxTLP, which the grid must hold. scale
+// holds the alone-EB scaling factors for FI and HS (nil for none). It
+// returns the final combination and its EB-metric value; a cell error
+// ends the search.
+func (g *Grid) PBSOffline(obj metrics.Objective, scale []float64) ([]int, float64, error) {
+	p := core.NewPBS(obj)
+	p.Scaling = core.NoScale
+	if scale != nil {
+		p.Scaling, p.GroupValues = core.GroupScale, scale
 	}
-	var usable []int
-	for _, l := range sweepLevels {
-		if indexOf(g.Levels, l) >= 0 {
-			usable = append(usable, l)
-		}
-	}
-	sweepLevels = usable
-
-	at := func(tlps []int) float64 {
-		r, err := g.At(tlps)
+	p.SettleWindows, p.MeasureWindows = 0, 1
+	p.SweepLevels = slices.DeleteFunc(p.SweepLevels, func(l int) bool { return indexOf(g.Levels, l) < 0 })
+	d := p.Initial(len(g.Apps))
+	s := tlp.Sample{Apps: make([]tlp.AppSample, len(g.Apps))}
+	for {
+		r, err := g.At(d.TLP)
 		if err != nil {
-			return 0
+			return nil, 0, err
 		}
-		return eval(r)
-	}
-
-	// Sweeps: vary one app over sweepLevels, others at maxLevel. Alongside
-	// the pair metric, record each app's own EB to locate its Guideline-2
-	// inflection cap.
-	curve := make([][]float64, n)
-	ownEB := make([][]float64, n)
-	for app := 0; app < n; app++ {
-		curve[app] = make([]float64, len(sweepLevels))
-		ownEB[app] = make([]float64, len(sweepLevels))
-		for li, l := range sweepLevels {
-			combo := make([]int, n)
-			for i := range combo {
-				combo[i] = maxLevel
-			}
-			combo[app] = l
-			curve[app][li] = at(combo)
-			if r, err := g.At(combo); err == nil {
-				ownEB[app][li] = r.Apps[app].EB
-			}
+		if !p.Searching() {
+			return d.TLP, obj.EBMetric(r.EBsInto(nil), scale), nil
 		}
-	}
-	caps := make([]int, n)
-	for app := 0; app < n; app++ {
-		caps[app] = capByCollapse(ownEB[app], sweepLevels)
-	}
-	critical, bestDrop := 0, -1.0
-	for app := 0; app < n; app++ {
-		drop, _ := dropAndArgmax(curve[app])
-		if drop > bestDrop {
-			bestDrop = drop
-			critical = app
+		for i := range s.Apps {
+			s.Apps[i].EB = r.Apps[i].EB
 		}
+		d = p.OnSample(s)
 	}
-	_, argmax := dropAndArgmax(curve[critical])
-	fixed := sweepLevels[argmax]
-	if fixed > caps[critical] {
-		fixed = caps[critical]
-	}
-
-	combo := make([]int, n)
-	for i := range combo {
-		if i != critical && caps[i] < maxLevel {
-			combo[i] = caps[i]
-		} else {
-			combo[i] = maxLevel
-		}
-	}
-	combo[critical] = fixed
-
-	// Tune the non-critical apps, most disruptive first.
-	order := make([]int, 0, n-1)
-	for app := 0; app < n; app++ {
-		if app != critical {
-			order = append(order, app)
-		}
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		di, _ := dropAndArgmax(curve[order[i]])
-		dj, _ := dropAndArgmax(curve[order[j]])
-		return di > dj
-	})
-	desc := append([]int(nil), sweepLevels...)
-	sort.Sort(sort.Reverse(sort.IntSlice(desc)))
-	const patience = 2 // consecutive non-improvements before stopping
-	for _, app := range order {
-		lv := make([]int, 0, len(desc))
-		for _, l := range desc {
-			if l <= caps[app] {
-				lv = append(lv, l)
-			}
-		}
-		if len(lv) == 0 {
-			lv = []int{sweepLevels[0]}
-		}
-		bestT, bestV := lv[0], 0.0
-		combo[app] = lv[0]
-		bestV = at(combo)
-		miss := 0
-		for _, l := range lv[1:] {
-			combo[app] = l
-			v := at(combo)
-			if v > bestV {
-				bestV = v
-				bestT = l
-				miss = 0
-			} else if miss++; miss >= patience {
-				break
-			}
-		}
-		combo[app] = bestT
-	}
-	return combo, at(combo)
-}
-
-// PBSOfflineFI executes the paper's Section V-C fairness search on grid
-// data for a two-application workload: sweeps record the scaled
-// EB-difference; the application inducing the larger difference changes is
-// critical and is fixed at the balance crossing; the other is scanned for
-// the lowest healthy |difference|. scale holds the alone-EB scaling
-// factors (exact, group, or sampled).
-func (g *Grid) PBSOfflineFI(scale []float64, sweepLevels []int) ([]int, float64) {
-	if len(g.Apps) != 2 {
-		// The difference procedure is pairwise; defer to the generic
-		// climb for other shapes.
-		return g.PBSOffline(EBEval(metrics.ObjFI, scale), sweepLevels)
-	}
-	maxLevel := g.Levels[len(g.Levels)-1]
-	if sweepLevels == nil {
-		sweepLevels = []int{1, 2, 4, 8, 16, 24}
-	}
-	var usable []int
-	for _, l := range sweepLevels {
-		if indexOf(g.Levels, l) >= 0 {
-			usable = append(usable, l)
-		}
-	}
-	sweepLevels = usable
-
-	diffAt := func(tlps []int) (d, sum float64) {
-		r, err := g.At(tlps)
-		if err != nil {
-			return 0, 0
-		}
-		e0, e1 := r.Apps[0].EB, r.Apps[1].EB
-		if len(scale) >= 2 {
-			if scale[0] > 0 {
-				e0 /= scale[0]
-			}
-			if scale[1] > 0 {
-				e1 /= scale[1]
-			}
-		}
-		return e0 - e1, e0 + e1
-	}
-
-	n := 2
-	diffs := make([][]float64, n)
-	sums := make([][]float64, n)
-	ownEB := make([][]float64, n)
-	for app := 0; app < n; app++ {
-		diffs[app] = make([]float64, len(sweepLevels))
-		sums[app] = make([]float64, len(sweepLevels))
-		ownEB[app] = make([]float64, len(sweepLevels))
-		for li, l := range sweepLevels {
-			combo := []int{maxLevel, maxLevel}
-			combo[app] = l
-			diffs[app][li], sums[app][li] = diffAt(combo)
-			if r, err := g.At(combo); err == nil {
-				ownEB[app][li] = r.Apps[app].EB
-			}
-		}
-	}
-	caps := []int{
-		capByCollapse(ownEB[0], sweepLevels),
-		capByCollapse(ownEB[1], sweepLevels),
-	}
-	critical := 0
-	if curveRange(diffs[1]) > curveRange(diffs[0]) {
-		critical = 1
-	}
-	fixIdx := chooseByDiff(diffs[critical], sums[critical])
-	fixed := sweepLevels[fixIdx]
-	if fixed > caps[critical] {
-		fixed = caps[critical]
-	}
-
-	other := 1 - critical
-	combo := []int{0, 0}
-	combo[critical] = fixed
-	var tuneDiffs, tuneSums []float64
-	var tuneLv []int
-	for i := len(sweepLevels) - 1; i >= 0; i-- {
-		l := sweepLevels[i]
-		if l > caps[other] {
-			continue
-		}
-		combo[other] = l
-		d, s := diffAt(combo)
-		tuneDiffs = append(tuneDiffs, d)
-		tuneSums = append(tuneSums, s)
-		tuneLv = append(tuneLv, l)
-	}
-	if len(tuneLv) == 0 {
-		combo[other] = sweepLevels[0]
-	} else {
-		combo[other] = tuneLv[chooseByDiff(tuneDiffs, tuneSums)]
-	}
-	return combo, EBEval(metrics.ObjFI, scale)(mustAt(g, combo))
-}
-
-func mustAt(g *Grid, tlps []int) sim.Result {
-	r, err := g.At(tlps)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// chooseByDiff mirrors internal/core: prefer the balance sign-crossing of
-// the EB-difference; otherwise the smallest healthy |difference|.
-func chooseByDiff(diffs, sums []float64) int {
-	const healthyFrac = 0.4
-	best := -1
-	for i := 0; i+1 < len(diffs); i++ {
-		if (diffs[i] <= 0) == (diffs[i+1] <= 0) {
-			continue
-		}
-		cand := i
-		if absf(diffs[i+1]) < absf(diffs[i]) {
-			cand = i + 1
-		}
-		if best == -1 || absf(diffs[cand]) < absf(diffs[best]) {
-			best = cand
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	maxSum := 0.0
-	for _, s := range sums {
-		if s > maxSum {
-			maxSum = s
-		}
-	}
-	for i, d := range diffs {
-		if sums[i] < healthyFrac*maxSum {
-			continue
-		}
-		if best == -1 || absf(d) < absf(diffs[best]) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	best = 0
-	for i := range diffs {
-		if absf(diffs[i]) < absf(diffs[best]) {
-			best = i
-		}
-	}
-	return best
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// curveRange returns max-min of a curve.
-func curveRange(m []float64) float64 {
-	if len(m) == 0 {
-		return 0
-	}
-	lo, hi := m[0], m[0]
-	for _, v := range m {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return hi - lo
-}
-
-// collapseFrac mirrors internal/core's Guideline-2 threshold.
-const collapseFrac = 0.6
-
-// capByCollapse returns the largest level whose own-EB retains at least
-// collapseFrac of the curve's peak (no cap for flat or rising curves).
-func capByCollapse(curve []float64, levels []int) int {
-	if len(curve) == 0 {
-		return levels[len(levels)-1]
-	}
-	peak := curve[0]
-	for _, v := range curve {
-		if v > peak {
-			peak = v
-		}
-	}
-	for i := len(curve) - 1; i >= 0; i-- {
-		if curve[i] >= collapseFrac*peak {
-			return levels[i]
-		}
-	}
-	return levels[0]
-}
-
-// dropAndArgmax mirrors internal/core's pattern detection: the sharpest
-// post-peak decline and the peak index.
-func dropAndArgmax(m []float64) (drop float64, argmax int) {
-	if len(m) == 0 {
-		return 0, 0
-	}
-	maxV := m[0]
-	for i, v := range m {
-		if v > maxV {
-			maxV = v
-			argmax = i
-		}
-	}
-	minAfter := maxV
-	for _, v := range m[argmax:] {
-		if v < minAfter {
-			minAfter = v
-		}
-	}
-	return maxV - minAfter, argmax
 }

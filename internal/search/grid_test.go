@@ -1,6 +1,7 @@
 package search
 
 import (
+	"slices"
 	"testing"
 
 	"ebm/internal/config"
@@ -128,7 +129,10 @@ func TestEvaluators(t *testing.T) {
 
 func TestPBSOfflineReturnsValidCombo(t *testing.T) {
 	g := buildSmallGrid(t)
-	combo, val := g.PBSOffline(EBEval(metrics.ObjWS, nil), []int{1, 4, 24})
+	combo, val, err := g.PBSOffline(metrics.ObjWS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(combo) != 2 {
 		t.Fatal("combo shape")
 	}
@@ -146,12 +150,24 @@ func TestPBSOfflineReturnsValidCombo(t *testing.T) {
 	}
 }
 
-func TestPBSOfflineFIReturnsValidCombo(t *testing.T) {
+func TestPBSOfflineFairnessReturnsValidCombo(t *testing.T) {
 	g := buildSmallGrid(t)
-	scale := []float64{1, 1}
-	combo, _ := g.PBSOfflineFI(scale, []int{1, 4, 24})
+	combo, _, err := g.PBSOffline(metrics.ObjFI, []float64{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := g.At(combo); err != nil {
 		t.Fatalf("bad combo %v", combo)
+	}
+}
+
+func TestPBSOfflineNeedsMaxTLPLevel(t *testing.T) {
+	// PBS sweeps with co-runners pinned at config.MaxTLP, so a grid
+	// without that level fails on the first probe instead of scoring the
+	// missing cells as zero.
+	g := &Grid{Apps: apps("BLK", "TRD"), Levels: []int{1, 4}, Results: make([]sim.Result, 4)}
+	if _, _, err := g.PBSOffline(metrics.ObjWS, nil); err == nil {
+		t.Fatal("PBSOffline accepted a grid without the MaxTLP level")
 	}
 }
 
@@ -184,52 +200,95 @@ func TestThreeAppGrid(t *testing.T) {
 	if len(g.Combos()) != 8 {
 		t.Fatalf("%d combos, want 8", len(g.Combos()))
 	}
-	combo, _ := g.PBSOffline(EBEval(metrics.ObjWS, nil), []int{2, 24})
+	combo, _, err := g.PBSOffline(metrics.ObjWS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(combo) != 3 {
 		t.Fatalf("3-app PBS combo %v", combo)
 	}
 }
 
 func TestGridEvalOnSyntheticResults(t *testing.T) {
-	// Hand-built grid to pin PBSOffline's search path deterministically.
-	g := &Grid{
-		Apps:   apps("BLK", "TRD"),
-		Levels: []int{1, 4, 24},
-	}
-	// EB surfaces: app0 collapses at 24 (own cliff), app1 indifferent.
+	// Hand-built 2-app grids over levels {1,4,24} pin PBSOffline's search
+	// path for each objective. Cells are (EB0, EB1); the flat index is
+	// i0 + 3*i1, so app0's level varies fastest within a row.
 	mk := func(eb0, eb1 float64) sim.Result {
 		return sim.Result{Apps: []sim.AppResult{{EB: eb0}, {EB: eb1}}}
 	}
-	// Index layout: idx = i0 + 3*i1 (levels of app0 vary fastest).
-	g.Results = []sim.Result{
-		// t1=1:        t0=1          t0=4          t0=24
-		mk(0.5, 0.9), mk(1.0, 0.8), mk(0.2, 0.6),
-		// t1=4:
-		mk(0.5, 0.8), mk(1.0, 0.7), mk(0.2, 0.5),
-		// t1=24:
-		mk(0.4, 0.6), mk(0.9, 0.5), mk(0.1, 0.3),
-	}
-	eval := EBEval(metrics.ObjWS, nil)
-	combo, val := g.Best(eval)
-	if combo[0] != 4 || combo[1] != 1 {
-		t.Fatalf("Best = %v", combo)
-	}
-	if val != 1.8 {
-		t.Fatalf("Best val = %v", val)
-	}
-	pc, pv := g.PBSOffline(eval, []int{1, 4, 24})
-	// Sweeps at co-24: app0 curve (t0 in 1,4,24 @ t1=24): 1.0, 1.4, 0.4
-	// -> drop 1.0, argmax at 4, own-EB cap 4 (collapse at 24).
-	// app1 curve (t1 @ t0=24): 0.8, 0.7, 0.4 -> drop 0.4.
-	// Critical = app0 fixed at 4; tune app1 descending from its cap.
-	if pc[0] != 4 {
-		t.Fatalf("critical app pinned at %d, want 4 (combo %v)", pc[0], pc)
-	}
-	r, _ := g.At(pc)
-	if eval(r) != pv {
-		t.Fatal("PBSOffline value inconsistent")
-	}
-	if pv < 1.5 {
-		t.Fatalf("pattern search landed poorly: %v -> %v", pc, pv)
+	for _, tc := range []struct {
+		name     string
+		obj      metrics.Objective
+		scale    []float64
+		cells    []sim.Result
+		wantPBS  []int
+		wantBest []int
+	}{{
+		// Sweeps at co-24: app0 metric (t0 = 1,4,24) 1.0, 1.4, 0.4 ->
+		// drop 1.0, argmax 4; its own EB 0.4, 0.9, 0.1 caps it at 4.
+		// app1 metric 0.8, 0.7, 0.4 -> drop 0.4, own-EB cap 4. Critical
+		// app0 pinned at 4; app1 tunes down from its cap: (4,4) 1.7,
+		// then (4,1) 1.8 wins.
+		name: "WS",
+		obj:  metrics.ObjWS,
+		cells: []sim.Result{
+			// t1=1:     t0=1          t0=4          t0=24
+			mk(0.5, 0.9), mk(1.0, 0.8), mk(0.2, 0.6),
+			mk(0.5, 0.8), mk(1.0, 0.7), mk(0.2, 0.5), // t1=4
+			mk(0.4, 0.6), mk(0.9, 0.5), mk(0.1, 0.3), // t1=24
+		},
+		wantPBS:  []int{4, 1},
+		wantBest: []int{4, 1},
+	}, {
+		// Scaled difference d = EB0/2 - EB1. app0's sweep (t0 = 1,4,24
+		// @ t1=24): -0.3, +0.4, -0.1, range 0.7; app1's (t1 @ t0=24):
+		// -0.05, -0.1, -0.1, range 0.05, so app0 is critical. Its best
+		// crossing endpoint is 24 (|-0.1| < |-0.3|), but its own EB
+		// 0.4, 1.6, 0.6 collapses past 4, so Guideline-2 caps it at 4.
+		// app1 (rising own EB, no cap) scans 24,4,1 @ t0=4: d = +0.4,
+		// -0.2, -0.7; the crossing endpoint nearer zero is 4.
+		name:  "FI crossing capped",
+		obj:   metrics.ObjFI,
+		scale: []float64{2, 1},
+		cells: []sim.Result{
+			mk(0.3, 1.0), mk(1.0, 1.2), mk(0.5, 0.3),
+			mk(0.35, 0.9), mk(1.2, 0.8), mk(0.5, 0.35),
+			mk(0.4, 0.5), mk(1.6, 0.4), mk(0.6, 0.4),
+		},
+		wantPBS:  []int{4, 4},
+		wantBest: []int{24, 1},
+	}, {
+		// Scaled EBs (EB0/1, EB1/4). app0's sweep HS 0.286, 0.643, 0.143
+		// -> drop 0.5, argmax 4, own-EB cap 4; app1's 0.5, 0.373, 0.143
+		// -> drop 0.357, own-EB cap 4. app0 pinned at 4; app1 tunes
+		// (4,4) 0.686 then (4,1) 0.747. Unscaled HS would keep (4,4).
+		name:  "HS scaled",
+		obj:   metrics.ObjHS,
+		scale: []float64{1, 4},
+		cells: []sim.Result{
+			mk(0.1, 3.6), mk(0.7, 3.2), mk(0.5, 2.0),
+			mk(0.15, 2.8), mk(0.8, 2.4), mk(0.4, 1.4),
+			mk(0.2, 2.0), mk(0.9, 2.0), mk(0.25, 0.4),
+		},
+		wantPBS:  []int{4, 1},
+		wantBest: []int{4, 1},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := &Grid{Apps: apps("BLK", "TRD"), Levels: []int{1, 4, 24}, Results: tc.cells}
+			eval := EBEval(tc.obj, tc.scale)
+			if combo, _ := g.Best(eval); !slices.Equal(combo, tc.wantBest) {
+				t.Fatalf("Best = %v, want %v", combo, tc.wantBest)
+			}
+			pc, pv, err := g.PBSOffline(tc.obj, tc.scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(pc, tc.wantPBS) {
+				t.Fatalf("PBSOffline = %v, want %v", pc, tc.wantPBS)
+			}
+			if r, _ := g.At(pc); eval(r) != pv {
+				t.Fatalf("PBSOffline value %v inconsistent with its combo", pv)
+			}
+		})
 	}
 }
