@@ -47,7 +47,6 @@ func run(ctx context.Context, args []string) (err error) {
 		id    = fs.String("id", "", "run a single experiment by id (e.g. fig9)")
 		all   = fs.Bool("all", false, "run every experiment")
 		quick = fs.Bool("quick", false, "reduced run lengths and the 10 representative workloads")
-		adapt = fs.Bool("adaptive", false, "compute bestTLP/oracle columns via the adaptive coarse-to-fine search instead of exhaustive grids")
 		out   = fs.String("out", "", "directory to also write one text file per experiment")
 	)
 	if done, err := sess.Parse(args); done {
@@ -80,7 +79,7 @@ func run(ctx context.Context, args []string) (err error) {
 	}
 	defer func() { err = errors.Join(err, sess.Close()) }()
 	opt := experiments.Options{
-		SimCache: sess.Cache().Dir(), Ckpt: sess.Ckpt(), Ledger: sess.Ledger(), Adaptive: *adapt,
+		SimCache: sess.Cache().Dir(), Ckpt: sess.Ckpt(), Ledger: sess.Ledger(),
 	}
 	if *quick {
 		opt.GridCycles = 60_000

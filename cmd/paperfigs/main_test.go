@@ -38,3 +38,10 @@ func TestTESTpaperfigs(t *testing.T) {
 		t.Fatalf("run = %v, want a usage error", err)
 	}
 }
+
+// The figures always search the exhaustive grid: -adaptive is not a flag.
+func TestAdaptiveFlagIsUsageError(t *testing.T) {
+	if err := run(context.Background(), []string{"-adaptive", "-id", "table4"}); !cli.IsUsage(err) {
+		t.Fatalf("run = %v, want a usage error", err)
+	}
+}

@@ -9,17 +9,6 @@
 //	sweep -workload BFS_FFT -cycles 200000
 //	sweep -workload BLK_TRD -schemes "dyncta pbs-ws ccws:hivta=0.2"
 //	sweep -workload BLK_TRD -o results/blk_trd.txt -listen :8080
-//	sweep -workload BLK_TRD -search adaptive -ckpt
-//
-// -search adaptive replaces the exhaustive grid with the coarse-to-fine
-// successive-halving search (DESIGN.md §13): every opt*/BF-*/maxIT pick
-// brackets the optimum on a subsampled TLP ladder and refines inside the
-// bracket, and candidates simulate short horizons first with the
-// dominated fraction pruned each rung — with -ckpt, survivors fork from
-// the previous rung's run-end checkpoint and pay only the tail cycles.
-// Surfaces are skipped (they need every cell); the PBS offline walks
-// read a lazy grid that simulates only the cells they touch. The exit
-// report counts pruned candidates and engine cycles actually simulated.
 //
 // The grid's combinations run concurrently; -parallel bounds the worker
 // count (default: all CPUs, runtime.NumCPU). Per-combination progress is
@@ -109,10 +98,6 @@ func run(ctx context.Context, args []string) (err error) {
 		schemes = fs.String("schemes", "",
 			"also run these online schemes at grid length (whitespace-separated canonical "+
 				"scheme strings, e.g. 'dyncta pbs-ws ccws:hivta=0.2'; scheme grammar: "+spec.FlagHelp()+")")
-		searchMode = fs.String("search", "exhaustive",
-			"search strategy: exhaustive (build the full grid) or adaptive "+
-				"(coarse-to-fine successive halving with checkpoint-forked continuations; "+
-				"finds the same picks in a fraction of the engine work, skips surface printing)")
 		cycles   = fs.Uint64("cycles", 120_000, "cycles per combination")
 		warmup   = fs.Uint64("warmup", 20_000, "warmup cycles")
 		parallel = fs.Int("parallel", runtime.NumCPU(), "concurrent grid simulations (default: all CPUs)")
@@ -132,10 +117,6 @@ func run(ctx context.Context, args []string) (err error) {
 	}
 	if *explain {
 		return explainLedgers(sess.LedgerPaths())
-	}
-	adaptive := *searchMode == "adaptive"
-	if !adaptive && *searchMode != "exhaustive" {
-		return cli.Usagef("unknown -search %q (want exhaustive or adaptive)", *searchMode)
 	}
 	wl, ok := workload.ByName(*wlName)
 	if *workerURL == "" && (!ok || len(wl.Apps) != 2) {
@@ -188,11 +169,10 @@ func run(ctx context.Context, args []string) (err error) {
 	sims := 0                      // simulations actually executed this run
 	cached := 0                    // results replayed from the on-disk cache
 	forked := 0                    // simulations forked from a prefix checkpoint
-	pruned := 0                    // adaptive-search candidates dropped mid-horizon
 	defer func() {
 		elapsed := time.Since(start)
-		fmt.Fprintf(os.Stderr, "sweep: %d simulations in %v (%.1f sims/s), %d replayed from cache, %d forked from checkpoints, %d pruned\n",
-			sims, elapsed.Round(time.Millisecond), float64(sims)/elapsed.Seconds(), cached, forked, pruned)
+		fmt.Fprintf(os.Stderr, "sweep: %d simulations in %v (%.1f sims/s), %d replayed from cache, %d forked from checkpoints\n",
+			sims, elapsed.Round(time.Millisecond), float64(sims)/elapsed.Seconds(), cached, forked)
 		fmt.Fprintf(os.Stderr, "sweep: %d engine cycles simulated (cache hits and restored checkpoint prefixes excluded)\n",
 			sim.CyclesSimulated()-work0)
 	}()
@@ -300,16 +280,7 @@ func run(ctx context.Context, args []string) (err error) {
 			})
 		},
 	}
-	var g *search.Grid
-	if adaptive {
-		// -search adaptive: no up-front grid. The oracle picks below run
-		// the coarse-to-fine successive-halving search, and the lazy grid
-		// serves only the cells the reports and PBS offline walks touch
-		// (fills land in the same cache keys an exhaustive build uses).
-		g, err = search.NewLazyGrid(ctx, wl.Apps, gridOpts)
-	} else {
-		g, err = search.BuildGrid(ctx, wl.Apps, gridOpts)
-	}
+	g, err := search.BuildGrid(ctx, wl.Apps, gridOpts)
 	if err != nil {
 		if ctx.Err() != nil {
 			resumeReport("grid build")
@@ -331,30 +302,7 @@ func run(ctx context.Context, args []string) (err error) {
 		}
 	}
 	countRuns()
-	defer countRuns() // adaptive mode keeps simulating after this point
-
-	// bestOf is the argmax strategy behind every opt*/BF-*/maxIT pick:
-	// the exhaustive grid scan, or the adaptive search sharing the same
-	// cache and checkpoint store.
-	bestOf := func(eval search.Eval) ([]int, error) {
-		if !adaptive {
-			c, _ := g.Best(eval)
-			return c, nil
-		}
-		res, err := search.Adaptive(ctx, wl.Apps, eval, search.AdaptiveOptions{
-			Config: cfg, TotalCycles: *cycles, WarmupCycles: *warmup,
-			Parallelism: *parallel, Runner: pool, Cache: rcache, Ckpt: store,
-			OnRung: func(r search.RungReport) {
-				fmt.Fprintf(os.Stderr, "sweep: adaptive %s rung @%d cycles: %d candidates survive, %d pruned\n",
-					r.Phase, r.Cycles, r.Survivors, r.Pruned)
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		pruned += len(res.Pruned)
-		return res.Combo, nil
-	}
+	defer countRuns() // the -schemes runs below still simulate
 
 	surfaces := map[string]struct {
 		title string
@@ -373,12 +321,6 @@ func run(ctx context.Context, args []string) (err error) {
 		s, ok := surfaces[key]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "sweep: unknown surface %q\n", key)
-			continue
-		}
-		if adaptive {
-			// Printing a surface means simulating every cell — exactly the
-			// exhaustive work -search adaptive exists to avoid.
-			fmt.Fprintf(os.Stderr, "sweep: -search adaptive skips the %q surface (surfaces need the exhaustive grid)\n", key)
 			continue
 		}
 		fmt.Fprintf(out, "\n%s grid (rows: TLP-%s, cols: TLP-%s)\n       ", s.title, names[0], names[1])
@@ -428,13 +370,7 @@ func run(ctx context.Context, args []string) (err error) {
 		{"BF-HS", search.EBEval(metrics.ObjHS, aloneEB)},
 		{"maxIT", surfaces["it"].eval},
 	} {
-		c, err := bestOf(x.eval)
-		if err != nil {
-			if ctx.Err() != nil {
-				resumeReport("search " + x.label)
-			}
-			return err
-		}
+		c, _ := g.Best(x.eval)
 		if err := report(x.label, c); err != nil {
 			return err
 		}

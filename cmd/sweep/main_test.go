@@ -38,3 +38,10 @@ func TestTESTsweep(t *testing.T) {
 		t.Fatalf("run = %v, want a usage error", err)
 	}
 }
+
+// The grid is the only search: -search is not a flag.
+func TestSearchFlagIsUsageError(t *testing.T) {
+	if err := run(context.Background(), []string{"-search", "adaptive"}); !cli.IsUsage(err) {
+		t.Fatalf("run = %v, want a usage error", err)
+	}
+}

@@ -245,12 +245,14 @@ type AdaptiveOptions = search.AdaptiveOptions
 // AdaptiveResult is the outcome of one adaptive search.
 type AdaptiveResult = search.AdaptiveResult
 
-// AdaptiveSearch finds the eval-maximizing TLP combination without
-// building the exhaustive grid: a coarse pass brackets the optimum on a
-// subsampled ladder, a refine pass searches inside the bracket, and
-// candidates are pruned by successive halving over short horizons
-// (continuations fork from checkpoints when opts.Ckpt is set). See
-// DESIGN.md §13.
+// AdaptiveSearch approximates the eval-maximizing TLP combination
+// without building the exhaustive grid: a coarse pass brackets the
+// optimum on a subsampled ladder, a refine pass searches inside the
+// bracket, and candidates are pruned by successive halving over short
+// horizons (continuations fork from checkpoints when opts.Ckpt is set).
+// It can miss the grid's optimum on the paper's machine, and it saves
+// work only for a single objective; the figures and the sweep CLI use
+// BuildGrid. See DESIGN.md §13.
 func AdaptiveSearch(apps []App, eval Eval, opts AdaptiveOptions) (AdaptiveResult, error) {
 	return search.Adaptive(context.Background(), apps, eval, opts)
 }

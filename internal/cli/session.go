@@ -104,11 +104,15 @@ func (l *ledgerFlag) Set(v string) error {
 }
 
 // Parse parses args. It reports done when the command should return
-// err right away: on a parse error, or after -version printed the build
-// identity (err is then nil).
+// err right away: on a parse error (a usage error, so an unknown or
+// malformed flag exits 2; -h stays flag.ErrHelp), or after -version
+// printed the build identity (err is then nil).
 func (s *Session) Parse(args []string) (done bool, err error) {
 	if err := s.fs.Parse(args); err != nil {
-		return true, err
+		if errors.Is(err, flag.ErrHelp) {
+			return true, err
+		}
+		return true, usageError{err}
 	}
 	if s.version {
 		fmt.Println(s.fs.Name(), Version())

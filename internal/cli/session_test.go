@@ -62,6 +62,22 @@ func TestLedgerUsageErrors(t *testing.T) {
 	}
 }
 
+// An unknown flag is a usage error (exit 2); -h is not.
+func TestParseFlagErrors(t *testing.T) {
+	parse := func(args ...string) error {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		_, err := NewSession(fs, Cache, "").Parse(args)
+		return err
+	}
+	if err := parse("-search", "adaptive"); !IsUsage(err) {
+		t.Errorf("unknown flag: %v, want a usage error", err)
+	}
+	if err := parse("-h"); IsUsage(err) || ExitCode(err) != ExitOK {
+		t.Errorf("-h: %v (exit %d), want flag.ErrHelp (exit 0)", err, ExitCode(err))
+	}
+}
+
 func TestTraceSpansWritesRootSpan(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "spans.json")

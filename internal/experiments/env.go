@@ -45,16 +45,6 @@ type Options struct {
 	// two-app workloads).
 	Workloads []workload.Workload
 
-	// Adaptive routes EvalWorkload's offline searches through the
-	// coarse-to-fine successive-halving search (search.Adaptive) instead
-	// of the exhaustive grid: the opt*/BF-* oracle picks come from
-	// adaptive searches and the PBS offline walks read a lazy
-	// cell-on-demand grid, so a workload pays only for the cells the
-	// searches actually touch. On the paper's workloads the picks are
-	// identical (TestAdaptiveMatchesExhaustive); experiments that print
-	// whole surfaces still build exhaustive grids.
-	Adaptive bool
-
 	Parallelism int
 
 	// SimCache, when non-empty, is the directory of the shared on-disk
@@ -121,7 +111,6 @@ type Env struct {
 
 	mu        sync.Mutex
 	grids     map[string]*search.Grid
-	lazyGrids map[string]*search.Grid // cell-on-demand grids (Options.Adaptive)
 	evalCache map[string]*Eval
 }
 
@@ -164,7 +153,6 @@ func NewEnv(ctx context.Context, opt Options) (*Env, error) {
 		ckpt:      opt.Ckpt,
 		pool:      opt.Runner,
 		grids:     map[string]*search.Grid{},
-		lazyGrids: map[string]*search.Grid{},
 		evalCache: map[string]*Eval{},
 	}, nil
 }
@@ -205,7 +193,15 @@ func (e *Env) Grid(w workload.Workload) (*search.Grid, error) {
 		}
 		gctx, gsp := obs.StartSpan(e.ctx, "env-grid", obs.A("workload", w.Name))
 		defer gsp.End()
-		g, err := buildGrid(gctx, w.Apps, e.gridOptions())
+		g, err := buildGrid(gctx, w.Apps, search.GridOptions{
+			Config:       e.Opt.Config,
+			TotalCycles:  e.Opt.GridCycles,
+			WarmupCycles: e.Opt.GridWarmup,
+			Parallelism:  e.Opt.Parallelism,
+			Runner:       e.pool,
+			Cache:        e.cache,
+			Ckpt:         e.ckpt,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -218,74 +214,6 @@ func (e *Env) Grid(w workload.Workload) (*search.Grid, error) {
 		return nil, err
 	}
 	return v.(*search.Grid), nil
-}
-
-// gridOptions is the shared build configuration of exhaustive, lazy, and
-// adaptive searches: same machine, horizons, pool, cache, and checkpoint
-// store, so all three produce (and replay) identical cache entries.
-func (e *Env) gridOptions() search.GridOptions {
-	return search.GridOptions{
-		Config:       e.Opt.Config,
-		TotalCycles:  e.Opt.GridCycles,
-		WarmupCycles: e.Opt.GridWarmup,
-		Parallelism:  e.Opt.Parallelism,
-		Runner:       e.pool,
-		Cache:        e.cache,
-		Ckpt:         e.ckpt,
-	}
-}
-
-// LazyGrid returns (creating and caching on first use) the
-// cell-on-demand grid for a workload: cells simulate on first At access
-// through the same cache path as Grid, so the offline PBS walks under
-// Options.Adaptive pay only for the cells they read.
-func (e *Env) LazyGrid(w workload.Workload) (*search.Grid, error) {
-	e.mu.Lock()
-	g, ok := e.lazyGrids[w.Name]
-	e.mu.Unlock()
-	if ok {
-		return g, nil
-	}
-	v, _, err := e.sf.Do("lazygrid:"+w.Name, func() (any, error) {
-		e.mu.Lock()
-		g, ok := e.lazyGrids[w.Name]
-		e.mu.Unlock()
-		if ok {
-			return g, nil
-		}
-		g, err := search.NewLazyGrid(e.ctx, w.Apps, e.gridOptions())
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.lazyGrids[w.Name] = g
-		e.mu.Unlock()
-		return g, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*search.Grid), nil
-}
-
-// AdaptiveBest finds the combination maximizing eval through the
-// coarse-to-fine successive-halving search — Options.Adaptive's
-// replacement for Grid.Best, sharing the environment's cache and
-// checkpoint store.
-func (e *Env) AdaptiveBest(w workload.Workload, eval search.Eval) ([]int, float64, error) {
-	res, err := search.Adaptive(e.ctx, w.Apps, eval, search.AdaptiveOptions{
-		Config:       e.Opt.Config,
-		TotalCycles:  e.Opt.GridCycles,
-		WarmupCycles: e.Opt.GridWarmup,
-		Parallelism:  e.Opt.Parallelism,
-		Runner:       e.pool,
-		Cache:        e.cache,
-		Ckpt:         e.ckpt,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Combo, res.Value, nil
 }
 
 // Run executes a declarative run description through the shared executor
@@ -419,15 +347,7 @@ func (e *Env) EvalWorkload(w workload.Workload) (*Eval, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Options.Adaptive swaps the exhaustive grid for the adaptive search
-	// (oracle picks) plus a lazy cell-on-demand grid (the PBS offline
-	// walks, which read only O(apps × levels) cells).
-	var g *search.Grid
-	if e.Opt.Adaptive {
-		g, err = e.LazyGrid(w)
-	} else {
-		g, err = e.Grid(w)
-	}
+	g, err := e.Grid(w)
 	if err != nil {
 		return nil, err
 	}
@@ -437,31 +357,18 @@ func (e *Env) EvalWorkload(w workload.Workload) (*Eval, error) {
 		SchBestTLP: bestTLPs,
 		SchMaxTLP:  maxCombo(len(w.Apps)),
 	}
-	var pickErr error
-	pick := func(name string, eval search.Eval) {
-		if pickErr != nil {
-			return
-		}
-		if e.Opt.Adaptive {
-			c, _, err := e.AdaptiveBest(w, eval)
-			if err != nil {
-				pickErr = err
-				return
-			}
-			combos[name] = c
-			return
-		}
-		c, _ := g.Best(eval)
-		combos[name] = c
-	}
-	pick(SchOptWS, search.SDEval(metrics.ObjWS, aloneIPC))
-	pick(SchOptFI, search.SDEval(metrics.ObjFI, aloneIPC))
-	pick(SchOptHS, search.SDEval(metrics.ObjHS, aloneIPC))
-	pick(SchBFWS, search.EBEval(metrics.ObjWS, nil))
-	pick(SchBFFI, search.EBEval(metrics.ObjFI, aloneEB))
-	pick(SchBFHS, search.EBEval(metrics.ObjHS, aloneEB))
-	if pickErr != nil {
-		return nil, pickErr
+	for _, o := range []struct {
+		name string
+		eval search.Eval
+	}{
+		{SchOptWS, search.SDEval(metrics.ObjWS, aloneIPC)},
+		{SchOptFI, search.SDEval(metrics.ObjFI, aloneIPC)},
+		{SchOptHS, search.SDEval(metrics.ObjHS, aloneIPC)},
+		{SchBFWS, search.EBEval(metrics.ObjWS, nil)},
+		{SchBFFI, search.EBEval(metrics.ObjFI, aloneEB)},
+		{SchBFHS, search.EBEval(metrics.ObjHS, aloneEB)},
+	} {
+		combos[o.name], _ = g.Best(o.eval)
 	}
 	for _, off := range []struct {
 		name  string
@@ -630,28 +537,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// gmean over a slice (0 on empty/non-positive).
-func gmean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	prod := 1.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		prod *= x
-	}
-	// Repeated multiplication is fine at these magnitudes (25 values
-	// near 1.0).
-	return pow(prod, 1/float64(len(xs)))
-}
-
-func pow(x, p float64) float64 {
-	// Thin wrapper to keep math import localized.
-	return mathPow(x, p)
 }
 
 // sortedSchemes returns outcome names in a stable presentation order.

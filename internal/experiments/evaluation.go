@@ -10,6 +10,7 @@ import (
 	"ebm/internal/search"
 	"ebm/internal/sim"
 	"ebm/internal/spec"
+	"ebm/internal/stats"
 	"ebm/internal/tlp"
 	"ebm/internal/workload"
 )
@@ -130,7 +131,7 @@ func (e *Env) schemePanel(w io.Writer, obj metrics.Objective, schemes []string) 
 	}
 	cells := []string{"Gmean(all)"}
 	for _, s := range schemes {
-		cells = append(cells, fmt.Sprintf("%.3f", gmean(norm[s])))
+		cells = append(cells, fmt.Sprintf("%.3f", stats.Gmean(norm[s])))
 	}
 	t.row(cells...)
 	t.write(w)

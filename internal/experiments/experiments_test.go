@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -125,58 +124,6 @@ func TestEvalWorkloadProducesAllSchemes(t *testing.T) {
 	}
 }
 
-// TestEvalWorkloadAdaptiveMatchesExhaustive pins the Options.Adaptive
-// contract: routing the offline searches through the coarse-to-fine
-// successive-halving search (over a lazy grid for the PBS-offline picks)
-// must select the same combinations — and therefore produce identical
-// outcomes — as the exhaustive grid path.
-func TestEvalWorkloadAdaptiveMatchesExhaustive(t *testing.T) {
-	mk := func(adaptive bool) *Env {
-		t.Helper()
-		cfg := config.Default()
-		cfg.NumCores = 4
-		cfg.NumMemPartitions = 4
-		env, err := NewEnv(nil, Options{
-			Config:       cfg,
-			GridCycles:   8_000,
-			GridWarmup:   1_000,
-			EvalCycles:   30_000,
-			EvalWarmup:   1_000,
-			WindowCycles: 1_000,
-			Workloads:    []workload.Workload{workload.MustMake("BLK", "BFS")},
-			Parallelism:  2,
-			Adaptive:     adaptive,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return env
-	}
-	wl := workload.MustMake("BLK", "BFS")
-	exh, err := mk(false).EvalWorkload(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ada, err := mk(true).EvalWorkload(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range exh.Outcomes {
-		got, ok := ada.Outcomes[name]
-		if !ok {
-			t.Errorf("adaptive run missing scheme %s", name)
-			continue
-		}
-		if !reflect.DeepEqual(got.Combo, want.Combo) {
-			t.Errorf("%s: adaptive combo %v, exhaustive %v", name, got.Combo, want.Combo)
-		}
-		if got.WS != want.WS || got.FI != want.FI || got.HS != want.HS {
-			t.Errorf("%s: adaptive outcome (%v %v %v) differs from exhaustive (%v %v %v)",
-				name, got.WS, got.FI, got.HS, want.WS, want.FI, want.HS)
-		}
-	}
-}
-
 func TestSchemePanelOutput(t *testing.T) {
 	env := testEnv(t)
 	var buf bytes.Buffer
@@ -206,15 +153,6 @@ func TestGridCaching(t *testing.T) {
 	}
 	if g1 != g2 {
 		t.Fatal("grid not cached")
-	}
-}
-
-func TestGmean(t *testing.T) {
-	if g := gmean([]float64{1, 4}); g < 1.99 || g > 2.01 {
-		t.Fatalf("gmean = %v", g)
-	}
-	if gmean(nil) != 0 || gmean([]float64{0, 1}) != 0 {
-		t.Fatal("gmean degenerate cases")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"ebm/internal/kernel"
 	"ebm/internal/metrics"
 	"ebm/internal/profile"
+	"ebm/internal/stats"
 	"ebm/internal/workload"
 )
 
@@ -141,7 +142,7 @@ func Fig5(e *Env, w io.Writer) error {
 	}
 	t.write(w)
 	fmt.Fprintf(w, "\npairs: %d; EB_AR <= IPC_AR in %.1f%% of pairs; gmean IPC_AR=%.2f, EB_AR=%.2f\n",
-		len(ipcAR), 100*float64(wins)/float64(len(ipcAR)), gmean(ipcAR), gmean(ebAR))
+		len(ipcAR), 100*float64(wins)/float64(len(ipcAR)), stats.Gmean(ipcAR), stats.Gmean(ebAR))
 	fmt.Fprintf(w, "paper shape: EB_AR is much lower than IPC_AR on average, so EB-based\n"+
 		"system metrics carry less alone-application bias.\n")
 	return nil

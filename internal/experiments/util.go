@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
-
-var mathPow = math.Pow
 
 // table renders rows of labeled float columns with a header.
 type table struct {

@@ -13,7 +13,7 @@ package search
 //   - Successive halving over horizons: in the coarse pass, every
 //     candidate first simulates a short horizon (TotalCycles >> k,
 //     floored to whole sampling windows), the dominated fraction is
-//     pruned — near-ties of the cut survive (PruneSlack), since their
+//     pruned — near-ties of the cut survive (slack), since their
 //     order often swaps by the full horizon — and survivors continue to
 //     the next horizon. With a checkpoint store each rung's run ends on
 //     a window boundary and persists its run-end snapshot, so the
@@ -49,18 +49,28 @@ import (
 	"ebm/internal/spec"
 )
 
-// AdaptiveOptions configures an adaptive search. The zero value of every
-// tuning knob means its default; Config, TotalCycles, and WarmupCycles
-// follow the same conventions as GridOptions.
+const (
+	// keepFrac is the candidate fraction surviving each pruning rung (at
+	// least one candidate always survives): successive halving.
+	keepFrac = 0.5
+	// slack guards both passes against short-horizon misranking. At a
+	// pruning rung, a candidate below the keepFrac cut still survives when
+	// its value is within this relative distance of the last kept
+	// candidate's (near-ties at a short horizon often swap order by the
+	// full horizon). The refine bracket is likewise the union of the
+	// neighbourhoods of every coarse finalist within this relative
+	// distance of the coarse winner, not just the winner's own.
+	slack = 0.05
+)
+
+// AdaptiveOptions configures an adaptive search. Config, TotalCycles,
+// and WarmupCycles follow the same conventions as GridOptions.
 type AdaptiveOptions struct {
 	Config config.GPU
 	// Levels is the full per-app TLP ladder the search optimizes over
-	// (the exhaustive grid's axis); default config.TLPLevels.
+	// (the exhaustive grid's axis); default config.TLPLevels. The coarse
+	// pass searches coarseLevels(Levels).
 	Levels []int
-	// Coarse is the subsampled ladder of the bracketing pass; it must be
-	// a subset of Levels. Default: every other level plus both
-	// endpoints.
-	Coarse []int
 
 	TotalCycles  uint64
 	WarmupCycles uint64
@@ -70,21 +80,6 @@ type AdaptiveOptions struct {
 	// cycles, floored to whole sampling windows and clamped past the
 	// warmup. Default 3; 1 disables horizon halving.
 	Rungs int
-	// Keep is the candidate fraction surviving each pruning rung
-	// (0 < Keep <= 1; at least one candidate always survives). Default
-	// 0.5, i.e. successive halving. 1 disables pruning.
-	Keep float64
-	// PruneSlack guards the halving against short-horizon misranking: a
-	// candidate below the Keep cut still survives the rung when its value
-	// is within this relative distance of the last kept candidate's
-	// (near-ties at a short horizon often swap order by the full
-	// horizon). Default 0.05; negative means exactly zero slack.
-	PruneSlack float64
-	// BracketSlack widens the refine pass the same way: the bracket is
-	// the union of the neighbourhoods of every coarse finalist scoring
-	// within this relative distance of the coarse winner, not just the
-	// winner's own neighbourhood. Default 0.05; negative means zero.
-	BracketSlack float64
 
 	// Parallelism bounds in-flight candidate simulations per rung
 	// (default runtime.NumCPU), mirroring GridOptions.Parallelism.
@@ -133,9 +128,7 @@ type AdaptiveResult struct {
 	Value float64 // its eval at the full horizon
 
 	// Finals holds every candidate evaluated at the full horizon, in
-	// flat-index order with bit-exact grid-cell results: with
-	// Coarse=Levels, Rungs=1, and Keep=1 this is exactly the exhaustive
-	// grid.
+	// flat-index order with bit-exact grid-cell results.
 	Finals []Candidate
 	// Pruned lists the combinations dropped at halving rungs.
 	Pruned []PrunedCandidate
@@ -151,11 +144,12 @@ type AdaptiveResult struct {
 }
 
 // Adaptive finds the TLP combination maximizing eval over the full
-// levels^apps grid without building it. On the paper's workloads it
-// returns the identical combination as BuildGrid + Grid.Best (enforced
-// by TestAdaptiveMatchesExhaustive); DESIGN.md §13 spells out when the
-// two may diverge on adversarial surfaces. eval is called serially (the
-// SDEval/EBEval closures reuse scratch buffers).
+// levels^apps grid without building it. On the 4-core/4-partition
+// machine at an 8,000-cycle horizon it returns the identical combination
+// as BuildGrid + Grid.Best for every paper workload
+// (TestAdaptiveMatchesExhaustive); on the paper's machine and horizons it
+// can pick a different one, and DESIGN.md §13 spells out why. eval is
+// called serially (the SDEval/EBEval closures reuse scratch buffers).
 func Adaptive(ctx context.Context, apps []kernel.Params, eval Eval, opts AdaptiveOptions) (AdaptiveResult, error) {
 	if len(apps) == 0 {
 		return AdaptiveResult{}, fmt.Errorf("search: no applications")
@@ -166,48 +160,34 @@ func Adaptive(ctx context.Context, apps []kernel.Params, eval Eval, opts Adaptiv
 	if opts.Levels == nil {
 		opts.Levels = append([]int(nil), config.TLPLevels...)
 	}
-	if opts.Coarse == nil {
-		opts.Coarse = CoarseLevels(opts.Levels)
-	}
-	for _, l := range opts.Coarse {
-		if indexOf(opts.Levels, l) < 0 {
-			return AdaptiveResult{}, fmt.Errorf("search: coarse level %d not in levels %v", l, opts.Levels)
-		}
-	}
 	if opts.Rungs <= 0 {
 		opts.Rungs = 3
 	}
-	if opts.Keep <= 0 {
-		opts.Keep = 0.5
-	}
-	if opts.Keep > 1 {
-		opts.Keep = 1
-	}
-	opts.PruneSlack = defaultSlack(opts.PruneSlack, 0.05)
-	opts.BracketSlack = defaultSlack(opts.BracketSlack, 0.05)
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.NumCPU()
 	}
 
+	coarse := coarseLevels(opts.Levels)
 	names := make([]string, len(apps))
 	for i := range apps {
 		names[i] = apps[i].Name
 	}
 	ctx, asp := obs.StartSpan(ctx, "adaptive-search",
 		obs.A("workload", strings.Join(names, "_")),
-		obs.A("levels", fmt.Sprint(opts.Levels)), obs.A("coarse", fmt.Sprint(opts.Coarse)))
+		obs.A("levels", fmt.Sprint(opts.Levels)), obs.A("coarse", fmt.Sprint(coarse)))
 	defer asp.End()
 
 	a := &adaptive{
 		apps:     append([]kernel.Params(nil), apps...),
 		opts:     opts,
+		coarse:   coarse,
 		horizons: horizonLadder(opts.TotalCycles, opts.WarmupCycles, opts.Rungs),
 		deepest:  map[string]uint64{},
 	}
 
 	// Coarse pass: bracket the optimum on the subsampled ladder, halving
 	// up the horizon ladder.
-	coarseFinals, err := a.ladder(ctx, "coarse", a.candidates(combosOf(opts.Coarse, len(apps))), eval, a.horizons)
+	coarseFinals, err := a.ladder(ctx, "coarse", a.candidates(product(axesOf(a.coarse, len(apps)))), eval, a.horizons)
 	if err != nil {
 		return AdaptiveResult{}, err
 	}
@@ -240,10 +220,10 @@ func Adaptive(ctx context.Context, apps []kernel.Params, eval Eval, opts Adaptiv
 	return a.res, nil
 }
 
-// CoarseLevels subsamples a level ladder for the bracketing pass: every
+// coarseLevels subsamples a level ladder for the bracketing pass: every
 // other level starting at the first, plus the last (so both endpoints
 // are always represented).
-func CoarseLevels(levels []int) []int {
+func coarseLevels(levels []int) []int {
 	var out []int
 	for i := 0; i < len(levels); i += 2 {
 		out = append(out, levels[i])
@@ -284,6 +264,7 @@ func horizonLadder(total, warmup uint64, rungs int) []uint64 {
 type adaptive struct {
 	apps     []kernel.Params
 	opts     AdaptiveOptions
+	coarse   []int // coarseLevels(opts.Levels)
 	horizons []uint64
 	res      AdaptiveResult
 
@@ -313,14 +294,14 @@ func (a *adaptive) candidates(combos [][]int) []Candidate {
 
 // bracketCombos enumerates the refine candidates: the union of the
 // full-ladder neighbourhoods (±1 coarse step per app) of every coarse
-// finalist scoring within BracketSlack of the coarse winner, excluding
+// finalist scoring within slack of the coarse winner, excluding
 // combinations the coarse pass already evaluated at the full horizon.
 // Bracketing near-winners and not just the winner keeps a sharply peaked
 // off-ladder optimum reachable when its coarse proxies run close but do
 // not win.
 func (a *adaptive) bracketCombos(finals []Candidate) [][]int {
 	best := bestScan(finals)
-	thr := slackFloor(rankValue(best.Value), a.opts.BracketSlack)
+	thr := slackFloor(rankValue(best.Value))
 	seen := map[string]bool{}
 	for _, c := range finals {
 		seen[comboKey(c.Combo)] = true
@@ -353,13 +334,13 @@ func (a *adaptive) bracketCombos(finals []Candidate) [][]int {
 func (a *adaptive) neighbourhood(combo []int) [][]int {
 	axes := make([][]int, len(combo))
 	for i, w := range combo {
-		ci := indexOf(a.opts.Coarse, w)
+		ci := indexOf(a.coarse, w)
 		lo, hi := w, w
 		if ci > 0 {
-			lo = a.opts.Coarse[ci-1]
+			lo = a.coarse[ci-1]
 		}
-		if ci+1 < len(a.opts.Coarse) {
-			hi = a.opts.Coarse[ci+1]
+		if ci+1 < len(a.coarse) {
+			hi = a.coarse[ci+1]
 		}
 		for _, l := range a.opts.Levels {
 			if l >= lo && l <= hi {
@@ -367,21 +348,7 @@ func (a *adaptive) neighbourhood(combo []int) [][]int {
 			}
 		}
 	}
-	total := 1
-	for _, ax := range axes {
-		total *= len(ax)
-	}
-	out := make([][]int, 0, total)
-	for idx := 0; idx < total; idx++ {
-		c := make([]int, len(axes))
-		rem := idx
-		for i, ax := range axes {
-			c[i] = ax[rem%len(ax)]
-			rem /= len(ax)
-		}
-		out = append(out, c)
-	}
-	return out
+	return product(axes)
 }
 
 // ladder runs one phase's candidates up the given horizon ladder,
@@ -402,14 +369,14 @@ func (a *adaptive) ladder(ctx context.Context, phase string, cands []Candidate, 
 		pruned := 0
 		if r < len(horizons)-1 {
 			sortCandidates(cands)
-			keep := keepCount(len(cands), a.opts.Keep)
+			keep := int(math.Ceil(keepFrac * float64(len(cands)))) // in [1, n] for n >= 1
 			if keep < len(cands) {
 				// Slack guard: short-horizon near-ties of the last kept
 				// candidate survive too — their order against it often
 				// swaps by the full horizon. The rescue is capped at half
 				// the nominal prune set so flat surfaces (where everything
 				// is a near-tie) still make halving progress.
-				thr := slackFloor(rankValue(cands[keep-1].Value), a.opts.PruneSlack)
+				thr := slackFloor(rankValue(cands[keep-1].Value))
 				limit := keep + (len(cands)-keep+1)/2
 				for keep < limit && rankValue(cands[keep].Value) >= thr {
 					keep++
@@ -528,31 +495,6 @@ func (a *adaptive) recordPruned(combo []int, h uint64) {
 	}
 }
 
-// keepCount is how many of n candidates survive a rung at the given keep
-// fraction: ceil(keep×n), clamped to [1, n].
-func keepCount(n int, keep float64) int {
-	k := int(math.Ceil(keep * float64(n)))
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
-
-// defaultSlack maps the AdaptiveOptions slack conventions onto a usable
-// value: zero means the given default, negative means exactly zero.
-func defaultSlack(s, def float64) float64 {
-	if s == 0 {
-		return def
-	}
-	if s < 0 {
-		return 0
-	}
-	return s
-}
-
 // rankValue orders eval values for pruning: NaN ranks below everything
 // (Best's strict > scan never selects it).
 func rankValue(v float64) float64 {
@@ -563,7 +505,7 @@ func rankValue(v float64) float64 {
 }
 
 // slackFloor is the survival threshold a relative slack below v.
-func slackFloor(v, slack float64) float64 {
+func slackFloor(v float64) float64 {
 	return v - slack*math.Abs(v)
 }
 
@@ -593,24 +535,4 @@ func bestScan(cands []Candidate) Candidate {
 		}
 	}
 	return best
-}
-
-// combosOf enumerates every combination of the given levels for n apps
-// in flat-index order over those levels (app 0 least significant).
-func combosOf(levels []int, n int) [][]int {
-	total := 1
-	for i := 0; i < n; i++ {
-		total *= len(levels)
-	}
-	out := make([][]int, total)
-	for idx := 0; idx < total; idx++ {
-		c := make([]int, n)
-		rem := idx
-		for i := 0; i < n; i++ {
-			c[i] = levels[rem%len(levels)]
-			rem /= len(levels)
-		}
-		out[idx] = c
-	}
-	return out
 }

@@ -184,10 +184,11 @@ func TestAdaptiveHalvesExhaustiveCycles(t *testing.T) {
 }
 
 // TestAdaptiveKeepAllFullHorizonIsExhaustive pins the degenerate ladder:
-// with Coarse = Levels, a single full-horizon rung, and Keep = 1 nothing
-// is pruned, and the adaptive Finals reproduce the exhaustive grid
-// bit-identically — from a separate, fresh cache, so the equivalence is
-// the engine's, not the cache's.
+// with a single full-horizon rung nothing is pruned, and on the 3-level
+// ladder {1, 8, 24} the coarse ladder {1, 24} brackets every level, so
+// the adaptive Finals are the whole grid. Each Final must reproduce its
+// BuildGrid cell bit-identically — from a separate, fresh cache, so the
+// equivalence is the engine's, not the cache's.
 func TestAdaptiveKeepAllFullHorizonIsExhaustive(t *testing.T) {
 	gopts, _ := cacheGridOpts(t)
 	apps := cacheGridApps(t)
@@ -202,9 +203,7 @@ func TestAdaptiveKeepAllFullHorizonIsExhaustive(t *testing.T) {
 	}
 	aopts := adaptiveOptsFromGrid(gopts)
 	aopts.Cache = acache
-	aopts.Coarse = gopts.Levels
 	aopts.Rungs = 1
-	aopts.Keep = 1
 	res, err := Adaptive(nil, apps, EBEval(metrics.ObjWS, nil), aopts)
 	if err != nil {
 		t.Fatal(err)
@@ -412,11 +411,11 @@ func TestHorizonLadder(t *testing.T) {
 
 // TestCoarseLevels pins the default subsampling.
 func TestCoarseLevels(t *testing.T) {
-	got := CoarseLevels([]int{1, 2, 4, 6, 8, 12, 16, 24})
+	got := coarseLevels([]int{1, 2, 4, 6, 8, 12, 16, 24})
 	if !reflect.DeepEqual(got, []int{1, 4, 8, 16, 24}) {
-		t.Fatalf("CoarseLevels = %v", got)
+		t.Fatalf("coarseLevels = %v", got)
 	}
-	if got := CoarseLevels([]int{1, 8, 24}); !reflect.DeepEqual(got, []int{1, 24}) {
-		t.Fatalf("CoarseLevels(3) = %v", got)
+	if got := coarseLevels([]int{1, 8, 24}); !reflect.DeepEqual(got, []int{1, 24}) {
+		t.Fatalf("coarseLevels(3) = %v", got)
 	}
 }

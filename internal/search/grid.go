@@ -71,13 +71,6 @@ type Grid struct {
 
 	combosOnce sync.Once
 	combos     [][]int // lazily built Combos cache
-
-	// Lazy-cell support (NewLazyGrid): fill simulates one combination on
-	// its first At access, ready tracks which flat indices hold real
-	// results. Both are nil for grids built by BuildGrid.
-	fillMu sync.Mutex
-	fill   func(tlps []int) (sim.Result, error)
-	ready  []bool
 }
 
 // Index converts per-app level indices into the flat grid index.
@@ -92,9 +85,7 @@ func (g *Grid) Index(levelIdx []int) int {
 }
 
 // At returns the result for the given per-app TLP levels (values, not
-// indices). On a lazy grid (NewLazyGrid) a missing cell is simulated on
-// first access; fills are serialized, which suits the serial offline
-// searches that read them.
+// indices).
 func (g *Grid) At(tlps []int) (sim.Result, error) {
 	li := make([]int, len(tlps))
 	for i, t := range tlps {
@@ -104,20 +95,7 @@ func (g *Grid) At(tlps []int) (sim.Result, error) {
 		}
 		li[i] = k
 	}
-	idx := g.Index(li)
-	if g.fill != nil {
-		g.fillMu.Lock()
-		defer g.fillMu.Unlock()
-		if !g.ready[idx] {
-			r, err := g.fill(append([]int(nil), tlps...))
-			if err != nil {
-				return sim.Result{}, err
-			}
-			g.Results[idx] = r
-			g.ready[idx] = true
-		}
-	}
-	return g.Results[idx], nil
+	return g.Results[g.Index(li)], nil
 }
 
 // Combos returns every TLP combination in flat-index order. The slice is
@@ -130,22 +108,36 @@ func (g *Grid) Combos() [][]int {
 }
 
 func (g *Grid) buildCombos() {
-	n := len(g.Apps)
+	g.combos = product(axesOf(g.Levels, len(g.Apps)))
+}
+
+// axesOf is the axes of an n-app grid over one level ladder.
+func axesOf(levels []int, n int) [][]int {
+	axes := make([][]int, n)
+	for i := range axes {
+		axes[i] = levels
+	}
+	return axes
+}
+
+// product enumerates the mixed-radix product of axes in flat-index
+// order: app 0 is the least significant digit.
+func product(axes [][]int) [][]int {
 	total := 1
-	for i := 0; i < n; i++ {
-		total *= len(g.Levels)
+	for _, ax := range axes {
+		total *= len(ax)
 	}
 	out := make([][]int, total)
-	for idx := 0; idx < total; idx++ {
-		c := make([]int, n)
+	for idx := range out {
+		c := make([]int, len(axes))
 		rem := idx
-		for i := 0; i < n; i++ {
-			c[i] = g.Levels[rem%len(g.Levels)]
-			rem /= len(g.Levels)
+		for i, ax := range axes {
+			c[i] = ax[rem%len(ax)]
+			rem /= len(ax)
 		}
 		out[idx] = c
 	}
-	g.combos = out
+	return out
 }
 
 func indexOf(xs []int, x int) int {
@@ -235,35 +227,6 @@ func BuildGrid(ctx context.Context, apps []kernel.Params, opts GridOptions) (*Gr
 	}
 	if err != nil {
 		return nil, err
-	}
-	return g, nil
-}
-
-// NewLazyGrid returns a grid whose cells are simulated on first access
-// instead of up front: At computes a missing cell on demand through the
-// same cache/checkpoint path BuildGrid uses, so the offline PBS searches
-// — which read only O(apps × levels) of the levels^apps cells — cost
-// only the cells they actually touch. Fresh cells persist to opts.Cache,
-// so a later exhaustive build of the same workload replays them. Only
-// At is lazy: Best and Combos-driven scans see zero results for cells
-// never accessed, so exhaustive consumers still need BuildGrid (or the
-// adaptive search, which replaces the exhaustive argmax).
-func NewLazyGrid(ctx context.Context, apps []kernel.Params, opts GridOptions) (*Grid, error) {
-	if len(apps) == 0 {
-		return nil, fmt.Errorf("search: no applications")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.Levels == nil {
-		opts.Levels = append([]int(nil), config.TLPLevels...)
-	}
-	g := &Grid{Apps: append([]kernel.Params(nil), apps...), Levels: opts.Levels}
-	g.Results = make([]sim.Result, len(g.Combos()))
-	g.ready = make([]bool, len(g.Results))
-	owned := g.Apps
-	g.fill = func(tlps []int) (sim.Result, error) {
-		return runCombo(ctx, owned, tlps, opts)
 	}
 	return g, nil
 }

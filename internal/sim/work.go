@@ -5,9 +5,9 @@ package sim
 // loop stays untouched. Wall-clock measures how long a sweep took;
 // cyclesSimulated measures how much simulation it really paid for —
 // cache hits add nothing, checkpoint forks add only their tail, and
-// adaptively pruned candidates add only their short horizons, which is
-// what makes the adaptive search's savings visible (`sweep -search
-// adaptive`; TestBuildGridForksSimulateOnlyTails pins the fork case).
+// adaptively pruned candidates add only their short horizons
+// (TestBuildGridForksSimulateOnlyTails pins the fork case). sweep
+// reports it at exit.
 
 import (
 	"sync/atomic"
