@@ -14,11 +14,11 @@
 // dyncta, modbypass, ccws, pbs-ws, pbs-fi, pbs-hs, batch, wrs —
 // optionally followed by ":args" carrying TLP levels or key=value knobs.
 //
-// -sandbox runs the policy inside the internal/policy guard: a policy
-// that panics or returns a malformed decision degrades the run to a safe
-// fallback instead of aborting it. Degraded results are never cached or
-// checkpointed; the fault tally is printed at exit, and under -chaos the
-// injector also crashes the policy itself to demonstrate the recovery.
+// The engine checks every decision the policy makes: a wrong-shaped one
+// keeps the current TLP combination, and every TLP is clamped onto a
+// hardware level. A policy that panics ends the run: through the result
+// cache it surfaces as a "runner: task panic" error, and a run that
+// bypasses the cache crashes with the panic.
 //
 // Observability: -listen serves live Prometheus metrics on /metrics,
 // -trace writes the per-window CSV time series, -chrometrace writes a
@@ -71,7 +71,6 @@ import (
 	"ebm/internal/kernel"
 	"ebm/internal/metrics"
 	"ebm/internal/obs"
-	"ebm/internal/policy"
 	"ebm/internal/profile"
 	"ebm/internal/resilience"
 	"ebm/internal/sim"
@@ -98,8 +97,6 @@ func run(ctx context.Context, args []string) (err error) {
 		listen    = fs.String("listen", "", "serve live Prometheus metrics on this address, e.g. :8080 (0 picks a port)")
 		chaos     = fs.Bool("chaos", false, "inject deterministic faults (cache I/O errors, stalls) and guard the run with a watchdog")
 		chaosSeed = fs.Int64("chaos-seed", 1, "seed for the -chaos fault injector")
-		sandbox   = fs.Bool("sandbox", false,
-			"run the policy inside the sandbox: panics and malformed decisions degrade to a safe fallback instead of aborting; degraded results are never cached")
 	)
 	if done, err := sess.Parse(args); done {
 		return err
@@ -142,20 +139,13 @@ func run(ctx context.Context, args []string) (err error) {
 		dog *resilience.Watchdog
 	)
 	if *chaos {
-		injCfg := faultinject.Config{
+		inj = faultinject.New(faultinject.Config{
 			Seed:              *chaosSeed,
 			CacheReadErrProb:  0.25,
 			CacheWriteErrProb: 0.25,
 			StallEveryWindows: 16,
 			Stall:             time.Millisecond,
-		}
-		if *sandbox {
-			// With the sandbox on, chaos also crashes the policy itself;
-			// the guard absorbs the panics.
-			injCfg.PolicyPanicProb = 0.05
-			injCfg.MaxPolicyPanics = 4
-		}
-		inj = faultinject.New(injCfg)
+		})
 		monReg := reg
 		if monReg == nil {
 			monReg = obs.NewRegistry() // private tally for the exit report
@@ -178,8 +168,8 @@ func run(ctx context.Context, args []string) (err error) {
 		defer func() {
 			c := inj.Counts()
 			fmt.Fprintf(os.Stderr,
-				"ebsim: chaos: seed=%d injected %d cache read errors, %d cache write errors, %d stalls, %d policy panics; cache retries=%d, watchdog tripped=%v\n",
-				*chaosSeed, c.ReadErrs, c.WriteErrs, c.Stalls, c.PolicyPanics,
+				"ebsim: chaos: seed=%d injected %d cache read errors, %d cache write errors, %d stalls; cache retries=%d, watchdog tripped=%v\n",
+				*chaosSeed, c.ReadErrs, c.WriteErrs, c.Stalls,
 				mon.CacheRetries.Value(), dog.Tripped())
 		}()
 	}
@@ -259,27 +249,6 @@ func run(ctx context.Context, args []string) (err error) {
 		fmt.Fprintf(os.Stderr, "ebsim: serving metrics on http://%s/metrics\n", srv.Addr)
 	}
 
-	// -sandbox wraps the manager in the policy guard. Under -chaos the
-	// injector's policy panics sit *inside* the guard, so
-	// the run degrades to the fallback ladder and still completes; the
-	// fault tally is reported at exit. Sandboxed runs skip the checkpoint
-	// store — a degraded prefix must never seed future forks.
-	var guard *policy.Guard
-	if *sandbox {
-		inner := mgr
-		if inj != nil {
-			inner = faultinject.WrapManager(inner, inj)
-		}
-		guard = policy.Wrap(inner, policy.Options{Obs: observer})
-		mgr = guard
-		defer func() {
-			fmt.Fprintf(os.Stderr, "ebsim: sandbox: %d policy faults\n", guard.Faults())
-			for _, l := range guard.FaultLabels() {
-				fmt.Fprintf(os.Stderr, "ebsim: sandbox:   %s\n", l)
-			}
-		}()
-	}
-
 	rs := spec.RunSpec{
 		Config:             cfg,
 		Apps:               wl.Apps,
@@ -297,7 +266,7 @@ func run(ctx context.Context, args []string) (err error) {
 		// bit-identically from disk, and a longer one forks from the
 		// deepest shared-prefix snapshot. Observed runs must execute for
 		// their event streams, so they bypass both.
-		res, err = simcache.RunCached(ctx, rcache, nil, 0, rs, directRun(rs, store, inj, dog, guard))
+		res, err = simcache.RunCached(ctx, rcache, nil, 0, rs, directRun(rs, store, inj, dog))
 		if err != nil {
 			return err
 		}
@@ -358,26 +327,21 @@ func run(ctx context.Context, args []string) (err error) {
 }
 
 // directRun builds the cache-miss execution path for RunCached: the
-// checkpoint store when -ckpt is on, under -chaos the engine also
-// carries the injector's window hooks and the watchdog's pulse, and
-// under -sandbox the guard executes the run in place of the store. With
-// none of the four this returns nil and RunCached falls back to
+// checkpoint store when -ckpt is on, and under -chaos the engine also
+// carries the injector's window hooks and the watchdog's pulse. With
+// none of the three this returns nil and RunCached falls back to
 // sim.Execute.
-func directRun(rs spec.RunSpec, store *ckpt.Store, inj *faultinject.Injector, dog *resilience.Watchdog, guard *policy.Guard) func(context.Context) (sim.Result, error) {
-	if store == nil && inj == nil && dog == nil && guard == nil {
+func directRun(rs spec.RunSpec, store *ckpt.Store, inj *faultinject.Injector, dog *resilience.Watchdog) func(context.Context) (sim.Result, error) {
+	if store == nil && inj == nil && dog == nil {
 		return nil // RunCached falls back to sim.Execute
 	}
-	chaos := func(opts *sim.Options) {
-		if inj != nil { // a typed-nil *Injector must not become a non-nil Hooks
-			opts.Hooks = inj
-		}
-		opts.Watchdog = dog
-	}
 	return func(ctx context.Context) (sim.Result, error) {
-		if guard != nil {
-			return guard.Execute(ctx, rs, chaos)
-		}
-		return ckpt.ExecuteWith(ctx, store, rs, chaos)
+		return ckpt.ExecuteWith(ctx, store, rs, func(opts *sim.Options) {
+			if inj != nil { // a typed-nil *Injector must not become a non-nil Hooks
+				opts.Hooks = inj
+			}
+			opts.Watchdog = dog
+		})
 	}
 }
 

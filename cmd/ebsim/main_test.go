@@ -31,10 +31,23 @@ func TestVersion(t *testing.T) {
 }
 
 // -ledger without -simcache is a usage error, caught before any simulation.
-func TestTESTebsim(t *testing.T) {
+func TestLedgerWithoutSimcacheIsUsageError(t *testing.T) {
 	dir := t.TempDir()
 	err := run(context.Background(), []string{"-workload", "BLK_TRD", "-simcache", "", "-ledger", filepath.Join(dir, "ledger.jsonl")})
 	if !cli.IsUsage(err) {
 		t.Fatalf("run = %v, want a usage error", err)
+	}
+}
+
+// Retired flags are unknown flags, so they are usage errors.
+func TestRetiredFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sandbox"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			if err := run(context.Background(), args); !cli.IsUsage(err) {
+				t.Fatalf("run(%q) = %v, want a usage error", args, err)
+			}
+		})
 	}
 }

@@ -19,6 +19,11 @@
 // of the build. Wall-clock time and simulations per second are reported
 // on stderr at exit.
 //
+// -schemes runs online schemes next to the grid, at the same length and
+// through the same cache, pool and checkpoint store. The engine checks
+// each of their decisions; a scheme whose policy panics fails the sweep
+// with a "runner: task panic" error and leaves no cached result.
+//
 // Results — the workload's alone-run profiles and every combination —
 // are persisted under -simcache (default ./simcache), so an interrupted
 // sweep resumes where it left off: already persisted combinations replay
@@ -76,7 +81,6 @@ import (
 	"ebm/internal/kernel"
 	"ebm/internal/metrics"
 	"ebm/internal/obs"
-	"ebm/internal/policy"
 	"ebm/internal/profile"
 	"ebm/internal/resilience"
 	"ebm/internal/runner"
@@ -109,8 +113,6 @@ func run(ctx context.Context, args []string) (err error) {
 		workerURL = fs.String("worker", "",
 			"run as a distributed-sweep worker: pull leased cells from the coordinator at this base `URL` (e.g. http://host:9900) until the sweep completes")
 		workerID = fs.String("id", "", "worker identity for -worker (default hostname-pid)")
-		sandbox  = fs.Bool("sandbox", false,
-			"run the -schemes policies inside the policy sandbox: a panicking or malformed policy degrades to a safe fallback and the sweep completes; degraded results are not cached")
 	)
 	if done, err := sess.Parse(args); done {
 		return err
@@ -418,27 +420,7 @@ func run(ctx context.Context, args []string) (err error) {
 			DesignatedSampling: true,
 			VictimTags:         spec.VictimTagsFor(sch),
 		}
-		runFn := ckpt.Runner(store, rs)
-		if *sandbox {
-			// Sandboxed scheme runs: the guard absorbs policy panics and
-			// malformed decisions, so one broken policy cannot abort the
-			// sweep; its faults also land in the journal.
-			runFn = func(ctx context.Context) (sim.Result, error) {
-				mgr, err := rs.Manager()
-				if err != nil {
-					return sim.Result{}, err
-				}
-				guard := policy.Wrap(mgr, policy.Options{Obs: &obs.Observer{Metrics: reg, Journal: journal}})
-				res, err := guard.Execute(ctx, rs, nil)
-				if n := guard.Faults(); n > 0 {
-					fmt.Fprintf(os.Stderr,
-						"sweep: sandbox: %s degraded by %d policy faults (result not cached)\n",
-						rs.Scheme.String(), n)
-				}
-				return res, err
-			}
-		}
-		r, err := simcache.RunCached(ctx, rcache, pool, runner.PriEval, rs, runFn)
+		r, err := simcache.RunCached(ctx, rcache, pool, runner.PriEval, rs, ckpt.Runner(store, rs))
 		if err != nil {
 			if ctx.Err() != nil {
 				resumeReport("scheme " + sch.String())

@@ -31,7 +31,7 @@ func TestVersion(t *testing.T) {
 }
 
 // Outside -explain, more than one -ledger is a usage error.
-func TestTESTsweep(t *testing.T) {
+func TestRepeatedLedgerIsUsageError(t *testing.T) {
 	dir := t.TempDir()
 	err := run(context.Background(), []string{"-simcache", filepath.Join(dir, "simcache"), "-ledger", filepath.Join(dir, "a.jsonl"), "-ledger", filepath.Join(dir, "b.jsonl")})
 	if !cli.IsUsage(err) {
@@ -39,9 +39,17 @@ func TestTESTsweep(t *testing.T) {
 	}
 }
 
-// The grid is the only search: -search is not a flag.
-func TestSearchFlagIsUsageError(t *testing.T) {
-	if err := run(context.Background(), []string{"-search", "adaptive"}); !cli.IsUsage(err) {
-		t.Fatalf("run = %v, want a usage error", err)
+// Retired flags are unknown flags, so they are usage errors: the grid
+// is the only search, and the engine is the only decision check.
+func TestRetiredFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-search", "adaptive"},
+		{"-sandbox"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			if err := run(context.Background(), args); !cli.IsUsage(err) {
+				t.Fatalf("run(%q) = %v, want a usage error", args, err)
+			}
+		})
 	}
 }

@@ -3,7 +3,11 @@
 // code calls out through the Hooks interface at its natural fault points
 // — cache reads and writes, task starts, simulation window boundaries —
 // and every call site guards the call with a single pointer-nil branch,
-// so a nil Hooks (the production configuration) costs nothing.
+// so a nil Hooks (the production configuration) costs nothing. Outside
+// the seam, Heartbeat drops and delays a distributed-sweep worker's
+// heartbeats. Every fault lands in the orchestration around the engine,
+// never in a TLP manager's decisions, so a fault can cost a retry or a
+// cold run but cannot change a result.
 //
 // The Injector implementation draws every fault decision from one seeded
 // math/rand source under a mutex: a given seed and a given sequence of
@@ -42,7 +46,8 @@ type Hooks interface {
 	WindowBoundary(cycle uint64)
 }
 
-// Config selects which faults an Injector produces and how often.
+// Config selects which faults an Injector produces and how often; the
+// zero Config injects nothing.
 type Config struct {
 	// Seed initializes the decision source; equal seeds give equal fault
 	// sequences for equal call sequences.
@@ -67,13 +72,6 @@ type Config struct {
 	// SlowIO adds latency to every cache read and write.
 	SlowIO time.Duration
 
-	// PolicyPanicProb is the per-decision probability that a WrapManager-
-	// wrapped TLP policy panics inside OnSample; MaxPolicyPanics caps the
-	// total (0 means unlimited). Exercises the policy sandbox's panic
-	// isolation.
-	PolicyPanicProb float64
-	MaxPolicyPanics int
-
 	// HeartbeatDropProb is the per-call probability that a distributed-
 	// sweep worker's heartbeat is dropped before it reaches the
 	// coordinator; HeartbeatDelay delays every heartbeat send first
@@ -89,7 +87,6 @@ type Counts struct {
 	WriteErrs      uint64
 	Panics         uint64
 	Stalls         uint64
-	PolicyPanics   uint64
 	HeartbeatDrops uint64
 }
 
@@ -178,27 +175,6 @@ func (in *Injector) TaskStart(label string) {
 	in.mu.Unlock()
 	if hit {
 		panic(fmt.Sprintf("faultinject: task %s: injected panic", label))
-	}
-}
-
-// PolicyDecision draws one wrapped-policy fault: it may panic
-// (PolicyPanicProb, capped by MaxPolicyPanics). WrapManager calls it
-// before delegating each OnSample; it is not part of the Hooks seam.
-func (in *Injector) PolicyDecision(window uint64) {
-	if in == nil {
-		return
-	}
-
-	in.mu.Lock()
-	hit := in.cfg.PolicyPanicProb > 0 &&
-		(in.cfg.MaxPolicyPanics == 0 || in.counts.PolicyPanics < uint64(in.cfg.MaxPolicyPanics)) &&
-		in.rng.Float64() < in.cfg.PolicyPanicProb
-	if hit {
-		in.counts.PolicyPanics++
-	}
-	in.mu.Unlock()
-	if hit {
-		panic(fmt.Sprintf("faultinject: policy decision at window %d: injected panic", window))
 	}
 }
 

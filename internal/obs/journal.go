@@ -34,10 +34,10 @@ const (
 	// EvResilience records a resilience-layer incident — a cancelled run,
 	// a retried cache write, a watchdog trip; Label carries the detail.
 	EvResilience
-	// EvPolicyFault records a sandboxed TLP policy misbehaving — a panic
-	// in OnSample, a blown decision time budget, or an invalid decision —
-	// and the run degrading to the fallback decision; Label carries the
-	// fault detail.
+	// EvPolicyFault records the engine rejecting a TLP manager's
+	// wrong-shaped decision at a window boundary and keeping the current
+	// combination; Label carries the manager name and the decision's
+	// shape.
 	EvPolicyFault
 	// EvDsweep records a distributed-sweep coordinator state transition —
 	// a worker registering or deregistering, a lease granted, expired,

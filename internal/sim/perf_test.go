@@ -7,7 +7,6 @@ import (
 	"ebm/internal/config"
 	"ebm/internal/metrics"
 	"ebm/internal/obs"
-	"ebm/internal/policy"
 	"ebm/internal/sim"
 	"ebm/internal/spec"
 	"ebm/internal/workload"
@@ -71,8 +70,8 @@ func fullObserver(phase func() string) *obs.Observer {
 // pools, queues and window buffers) must stay under a fraction of an
 // object per simulated cycle. Before pooling, every L1 miss and DRAM
 // reply allocated, putting this well above 1 per cycle. The bound holds
-// with every per-window layer on too: a full observer, the policy
-// sandbox's guard, and a searching PBS manager under both.
+// with every per-window layer on too: a full observer, and a searching
+// PBS manager under one.
 func TestCyclePathSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not -short friendly")
@@ -83,16 +82,13 @@ func TestCyclePathSteadyStateAllocs(t *testing.T) {
 	}{
 		{"plain", func(*testing.T, *sim.Options) {}},
 		{"observer", func(_ *testing.T, o *sim.Options) { o.Obs = fullObserver(func() string { return "stable" }) }},
-		{"guard", func(_ *testing.T, o *sim.Options) {
-			o.Manager = policy.Wrap(spec.MustManager(spec.MaxTLP(), len(o.Apps)), policy.Options{})
-		}},
-		{"pbs-guard-observer", func(t *testing.T, o *sim.Options) {
+		{"pbs-observer", func(t *testing.T, o *sim.Options) {
 			pbs, err := spec.PBSManager(spec.PBS(metrics.ObjWS), len(o.Apps))
 			if err != nil {
 				t.Fatal(err)
 			}
 			o.Obs = fullObserver(pbs.Phase)
-			o.Manager = policy.Wrap(pbs, policy.Options{Obs: o.Obs})
+			o.Manager = pbs
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ebm/internal/config"
 	"ebm/internal/kernel"
+	"ebm/internal/obs"
 	"ebm/internal/tlp"
 )
 
@@ -166,50 +168,108 @@ func TestTLPLimitChangesBehaviour(t *testing.T) {
 	}
 }
 
-// stepManager switches TLP at a given window to test decision latency.
-type stepManager struct {
-	windows int
-	target  int
+// scriptManager starts at initial and returns script[k] from its k-th
+// OnSample (the last entry once the script runs out). It records the
+// TLPs in effect during every window it samples.
+type scriptManager struct {
+	initial []int
+	script  [][]int
+	seen    [][]int
 }
 
-func (m *stepManager) Name() string { return "step" }
-func (m *stepManager) Initial(n int) tlp.Decision {
-	return tlp.NewDecision(n, 24)
-}
-func (m *stepManager) OnSample(s tlp.Sample) tlp.Decision {
-	m.windows++
-	d := tlp.NewDecision(len(s.Apps), 24)
-	if m.windows >= 2 {
-		for i := range d.TLP {
-			d.TLP[i] = m.target
-		}
+func (m *scriptManager) Name() string             { return "script" }
+func (m *scriptManager) Initial(int) tlp.Decision { return tlp.Decision{TLP: m.initial} }
+func (m *scriptManager) OnSample(s tlp.Sample) tlp.Decision {
+	in := make([]int, len(s.Apps))
+	for i, a := range s.Apps {
+		in[i] = a.TLP
 	}
-	return d
+	m.seen = append(m.seen, in)
+	return tlp.Decision{TLP: m.script[min(len(m.seen), len(m.script))-1]}
 }
 
+// The engine is the one layer that checks a manager's decisions: a
+// wrong-shaped Initial fails New, a wrong-shaped OnSample decision keeps
+// the current combination (journaled as one EvPolicyFault per bad
+// window), and every TLP is clamped onto a hardware level. Each case runs
+// six 2,000-cycle windows of a two-application workload, once bare and
+// once with a journal, and both runs must apply the same TLPs.
 func TestManagerDecisionsApplied(t *testing.T) {
-	m := &stepManager{target: 2}
-	s, err := New(Options{
-		Config:       smallCfg(),
-		Apps:         []kernel.Params{app("BLK")},
-		Manager:      m,
-		TotalCycles:  30_000,
-		WarmupCycles: 1_000,
-		WindowCycles: 2_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := s.Run()
-	if r.Apps[0].FinalTLP != 2 {
-		t.Fatalf("final TLP %d, want 2", r.Apps[0].FinalTLP)
-	}
-	if m.windows == 0 {
-		t.Fatal("manager never sampled")
-	}
-	// Average TLP reflects the early high-TLP phase.
-	if r.Apps[0].AvgTLP <= 2 || r.Apps[0].AvgTLP >= 24 {
-		t.Fatalf("AvgTLP = %v, expected between 2 and 24", r.Apps[0].AvgTLP)
+	for _, c := range []struct {
+		name      string
+		initial   []int
+		script    [][]int
+		seen      [][]int  // TLPs in effect during windows 1..6
+		faults    []uint64 // cycles of the journaled EvPolicyFaults
+		newFailed bool
+	}{
+		{name: "applied", initial: []int{24, 24}, script: [][]int{{24, 24}, {2, 2}},
+			seen: [][]int{{24, 24}, {24, 24}, {2, 2}, {2, 2}, {2, 2}, {2, 2}}},
+		{name: "wrong-length-keeps-prior", initial: []int{8, 4}, script: [][]int{{2, 1}, {4}, {1, 2, 4}, {}, {6, 8}},
+			seen:   [][]int{{8, 4}, {2, 1}, {2, 1}, {2, 1}, {2, 1}, {6, 8}},
+			faults: []uint64{4_000, 6_000, 8_000}},
+		{name: "clamped-to-levels", initial: []int{24, 24}, script: [][]int{{0, 99}, {-3, 5}},
+			seen: [][]int{{24, 24}, {1, 24}, {1, 4}, {1, 4}, {1, 4}, {1, 4}}},
+		{name: "wrong-shaped-initial", initial: []int{8}, newFailed: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, journal := range []*obs.Journal{nil, obs.NewJournal()} {
+				m := &scriptManager{initial: c.initial, script: c.script}
+				opts := Options{
+					Config:       smallCfg(),
+					Apps:         []kernel.Params{app("BLK"), app("TRD")},
+					Manager:      m,
+					TotalCycles:  12_000,
+					WarmupCycles: 1_000,
+					WindowCycles: 2_000,
+				}
+				if journal != nil {
+					opts.Obs = &obs.Observer{Journal: journal}
+				}
+				s, err := New(opts)
+				if c.newFailed {
+					if err == nil {
+						t.Fatal("New accepted a wrong-shaped initial decision")
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := s.Run()
+				if !reflect.DeepEqual(m.seen, c.seen) {
+					t.Fatalf("journal=%v: TLPs in effect per window %v, want %v", journal != nil, m.seen, c.seen)
+				}
+				last := c.seen[len(c.seen)-1]
+				for i, a := range r.Apps {
+					if a.FinalTLP != last[i] {
+						t.Errorf("app %d final TLP %d, want %d", i, a.FinalTLP, last[i])
+					}
+					// Average TLP lies between the lowest and highest TLP
+					// applied, strictly so when the TLP changed.
+					lo, hi := last[i], last[i]
+					for _, w := range c.seen {
+						lo, hi = min(lo, w[i]), max(hi, w[i])
+					}
+					if a.AvgTLP < float64(lo) || a.AvgTLP > float64(hi) ||
+						(lo < hi && (a.AvgTLP == float64(lo) || a.AvgTLP == float64(hi))) {
+						t.Errorf("app %d AvgTLP %v outside [%d, %d]", i, a.AvgTLP, lo, hi)
+					}
+				}
+				if journal == nil {
+					continue
+				}
+				var faults []uint64
+				for _, e := range journal.Events() {
+					if e.Kind == obs.EvPolicyFault {
+						faults = append(faults, e.Cycle)
+					}
+				}
+				if !reflect.DeepEqual(faults, c.faults) {
+					t.Errorf("policy faults journaled at cycles %v, want %v", faults, c.faults)
+				}
+			}
+		})
 	}
 }
 

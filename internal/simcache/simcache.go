@@ -430,17 +430,10 @@ func RunCached(ctx context.Context, c *Cache, r *runner.Runner, pri int, rs spec
 		}
 		obs.TrailFrom(ctx).MarkExecuted()
 		ectx, es := obs.StartSpan(ctx, "execute")
-		ectx, vf := withVolatileFlag(ectx)
 		res, err := run(ectx)
 		es.End()
 		if err != nil {
 			return nil, err
-		}
-		if vf.v.Load() {
-			// A degraded (e.g. sandbox-fallback) result is returned to the
-			// caller but never cached: the key promises the deterministic
-			// result of the spec, and this run did not produce it.
-			return res, nil
 		}
 		_, ps := obs.StartSpan(ctx, "cache.put")
 		c.persist(ctx, key, res)
