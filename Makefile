@@ -29,7 +29,7 @@ verify:
 	$(GO) test ./...
 	$(GO) test -race ./internal/runner/... ./internal/resilience/... \
 	    ./internal/ckpt/... ./internal/obs/... ./internal/search/... \
-	    ./internal/dsweep/...
+	    ./internal/dsweep/... ./internal/profile/...
 	$(GO) test -race -run 'TestEnvWarmSimCacheBitIdentical|TestGridSingleflightUnderConcurrency' \
 	    ./internal/experiments/
 

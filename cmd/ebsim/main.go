@@ -196,7 +196,7 @@ func run(ctx context.Context, args []string) (err error) {
 	// Only the workload's own applications are profiled: an application's
 	// alone profile does not depend on the rest of the suite.
 	suite, err := profile.ProfileSuite(ctx, wl.Apps, profile.Options{
-		Config: cfg, CoresAlone: cfg.NumCores / len(wl.Apps), Cache: rcache,
+		Config: cfg, CoresAlone: cfg.NumCores / len(wl.Apps), Cache: rcache, Ckpt: store,
 	})
 	if err != nil {
 		return fmt.Errorf("profiling: %w", err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"ebm/internal/cli"
+	"ebm/internal/config"
 )
 
 func TestVersion(t *testing.T) {
@@ -50,4 +52,44 @@ func TestRetiredFlagsAreUsageErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// With -ckpt, the workload's alone profiles run through the checkpoint
+// store like the main run: a repeated invocation forks every profile run
+// and the main run from the snapshots the first one persisted.
+func TestCkptForksProfileRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("profiles a workload twice")
+	}
+	dir := t.TempDir()
+	args := []string{"-workload", "BLK_TRD", "-cycles", "20000", "-warmup", "5000",
+		"-simcache", "", "-ckpt", "-ckpt-dir", dir}
+	var stderr string
+	for i := 0; i < 2; i++ {
+		var err error
+		if stderr, err = runCapturingStderr(args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := fmt.Sprintf("ebsim: ckpt: %d forks,", 2*len(config.TLPLevels)+1)
+	if !strings.Contains(stderr, want) {
+		t.Fatalf("second run's stderr lacks %q:\n%s", want, stderr)
+	}
+}
+
+// runCapturingStderr calls run with os.Stderr redirected and returns
+// what it wrote there.
+func runCapturingStderr(args []string) (string, error) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		return "", err
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	out := make(chan []byte)
+	go func() { b, _ := io.ReadAll(r); out <- b }()
+	err = run(context.Background(), args)
+	os.Stderr = stderr
+	w.Close()
+	return string(<-out), err
 }

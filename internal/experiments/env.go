@@ -105,13 +105,52 @@ type Env struct {
 	ctx context.Context
 
 	cache *simcache.Cache
-	ckpt  *ckpt.Store    // nil = cold execution for cache misses
-	pool  *runner.Runner // nil = runner.Default() at submission time
-	sf    runner.Group   // collapses duplicate grid builds / evals
+	ckpt  *ckpt.Store        // nil = cold execution for cache misses
+	pool  *runner.Runner     // nil = runner.Default() at submission time
+	gridM memo[*search.Grid] // per-workload exhaustive grids
+	evalM memo[*Eval]        // per-workload scheme evaluations
+}
 
-	mu        sync.Mutex
-	grids     map[string]*search.Grid
-	evalCache map[string]*Eval
+// memo caches successful computations by key. Concurrent misses for one
+// key share a single computation; errors are not cached, so a failed
+// computation is retried by the next caller.
+type memo[V any] struct {
+	sf runner.Group
+	mu sync.Mutex
+	m  map[string]V
+}
+
+func (c *memo[V]) get(key string, compute func() (V, error)) (V, error) {
+	lookup := func() (V, bool) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		v, ok := c.m[key]
+		return v, ok
+	}
+	if v, ok := lookup(); ok {
+		return v, nil
+	}
+	r, _, err := c.sf.Do(key, func() (any, error) {
+		if v, ok := lookup(); ok { // filled while this caller waited
+			return v, nil
+		}
+		v, err := compute()
+		if err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.m == nil {
+			c.m = map[string]V{}
+		}
+		c.m[key] = v
+		return v, nil
+	})
+	if err != nil {
+		var zero V
+		return zero, err
+	}
+	return r.(V), nil
 }
 
 // NewEnv profiles the full application suite (replaying alone-runs from
@@ -146,14 +185,12 @@ func NewEnv(ctx context.Context, opt Options) (*Env, error) {
 		return nil, err
 	}
 	return &Env{
-		Opt:       opt,
-		Suite:     suite,
-		ctx:       ctx,
-		cache:     cache,
-		ckpt:      opt.Ckpt,
-		pool:      opt.Runner,
-		grids:     map[string]*search.Grid{},
-		evalCache: map[string]*Eval{},
+		Opt:   opt,
+		Suite: suite,
+		ctx:   ctx,
+		cache: cache,
+		ckpt:  opt.Ckpt,
+		pool:  opt.Runner,
 	}, nil
 }
 
@@ -175,25 +212,12 @@ var buildGrid = search.BuildGrid
 
 // Grid returns (building and caching on first use) the exhaustive
 // TLP-combination grid for a workload. Concurrent callers for the same
-// workload share one build via singleflight — previously both would miss
-// the map and build the full grid twice.
+// workload share one build; a failed build is not cached.
 func (e *Env) Grid(w workload.Workload) (*search.Grid, error) {
-	e.mu.Lock()
-	g, ok := e.grids[w.Name]
-	e.mu.Unlock()
-	if ok {
-		return g, nil
-	}
-	v, _, err := e.sf.Do("grid:"+w.Name, func() (any, error) {
-		e.mu.Lock()
-		g, ok := e.grids[w.Name]
-		e.mu.Unlock()
-		if ok {
-			return g, nil
-		}
+	return e.gridM.get(w.Name, func() (*search.Grid, error) {
 		gctx, gsp := obs.StartSpan(e.ctx, "env-grid", obs.A("workload", w.Name))
 		defer gsp.End()
-		g, err := buildGrid(gctx, w.Apps, search.GridOptions{
+		return buildGrid(gctx, w.Apps, search.GridOptions{
 			Config:       e.Opt.Config,
 			TotalCycles:  e.Opt.GridCycles,
 			WarmupCycles: e.Opt.GridWarmup,
@@ -202,18 +226,7 @@ func (e *Env) Grid(w workload.Workload) (*search.Grid, error) {
 			Cache:        e.cache,
 			Ckpt:         e.ckpt,
 		})
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.grids[w.Name] = g
-		e.mu.Unlock()
-		return g, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*search.Grid), nil
 }
 
 // Run executes a declarative run description through the shared executor
@@ -421,49 +434,21 @@ func (e *Env) EvalWorkload(w workload.Workload) (*Eval, error) {
 			statics = append(statics, c)
 		}
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
 	staticResults := make([]sim.Result, len(statics))
-	for i, c := range statics {
-		i, c := i, c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, err := e.RunStatic(w, c)
-			if err != nil {
-				fail(err)
-				return
-			}
-			staticResults[i] = r
-		}()
-	}
 	onlineResults := make([]sim.Result, len(online))
-	for i, o := range online {
-		i, o := i, o
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, err := e.RunScheme(w, o.sch)
-			if err != nil {
-				fail(err)
-				return
-			}
-			onlineResults[i] = r
-		}()
+	err = runner.ForEach(e.ctx, len(statics)+len(online), 0, func(i int) (err error) {
+		if i < len(statics) {
+			staticResults[i], err = e.RunStatic(w, statics[i])
+		} else {
+			onlineResults[i-len(statics)], err = e.RunScheme(w, online[i-len(statics)].sch)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := e.ctx.Err(); err != nil {
+		return nil, err
 	}
 	for name, c := range combos {
 		ev.add(name, c, staticResults[slot[fmt.Sprint(c)]], aloneIPC)

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"ebm/internal/metrics"
+	"ebm/internal/runner"
 	"ebm/internal/search"
 	"ebm/internal/sim"
 	"ebm/internal/spec"
@@ -24,32 +24,20 @@ func evalSDHS(aloneIPC []float64) search.Eval { return search.SDEval(metrics.Obj
 // goroutine submitting leaf simulations to the shared pool — and
 // singleflight collapses duplicate requests for the same workload.
 func (e *Env) evals() (map[string]*Eval, error) {
-	out := map[string]*Eval{}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for _, wl := range e.Opt.Workloads {
-		wl := wl
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ev, err := e.evalOf(wl)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			out[wl.Name] = ev
-		}()
+	evs := make([]*Eval, len(e.Opt.Workloads))
+	err := runner.ForEach(e.ctx, len(evs), 0, func(i int) (err error) {
+		evs[i], err = e.evalOf(e.Opt.Workloads[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := e.ctx.Err(); err != nil {
+		return nil, err
+	}
+	out := make(map[string]*Eval, len(evs))
+	for i, wl := range e.Opt.Workloads {
+		out[wl.Name] = evs[i]
 	}
 	return out, nil
 }
@@ -57,32 +45,7 @@ func (e *Env) evals() (map[string]*Eval, error) {
 // evalOf returns the cached evaluation for one workload, computing it at
 // most once even under concurrent callers.
 func (e *Env) evalOf(wl workload.Workload) (*Eval, error) {
-	e.mu.Lock()
-	ev, ok := e.evalCache[wl.Name]
-	e.mu.Unlock()
-	if ok {
-		return ev, nil
-	}
-	v, _, err := e.sf.Do("eval:"+wl.Name, func() (any, error) {
-		e.mu.Lock()
-		ev, ok := e.evalCache[wl.Name]
-		e.mu.Unlock()
-		if ok {
-			return ev, nil
-		}
-		ev, err := e.EvalWorkload(wl)
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.evalCache[wl.Name] = ev
-		e.mu.Unlock()
-		return ev, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Eval), nil
+	return e.evalM.get(wl.Name, func() (*Eval, error) { return e.EvalWorkload(wl) })
 }
 
 // metricOf extracts one objective's value from an outcome.

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 
 	"ebm/internal/ckpt"
 	"ebm/internal/config"
@@ -140,7 +139,8 @@ type Suite struct {
 // ProfileSuite profiles every application and assigns EB groups by
 // quartile. The (app, level) grid fans out flat — every alone-run is an
 // independent leaf task on the shared pool — with opts.Parallelism
-// bounding how many this call keeps in flight. An application's levels
+// bounding how many this call keeps in flight; the first failed run
+// stops further launches. An application's levels
 // and best-TLP fields depend only on it and opts, never on the rest of
 // apps; only Group and GroupMeanEB are relative to the set profiled.
 // With opts.Cache set, every alone-run replays from the result cache.
@@ -157,40 +157,18 @@ func ProfileSuite(ctx context.Context, apps []kernel.Params, opts Options) (*Sui
 	for i, app := range apps {
 		profiles[i] = &AppProfile{Name: app.Name, Levels: make([]LevelResult, len(opts.Levels))}
 	}
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-		ec error
-	)
-	sem := make(chan struct{}, opts.Parallelism)
-launch:
-	for ai, app := range apps {
-		for li, lvl := range opts.Levels {
-			if ctx.Err() != nil {
-				break launch // stop launching; in-flight runs abort cooperatively
-			}
-			ai, app, li, lvl := ai, app, li, lvl
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				res, err := AloneRun(ctx, app, lvl, opts)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if ec == nil {
-						ec = err
-					}
-					return
-				}
-				profiles[ai].Levels[li] = LevelResult{TLP: lvl, Result: res.Apps[0]}
-			}()
+	nl := len(opts.Levels)
+	err := runner.ForEach(ctx, len(apps)*nl, opts.Parallelism, func(i int) error {
+		ai, li := i/nl, i%nl
+		res, err := AloneRun(ctx, apps[ai], opts.Levels[li], opts)
+		if err != nil {
+			return err
 		}
-	}
-	wg.Wait()
-	if ec != nil {
-		return nil, ec
+		profiles[ai].Levels[li] = LevelResult{TLP: opts.Levels[li], Result: res.Apps[0]}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -15,8 +15,9 @@
 //
 // Contract: tasks must be leaves. A task running on a pool worker must
 // never submit to (and wait on) the same pool — with every worker blocked
-// the queue can no longer drain. Orchestration loops therefore run on
-// plain caller goroutines and submit only the actual simulations.
+// the queue can no longer drain. Orchestration loops therefore fan out
+// on plain caller goroutines through ForEach and submit only the actual
+// simulations.
 package runner
 
 import (
@@ -380,4 +381,50 @@ func (g *Group) Do(key string, fn func() (any, error)) (v any, shared bool, err 
 	g.mu.Unlock()
 	close(c.done)
 	return c.val, false, c.err
+}
+
+// ForEach calls fn(i) for each i in [0,n) on caller goroutines, with at
+// most limit calls in flight (limit <= 0 means no bound); calls start in
+// ascending order of i. The first limit calls start together; each later
+// one starts when an earlier call returns, unless a call has returned an
+// error. No call starts once ctx is done. ForEach waits for the calls it
+// started and returns the first error in completion order. A done ctx is
+// not itself an error: callers that word an interruption check ctx
+// themselves.
+func ForEach(ctx context.Context, n, limit int, fn func(i int) error) error {
+	if limit <= 0 || limit > n {
+		limit = n
+	}
+	var (
+		wg     sync.WaitGroup
+		once   sync.Once
+		failed atomic.Bool
+		first  error
+	)
+	done := ctx.Done()
+	stopped := func(i int) bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return i >= limit && failed.Load()
+		}
+	}
+	sem := make(chan struct{}, limit)
+	for i := 0; i < n; i++ {
+		sem <- struct{}{} // past the first limit calls, waits for one to return
+		if stopped(i) {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fn(i); err != nil {
+				once.Do(func() { first = err; failed.Store(true) })
+			}
+			<-sem // after recording the error, so the next launch sees it
+		}()
+	}
+	wg.Wait()
+	return first
 }

@@ -37,7 +37,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"ebm/internal/ckpt"
 	"ebm/internal/config"
@@ -409,47 +408,23 @@ func (a *adaptive) runAll(ctx context.Context, phase string, cands []Candidate, 
 		obs.A("phase", phase), obs.A("cycles", strconv.FormatUint(h, 10)),
 		obs.A("candidates", strconv.Itoa(len(cands))))
 	defer rsp.End()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	sem := make(chan struct{}, a.opts.Parallelism)
-	for i := range cands {
-		mu.Lock()
-		bail := firstErr != nil
-		mu.Unlock()
-		if bail || rctx.Err() != nil {
-			break
+	err := runner.ForEach(rctx, len(cands), a.opts.Parallelism, func(i int) error {
+		rs := a.spec(cands[i].Combo, h)
+		// Rung writes are pared down to the one snapshot the next rung
+		// forks from (none at the full horizon, where no rung follows).
+		res, err := simcache.RunCached(rctx, a.opts.Cache, a.opts.Runner, runner.PriGrid, rs,
+			ckpt.RungRunner(a.opts.Ckpt, rs, h == a.opts.TotalCycles))
+		if err != nil {
+			return err
 		}
-		i := i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rs := a.spec(cands[i].Combo, h)
-			// Rung writes are pared down to the one snapshot the next rung
-			// forks from (none at the full horizon, where no rung follows).
-			res, err := simcache.RunCached(rctx, a.opts.Cache, a.opts.Runner, runner.PriGrid, rs,
-				ckpt.RungRunner(a.opts.Ckpt, rs, h == a.opts.TotalCycles))
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			cands[i].Result = res
-		}()
-	}
-	wg.Wait()
+		cands[i].Result = res
+		return nil
+	})
 	if cerr := ctx.Err(); cerr != nil {
 		return fmt.Errorf("search: adaptive search interrupted at %s rung (%d cycles): %w", phase, h, cerr)
 	}
-	if firstErr != nil {
-		return firstErr
+	if err != nil {
+		return err
 	}
 	for i := range cands {
 		a.deepest[comboKey(cands[i].Combo)] = h

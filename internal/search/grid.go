@@ -183,44 +183,25 @@ func BuildGrid(ctx context.Context, apps []kernel.Params, opts GridOptions) (*Gr
 	defer gsp.End()
 
 	var (
-		wg   sync.WaitGroup
 		mu   sync.Mutex
 		done int
-		err  error
 	)
-	sem := make(chan struct{}, opts.Parallelism)
-	for idx := range combos {
-		mu.Lock()
-		bail := err != nil
-		mu.Unlock()
-		if bail || ctx.Err() != nil {
-			break
+	err := runner.ForEach(ctx, len(combos), opts.Parallelism, func(idx int) error {
+		cctx, csp := obs.StartSpan(ctx, "cell", obs.A("combo", fmt.Sprint(combos[idx])))
+		res, err := runCombo(cctx, apps, combos[idx], opts)
+		csp.End()
+		if err != nil {
+			return err
 		}
-		idx := idx
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			cctx, csp := obs.StartSpan(ctx, "cell", obs.A("combo", fmt.Sprint(combos[idx])))
-			res, runErr := runCombo(cctx, apps, combos[idx], opts)
-			csp.End()
-			mu.Lock()
-			defer mu.Unlock()
-			if runErr != nil {
-				if err == nil {
-					err = runErr
-				}
-				return
-			}
-			g.Results[idx] = res
-			done++
-			if opts.Progress != nil {
-				opts.Progress(done, len(combos), combos[idx])
-			}
-		}()
-	}
-	wg.Wait()
+		mu.Lock()
+		defer mu.Unlock()
+		g.Results[idx] = res
+		done++
+		if opts.Progress != nil {
+			opts.Progress(done, len(combos), combos[idx])
+		}
+		return nil
+	})
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, fmt.Errorf("search: grid build interrupted after %d/%d combinations: %w",
 			done, len(combos), cerr)

@@ -26,15 +26,23 @@ type run struct {
 	cores   []gpu.CoreState
 }
 
+// refRun is a run description plus the one engine knob the draws vary
+// that a RunSpec does not carry: the decision delay (0 = the default).
+type refRun struct {
+	spec.RunSpec
+	DecisionDelay uint64
+}
+
 // execute runs rs on the engine build returns. A non-nil sink becomes
 // the run's CkptSink; a non-nil snapshot is restored before the run.
-func execute(t *testing.T, rs spec.RunSpec, build func(sim.Options) (*sim.Simulator, error),
+func execute(t *testing.T, rs refRun, build func(sim.Options) (*sim.Simulator, error),
 	sink func(uint64, *sim.Simulator) error, snapshot []byte) run {
 	t.Helper()
-	opts, err := sim.FromSpec(rs)
+	opts, err := sim.FromSpec(rs.RunSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts.DecisionDelay = rs.DecisionDelay
 	var out run
 	opts.OnWindow = func(sm tlp.Sample) {
 		sm.Apps = slices.Clone(sm.Apps)
@@ -124,7 +132,7 @@ func schemeFor(rng *rand.Rand, kind string, numApps int) spec.SchemeSpec {
 // drawRun draws a machine, a workload and the run lengths for one scheme
 // kind: 1-3 cores per app, 1-4 partitions, 4-64 L1 MSHRs, unaligned
 // horizons, and sometimes a phased application.
-func drawRun(rng *rand.Rand, kind string, short bool) spec.RunSpec {
+func drawRun(rng *rand.Rand, kind string, short bool) refRun {
 	names := kernel.Names()
 	numApps := 2 + rng.IntN(2)
 	apps := make([]string, numApps)
@@ -147,7 +155,7 @@ func drawRun(rng *rand.Rand, kind string, short bool) spec.RunSpec {
 	}
 	total := window*windows + uint64(rng.IntN(int(window)))
 	sch := schemeFor(rng, kind, numApps)
-	return spec.RunSpec{
+	rs := spec.RunSpec{
 		Config:             cfg,
 		Apps:               wl.Apps,
 		Scheme:             sch,
@@ -155,9 +163,9 @@ func drawRun(rng *rand.Rand, kind string, short bool) spec.RunSpec {
 		WarmupCycles:       uint64(rng.IntN(int(2 * window))),
 		WindowCycles:       window,
 		DesignatedSampling: rng.IntN(2) == 0,
-		DecisionDelay:      []uint64{0, 1, 100}[rng.IntN(3)],
 		VictimTags:         spec.VictimTagsFor(sch),
 	}
+	return refRun{RunSpec: rs, DecisionDelay: []uint64{0, 1, 100}[rng.IntN(3)]}
 }
 
 // stalledPhased is the fixed case for the phase-switch wake: a phased
@@ -202,8 +210,8 @@ func table1Run() spec.RunSpec {
 // cores, the quiescent-partition skip): on drawn machines, workloads and
 // every registered scheme kind, the engine must match the always-tick
 // reference on the Result, every window sample and every core's final
-// state (FastForward aside). For kinds whose managers checkpoint, a fork
-// restored at a drawn window boundary must match the straight run too.
+// state (FastForward aside). A fork restored at a drawn window boundary
+// must match the straight run too.
 func TestFastForwardMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(14, 2018))
 	draws := 4
@@ -212,9 +220,9 @@ func TestFastForwardMatchesReference(t *testing.T) {
 	}
 	type diffCase struct {
 		name string
-		rs   spec.RunSpec
+		rs   refRun
 	}
-	cases := []diffCase{{"phased-stall", stalledPhased()}, {"table1-machine", table1Run()}}
+	cases := []diffCase{{"phased-stall", refRun{RunSpec: stalledPhased()}}, {"table1-machine", refRun{RunSpec: table1Run()}}}
 	for _, kind := range spec.Kinds() {
 		for d := 0; d < draws; d++ {
 			cases = append(cases, diffCase{fmt.Sprintf("%s/%d", kind, d), drawRun(rng, kind, testing.Short())})
@@ -236,10 +244,6 @@ func TestFastForwardMatchesReference(t *testing.T) {
 				t.Fatal("no core was fast-forwarded: the case does not exercise the skip")
 			}
 
-			d, _ := spec.Lookup(c.rs.Scheme.Kind)
-			if !d.Stater {
-				return
-			}
 			var snap []byte
 			execute(t, c.rs, sim.New, func(w uint64, s *sim.Simulator) error {
 				if w != forkAt {

@@ -86,7 +86,9 @@ type Options struct {
 	// Hooks is the fault-injection seam (chaos tests, ebsim -chaos):
 	// WindowBoundary is called once per sampling window, never per cycle.
 	// Nil (production) costs one pointer-nil branch per window. Hooks are
-	// not part of a run's cache identity; hooked runs must stay uncached.
+	// not part of a run's cache identity: a window-boundary stall delays a
+	// run but cannot change its result, so stall-hooked runs (ebsim
+	// -chaos) go through the result cache like any other.
 	Hooks faultinject.Hooks
 
 	// Watchdog, when non-nil, receives a progress pulse at every sampling

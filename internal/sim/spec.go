@@ -24,7 +24,6 @@ func FromSpec(rs spec.RunSpec) (Options, error) {
 		WarmupCycles:       rs.WarmupCycles,
 		WindowCycles:       rs.WindowCycles,
 		DesignatedSampling: rs.DesignatedSampling,
-		DecisionDelay:      rs.DecisionDelay,
 		VictimTags:         rs.VictimTags,
 		L2WayPartition:     rs.L2WayPartition,
 	}, nil

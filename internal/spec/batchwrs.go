@@ -69,8 +69,7 @@ func wrsSub(sp *SchemeSpec) *WRSSpec {
 
 func registerBatch() {
 	Register(Descriptor{
-		Kind:   KindBatch,
-		Stater: true,
+		Kind: KindBatch,
 		Knobs: []KnobDef{
 			knobI(KindBatch, "period", func(sp *SchemeSpec) *int { return &batchSub(sp).Period }),
 			knobI(KindBatch, "hi", func(sp *SchemeSpec) *int { return &batchSub(sp).Hi }),
@@ -115,8 +114,7 @@ func registerBatch() {
 
 func registerWRS() {
 	Register(Descriptor{
-		Kind:   KindWRS,
-		Stater: true,
+		Kind: KindWRS,
 		Knobs: []KnobDef{
 			knobI(KindWRS, "share", func(sp *SchemeSpec) *int { return &wrsSub(sp).Share }),
 			knobF(KindWRS, "himem", func(sp *SchemeSpec) *float64 { return &wrsSub(sp).HighMemStall }),

@@ -56,7 +56,6 @@ func registerStaticKind(kind string) {
 		Kind:        kind,
 		Knobs:       []KnobDef{bypassKnob()},
 		AcceptsTLPs: true,
-		Stater:      true,
 		Normalize: func(s SchemeSpec) SchemeSpec {
 			out := SchemeSpec{Kind: s.Kind}
 			st := &StaticSpec{}
@@ -134,8 +133,7 @@ func registerStaticKind(kind string) {
 
 func registerMaxTLP() {
 	Register(Descriptor{
-		Kind:   KindMaxTLP,
-		Stater: true,
+		Kind: KindMaxTLP,
 		Normalize: func(s SchemeSpec) SchemeSpec {
 			return SchemeSpec{Kind: KindMaxTLP} // no knobs
 		},
@@ -170,8 +168,7 @@ func dynSub(sp *SchemeSpec) *DynCTASpec {
 
 func registerDynCTA() {
 	Register(Descriptor{
-		Kind:   KindDynCTA,
-		Stater: true,
+		Kind: KindDynCTA,
 		Knobs: []KnobDef{
 			knobF(KindDynCTA, "himem", func(sp *SchemeSpec) *float64 { return &dynSub(sp).HighMemStall }),
 			knobF(KindDynCTA, "lomem", func(sp *SchemeSpec) *float64 { return &dynSub(sp).LowMemStall }),
@@ -227,8 +224,7 @@ func ccwsSub(sp *SchemeSpec) *CCWSSpec {
 
 func registerCCWS() {
 	Register(Descriptor{
-		Kind:   KindCCWS,
-		Stater: true,
+		Kind: KindCCWS,
 		// CCWS reads the VTARate signal, live only when the run enables
 		// the victim-tag detector; 1024 tags is the paper's capacity.
 		VictimTags: 1024,
@@ -287,8 +283,7 @@ func modSub(sp *SchemeSpec) *ModBypassSpec {
 
 func registerModBypass() {
 	Register(Descriptor{
-		Kind:   KindModBypass,
-		Stater: true,
+		Kind: KindModBypass,
 		Knobs: []KnobDef{
 			knobF(KindModBypass, "l1mr", func(sp *SchemeSpec) *float64 { return &modSub(sp).BypassL1MR }),
 			knobI(KindModBypass, "confirm", func(sp *SchemeSpec) *int { return &modSub(sp).Confirm }),
@@ -343,8 +338,7 @@ func pbsSub(sp *SchemeSpec) *PBSSpec {
 
 func registerPBSKind(kind string) {
 	Register(Descriptor{
-		Kind:   kind,
-		Stater: true,
+		Kind: kind,
 		Knobs: []KnobDef{
 			{Key: "scaling", Set: func(sp *SchemeSpec, val string) error {
 				if _, err := scaleMode(val); err != nil {

@@ -59,10 +59,6 @@ type Descriptor struct {
 	// kind has no args.
 	Format func(n SchemeSpec) []string
 
-	// Stater marks kinds whose managers implement tlp.Stater, so
-	// checkpoint forking and the adaptive search work.
-	Stater bool
-
 	// VictimTags is the victim-tag detector capacity the kind's
 	// telemetry needs (0 when it reads no VTA signal). The CLIs enable
 	// the detector from this instead of special-casing kinds.
@@ -103,8 +99,7 @@ func Kinds() []string {
 }
 
 // Lookup returns a copy of the kind's descriptor, for callers that need
-// registry metadata (Stater support, victim tags) without building a
-// manager.
+// registry metadata (victim tags) without building a manager.
 func Lookup(kind string) (Descriptor, bool) {
 	d, ok := lookup(kind)
 	if !ok {

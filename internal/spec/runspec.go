@@ -25,7 +25,6 @@ type RunSpec struct {
 	WarmupCycles       uint64          `json:"warmup_cycles"`
 	WindowCycles       uint64          `json:"window_cycles,omitempty"`
 	DesignatedSampling bool            `json:"designated,omitempty"`
-	DecisionDelay      uint64          `json:"decision_delay,omitempty"`
 	VictimTags         int             `json:"victim_tags,omitempty"`
 	L2WayPartition     [][]bool        `json:"l2_ways,omitempty"`
 }
