@@ -17,12 +17,14 @@ import (
 	"ebm/internal/stats"
 )
 
+// line is one tag-store entry. Its fields are exported so that engine
+// checkpoints encode the tag store as is.
 type line struct {
-	tag   uint64
-	app   int8
-	valid bool
-	dirty bool
-	lru   uint64 // global LRU tick of last touch; smaller = older
+	Tag   uint64
+	App   int8
+	Valid bool
+	Dirty bool
+	LRU   uint64 // global LRU tick of last touch; smaller = older
 }
 
 // Eviction describes a line displaced by Fill.
@@ -191,9 +193,9 @@ func (c *Cache) Probe(lineAddr uint64) bool {
 	base := int(set) * c.ways
 	for w := 0; w < c.ways; w++ {
 		l := &c.sets[base+w]
-		if l.valid && l.tag == tag {
+		if l.Valid && l.Tag == tag {
 			c.tick++
-			l.lru = c.tick
+			l.LRU = c.tick
 			return true
 		}
 	}
@@ -209,10 +211,10 @@ func (c *Cache) WriteProbe(lineAddr uint64) bool {
 	base := int(set) * c.ways
 	for w := 0; w < c.ways; w++ {
 		l := &c.sets[base+w]
-		if l.valid && l.tag == tag {
+		if l.Valid && l.Tag == tag {
 			c.tick++
-			l.lru = c.tick
-			l.dirty = true
+			l.LRU = c.tick
+			l.Dirty = true
 			return true
 		}
 	}
@@ -226,7 +228,7 @@ func (c *Cache) Contains(lineAddr uint64) bool {
 	base := int(set) * c.ways
 	for w := 0; w < c.ways; w++ {
 		l := &c.sets[base+w]
-		if l.valid && l.tag == tag {
+		if l.Valid && l.Tag == tag {
 			return true
 		}
 	}
@@ -248,26 +250,26 @@ func (c *Cache) Fill(lineAddr uint64, app int) Eviction {
 	var victimLRU uint64 = ^uint64(0)
 	for w := 0; w < c.ways; w++ {
 		l := &c.sets[base+w]
-		if l.valid && l.tag == tag {
+		if l.Valid && l.Tag == tag {
 			// Already present (e.g. two in-flight fills merged upstream
 			// or a race between bypassed and cached paths).
-			l.lru = c.tick
-			l.app = int8(app)
+			l.LRU = c.tick
+			l.App = int8(app)
 			return Eviction{}
 		}
 		if allowed != nil && !allowed[w] {
 			continue
 		}
-		if !l.valid {
-			if victim == -1 || c.sets[base+victim].valid {
+		if !l.Valid {
+			if victim == -1 || c.sets[base+victim].Valid {
 				victim = w
 				victimLRU = 0
 			}
 			continue
 		}
-		if l.lru < victimLRU {
+		if l.LRU < victimLRU {
 			victim = w
-			victimLRU = l.lru
+			victimLRU = l.LRU
 		}
 	}
 	if victim == -1 {
@@ -278,20 +280,20 @@ func (c *Cache) Fill(lineAddr uint64, app int) Eviction {
 	}
 	l := &c.sets[base+victim]
 	var ev Eviction
-	if l.valid {
+	if l.Valid {
 		ev = Eviction{
-			LineAddr: l.tag << c.lineBits,
-			App:      int(l.app),
-			Dirty:    l.dirty,
+			LineAddr: l.Tag << c.lineBits,
+			App:      int(l.App),
+			Dirty:    l.Dirty,
 			Valid:    true,
 		}
-		c.recordVictim(l.tag)
+		c.recordVictim(l.Tag)
 	}
-	l.tag = tag
-	l.valid = true
-	l.dirty = false
-	l.app = int8(app)
-	l.lru = c.tick
+	l.Tag = tag
+	l.Valid = true
+	l.Dirty = false
+	l.App = int8(app)
+	l.LRU = c.tick
 	return ev
 }
 
@@ -302,8 +304,8 @@ func (c *Cache) Invalidate(lineAddr uint64) bool {
 	base := int(set) * c.ways
 	for w := 0; w < c.ways; w++ {
 		l := &c.sets[base+w]
-		if l.valid && l.tag == tag {
-			l.valid = false
+		if l.Valid && l.Tag == tag {
+			l.Valid = false
 			return true
 		}
 	}
@@ -315,8 +317,8 @@ func (c *Cache) Occupancy() []int {
 	occ := make([]int, len(c.Stats))
 	for i := range c.sets {
 		l := &c.sets[i]
-		if l.valid && int(l.app) < len(occ) {
-			occ[l.app]++
+		if l.Valid && int(l.App) < len(occ) {
+			occ[l.App]++
 		}
 	}
 	return occ
@@ -339,6 +341,6 @@ func (c *Cache) NewWindow() {
 // this in some experiments).
 func (c *Cache) Flush() {
 	for i := range c.sets {
-		c.sets[i].valid = false
+		c.sets[i].Valid = false
 	}
 }

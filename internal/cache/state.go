@@ -6,22 +6,13 @@ import (
 	"ebm/internal/stats"
 )
 
-// LineState mirrors one tag-store line for engine checkpoints.
-type LineState struct {
-	Tag   uint64
-	App   int8
-	Valid bool
-	Dirty bool
-	LRU   uint64
-}
-
 // State is a Cache's complete serializable snapshot. Geometry and way
 // partitions are construction-time configuration (re-derived from the run
 // spec on restore) and are not captured.
 type State struct {
-	Lines []LineState
+	Lines []line
 	Tick  uint64
-	Stats []stats.MissRatioState
+	Stats []stats.MissRatio
 
 	// Victim tag array: the FIFO content, its configured capacity, and
 	// the ring head. VictimCap distinguishes the fill-up phase (len <
@@ -29,31 +20,18 @@ type State struct {
 	VictimTags []uint64
 	VictimCap  int
 	VictimHead int
-	VTAHits    []stats.CounterState
+	VTAHits    []stats.Counter
 }
 
-// State returns the cache's snapshot.
+// State returns the cache's snapshot. It aliases the cache's live tag
+// store and counters: encode it before the cache runs again.
 func (c *Cache) State() State {
-	st := State{
-		Lines: make([]LineState, len(c.sets)),
-		Tick:  c.tick,
-		Stats: make([]stats.MissRatioState, len(c.Stats)),
-	}
-	for i := range c.sets {
-		l := &c.sets[i]
-		st.Lines[i] = LineState{Tag: l.tag, App: l.app, Valid: l.valid, Dirty: l.dirty, LRU: l.lru}
-	}
-	for i := range c.Stats {
-		st.Stats[i] = c.Stats[i].State()
-	}
+	st := State{Lines: c.sets, Tick: c.tick, Stats: c.Stats}
 	if c.victimSet != nil {
-		st.VictimTags = append([]uint64(nil), c.victimTags...)
+		st.VictimTags = c.victimTags
 		st.VictimCap = cap(c.victimTags)
 		st.VictimHead = c.victimHead
-		st.VTAHits = make([]stats.CounterState, len(c.VTAHits))
-		for i := range c.VTAHits {
-			st.VTAHits[i] = c.VTAHits[i].State()
-		}
+		st.VTAHits = c.VTAHits
 	}
 	return st
 }
@@ -68,14 +46,9 @@ func (c *Cache) SetState(st State) error {
 	if len(st.Stats) != len(c.Stats) {
 		return fmt.Errorf("cache: state has %d app stats, cache has %d", len(st.Stats), len(c.Stats))
 	}
-	for i := range c.sets {
-		l := &st.Lines[i]
-		c.sets[i] = line{tag: l.Tag, app: l.App, valid: l.Valid, dirty: l.Dirty, lru: l.LRU}
-	}
+	copy(c.sets, st.Lines)
 	c.tick = st.Tick
-	for i := range c.Stats {
-		c.Stats[i].SetState(st.Stats[i])
-	}
+	copy(c.Stats, st.Stats)
 	if st.VictimCap > 0 {
 		if len(st.VictimTags) > st.VictimCap {
 			return fmt.Errorf("cache: victim FIFO state len %d exceeds cap %d", len(st.VictimTags), st.VictimCap)
@@ -87,10 +60,7 @@ func (c *Cache) SetState(st State) error {
 		for _, tag := range c.victimTags {
 			c.victimSet[tag]++
 		}
-		c.VTAHits = make([]stats.Counter, len(st.VTAHits))
-		for i := range st.VTAHits {
-			c.VTAHits[i].SetState(st.VTAHits[i])
-		}
+		c.VTAHits = append([]stats.Counter(nil), st.VTAHits...)
 	} else if c.victimSet != nil {
 		// The snapshot was taken with the detector off; mirror that.
 		c.victimTags, c.victimSet, c.VTAHits = nil, nil, nil

@@ -84,7 +84,7 @@ func PrefixKey(rs spec.RunSpec) string {
 	})
 }
 
-// On-disk envelope ("EBCK" format, satellite-documented in DESIGN.md):
+// On-disk envelope ("EBCK" format, documented in DESIGN.md §11):
 //
 //	magic "EBCK" | version u8 | key len u8 | key bytes |
 //	window u64 BE | payload len u64 BE | payload | FNV-1a u64 BE

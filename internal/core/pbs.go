@@ -147,51 +147,9 @@ type PBS struct {
 	DriftThreshold float64
 	DriftWindows   int
 
-	numApps int
-	ph      phase
-	settle  int
-	cur     tlp.Decision
-
-	scale    []float64
-	scaleApp int
-
-	sweepApp   int
-	sweepIdx   int
-	sweepM     [][]float64 // [app][levelIdx] metric
-	ownEB      [][]float64 // [app][levelIdx] that app's own EB during its sweep
-	sweepD     [][]float64 // [app][levelIdx] scaled EB-difference (FI mode)
-	sweepSum   [][]float64 // [app][levelIdx] scaled EB sum (FI-mode health)
-	sweepRawA  [][]float64 // [app][levelIdx] raw EB of app 0 (FI mode)
-	sweepRawB  [][]float64 // [app][levelIdx] raw EB of app 1 (FI mode)
-	capLevel   []int       // per-app Guideline-2 cap: own-EB inflection level
-	critical   int
-	fixedTLP   int
-	tuneOrder  []int // apps to tune, after the critical one
-	tuneAppIdx int
-	tuneLvlIdx int // index into descending levels
-	tuneBestM  float64
-	tuneBestT  int
-	tuneMiss   int
-	haveBest   bool
-	tuneDiffs  []float64 // FI mode: EB-difference per visited tune level
-	tuneSums   []float64 // FI mode: scaled EB sum per visited tune level
-
-	stableM    float64 // metric value when the search stabilized
-	driftCount int
-
-	// Measurement accumulator (averaging MeasureWindows windows).
-	accN   int
-	accM   float64
-	accEB  []float64
-	accD   float64
-	accSum float64
-
-	sinceFull int // relaunch-restarts since the last full sweep search
-
-	table    []TableEntry
-	searches uint64 // completed searches (telemetry)
-	restarts uint64
-	drifts   uint64
+	// st is every mutable field of the search state machine; the
+	// checkpoint encodes it as is.
+	st pbsState
 }
 
 // NewPBS returns a PBS manager for the given objective. PBS-FI and PBS-HS
@@ -223,50 +181,50 @@ func (p *PBS) Name() string {
 
 // Initial implements tlp.Manager.
 func (p *PBS) Initial(numApps int) tlp.Decision {
-	p.numApps = numApps
-	p.cur = tlp.NewDecision(numApps, config.MaxTLP)
-	p.ph = phInit
-	p.settle = p.SettleWindows
-	p.scale = nil
+	p.st.NumApps = numApps
+	p.st.Cur = tlp.NewDecision(numApps, config.MaxTLP)
+	p.st.Phase = phInit
+	p.st.Settle = p.SettleWindows
+	p.st.Scale = nil
 	if p.Scaling == GroupScale {
-		p.scale = append([]float64(nil), p.GroupValues...)
+		p.st.Scale = append([]float64(nil), p.GroupValues...)
 	}
 	p.resetSearch()
-	return p.cur.Clone()
+	return p.st.Cur.Clone()
 }
 
 func (p *PBS) resetSearch() {
-	p.sweepApp = 0
-	p.sweepIdx = 0
-	p.sweepM = make([][]float64, p.numApps)
-	p.ownEB = make([][]float64, p.numApps)
-	p.sweepD = make([][]float64, p.numApps)
-	p.sweepSum = make([][]float64, p.numApps)
-	p.sweepRawA = make([][]float64, p.numApps)
-	p.sweepRawB = make([][]float64, p.numApps)
-	for i := range p.sweepM {
-		p.sweepM[i] = make([]float64, len(p.SweepLevels))
-		p.ownEB[i] = make([]float64, len(p.SweepLevels))
-		p.sweepD[i] = make([]float64, len(p.SweepLevels))
-		p.sweepSum[i] = make([]float64, len(p.SweepLevels))
-		p.sweepRawA[i] = make([]float64, len(p.SweepLevels))
-		p.sweepRawB[i] = make([]float64, len(p.SweepLevels))
+	p.st.SweepApp = 0
+	p.st.SweepIdx = 0
+	p.st.SweepM = make([][]float64, p.st.NumApps)
+	p.st.OwnEB = make([][]float64, p.st.NumApps)
+	p.st.SweepD = make([][]float64, p.st.NumApps)
+	p.st.SweepSum = make([][]float64, p.st.NumApps)
+	p.st.SweepRawA = make([][]float64, p.st.NumApps)
+	p.st.SweepRawB = make([][]float64, p.st.NumApps)
+	for i := range p.st.SweepM {
+		p.st.SweepM[i] = make([]float64, len(p.SweepLevels))
+		p.st.OwnEB[i] = make([]float64, len(p.SweepLevels))
+		p.st.SweepD[i] = make([]float64, len(p.SweepLevels))
+		p.st.SweepSum[i] = make([]float64, len(p.SweepLevels))
+		p.st.SweepRawA[i] = make([]float64, len(p.SweepLevels))
+		p.st.SweepRawB[i] = make([]float64, len(p.SweepLevels))
 	}
 	if p.Scaling == SampledScale {
-		p.scale = nil // re-measure after the sweeps
+		p.st.Scale = nil // re-measure after the sweeps
 	}
-	p.capLevel = nil
-	p.tuneDiffs = nil
-	p.tuneSums = nil
-	p.stableM = 0
-	p.driftCount = 0
+	p.st.CapLevel = nil
+	p.st.TuneDiffs = nil
+	p.st.TuneSums = nil
+	p.st.StableM = 0
+	p.st.DriftCount = 0
 	p.resetAcc()
-	p.critical = -1
-	p.tuneOrder = nil
-	p.tuneAppIdx = 0
-	p.tuneLvlIdx = 0
-	p.haveBest = false
-	p.scaleApp = 0
+	p.st.Critical = -1
+	p.st.TuneOrder = nil
+	p.st.TuneAppIdx = 0
+	p.st.TuneLvlIdx = 0
+	p.st.HaveBest = false
+	p.st.ScaleApp = 0
 }
 
 // metric evaluates the objective's EB metric over a sample.
@@ -277,7 +235,7 @@ func (p *PBS) metric(s tlp.Sample) float64 {
 	}
 	var scale []float64
 	if p.Objective != metrics.ObjWS && p.Scaling != NoScale {
-		scale = p.scale
+		scale = p.st.Scale
 	}
 	return p.Objective.EBMetric(ebs, scale)
 }
@@ -285,45 +243,45 @@ func (p *PBS) metric(s tlp.Sample) float64 {
 // record stores one probed combination's averaged EBs in the bounded
 // hardware sampling table.
 func (p *PBS) record(ebs []float64) {
-	e := TableEntry{TLP: make([]int, p.numApps), EB: make([]float64, p.numApps)}
-	for i := 0; i < p.numApps && i < len(ebs); i++ {
-		e.TLP[i] = config.ClampToLevel(p.cur.TLP[i])
+	e := TableEntry{TLP: make([]int, p.st.NumApps), EB: make([]float64, p.st.NumApps)}
+	for i := 0; i < p.st.NumApps && i < len(ebs); i++ {
+		e.TLP[i] = config.ClampToLevel(p.st.Cur.TLP[i])
 		e.EB[i] = ebs[i]
 	}
-	if len(p.table) >= tableSize {
-		copy(p.table, p.table[1:])
-		p.table = p.table[:tableSize-1]
+	if len(p.st.Table) >= tableSize {
+		copy(p.st.Table, p.st.Table[1:])
+		p.st.Table = p.st.Table[:tableSize-1]
 	}
-	p.table = append(p.table, e)
+	p.st.Table = append(p.st.Table, e)
 }
 
 // Table returns a copy of the sampling table contents.
 func (p *PBS) Table() []TableEntry {
-	out := make([]TableEntry, len(p.table))
-	copy(out, p.table)
+	out := make([]TableEntry, len(p.st.Table))
+	copy(out, p.st.Table)
 	return out
 }
 
 // Searches returns how many full searches have completed.
-func (p *PBS) Searches() uint64 { return p.searches }
+func (p *PBS) Searches() uint64 { return p.st.Searches }
 
 // Restarts returns how many kernel-relaunch restarts occurred.
-func (p *PBS) Restarts() uint64 { return p.restarts }
+func (p *PBS) Restarts() uint64 { return p.st.Restarts }
 
 // Drifts returns how many drift-triggered re-searches occurred (only
 // non-zero when DriftThreshold is enabled).
-func (p *PBS) Drifts() uint64 { return p.drifts }
+func (p *PBS) Drifts() uint64 { return p.st.Drifts }
 
 // Phase returns the current phase name (tracing/tests).
-func (p *PBS) Phase() string { return p.ph.String() }
+func (p *PBS) Phase() string { return p.st.Phase.String() }
 
 // Searching reports whether PBS is currently exploring (the shaded
 // sampling periods of Fig. 11).
-func (p *PBS) Searching() bool { return p.ph != phStable }
+func (p *PBS) Searching() bool { return p.st.Phase != phStable }
 
 // OnSample implements tlp.Manager: one step of the search state machine.
 func (p *PBS) OnSample(s tlp.Sample) tlp.Decision {
-	if p.numApps != len(s.Apps) {
+	if p.st.NumApps != len(s.Apps) {
 		p.Initial(len(s.Apps))
 	}
 
@@ -331,37 +289,37 @@ func (p *PBS) OnSample(s tlp.Sample) tlp.Decision {
 	// pattern property, most restarts only re-tune; full sweeps re-run
 	// every FullSearchEvery-th relaunch.
 	for i := range s.Apps {
-		if s.Apps[i].KernelRelaunched && p.ph == phStable {
-			p.restarts++
-			if p.searches > 0 && p.critical >= 0 && p.sinceFull+1 < max(1, p.FullSearchEvery) {
-				p.sinceFull++
+		if s.Apps[i].KernelRelaunched && p.st.Phase == phStable {
+			p.st.Restarts++
+			if p.st.Searches > 0 && p.st.Critical >= 0 && p.st.SinceFull+1 < max(1, p.FullSearchEvery) {
+				p.st.SinceFull++
 				p.startQuickTune()
 			} else {
-				p.sinceFull = 0
+				p.st.SinceFull = 0
 				p.startSweeps()
 			}
-			return p.cur.Clone()
+			return p.st.Cur.Clone()
 		}
 	}
 
-	if p.settle > 0 {
-		p.settle--
-		return p.cur.Clone()
+	if p.st.Settle > 0 {
+		p.st.Settle--
+		return p.st.Cur.Clone()
 	}
 
 	// Accumulate this window into the current observation; act only once
 	// MeasureWindows windows have been averaged.
 	p.accumulate(s)
-	if p.accN < max(1, p.MeasureWindows) {
-		return p.cur.Clone()
+	if p.st.AccN < max(1, p.MeasureWindows) {
+		return p.st.Cur.Clone()
 	}
 	m, ebs, d, sum := p.takeMeasurement()
-	if p.ph != phStable {
+	if p.st.Phase != phStable {
 		// One sampling-table row per probed combination (Fig. 8).
 		p.record(ebs)
 	}
 
-	switch p.ph {
+	switch p.st.Phase {
 	case phInit:
 		// Utilization established at maxTLP (Guideline-1); run the sweeps.
 		// Sampled alone-EB scaling, when needed, happens after the sweeps
@@ -370,40 +328,40 @@ func (p *PBS) OnSample(s tlp.Sample) tlp.Decision {
 		p.startSweeps()
 
 	case phScale:
-		// The windows just measured app scaleApp at its inflection cap
+		// The windows just measured app st.ScaleApp at its inflection cap
 		// with every co-runner at TLP 1 (least interference): its EB
 		// approximates the alone EB at bestTLP.
-		if p.scale == nil {
-			p.scale = make([]float64, p.numApps)
+		if p.st.Scale == nil {
+			p.st.Scale = make([]float64, p.st.NumApps)
 		}
-		p.scale[p.scaleApp] = ebs[p.scaleApp]
-		p.scaleApp++
-		if p.scaleApp < p.numApps {
+		p.st.Scale[p.st.ScaleApp] = ebs[p.st.ScaleApp]
+		p.st.ScaleApp++
+		if p.st.ScaleApp < p.st.NumApps {
 			p.applyScaleCombo()
 		} else {
 			p.finishSweeps()
 		}
 
 	case phSweep:
-		p.sweepM[p.sweepApp][p.sweepIdx] = m
-		p.ownEB[p.sweepApp][p.sweepIdx] = ebs[p.sweepApp]
+		p.st.SweepM[p.st.SweepApp][p.st.SweepIdx] = m
+		p.st.OwnEB[p.st.SweepApp][p.st.SweepIdx] = ebs[p.st.SweepApp]
 		if p.fiMode() {
-			p.sweepRawA[p.sweepApp][p.sweepIdx] = ebs[0]
-			p.sweepRawB[p.sweepApp][p.sweepIdx] = ebs[1]
+			p.st.SweepRawA[p.st.SweepApp][p.st.SweepIdx] = ebs[0]
+			p.st.SweepRawB[p.st.SweepApp][p.st.SweepIdx] = ebs[1]
 		}
-		p.sweepIdx++
-		if p.sweepIdx >= len(p.SweepLevels) {
-			p.sweepIdx = 0
-			p.sweepApp++
+		p.st.SweepIdx++
+		if p.st.SweepIdx >= len(p.SweepLevels) {
+			p.st.SweepIdx = 0
+			p.st.SweepApp++
 		}
-		if p.sweepApp < p.numApps {
+		if p.st.SweepApp < p.st.NumApps {
 			p.applySweepCombo()
 		} else {
 			p.computeCaps()
 			if p.fiMode() && p.Scaling == SampledScale {
 				// Measure the alone-EB scaling factors before analyzing.
-				p.ph = phScale
-				p.scaleApp = 0
+				p.st.Phase = phScale
+				p.st.ScaleApp = 0
 				p.applyScaleCombo()
 			} else {
 				p.finishSweeps()
@@ -421,142 +379,142 @@ func (p *PBS) OnSample(s tlp.Sample) tlp.Decision {
 		// Hold, optionally watching for interference drift (the paper
 		// restarts only on kernel relaunch; DriftThreshold extends that).
 		if p.DriftThreshold > 0 {
-			if p.stableM == 0 {
-				p.stableM = m
+			if p.st.StableM == 0 {
+				p.st.StableM = m
 			}
-			if m < p.DriftThreshold*p.stableM {
-				p.driftCount++
-				if p.driftCount >= max(1, p.DriftWindows) {
-					p.drifts++
+			if m < p.DriftThreshold*p.st.StableM {
+				p.st.DriftCount++
+				if p.st.DriftCount >= max(1, p.DriftWindows) {
+					p.st.Drifts++
 					p.startSweeps()
 				}
 			} else {
-				p.driftCount = 0
+				p.st.DriftCount = 0
 				// Track slow improvement so the reference stays honest.
-				if m > p.stableM {
-					p.stableM = m
+				if m > p.st.StableM {
+					p.st.StableM = m
 				}
 			}
 		}
 	}
-	return p.cur.Clone()
+	return p.st.Cur.Clone()
 }
 
 // resetAcc clears the measurement accumulator.
 func (p *PBS) resetAcc() {
-	p.accN = 0
-	p.accM = 0
-	p.accD = 0
-	p.accSum = 0
-	if p.accEB == nil || len(p.accEB) != p.numApps {
-		p.accEB = make([]float64, p.numApps)
+	p.st.AccN = 0
+	p.st.AccM = 0
+	p.st.AccD = 0
+	p.st.AccSum = 0
+	if p.st.AccEB == nil || len(p.st.AccEB) != p.st.NumApps {
+		p.st.AccEB = make([]float64, p.st.NumApps)
 	} else {
-		for i := range p.accEB {
-			p.accEB[i] = 0
+		for i := range p.st.AccEB {
+			p.st.AccEB[i] = 0
 		}
 	}
 }
 
 // accumulate folds one window into the current observation.
 func (p *PBS) accumulate(s tlp.Sample) {
-	if p.accEB == nil || len(p.accEB) != p.numApps {
+	if p.st.AccEB == nil || len(p.st.AccEB) != p.st.NumApps {
 		p.resetAcc()
 	}
-	p.accM += p.metric(s)
+	p.st.AccM += p.metric(s)
 	for i := range s.Apps {
-		p.accEB[i] += s.Apps[i].EB
+		p.st.AccEB[i] += s.Apps[i].EB
 	}
 	if p.fiMode() {
 		d, sum := p.scaledDiff(s)
-		p.accD += d
-		p.accSum += sum
+		p.st.AccD += d
+		p.st.AccSum += sum
 	}
-	p.accN++
+	p.st.AccN++
 }
 
 // takeMeasurement returns the averaged observation and resets the
 // accumulator.
 func (p *PBS) takeMeasurement() (m float64, ebs []float64, d, sum float64) {
-	n := float64(p.accN)
-	m = p.accM / n
-	ebs = make([]float64, p.numApps)
+	n := float64(p.st.AccN)
+	m = p.st.AccM / n
+	ebs = make([]float64, p.st.NumApps)
 	for i := range ebs {
-		ebs[i] = p.accEB[i] / n
+		ebs[i] = p.st.AccEB[i] / n
 	}
-	d = p.accD / n
-	sum = p.accSum / n
+	d = p.st.AccD / n
+	sum = p.st.AccSum / n
 	p.resetAcc()
 	return
 }
 
-// applyScaleCombo runs scaleApp at its own inflection cap (the online
+// applyScaleCombo runs app st.ScaleApp at its own inflection cap (the online
 // approximation of bestTLP) with all co-runners throttled to TLP 1, the
 // least-interference configuration the paper prescribes for approximating
 // alone EB.
 func (p *PBS) applyScaleCombo() {
 	own := config.MaxTLP
-	if p.ownEB != nil {
+	if p.st.OwnEB != nil {
 		// The app's own-EB peak during its sweep approximates bestTLP.
-		_, am := dropAndArgmax(p.ownEB[p.scaleApp])
+		_, am := dropAndArgmax(p.st.OwnEB[p.st.ScaleApp])
 		own = p.SweepLevels[am]
 	}
-	for i := range p.cur.TLP {
-		if i == p.scaleApp {
-			p.cur.TLP[i] = own
+	for i := range p.st.Cur.TLP {
+		if i == p.st.ScaleApp {
+			p.st.Cur.TLP[i] = own
 		} else {
-			p.cur.TLP[i] = 1
+			p.st.Cur.TLP[i] = 1
 		}
 	}
-	p.settle = p.SettleWindows
+	p.st.Settle = p.SettleWindows
 }
 
 func (p *PBS) startSweeps() {
 	p.resetSearch()
-	p.ph = phSweep
+	p.st.Phase = phSweep
 	p.applySweepCombo()
 }
 
 // startQuickTune re-enters the tuning phase reusing the previous search's
 // critical application, inflection pin, caps, and tune order.
 func (p *PBS) startQuickTune() {
-	for i := range p.cur.TLP {
-		if i == p.critical {
-			p.cur.TLP[i] = p.fixedTLP
+	for i := range p.st.Cur.TLP {
+		if i == p.st.Critical {
+			p.st.Cur.TLP[i] = p.st.FixedTLP
 		} else {
-			p.cur.TLP[i] = p.capLevel[i]
+			p.st.Cur.TLP[i] = p.st.CapLevel[i]
 		}
 	}
-	p.ph = phTune
-	p.tuneAppIdx = 0
-	p.tuneLvlIdx = 0
-	p.tuneMiss = 0
-	p.haveBest = false
-	p.tuneDiffs = p.tuneDiffs[:0]
-	p.tuneSums = p.tuneSums[:0]
+	p.st.Phase = phTune
+	p.st.TuneAppIdx = 0
+	p.st.TuneLvlIdx = 0
+	p.st.TuneMiss = 0
+	p.st.HaveBest = false
+	p.st.TuneDiffs = p.st.TuneDiffs[:0]
+	p.st.TuneSums = p.st.TuneSums[:0]
 	p.resetAcc()
-	p.stableM = 0
-	p.driftCount = 0
-	p.settle = p.SettleWindows
+	p.st.StableM = 0
+	p.st.DriftCount = 0
+	p.st.Settle = p.SettleWindows
 }
 
 // applySweepCombo sets sweepApp to SweepLevels[sweepIdx] and everyone else
 // to maxTLP.
 func (p *PBS) applySweepCombo() {
-	for i := range p.cur.TLP {
-		if i == p.sweepApp {
-			p.cur.TLP[i] = p.SweepLevels[p.sweepIdx]
+	for i := range p.st.Cur.TLP {
+		if i == p.st.SweepApp {
+			p.st.Cur.TLP[i] = p.SweepLevels[p.st.SweepIdx]
 		} else {
-			p.cur.TLP[i] = config.MaxTLP
+			p.st.Cur.TLP[i] = config.MaxTLP
 		}
 	}
-	p.settle = p.SettleWindows
+	p.st.Settle = p.SettleWindows
 }
 
 // fiMode reports whether the paper's pairwise EB-difference procedure
 // (Section V-C, Fig. 7) drives the search instead of the generic metric
 // climb. It applies to two-application workloads optimizing FI.
 func (p *PBS) fiMode() bool {
-	return p.Objective == metrics.ObjFI && p.numApps == 2
+	return p.Objective == metrics.ObjFI && p.st.NumApps == 2
 }
 
 // scaledDiff returns the scaled EB-difference (app0 - app1) and the scaled
@@ -565,12 +523,12 @@ func (p *PBS) fiMode() bool {
 // are starved.
 func (p *PBS) scaledDiff(s tlp.Sample) (diff, sum float64) {
 	e0, e1 := s.Apps[0].EB, s.Apps[1].EB
-	if p.scale != nil && len(p.scale) >= 2 {
-		if p.scale[0] > 0 {
-			e0 /= p.scale[0]
+	if p.st.Scale != nil && len(p.st.Scale) >= 2 {
+		if p.st.Scale[0] > 0 {
+			e0 /= p.st.Scale[0]
 		}
-		if p.scale[1] > 0 {
-			e1 /= p.scale[1]
+		if p.st.Scale[1] > 0 {
+			e1 /= p.st.Scale[1]
 		}
 	}
 	return e0 - e1, e0 + e1
@@ -659,97 +617,97 @@ func curveRange(m []float64) float64 {
 // so noisy-flat curves (an app crushed by the pinned co-runner) impose no
 // cap.
 func (p *PBS) computeCaps() {
-	p.capLevel = make([]int, p.numApps)
-	for app := 0; app < p.numApps; app++ {
-		p.capLevel[app] = capByCollapse(p.ownEB[app], p.SweepLevels)
+	p.st.CapLevel = make([]int, p.st.NumApps)
+	for app := 0; app < p.st.NumApps; app++ {
+		p.st.CapLevel[app] = capByCollapse(p.st.OwnEB[app], p.SweepLevels)
 	}
 }
 
 // finishSweeps identifies the critical application and its inflection
 // point, fixes it, and begins tuning the others.
 func (p *PBS) finishSweeps() {
-	if p.capLevel == nil {
+	if p.st.CapLevel == nil {
 		p.computeCaps()
 	}
 
 	if p.fiMode() {
 		// Derive the scaled difference curves from the raw sweep EBs and
 		// the (possibly just-sampled) scaling factors.
-		for app := 0; app < p.numApps; app++ {
+		for app := 0; app < p.st.NumApps; app++ {
 			for li := range p.SweepLevels {
-				e0, e1 := p.sweepRawA[app][li], p.sweepRawB[app][li]
-				if p.scale != nil && len(p.scale) >= 2 {
-					if p.scale[0] > 0 {
-						e0 /= p.scale[0]
+				e0, e1 := p.st.SweepRawA[app][li], p.st.SweepRawB[app][li]
+				if p.st.Scale != nil && len(p.st.Scale) >= 2 {
+					if p.st.Scale[0] > 0 {
+						e0 /= p.st.Scale[0]
 					}
-					if p.scale[1] > 0 {
-						e1 /= p.scale[1]
+					if p.st.Scale[1] > 0 {
+						e1 /= p.st.Scale[1]
 					}
 				}
-				p.sweepD[app][li] = e0 - e1
-				p.sweepSum[app][li] = e0 + e1
+				p.st.SweepD[app][li] = e0 - e1
+				p.st.SweepSum[app][li] = e0 + e1
 			}
 		}
 		// Section V-C: the application inducing larger changes in the
 		// EB-difference is critical; fix it where the difference is near
 		// zero (the balance crossing).
-		if curveRange(p.sweepD[0]) >= curveRange(p.sweepD[1]) {
-			p.critical = 0
+		if curveRange(p.st.SweepD[0]) >= curveRange(p.st.SweepD[1]) {
+			p.st.Critical = 0
 		} else {
-			p.critical = 1
+			p.st.Critical = 1
 		}
-		idx := chooseByDiff(p.sweepD[p.critical], p.sweepSum[p.critical])
-		p.fixedTLP = p.SweepLevels[idx]
+		idx := chooseByDiff(p.st.SweepD[p.st.Critical], p.st.SweepSum[p.st.Critical])
+		p.st.FixedTLP = p.SweepLevels[idx]
 	} else {
 		bestDrop := -1.0
-		for app := 0; app < p.numApps; app++ {
-			drop, _ := dropAndArgmax(p.sweepM[app])
+		for app := 0; app < p.st.NumApps; app++ {
+			drop, _ := dropAndArgmax(p.st.SweepM[app])
 			if drop > bestDrop {
 				bestDrop = drop
-				p.critical = app
+				p.st.Critical = app
 			}
 		}
-		_, argmax := dropAndArgmax(p.sweepM[p.critical])
-		p.fixedTLP = p.SweepLevels[argmax]
+		_, argmax := dropAndArgmax(p.st.SweepM[p.st.Critical])
+		p.st.FixedTLP = p.SweepLevels[argmax]
 	}
-	if p.fixedTLP > p.capLevel[p.critical] {
-		p.fixedTLP = p.capLevel[p.critical]
+	if p.st.FixedTLP > p.st.CapLevel[p.st.Critical] {
+		p.st.FixedTLP = p.st.CapLevel[p.st.Critical]
 	}
 
 	// Tune the remaining apps in order of decreasing sweep drop (most
 	// disruptive first).
-	for app := 0; app < p.numApps; app++ {
-		if app != p.critical {
-			p.tuneOrder = append(p.tuneOrder, app)
+	for app := 0; app < p.st.NumApps; app++ {
+		if app != p.st.Critical {
+			p.st.TuneOrder = append(p.st.TuneOrder, app)
 		}
 	}
-	sort.SliceStable(p.tuneOrder, func(i, j int) bool {
-		di, _ := dropAndArgmax(p.sweepM[p.tuneOrder[i]])
-		dj, _ := dropAndArgmax(p.sweepM[p.tuneOrder[j]])
+	sort.SliceStable(p.st.TuneOrder, func(i, j int) bool {
+		di, _ := dropAndArgmax(p.st.SweepM[p.st.TuneOrder[i]])
+		dj, _ := dropAndArgmax(p.st.SweepM[p.st.TuneOrder[j]])
 		return di > dj
 	})
 
-	for i := range p.cur.TLP {
-		if i == p.critical {
-			p.cur.TLP[i] = p.fixedTLP
+	for i := range p.st.Cur.TLP {
+		if i == p.st.Critical {
+			p.st.Cur.TLP[i] = p.st.FixedTLP
 		} else {
-			p.cur.TLP[i] = p.capLevel[i]
+			p.st.Cur.TLP[i] = p.st.CapLevel[i]
 		}
 	}
-	p.ph = phTune
-	p.tuneAppIdx = 0
-	p.tuneLvlIdx = 0
-	p.tuneMiss = 0
-	p.haveBest = false
-	p.settle = p.SettleWindows
+	p.st.Phase = phTune
+	p.st.TuneAppIdx = 0
+	p.st.TuneLvlIdx = 0
+	p.st.TuneMiss = 0
+	p.st.HaveBest = false
+	p.st.Settle = p.SettleWindows
 }
 
 // tuneLevelsFor returns the descending candidate levels for tuning app,
 // excluding levels past the app's Guideline-2 inflection cap.
 func (p *PBS) tuneLevelsFor(app int) []int {
 	cap := config.MaxTLP
-	if p.capLevel != nil {
-		cap = p.capLevel[app]
+	if p.st.CapLevel != nil {
+		cap = p.st.CapLevel[app]
 	}
 	var lv []int
 	for _, l := range p.SweepLevels {
@@ -767,39 +725,39 @@ func (p *PBS) tuneLevelsFor(app int) []int {
 // tuneStep consumes the measurement of the current tuning combination and
 // either advances to the next level, the next app, or stabilizes.
 func (p *PBS) tuneStep(m float64) {
-	app := p.tuneOrder[p.tuneAppIdx]
+	app := p.st.TuneOrder[p.st.TuneAppIdx]
 	levels := p.tuneLevelsFor(app)
 
-	if !p.haveBest || m > p.tuneBestM {
-		p.tuneBestM = m
-		p.tuneBestT = levels[p.tuneLvlIdx]
-		p.tuneMiss = 0
-		p.haveBest = true
+	if !p.st.HaveBest || m > p.st.TuneBestM {
+		p.st.TuneBestM = m
+		p.st.TuneBestT = levels[p.st.TuneLvlIdx]
+		p.st.TuneMiss = 0
+		p.st.HaveBest = true
 	} else {
-		p.tuneMiss++
+		p.st.TuneMiss++
 	}
-	p.tuneLvlIdx++
-	if p.tuneLvlIdx < len(levels) && p.tuneMiss < p.TunePatience {
-		p.cur.TLP[app] = levels[p.tuneLvlIdx]
-		p.settle = p.SettleWindows
+	p.st.TuneLvlIdx++
+	if p.st.TuneLvlIdx < len(levels) && p.st.TuneMiss < p.TunePatience {
+		p.st.Cur.TLP[app] = levels[p.st.TuneLvlIdx]
+		p.st.Settle = p.SettleWindows
 		return
 	}
 
 	// Done with this app: revert to its best level and move on.
-	p.cur.TLP[app] = p.tuneBestT
-	p.tuneAppIdx++
-	if p.tuneAppIdx < len(p.tuneOrder) {
-		next := p.tuneOrder[p.tuneAppIdx]
-		p.tuneLvlIdx = 0
-		p.tuneMiss = 0
-		p.haveBest = false
-		p.cur.TLP[next] = p.tuneLevelsFor(next)[0]
-		p.settle = p.SettleWindows
+	p.st.Cur.TLP[app] = p.st.TuneBestT
+	p.st.TuneAppIdx++
+	if p.st.TuneAppIdx < len(p.st.TuneOrder) {
+		next := p.st.TuneOrder[p.st.TuneAppIdx]
+		p.st.TuneLvlIdx = 0
+		p.st.TuneMiss = 0
+		p.st.HaveBest = false
+		p.st.Cur.TLP[next] = p.tuneLevelsFor(next)[0]
+		p.st.Settle = p.SettleWindows
 		return
 	}
-	p.ph = phStable
-	p.searches++
-	p.settle = p.SettleWindows
+	p.st.Phase = phStable
+	p.st.Searches++
+	p.st.Settle = p.SettleWindows
 }
 
 // tuneStepFI runs the FI tuning scan: the non-critical application visits
@@ -807,33 +765,33 @@ func (p *PBS) tuneStep(m float64) {
 // the level nearest the balance crossing wins (Fig. 7b: "searching is
 // stopped when the lowest absolute EB-difference is found").
 func (p *PBS) tuneStepFI(d, sum float64) {
-	app := p.tuneOrder[p.tuneAppIdx]
+	app := p.st.TuneOrder[p.st.TuneAppIdx]
 	levels := p.tuneLevelsFor(app)
 
-	p.tuneDiffs = append(p.tuneDiffs, d)
-	p.tuneSums = append(p.tuneSums, sum)
+	p.st.TuneDiffs = append(p.st.TuneDiffs, d)
+	p.st.TuneSums = append(p.st.TuneSums, sum)
 
-	p.tuneLvlIdx++
-	if p.tuneLvlIdx < len(levels) {
-		p.cur.TLP[app] = levels[p.tuneLvlIdx]
-		p.settle = p.SettleWindows
+	p.st.TuneLvlIdx++
+	if p.st.TuneLvlIdx < len(levels) {
+		p.st.Cur.TLP[app] = levels[p.st.TuneLvlIdx]
+		p.st.Settle = p.SettleWindows
 		return
 	}
-	pick := chooseByDiff(p.tuneDiffs, p.tuneSums)
-	p.cur.TLP[app] = levels[pick]
-	p.tuneAppIdx++
-	if p.tuneAppIdx < len(p.tuneOrder) {
-		next := p.tuneOrder[p.tuneAppIdx]
-		p.tuneLvlIdx = 0
-		p.tuneDiffs = p.tuneDiffs[:0]
-		p.tuneSums = p.tuneSums[:0]
-		p.cur.TLP[next] = p.tuneLevelsFor(next)[0]
-		p.settle = p.SettleWindows
+	pick := chooseByDiff(p.st.TuneDiffs, p.st.TuneSums)
+	p.st.Cur.TLP[app] = levels[pick]
+	p.st.TuneAppIdx++
+	if p.st.TuneAppIdx < len(p.st.TuneOrder) {
+		next := p.st.TuneOrder[p.st.TuneAppIdx]
+		p.st.TuneLvlIdx = 0
+		p.st.TuneDiffs = p.st.TuneDiffs[:0]
+		p.st.TuneSums = p.st.TuneSums[:0]
+		p.st.Cur.TLP[next] = p.tuneLevelsFor(next)[0]
+		p.st.Settle = p.SettleWindows
 		return
 	}
-	p.ph = phStable
-	p.searches++
-	p.settle = p.SettleWindows
+	p.st.Phase = phStable
+	p.st.Searches++
+	p.st.Settle = p.SettleWindows
 }
 
 // collapseFrac is the fraction of an application's peak own-EB below

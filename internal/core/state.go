@@ -6,150 +6,68 @@ import (
 	"ebm/internal/tlp"
 )
 
-// pbsState mirrors every mutable field of the PBS search state machine.
-// Tuning-knob configuration (Objective, Scaling, SweepLevels, ...) is
-// construction-time and re-derived from the scheme on restore. Nil-ness
-// is load-bearing for Scale (nil means "re-measure after the sweeps" in
-// SampledScale mode) and CapLevel; gob preserves nil for omitted slice
-// fields and every non-nil occurrence of these slices has non-zero
-// length, so the round trip is exact.
+// pbsState is every mutable field of the PBS search state machine, and
+// what a checkpoint encodes. Tuning-knob configuration (Objective,
+// Scaling, SweepLevels, ...) is construction-time and re-derived from the
+// scheme on restore. Nil-ness is load-bearing for Scale (nil means
+// "re-measure after the sweeps" in SampledScale mode) and CapLevel; gob
+// preserves nil for omitted slice fields and every non-nil occurrence of
+// these slices has non-zero length, so the round trip is exact.
 type pbsState struct {
 	NumApps int
-	Phase   int
+	Phase   phase
 	Settle  int
-	TLP     []int
-	Bypass  []bool
+	Cur     tlp.Decision
 
 	Scale    []float64
 	ScaleApp int
 
-	SweepApp  int
-	SweepIdx  int
-	SweepM    [][]float64
-	OwnEB     [][]float64
-	SweepD    [][]float64
-	SweepSum  [][]float64
-	SweepRawA [][]float64
-	SweepRawB [][]float64
-	CapLevel  []int
-	Critical  int
-	FixedTLP  int
-
-	TuneOrder  []int
+	SweepApp   int
+	SweepIdx   int
+	SweepM     [][]float64 // [app][levelIdx] metric
+	OwnEB      [][]float64 // [app][levelIdx] that app's own EB during its sweep
+	SweepD     [][]float64 // [app][levelIdx] scaled EB-difference (FI mode)
+	SweepSum   [][]float64 // [app][levelIdx] scaled EB sum (FI-mode health)
+	SweepRawA  [][]float64 // [app][levelIdx] raw EB of app 0 (FI mode)
+	SweepRawB  [][]float64 // [app][levelIdx] raw EB of app 1 (FI mode)
+	CapLevel   []int       // per-app Guideline-2 cap: own-EB inflection level
+	Critical   int
+	FixedTLP   int
+	TuneOrder  []int // apps to tune, after the critical one
 	TuneAppIdx int
-	TuneLvlIdx int
+	TuneLvlIdx int // index into descending levels
 	TuneBestM  float64
 	TuneBestT  int
 	TuneMiss   int
 	HaveBest   bool
-	TuneDiffs  []float64
-	TuneSums   []float64
+	TuneDiffs  []float64 // FI mode: EB-difference per visited tune level
+	TuneSums   []float64 // FI mode: scaled EB sum per visited tune level
 
-	StableM    float64
+	StableM    float64 // metric value when the search stabilized
 	DriftCount int
 
+	// Measurement accumulator (averaging MeasureWindows windows).
 	AccN   int
 	AccM   float64
 	AccEB  []float64
 	AccD   float64
 	AccSum float64
 
-	SinceFull int
+	SinceFull int // relaunch-restarts since the last full sweep search
 
 	Table    []TableEntry
-	Searches uint64
+	Searches uint64 // completed searches (telemetry)
 	Restarts uint64
 	Drifts   uint64
 }
 
 // StateBytes implements tlp.Stater.
-func (p *PBS) StateBytes() ([]byte, error) {
-	return tlp.EncodeState(pbsState{
-		NumApps:    p.numApps,
-		Phase:      int(p.ph),
-		Settle:     p.settle,
-		TLP:        p.cur.TLP,
-		Bypass:     p.cur.BypassL1,
-		Scale:      p.scale,
-		ScaleApp:   p.scaleApp,
-		SweepApp:   p.sweepApp,
-		SweepIdx:   p.sweepIdx,
-		SweepM:     p.sweepM,
-		OwnEB:      p.ownEB,
-		SweepD:     p.sweepD,
-		SweepSum:   p.sweepSum,
-		SweepRawA:  p.sweepRawA,
-		SweepRawB:  p.sweepRawB,
-		CapLevel:   p.capLevel,
-		Critical:   p.critical,
-		FixedTLP:   p.fixedTLP,
-		TuneOrder:  p.tuneOrder,
-		TuneAppIdx: p.tuneAppIdx,
-		TuneLvlIdx: p.tuneLvlIdx,
-		TuneBestM:  p.tuneBestM,
-		TuneBestT:  p.tuneBestT,
-		TuneMiss:   p.tuneMiss,
-		HaveBest:   p.haveBest,
-		TuneDiffs:  p.tuneDiffs,
-		TuneSums:   p.tuneSums,
-		StableM:    p.stableM,
-		DriftCount: p.driftCount,
-		AccN:       p.accN,
-		AccM:       p.accM,
-		AccEB:      p.accEB,
-		AccD:       p.accD,
-		AccSum:     p.accSum,
-		SinceFull:  p.sinceFull,
-		Table:      p.table,
-		Searches:   p.searches,
-		Restarts:   p.restarts,
-		Drifts:     p.drifts,
-	})
-}
+func (p *PBS) StateBytes() ([]byte, error) { return tlp.EncodeState(p.st) }
 
 // SetStateBytes implements tlp.Stater.
 func (p *PBS) SetStateBytes(b []byte) error {
-	var st pbsState
-	if err := tlp.DecodeState(b, &st); err != nil {
+	if err := tlp.DecodeState(b, &p.st); err != nil {
 		return fmt.Errorf("core: pbs state: %w", err)
 	}
-	p.numApps = st.NumApps
-	p.ph = phase(st.Phase)
-	p.settle = st.Settle
-	p.cur = tlp.Decision{TLP: st.TLP, BypassL1: st.Bypass}
-	p.scale = st.Scale
-	p.scaleApp = st.ScaleApp
-	p.sweepApp = st.SweepApp
-	p.sweepIdx = st.SweepIdx
-	p.sweepM = st.SweepM
-	p.ownEB = st.OwnEB
-	p.sweepD = st.SweepD
-	p.sweepSum = st.SweepSum
-	p.sweepRawA = st.SweepRawA
-	p.sweepRawB = st.SweepRawB
-	p.capLevel = st.CapLevel
-	p.critical = st.Critical
-	p.fixedTLP = st.FixedTLP
-	p.tuneOrder = st.TuneOrder
-	p.tuneAppIdx = st.TuneAppIdx
-	p.tuneLvlIdx = st.TuneLvlIdx
-	p.tuneBestM = st.TuneBestM
-	p.tuneBestT = st.TuneBestT
-	p.tuneMiss = st.TuneMiss
-	p.haveBest = st.HaveBest
-	p.tuneDiffs = st.TuneDiffs
-	p.tuneSums = st.TuneSums
-	p.stableM = st.StableM
-	p.driftCount = st.DriftCount
-	p.accN = st.AccN
-	p.accM = st.AccM
-	p.accEB = st.AccEB
-	p.accD = st.AccD
-	p.accSum = st.AccSum
-	p.sinceFull = st.SinceFull
-	p.table = st.Table
-	p.searches = st.Searches
-	p.restarts = st.Restarts
-	p.drifts = st.Drifts
 	return nil
 }

@@ -22,12 +22,13 @@ import (
 )
 
 // bank holds per-DRAM-bank row-buffer and timing state, in memory cycles.
+// Its fields are exported so that engine checkpoints encode it as is.
 type bank struct {
-	openRow   int64  // -1 when closed
-	actAt     uint64 // time of the last activate (tRAS reference)
-	colReady  uint64 // earliest next column command on this bank
-	lastColAt uint64 // last column command (tWR reference)
-	preDone   uint64 // precharge completion time when closing
+	OpenRow   int64  // -1 when closed
+	ActAt     uint64 // time of the last activate (tRAS reference)
+	ColReady  uint64 // earliest next column command on this bank
+	LastColAt uint64 // last column command (tWR reference)
+	PreDone   uint64 // precharge completion time when closing
 }
 
 type eventKind uint8
@@ -175,7 +176,7 @@ func NewPartition(id int, cfg *config.GPU, numApps int) *Partition {
 		nbanks:     uint64(cfg.BanksPerMC),
 	}
 	for i := range p.banks {
-		p.banks[i].openRow = -1
+		p.banks[i].OpenRow = -1
 	}
 	return p
 }
@@ -270,12 +271,12 @@ func (p *Partition) maybeRefresh(now uint64) {
 	done := now + uint64(t.TRFC)
 	for i := range p.banks {
 		b := &p.banks[i]
-		b.openRow = -1 // refresh precharges all banks
-		if b.preDone < done {
-			b.preDone = done
+		b.OpenRow = -1 // refresh precharges all banks
+		if b.PreDone < done {
+			b.PreDone = done
 		}
-		if b.colReady < done {
-			b.colReady = done
+		if b.ColReady < done {
+			b.ColReady = done
 		}
 	}
 	if p.busFreeAt < done {
@@ -389,7 +390,7 @@ func (p *Partition) scheduleDRAM(now uint64) {
 	pick := -1
 	for i, r := range p.dramQ {
 		b, row := p.bankAndRow(r.LineAddr)
-		if p.banks[b].openRow == row {
+		if p.banks[b].OpenRow == row {
 			pick = i
 			break
 		}
@@ -410,25 +411,25 @@ func (p *Partition) scheduleDRAM(now uint64) {
 	var colAt uint64
 	switch {
 	case rowHit:
-		colAt = max(now, b.colReady, p.lastColAt+uint64(t.TCCD))
+		colAt = max(now, b.ColReady, p.lastColAt+uint64(t.TCCD))
 		p.Apps[app].RowHits.Inc()
-	case b.openRow < 0:
-		actAt := max(now, b.preDone, p.lastActAt+uint64(t.TRRD))
-		b.actAt = actAt
-		b.openRow = row
-		b.colReady = actAt + uint64(t.TRCD)
+	case b.OpenRow < 0:
+		actAt := max(now, b.PreDone, p.lastActAt+uint64(t.TRRD))
+		b.ActAt = actAt
+		b.OpenRow = row
+		b.ColReady = actAt + uint64(t.TRCD)
 		p.lastActAt = actAt
-		colAt = max(b.colReady, p.lastColAt+uint64(t.TCCD))
+		colAt = max(b.ColReady, p.lastColAt+uint64(t.TCCD))
 		p.Apps[app].RowMisses.Inc()
 	default: // row conflict: precharge, then activate
-		preAt := max(now, b.actAt+uint64(t.TRAS), b.lastColAt+uint64(t.TWR))
+		preAt := max(now, b.ActAt+uint64(t.TRAS), b.LastColAt+uint64(t.TWR))
 		actAt := max(preAt+uint64(t.TRP), p.lastActAt+uint64(t.TRRD))
-		b.preDone = preAt + uint64(t.TRP)
-		b.actAt = actAt
-		b.openRow = row
-		b.colReady = actAt + uint64(t.TRCD)
+		b.PreDone = preAt + uint64(t.TRP)
+		b.ActAt = actAt
+		b.OpenRow = row
+		b.ColReady = actAt + uint64(t.TRCD)
 		p.lastActAt = actAt
-		colAt = max(b.colReady, p.lastColAt+uint64(t.TCCD))
+		colAt = max(b.ColReady, p.lastColAt+uint64(t.TCCD))
 		p.Apps[app].RowMisses.Inc()
 	}
 	// Serialize the data burst on the shared bus.
@@ -439,8 +440,8 @@ func (p *Partition) scheduleDRAM(now uint64) {
 	dataEnd := dataStart + uint64(t.BL)
 	p.busFreeAt = dataEnd
 	p.BusBusy.Add(uint64(t.BL))
-	b.lastColAt = colAt
-	b.colReady = colAt + uint64(t.TCCD)
+	b.LastColAt = colAt
+	b.ColReady = colAt + uint64(t.TCCD)
 	p.lastColAt = colAt
 
 	p.Apps[app].BWBytes.Add(uint64(p.cfg.L2.LineBytes))

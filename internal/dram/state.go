@@ -8,31 +8,12 @@ import (
 	"ebm/internal/stats"
 )
 
-// BankState mirrors one GDDR5 bank's timing state.
-type BankState struct {
-	OpenRow   int64
-	ActAt     uint64
-	ColReady  uint64
-	LastColAt uint64
-	PreDone   uint64
-}
-
 // EventState is one pending completion event: its fire time, kind, and
 // the request by value.
 type EventState struct {
 	At   uint64
 	Kind uint8
 	Req  mem.Request
-}
-
-// AppStatsState mirrors one application's per-partition Stats block.
-type AppStatsState struct {
-	BWBytes    stats.CounterState
-	RowHits    stats.CounterState
-	RowMisses  stats.CounterState
-	DRAMReads  stats.CounterState
-	DRAMWrites stats.CounterState
-	LatencySum stats.CounterState
 }
 
 // PartitionState is a Partition's complete serializable snapshot.
@@ -49,32 +30,34 @@ type PartitionState struct {
 	MSHRLines   []uint64
 	MSHRWaiters [][]mem.Request
 	DramQ       []mem.Request
-	Banks       []BankState
+	Banks       []bank
 	BusFreeAt   uint64
 	LastActAt   uint64
 	LastColAt   uint64
 	Events      []EventState // raw heap-array order
 	Resp        []mem.Request
-	Apps        []AppStatsState
-	Refreshes   stats.CounterState
+	Apps        []Stats
+	Refreshes   stats.Counter
 	NextRefresh uint64
-	MSHRStalls  stats.CounterState
-	BusBusy     stats.CounterState
+	MSHRStalls  stats.Counter
+	BusBusy     stats.Counter
 }
 
-// State returns the partition's snapshot.
+// State returns the partition's snapshot. It aliases the partition's
+// live bank, counter and cache state: encode it before the partition runs
+// again.
 func (p *Partition) State() PartitionState {
 	st := PartitionState{
 		L2:          p.L2.State(),
-		Banks:       make([]BankState, len(p.banks)),
+		Banks:       p.banks,
 		BusFreeAt:   p.busFreeAt,
 		LastActAt:   p.lastActAt,
 		LastColAt:   p.lastColAt,
-		Apps:        make([]AppStatsState, len(p.Apps)),
-		Refreshes:   p.Refreshes.State(),
+		Apps:        p.Apps,
+		Refreshes:   p.Refreshes,
 		NextRefresh: p.nextRefresh,
-		MSHRStalls:  p.MSHRStalls.State(),
-		BusBusy:     p.BusBusy.State(),
+		MSHRStalls:  p.MSHRStalls,
+		BusBusy:     p.BusBusy,
 	}
 	for _, r := range p.inq {
 		st.Inq = append(st.Inq, *r)
@@ -92,26 +75,11 @@ func (p *Partition) State() PartitionState {
 	for _, r := range p.dramQ {
 		st.DramQ = append(st.DramQ, *r)
 	}
-	for i := range p.banks {
-		b := &p.banks[i]
-		st.Banks[i] = BankState{OpenRow: b.openRow, ActAt: b.actAt, ColReady: b.colReady, LastColAt: b.lastColAt, PreDone: b.preDone}
-	}
 	for _, e := range p.events {
 		st.Events = append(st.Events, EventState{At: e.at, Kind: uint8(e.kind), Req: *e.req})
 	}
 	for _, r := range p.resp {
 		st.Resp = append(st.Resp, *r)
-	}
-	for i := range p.Apps {
-		a := &p.Apps[i]
-		st.Apps[i] = AppStatsState{
-			BWBytes:    a.BWBytes.State(),
-			RowHits:    a.RowHits.State(),
-			RowMisses:  a.RowMisses.State(),
-			DRAMReads:  a.DRAMReads.State(),
-			DRAMWrites: a.DRAMWrites.State(),
-			LatencySum: a.LatencySum.State(),
-		}
 	}
 	return st
 }
@@ -154,10 +122,7 @@ func (p *Partition) SetState(st PartitionState) error {
 	for _, v := range st.DramQ {
 		p.dramQ = append(p.dramQ, clone(v))
 	}
-	for i := range p.banks {
-		b := st.Banks[i]
-		p.banks[i] = bank{openRow: b.OpenRow, actAt: b.ActAt, colReady: b.ColReady, lastColAt: b.LastColAt, preDone: b.PreDone}
-	}
+	copy(p.banks, st.Banks)
 	p.busFreeAt = st.BusFreeAt
 	p.lastActAt = st.LastActAt
 	p.lastColAt = st.LastColAt
@@ -169,19 +134,10 @@ func (p *Partition) SetState(st PartitionState) error {
 	for _, v := range st.Resp {
 		p.resp = append(p.resp, clone(v))
 	}
-	for i := range p.Apps {
-		a := &p.Apps[i]
-		s := st.Apps[i]
-		a.BWBytes.SetState(s.BWBytes)
-		a.RowHits.SetState(s.RowHits)
-		a.RowMisses.SetState(s.RowMisses)
-		a.DRAMReads.SetState(s.DRAMReads)
-		a.DRAMWrites.SetState(s.DRAMWrites)
-		a.LatencySum.SetState(s.LatencySum)
-	}
-	p.Refreshes.SetState(st.Refreshes)
+	copy(p.Apps, st.Apps)
+	p.Refreshes = st.Refreshes
 	p.nextRefresh = st.NextRefresh
-	p.MSHRStalls.SetState(st.MSHRStalls)
-	p.BusBusy.SetState(st.BusBusy)
+	p.MSHRStalls = st.MSHRStalls
+	p.BusBusy = st.BusBusy
 	return nil
 }

@@ -20,25 +20,21 @@ import (
 // (ALU latency or L1 hit latency); both are far below 64 cycles.
 const wheelSize = 64
 
-type warp struct {
-	stream       *kernel.WarpStream
-	pendingFills int
-}
-
 // scheduler is one GTO warp scheduler owning a contiguous age-ordered block
 // of the core's warps. Bit w of the masks refers to its w-th warp (0 is
-// oldest).
+// oldest). Its fields are exported so that engine checkpoints encode it
+// as is; Base and Count are fixed at construction.
 type scheduler struct {
-	base       int // core-local index of warp 0
-	count      int
-	readyMask  uint64
-	memWait    uint64 // warps with outstanding fills
-	lastIssued int    // scheduler-local index, -1 if none
+	Base       int // core-local index of warp 0
+	Count      int
+	ReadyMask  uint64
+	MemWait    uint64 // warps with outstanding fills
+	LastIssued int    // scheduler-local index, -1 if none
 }
 
 func (s *scheduler) activeMask(tlp int) uint64 {
-	if tlp >= s.count {
-		return (uint64(1) << s.count) - 1
+	if tlp >= s.Count {
+		return (uint64(1) << s.Count) - 1
 	}
 	return (uint64(1) << tlp) - 1
 }
@@ -82,9 +78,10 @@ type Core struct {
 	cfg *config.GPU
 	L1  *cache.Cache
 
-	warps  []warp
-	scheds []scheduler
-	tlp    int // active warps per scheduler
+	streams      []*kernel.WarpStream
+	pendingFills []int // per warp: fills it still waits for
+	scheds       []scheduler
+	tlp          int // active warps per scheduler
 
 	mshr      *mem.MSHRTable[int32] // line -> core-local warp waiters
 	pool      *mem.Pool             // request free list (nil: plain allocation)
@@ -110,26 +107,24 @@ func NewCore(id, app int, cfg *config.GPU, streams []*kernel.WarpStream, numApps
 		panic(fmt.Sprintf("gpu: core %d got %d streams, want %d", id, len(streams), cfg.MaxWarpsPerCore))
 	}
 	c := &Core{
-		ID:      id,
-		App:     app,
-		cfg:     cfg,
-		L1:      cache.New(cfg.L1, numApps),
-		warps:   make([]warp, len(streams)),
-		mshr:    mem.NewMSHRTable[int32](cfg.L1MSHRs),
-		outqCap: 16,
-		tlp:     cfg.MaxTLPPerScheduler(),
-	}
-	for i, s := range streams {
-		c.warps[i].stream = s
+		ID:           id,
+		App:          app,
+		cfg:          cfg,
+		L1:           cache.New(cfg.L1, numApps),
+		streams:      append([]*kernel.WarpStream(nil), streams...),
+		pendingFills: make([]int, len(streams)),
+		mshr:         mem.NewMSHRTable[int32](cfg.L1MSHRs),
+		outqCap:      16,
+		tlp:          cfg.MaxTLPPerScheduler(),
 	}
 	per := cfg.MaxWarpsPerCore / cfg.SchedulersPerCore
 	c.scheds = make([]scheduler, cfg.SchedulersPerCore)
 	for i := range c.scheds {
 		c.scheds[i] = scheduler{
-			base:       i * per,
-			count:      per,
-			readyMask:  (uint64(1) << per) - 1,
-			lastIssued: -1,
+			Base:       i * per,
+			Count:      per,
+			ReadyMask:  (uint64(1) << per) - 1,
+			LastIssued: -1,
 		}
 	}
 	return c
@@ -195,21 +190,21 @@ func (c *Core) OutstandingMisses() int { return c.mshr.Len() }
 // schedulerOf returns the scheduler owning core-local warp w and w's
 // scheduler-local index.
 func (c *Core) schedulerOf(w int) (*scheduler, int) {
-	per := c.scheds[0].count
+	per := c.scheds[0].Count
 	si := w / per
-	return &c.scheds[si], w - c.scheds[si].base
+	return &c.scheds[si], w - c.scheds[si].Base
 }
 
 // wake marks warp w ready.
 func (c *Core) wake(w int) {
 	s, li := c.schedulerOf(w)
-	s.readyMask |= uint64(1) << li
+	s.ReadyMask |= uint64(1) << li
 }
 
 // sleep marks warp w not ready.
 func (c *Core) sleep(w int) {
 	s, li := c.schedulerOf(w)
-	s.readyMask &^= uint64(1) << li
+	s.ReadyMask &^= uint64(1) << li
 }
 
 // scheduleWake arranges for warp w to become ready after delay cycles.
@@ -237,13 +232,12 @@ func (c *Core) HandleFill(lineAddr uint64) {
 	}
 	for _, w32 := range waiters {
 		w := int(w32)
-		wp := &c.warps[w]
-		wp.pendingFills--
-		if wp.pendingFills <= 0 {
-			wp.pendingFills = 0
+		c.pendingFills[w]--
+		if c.pendingFills[w] <= 0 {
+			c.pendingFills[w] = 0
 			c.wake(w)
 			s, li := c.schedulerOf(w)
-			s.memWait &^= uint64(1) << li
+			s.MemWait &^= uint64(1) << li
 		}
 	}
 	c.mshr.Release(waiters)
@@ -275,21 +269,21 @@ func (c *Core) Tick(now uint64) (stalls int, quiet bool) {
 	for si := range c.scheds {
 		s := &c.scheds[si]
 		act := s.activeMask(c.tlp)
-		if s.memWait&act != 0 {
+		if s.MemWait&act != 0 {
 			anyActiveMemWait = true
 		}
-		ready := s.readyMask & act
+		ready := s.ReadyMask & act
 		if ready == 0 {
 			continue
 		}
 		var pick int
-		if s.lastIssued >= 0 && ready&(uint64(1)<<s.lastIssued) != 0 {
-			pick = s.lastIssued // greedy: stick with the current warp
+		if s.LastIssued >= 0 && ready&(uint64(1)<<s.LastIssued) != 0 {
+			pick = s.LastIssued // greedy: stick with the current warp
 		} else {
 			pick = bits.TrailingZeros64(ready) // then oldest
 		}
 		if c.issue(s, pick, now) {
-			s.lastIssued = pick
+			s.LastIssued = pick
 			issued++
 		} else {
 			stalls++
@@ -312,12 +306,12 @@ func (c *Core) Tick(now uint64) (stalls int, quiet bool) {
 // local index li; it returns false on a structural stall (the warp stays
 // ready and will retry).
 func (c *Core) issue(s *scheduler, li int, now uint64) bool {
-	w := s.base + li
-	wp := &c.warps[w]
-	inst := wp.stream.Current()
+	w := s.Base + li
+	stream := c.streams[w]
+	inst := stream.Current()
 
 	if !inst.IsMem {
-		wp.stream.Advance()
+		stream.Advance()
 		c.Stats.InstRetired.Inc()
 		delay := c.alu()
 		if delay > 1 {
@@ -339,7 +333,7 @@ func (c *Core) issue(s *scheduler, li int, now uint64) bool {
 			r.Kind, r.LineAddr, r.App, r.Core, r.Born = mem.WriteReq, line, c.App, c.ID, now
 			c.outq = append(c.outq, r)
 		}
-		wp.stream.Advance()
+		stream.Advance()
 		c.Stats.InstRetired.Inc()
 		c.Stats.MemInsts.Inc()
 		return true
@@ -395,7 +389,7 @@ func (c *Core) issue(s *scheduler, li int, now uint64) bool {
 		c.outq = append(c.outq, r)
 	}
 
-	wp.stream.Advance()
+	stream.Advance()
 	c.Stats.InstRetired.Inc()
 	c.Stats.MemInsts.Inc()
 
@@ -405,9 +399,9 @@ func (c *Core) issue(s *scheduler, li int, now uint64) bool {
 		c.scheduleWake(w, now, c.cfg.L1HitLatency)
 		return true
 	}
-	wp.pendingFills += fills
+	c.pendingFills[w] += fills
 	c.sleep(w)
-	s.memWait |= uint64(1) << li
+	s.MemWait |= uint64(1) << li
 	return true
 }
 
@@ -415,7 +409,7 @@ func (c *Core) issue(s *scheduler, li int, now uint64) bool {
 // core's application.
 func (c *Core) alu() int {
 	// The ALU delay is a kernel parameter; all warps of a core share it.
-	return c.warps[0].stream.ALUDelay()
+	return c.streams[0].ALUDelay()
 }
 
 func containsLine(lines []uint64, line uint64) bool {
@@ -442,7 +436,7 @@ func waitersContain(xs []int32, x int32) bool {
 func (c *Core) ActiveMemWait() bool {
 	for si := range c.scheds {
 		s := &c.scheds[si]
-		if s.memWait&s.activeMask(c.tlp) != 0 {
+		if s.MemWait&s.activeMask(c.tlp) != 0 {
 			return true
 		}
 	}

@@ -386,12 +386,12 @@ func TestCreditIdleMatchesStalledTicks(t *testing.T) {
 				t.Fatalf("FastForward %d, want %d", got, n-1)
 			}
 			a, b := ticked.State(), credited.State()
-			a.Stats.FastForward, b.Stats.FastForward = stats.CounterState{}, stats.CounterState{}
+			a.Stats.FastForward, b.Stats.FastForward = stats.Counter{}, stats.Counter{}
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("credited core diverged from ticked core:\nticked:   %+v\ncredited: %+v", a.Stats, b.Stats)
 			}
-			for w := range ticked.warps {
-				if !reflect.DeepEqual(ticked.warps[w].stream.State(), credited.warps[w].stream.State()) {
+			for w := range ticked.streams {
+				if !reflect.DeepEqual(ticked.streams[w].State(), credited.streams[w].State()) {
 					t.Fatalf("warp %d stream diverged", w)
 				}
 			}
@@ -446,8 +446,8 @@ func TestGTOGreedyStaysOnWarp(t *testing.T) {
 	}
 	gen := 0
 	per := cfg.MaxWarpsPerCore / cfg.SchedulersPerCore
-	for i, w := range c.warps {
-		if w.stream.Generated() > 0 {
+	for i, w := range c.streams {
+		if w.Generated() > 0 {
 			gen++
 			if i != 0 && i != per {
 				t.Fatalf("greedy scheduler issued from warp %d", i)
@@ -456,5 +456,22 @@ func TestGTOGreedyStaysOnWarp(t *testing.T) {
 	}
 	if gen != 2 {
 		t.Fatalf("%d warps progressed, want 2 (one per scheduler)", gen)
+	}
+}
+
+// TestSetStateRejectsSchedulerLayout checks that a core refuses a state
+// whose schedulers own other warps than its own: the warp ranges are
+// construction-time, so such a state comes from another machine.
+func TestSetStateRejectsSchedulerLayout(t *testing.T) {
+	cfg := machine()
+	src := newCore(t, cfg, computeOnly())
+	st := src.State()
+	if err := newCore(t, cfg, computeOnly()).SetState(st); err != nil {
+		t.Fatalf("matching state: %v", err)
+	}
+	st.Scheds = append([]scheduler(nil), st.Scheds...)
+	st.Scheds[1].Base++
+	if err := newCore(t, cfg, computeOnly()).SetState(st); err == nil {
+		t.Fatal("state with a shifted scheduler warp range restored")
 	}
 }

@@ -24,3 +24,9 @@ func (s *Simulator) CoreStates() []gpu.CoreState {
 	}
 	return out
 }
+
+// Snapshot and Restore expose the struct form behind SnapshotBytes and
+// RestoreBytes. A Snapshot aliases the simulator's live state.
+func (s *Simulator) Snapshot() (*EngineState, error) { return s.state() }
+
+func (s *Simulator) Restore(st *EngineState) error { return s.setState(st) }

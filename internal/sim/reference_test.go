@@ -79,7 +79,7 @@ func sameRun(got, want run) error {
 	}
 	for ci := range want.cores {
 		g, w := got.cores[ci], want.cores[ci]
-		g.Stats.FastForward, w.Stats.FastForward = stats.CounterState{}, stats.CounterState{}
+		g.Stats.FastForward, w.Stats.FastForward = stats.Counter{}, stats.Counter{}
 		if !reflect.DeepEqual(g.Stats, w.Stats) {
 			return fmt.Errorf("core %d counters differ:\n got  %+v\n want %+v", ci, g.Stats, w.Stats)
 		}
@@ -205,6 +205,17 @@ func table1Run() spec.RunSpec {
 	}
 }
 
+// withRefresh turns on all-bank refresh every trefi memory cycles (tRFC
+// 130) and, when total is non-zero, sets the run's horizon.
+func withRefresh(rs spec.RunSpec, total uint64, trefi int) spec.RunSpec {
+	rs.Config.Timing.TREFI = trefi
+	rs.Config.Timing.TRFC = 130
+	if total != 0 {
+		rs.TotalCycles = total
+	}
+	return rs
+}
+
 // TestFastForwardMatchesReference is the differential test of the
 // engine's skips (per-core fast-forward of quiescent and issue-stalled
 // cores, the quiescent-partition skip): on drawn machines, workloads and
@@ -228,6 +239,12 @@ func TestFastForwardMatchesReference(t *testing.T) {
 			cases = append(cases, diffCase{fmt.Sprintf("%s/%d", kind, d), drawRun(rng, kind, testing.Short())})
 		}
 	}
+	// Refresh runs on a wall-clock schedule, so a fork that loses the
+	// partitions' next refresh time diverges; these two cases come after
+	// the drawn ones so that no earlier fork point moves.
+	cases = append(cases,
+		diffCase{"table1-refresh", refRun{RunSpec: withRefresh(table1Run(), 40_000, 1900)}},
+		diffCase{"phased-refresh", refRun{RunSpec: withRefresh(stalledPhased(), 0, 700)}})
 	for _, c := range cases {
 		forkAt := uint64(1 + rng.IntN(int(c.rs.TotalCycles/c.rs.WindowCycles)))
 		t.Run(c.name, func(t *testing.T) {
@@ -238,38 +255,50 @@ func TestFastForwardMatchesReference(t *testing.T) {
 			}
 			var ff uint64
 			for _, cs := range fast.cores {
-				ff += cs.Stats.FastForward.Total
+				ff += cs.Stats.FastForward.Total()
 			}
 			if c.name == "phased-stall" && ff == 0 {
 				t.Fatal("no core was fast-forwarded: the case does not exercise the skip")
 			}
-
-			var snap []byte
-			execute(t, c.rs, sim.New, func(w uint64, s *sim.Simulator) error {
-				if w != forkAt {
-					return nil
-				}
-				var err error
-				snap, err = s.SnapshotBytes()
-				return err
-			}, nil)
-			if snap == nil {
-				t.Fatalf("no snapshot at window %d", forkAt)
-			}
-			forked := execute(t, c.rs, sim.New, nil, snap)
-			tail := fast
-			tail.samples = fast.samples[forkAt:]
-			if err := sameRun(forked, tail); err != nil {
-				t.Fatalf("fork at window %d: %v", forkAt, err)
+			if err := forkMatches(t, c.rs, forkAt, fast); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
 }
 
+// forkMatches snapshots rs at window forkAt, restores the snapshot into a
+// fresh engine and reports the first difference between that fork and
+// the straight run's tail.
+func forkMatches(t *testing.T, rs refRun, forkAt uint64, straight run) error {
+	t.Helper()
+	var snap []byte
+	execute(t, rs, sim.New, func(w uint64, s *sim.Simulator) error {
+		if w != forkAt {
+			return nil
+		}
+		var err error
+		snap, err = s.SnapshotBytes()
+		return err
+	}, nil)
+	if snap == nil {
+		return fmt.Errorf("no snapshot at window %d", forkAt)
+	}
+	forked := execute(t, rs, sim.New, nil, snap)
+	tail := straight
+	tail.samples = straight.samples[forkAt:]
+	if err := sameRun(forked, tail); err != nil {
+		return fmt.Errorf("fork at window %d: %v", forkAt, err)
+	}
+	return nil
+}
+
 // FuzzFastForwardMatchesReference widens the differential test past its
-// fixed draws: each seed draws one scheme kind and one run (machine,
-// workload, horizons) and the engine must match the always-tick
-// reference. Plain `go test` runs only the seed corpus; explore with
+// fixed draws: each seed draws one scheme kind, one run (machine,
+// workload, horizons) and a fork window. The engine must match the
+// always-tick reference, and a fork restored at that window must match
+// the straight run's tail. Plain `go test` runs only the seed corpus;
+// explore with
 //
 //	go test ./internal/sim -run '^$' -fuzz FuzzFastForwardMatchesReference -fuzztime 60s
 func FuzzFastForwardMatchesReference(f *testing.F) {
@@ -280,9 +309,13 @@ func FuzzFastForwardMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		rng := rand.New(rand.NewPCG(seed, 2018))
 		rs := drawRun(rng, kinds[rng.IntN(len(kinds))], testing.Short())
+		forkAt := uint64(1 + rng.IntN(int(rs.TotalCycles/rs.WindowCycles)))
 		fast := execute(t, rs, sim.New, nil, nil)
 		ref := execute(t, rs, sim.NewReference, nil, nil)
 		if err := sameRun(fast, ref); err != nil {
+			t.Fatalf("seed %d: %v\nrun: %+v", seed, err, rs)
+		}
+		if err := forkMatches(t, rs, forkAt, fast); err != nil {
 			t.Fatalf("seed %d: %v\nrun: %+v", seed, err, rs)
 		}
 	})

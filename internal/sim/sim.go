@@ -98,7 +98,7 @@ type Options struct {
 
 	// CkptSink, when non-nil, is called at the end of every sampling
 	// window's boundary bookkeeping with the count of windows completed so
-	// far; Snapshot/SnapshotBytes called from inside the sink capture the
+	// far; SnapshotBytes called from inside the sink captures the
 	// state a fork must resume from (the first cycle of the next window).
 	// A sink error permanently disables further sink calls for this run —
 	// checkpointing degrades, the simulation itself is never affected.
@@ -219,19 +219,22 @@ func (r Result) EBsInto(dst []float64) []float64 {
 	return dst
 }
 
+// appSnapshot is one application's lifetime totals at a cycle. Its fields
+// are exported so that engine checkpoints encode the warmup snapshot as
+// is.
 type appSnapshot struct {
-	insts            uint64
-	l1Acc, l1Miss    uint64
-	l2Acc, l2Miss    uint64
-	bwBytes          uint64
-	rowHits, rowMiss uint64
-	latSum, reads    uint64
-	idle, memStall   uint64
-	issued           uint64
-	cycles           uint64
-	memCycles        uint64
-	tlpWeighted      float64
-	kernels          uint64
+	Insts            uint64
+	L1Acc, L1Miss    uint64
+	L2Acc, L2Miss    uint64
+	BWBytes          uint64
+	RowHits, RowMiss uint64
+	LatSum, Reads    uint64
+	Idle, MemStall   uint64
+	Issued           uint64
+	Cycles           uint64
+	MemCycles        uint64
+	TLPWeighted      float64
+	Kernels          uint64
 }
 
 // Simulator holds the assembled machine.
@@ -479,12 +482,12 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		ctx = context.Background()
 	}
 	done := ctx.Done() // nil for Background: the check below compiles away
-	// Work accounting starts at the current cycle, so a Restore()d run
+	// Work accounting starts at the current cycle, so a restored run
 	// credits only the tail it simulates itself, never the restored
 	// prefix.
 	counted := s.cycle
 	// No initialization of cycle/windows/nextWindow: a fresh simulator
-	// starts at zero and a Restore()d one resumes where the snapshot left
+	// starts at zero and a restored one resumes where the snapshot left
 	// off, so the same loop serves cold runs and checkpoint forks.
 	for ; s.cycle < s.opts.TotalCycles; s.cycle++ {
 		now := s.cycle

@@ -16,28 +16,7 @@ import (
 // SnapshotVersion identifies the EngineState layout. Bump it whenever any
 // captured structure changes shape or meaning; stale checkpoints then
 // fail to restore and callers fall back to cold execution.
-const SnapshotVersion = 2
-
-// AppSnapshotState mirrors the per-app warmup accumulator snapshot.
-type AppSnapshotState struct {
-	Insts       uint64
-	L1Acc       uint64
-	L1Miss      uint64
-	L2Acc       uint64
-	L2Miss      uint64
-	BWBytes     uint64
-	RowHits     uint64
-	RowMiss     uint64
-	LatSum      uint64
-	Reads       uint64
-	Idle        uint64
-	MemStall    uint64
-	Issued      uint64
-	Cycles      uint64
-	MemCycles   uint64
-	TLPWeighted float64
-	Kernels     uint64
-}
+const SnapshotVersion = 3
 
 // EngineState is the complete serializable state of a Simulator at a
 // cycle boundary: restoring it into a freshly constructed Simulator with
@@ -46,6 +25,9 @@ type AppSnapshotState struct {
 // configuration, apps, policy parameters) are NOT captured — the caller
 // keys checkpoints by the run spec's deterministic prefix and rebuilds
 // the machine before restoring.
+//
+// The slices of a captured EngineState alias the simulator's live
+// state, so SnapshotBytes encodes it straight away.
 type EngineState struct {
 	Version int
 
@@ -63,13 +45,9 @@ type EngineState struct {
 	QuietMemWait   []bool
 	QuietStalls    []int
 
-	CurTLP    []int
-	CurBypass []bool
-
-	PendValid  bool
-	PendTLP    []int
-	PendBypass []bool
-	PendAt     uint64
+	Cur    tlp.Decision
+	Pend   *tlp.Decision // nil when no decision is in flight
+	PendAt uint64
 
 	InstAtLaunch []uint64
 	Kernels      []uint64
@@ -78,7 +56,7 @@ type EngineState struct {
 	LastTLPFlush uint64
 
 	// Warm is nil when the warmup boundary has not been reached yet.
-	Warm []AppSnapshotState
+	Warm []appSnapshot
 
 	// ManagerName sanity-checks that a checkpoint is restored under the
 	// same policy that produced it; Manager is the policy's opaque state.
@@ -94,14 +72,14 @@ type EngineState struct {
 	Pool       mem.PoolState
 }
 
-// Snapshot captures the simulator's complete state. It never mutates the
+// state captures the simulator's complete state. It never mutates the
 // simulator (pending idle credits, TLP accumulators, and window marks are
 // captured raw), so taking snapshots cannot perturb a run's results.
 // Valid after RunContext returns (the state resumes at the cycle the run
 // stopped at) and inside a CkptSink callback (the state resumes at the
 // first cycle of the next window). It fails if the TLP manager does not
 // implement tlp.Stater.
-func (s *Simulator) Snapshot() (*EngineState, error) {
+func (s *Simulator) state() (*EngineState, error) {
 	mgr, ok := s.opts.Manager.(tlp.Stater)
 	if !ok {
 		return nil, fmt.Errorf("sim: manager %q does not support checkpointing", s.opts.Manager.Name())
@@ -123,45 +101,30 @@ func (s *Simulator) Snapshot() (*EngineState, error) {
 		MemAcc:         s.memAcc,
 		Windows:        s.windows,
 		NextWindow:     s.nextWindow,
-		CoreInjectFree: append([]uint64(nil), s.coreInjectFree...),
-		PartRespFree:   append([]uint64(nil), s.partRespFree...),
-		CoreQuiet:      append([]bool(nil), s.coreQuiet...),
-		QuietFrom:      append([]uint64(nil), s.quietFrom...),
-		QuietMemWait:   append([]bool(nil), s.quietMemWait...),
-		QuietStalls:    append([]int(nil), s.quietStalls...),
-		CurTLP:         append([]int(nil), s.curDecision.TLP...),
-		CurBypass:      append([]bool(nil), s.curDecision.BypassL1...),
+		CoreInjectFree: s.coreInjectFree,
+		PartRespFree:   s.partRespFree,
+		CoreQuiet:      s.coreQuiet,
+		QuietFrom:      s.quietFrom,
+		QuietMemWait:   s.quietMemWait,
+		QuietStalls:    s.quietStalls,
+		Cur:            s.curDecision,
+		Pend:           s.pendDecision,
 		PendAt:         s.pendAt,
-		InstAtLaunch:   append([]uint64(nil), s.instAtLaunch...),
-		Kernels:        append([]uint64(nil), s.kernels...),
-		PhaseIdx:       append([]int(nil), s.phaseIdx...),
-		TLPAccum:       append([]float64(nil), s.tlpAccum...),
+		InstAtLaunch:   s.instAtLaunch,
+		Kernels:        s.kernels,
+		PhaseIdx:       s.phaseIdx,
+		TLPAccum:       s.tlpAccum,
 		LastTLPFlush:   s.lastTLPFlush,
+		Warm:           s.warm,
 		ManagerName:    s.opts.Manager.Name(),
 		Manager:        mb,
+		Streams:        make([][]kernel.StreamState, len(s.appStreams)),
+		Cores:          make([]gpu.CoreState, len(s.cores)),
+		Partitions:     make([]dram.PartitionState, len(s.partitions)),
 		ToMem:          s.toMem.State(),
 		ToCore:         s.toCore.State(),
 		Pool:           s.pool.State(),
 	}
-	if s.pendDecision != nil {
-		st.PendValid = true
-		st.PendTLP = append([]int(nil), s.pendDecision.TLP...)
-		st.PendBypass = append([]bool(nil), s.pendDecision.BypassL1...)
-	}
-	if s.warm != nil {
-		st.Warm = make([]AppSnapshotState, len(s.warm))
-		for i, w := range s.warm {
-			st.Warm[i] = AppSnapshotState{
-				Insts: w.insts, L1Acc: w.l1Acc, L1Miss: w.l1Miss,
-				L2Acc: w.l2Acc, L2Miss: w.l2Miss, BWBytes: w.bwBytes,
-				RowHits: w.rowHits, RowMiss: w.rowMiss, LatSum: w.latSum,
-				Reads: w.reads, Idle: w.idle, MemStall: w.memStall,
-				Issued: w.issued, Cycles: w.cycles, MemCycles: w.memCycles,
-				TLPWeighted: w.tlpWeighted, Kernels: w.kernels,
-			}
-		}
-	}
-	st.Streams = make([][]kernel.StreamState, len(s.appStreams))
 	for app, streams := range s.appStreams {
 		ss := make([]kernel.StreamState, len(streams))
 		for i, ws := range streams {
@@ -169,23 +132,22 @@ func (s *Simulator) Snapshot() (*EngineState, error) {
 		}
 		st.Streams[app] = ss
 	}
-	st.Cores = make([]gpu.CoreState, len(s.cores))
 	for i, c := range s.cores {
 		st.Cores[i] = c.State()
 	}
-	st.Partitions = make([]dram.PartitionState, len(s.partitions))
 	for i, p := range s.partitions {
 		st.Partitions[i] = p.State()
 	}
 	return st, nil
 }
 
-// Restore loads a snapshot into a freshly constructed Simulator built
-// from the same Options the snapshot's producer used. On success a
+// setState loads a snapshot into a freshly constructed Simulator built
+// from the same Options the snapshot's producer used. It copies out of
+// st, so st may alias another simulator's live state. On success a
 // subsequent RunContext resumes at the captured cycle and executes
 // bit-identically to the uninterrupted run. On error the simulator may be
 // partially mutated and must be discarded.
-func (s *Simulator) Restore(st *EngineState) error {
+func (s *Simulator) setState(st *EngineState) error {
 	if st.Version != SnapshotVersion {
 		return fmt.Errorf("sim: snapshot version %d, want %d", st.Version, SnapshotVersion)
 	}
@@ -198,7 +160,7 @@ func (s *Simulator) Restore(st *EngineState) error {
 	}
 	numApps := len(s.appStreams)
 	if len(st.Streams) != numApps || len(st.PhaseIdx) != numApps ||
-		len(st.CurTLP) != numApps || len(st.InstAtLaunch) != numApps ||
+		len(st.Cur.TLP) != numApps || len(st.InstAtLaunch) != numApps ||
 		len(st.Kernels) != numApps || len(st.TLPAccum) != numApps {
 		return fmt.Errorf("sim: snapshot has wrong app count")
 	}
@@ -267,34 +229,14 @@ func (s *Simulator) Restore(st *EngineState) error {
 	// The cores carry their own restored TLP/bypass hardware state; the
 	// decision registers are set directly, without applyDecision's wake
 	// and flush side effects.
-	s.curDecision = tlp.Decision{
-		TLP:      append([]int(nil), st.CurTLP...),
-		BypassL1: append([]bool(nil), st.CurBypass...),
-	}
+	s.curDecision = st.Cur.Clone()
 	s.pendDecision = nil
-	if st.PendValid {
-		d := tlp.Decision{
-			TLP:      append([]int(nil), st.PendTLP...),
-			BypassL1: append([]bool(nil), st.PendBypass...),
-		}
+	if st.Pend != nil {
+		d := st.Pend.Clone()
 		s.pendDecision = &d
 	}
 	s.pendAt = st.PendAt
-
-	s.warm = nil
-	if st.Warm != nil {
-		s.warm = make([]appSnapshot, len(st.Warm))
-		for i, w := range st.Warm {
-			s.warm[i] = appSnapshot{
-				insts: w.Insts, l1Acc: w.L1Acc, l1Miss: w.L1Miss,
-				l2Acc: w.L2Acc, l2Miss: w.L2Miss, bwBytes: w.BWBytes,
-				rowHits: w.RowHits, rowMiss: w.RowMiss, latSum: w.LatSum,
-				reads: w.Reads, idle: w.Idle, memStall: w.MemStall,
-				issued: w.Issued, cycles: w.Cycles, memCycles: w.MemCycles,
-				tlpWeighted: w.TLPWeighted, kernels: w.Kernels,
-			}
-		}
-	}
+	s.warm = append([]appSnapshot(nil), st.Warm...)
 
 	s.cycle = st.Cycle
 	s.memCycle = st.MemCycle
@@ -306,9 +248,14 @@ func (s *Simulator) Restore(st *EngineState) error {
 	return nil
 }
 
-// SnapshotBytes is Snapshot serialized with gob.
+// SnapshotBytes captures the simulator's complete state and serializes it
+// with gob. It never mutates the simulator, so taking snapshots cannot
+// perturb a run's results. Valid after RunContext returns (the state
+// resumes at the cycle the run stopped at) and inside a CkptSink callback
+// (the state resumes at the first cycle of the next window). It fails if
+// the TLP manager does not implement tlp.Stater.
 func (s *Simulator) SnapshotBytes() ([]byte, error) {
-	st, err := s.Snapshot()
+	st, err := s.state()
 	if err != nil {
 		return nil, err
 	}
@@ -319,11 +266,15 @@ func (s *Simulator) SnapshotBytes() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreBytes decodes and restores a SnapshotBytes payload.
+// RestoreBytes decodes a SnapshotBytes payload and loads it into a freshly
+// constructed Simulator built from the same Options the snapshot's
+// producer used. On success a subsequent RunContext resumes at the
+// captured cycle and executes bit-identically to the uninterrupted run.
+// On error the simulator may be partially mutated and must be discarded.
 func (s *Simulator) RestoreBytes(data []byte) error {
 	var st EngineState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("sim: decode snapshot: %w", err)
 	}
-	return s.Restore(&st)
+	return s.setState(&st)
 }

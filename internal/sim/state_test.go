@@ -109,12 +109,12 @@ func filterHistLines(text string) string {
 	return strings.Join(keep, "\n")
 }
 
-// TestSnapshotEveryWindowFidelity is the property-style tentpole test:
-// snapshot at EVERY window boundary of a mixed two-app run and restore
-// each snapshot into a fresh simulator; every fork must finish with a
-// bit-identical Result, identical non-histogram metrics, and a journal
-// exactly equal to the golden journal's post-fork tail. Run twice: with
-// observers attached and without.
+// TestSnapshotEveryWindowFidelity snapshots at every window boundary of
+// a mixed two-app run and restores each snapshot into a fresh simulator;
+// every fork must finish with a bit-identical Result, identical
+// non-histogram metrics, and a journal exactly equal to the golden
+// journal's post-fork tail. Run twice: with observers attached and
+// without.
 func TestSnapshotEveryWindowFidelity(t *testing.T) {
 	type ckpt struct {
 		window  uint64

@@ -185,26 +185,26 @@ func (s *Simulator) snapshotInto(dst []appSnapshot) []appSnapshot {
 		sn := &snaps[app]
 		for _, ci := range s.appCores[app] {
 			c := s.cores[ci]
-			sn.insts += c.Stats.InstRetired.Total()
-			sn.l1Acc += c.L1.Stats[app].Accesses.Total()
-			sn.l1Miss += c.L1.Stats[app].Misses.Total()
-			sn.idle += c.Stats.IdleCycles.Total()
-			sn.memStall += c.Stats.MemStall.Total()
-			sn.issued += c.Stats.IssuedSlots.Total()
+			sn.Insts += c.Stats.InstRetired.Total()
+			sn.L1Acc += c.L1.Stats[app].Accesses.Total()
+			sn.L1Miss += c.L1.Stats[app].Misses.Total()
+			sn.Idle += c.Stats.IdleCycles.Total()
+			sn.MemStall += c.Stats.MemStall.Total()
+			sn.Issued += c.Stats.IssuedSlots.Total()
 		}
 		for _, p := range s.partitions {
-			sn.l2Acc += p.L2.Stats[app].Accesses.Total()
-			sn.l2Miss += p.L2.Stats[app].Misses.Total()
-			sn.bwBytes += p.Apps[app].BWBytes.Total()
-			sn.rowHits += p.Apps[app].RowHits.Total()
-			sn.rowMiss += p.Apps[app].RowMisses.Total()
-			sn.latSum += p.Apps[app].LatencySum.Total()
-			sn.reads += p.Apps[app].DRAMReads.Total()
+			sn.L2Acc += p.L2.Stats[app].Accesses.Total()
+			sn.L2Miss += p.L2.Stats[app].Misses.Total()
+			sn.BWBytes += p.Apps[app].BWBytes.Total()
+			sn.RowHits += p.Apps[app].RowHits.Total()
+			sn.RowMiss += p.Apps[app].RowMisses.Total()
+			sn.LatSum += p.Apps[app].LatencySum.Total()
+			sn.Reads += p.Apps[app].DRAMReads.Total()
 		}
-		sn.cycles = s.cycle
-		sn.memCycles = s.memCycle
-		sn.kernels = s.kernels[app]
-		sn.tlpWeighted = s.tlpWeighted(app)
+		sn.Cycles = s.cycle
+		sn.MemCycles = s.memCycle
+		sn.Kernels = s.kernels[app]
+		sn.TLPWeighted = s.tlpWeighted(app)
 	}
 	return snaps
 }
@@ -225,7 +225,7 @@ func (s *Simulator) result(windows uint64) Result {
 	end := s.snapshotInto(s.accum)
 	s.accum = end
 	measCycles := s.cycle - s.opts.WarmupCycles
-	memCycles := float64(end[0].memCycles - s.warm[0].memCycles)
+	memCycles := float64(end[0].MemCycles - s.warm[0].MemCycles)
 	peakBytes := s.cfg.PeakBandwidthBytesPerMemCycle() * memCycles
 
 	res := Result{Cycles: measCycles, Windows: windows, Apps: make([]AppResult, len(s.opts.Apps))}
@@ -233,26 +233,26 @@ func (s *Simulator) result(windows uint64) Result {
 		w, e := &s.warm[app], &end[app]
 		a := &res.Apps[app]
 		a.Name = s.opts.Apps[app].Name
-		a.Insts = e.insts - w.insts
+		a.Insts = e.Insts - w.Insts
 		a.IPC = float64(a.Insts) / float64(measCycles)
-		a.L1MR = rate(e.l1Miss-w.l1Miss, e.l1Acc-w.l1Acc)
-		a.L2MR = rate(e.l2Miss-w.l2Miss, e.l2Acc-w.l2Acc)
+		a.L1MR = rate(e.L1Miss-w.L1Miss, e.L1Acc-w.L1Acc)
+		a.L2MR = rate(e.L2Miss-w.L2Miss, e.L2Acc-w.L2Acc)
 		a.CMR = a.L1MR * a.L2MR
-		a.BW = float64(e.bwBytes-w.bwBytes) / peakBytes
+		a.BW = float64(e.BWBytes-w.BWBytes) / peakBytes
 		a.EB = eb(a.BW, a.CMR)
-		rowAcc := (e.rowHits - w.rowHits) + (e.rowMiss - w.rowMiss)
+		rowAcc := (e.RowHits - w.RowHits) + (e.RowMiss - w.RowMiss)
 		if rowAcc > 0 {
-			a.RowHitRate = float64(e.rowHits-w.rowHits) / float64(rowAcc)
+			a.RowHitRate = float64(e.RowHits-w.RowHits) / float64(rowAcc)
 		}
-		if reads := e.reads - w.reads; reads > 0 {
-			a.AvgLatency = float64(e.latSum-w.latSum) / float64(reads)
+		if reads := e.Reads - w.Reads; reads > 0 {
+			a.AvgLatency = float64(e.LatSum-w.LatSum) / float64(reads)
 		}
 		nc := float64(len(s.appCores[app]))
-		a.MemStallFrac = float64(e.memStall-w.memStall) / (float64(measCycles) * nc)
-		a.IssueUtil = float64(e.issued-w.issued) / (float64(measCycles) * nc * float64(s.cfg.SchedulersPerCore))
-		a.AvgTLP = (e.tlpWeighted - w.tlpWeighted) / float64(measCycles)
+		a.MemStallFrac = float64(e.MemStall-w.MemStall) / (float64(measCycles) * nc)
+		a.IssueUtil = float64(e.Issued-w.Issued) / (float64(measCycles) * nc * float64(s.cfg.SchedulersPerCore))
+		a.AvgTLP = (e.TLPWeighted - w.TLPWeighted) / float64(measCycles)
 		a.FinalTLP = s.CurrentTLP(app)
-		a.Kernels = e.kernels - w.kernels
+		a.Kernels = e.Kernels - w.Kernels
 		res.TotalBW += a.BW
 	}
 	return res

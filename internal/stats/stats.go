@@ -119,38 +119,27 @@ func Percent(x float64) string {
 
 // Counter is a monotonically increasing event counter with a window mark,
 // mirroring the paper's per-sampling-window hardware registers: Total is
-// the lifetime count, Window the count since the last Reset-of-window.
+// the lifetime count, Window the count since the last NewWindow. Its
+// fields are exported so engine checkpoints encode it as is.
 type Counter struct {
-	total uint64
-	mark  uint64
+	Count uint64 // lifetime count
+	Mark  uint64 // Count at the last NewWindow
 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.total += n }
+func (c *Counter) Add(n uint64) { c.Count += n }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.total++ }
+func (c *Counter) Inc() { c.Count++ }
 
 // Total returns the lifetime count.
-func (c *Counter) Total() uint64 { return c.total }
+func (c *Counter) Total() uint64 { return c.Count }
 
 // Window returns the count accumulated since the last NewWindow call.
-func (c *Counter) Window() uint64 { return c.total - c.mark }
+func (c *Counter) Window() uint64 { return c.Count - c.Mark }
 
 // NewWindow starts a new sampling window.
-func (c *Counter) NewWindow() { c.mark = c.total }
-
-// CounterState is a Counter's serializable snapshot (engine checkpoints).
-type CounterState struct {
-	Total uint64
-	Mark  uint64
-}
-
-// State returns the counter's snapshot.
-func (c *Counter) State() CounterState { return CounterState{Total: c.total, Mark: c.mark} }
-
-// SetState restores the counter from a snapshot.
-func (c *Counter) SetState(st CounterState) { c.total, c.mark = st.Total, st.Mark }
+func (c *Counter) NewWindow() { c.Mark = c.Count }
 
 // MissRatio is a hit/miss counter pair exposing windowed miss rates.
 type MissRatio struct {
@@ -190,21 +179,4 @@ func (m *MissRatio) TotalRate() float64 {
 func (m *MissRatio) NewWindow() {
 	m.Accesses.NewWindow()
 	m.Misses.NewWindow()
-}
-
-// MissRatioState is a MissRatio's serializable snapshot.
-type MissRatioState struct {
-	Accesses CounterState
-	Misses   CounterState
-}
-
-// State returns the pair's snapshot.
-func (m *MissRatio) State() MissRatioState {
-	return MissRatioState{Accesses: m.Accesses.State(), Misses: m.Misses.State()}
-}
-
-// SetState restores the pair from a snapshot.
-func (m *MissRatio) SetState(st MissRatioState) {
-	m.Accesses.SetState(st.Accesses)
-	m.Misses.SetState(st.Misses)
 }

@@ -20,8 +20,7 @@ type Batch struct {
 	Hi int
 	Lo int
 
-	win uint64 // completed sampling windows since Initial
-	cur Decision
+	st turnState
 }
 
 // NewBatch returns the thread-batching policy with its default knobs:
@@ -39,7 +38,7 @@ func (b *Batch) Name() string { return "++Batch" }
 func (b *Batch) decide(numApps int) Decision {
 	d := NewDecision(numApps, b.Lo)
 	if numApps > 0 {
-		active := int(b.win/uint64(b.Period)) % numApps
+		active := int(b.st.Win/uint64(b.Period)) % numApps
 		d.TLP[active] = b.Hi
 	}
 	return d
@@ -47,18 +46,18 @@ func (b *Batch) decide(numApps int) Decision {
 
 // Initial implements Manager: application 0 owns the first turn.
 func (b *Batch) Initial(numApps int) Decision {
-	b.win = 0
-	b.cur = b.decide(numApps)
-	return b.cur.Clone()
+	b.st.Win = 0
+	b.st.Cur = b.decide(numApps)
+	return b.st.Cur.Clone()
 }
 
 // OnSample implements Manager: advance the window clock and rotate the
 // active application every Period windows.
 func (b *Batch) OnSample(s Sample) Decision {
-	if b.cur.TLP == nil {
+	if b.st.Cur.TLP == nil {
 		b.Initial(len(s.Apps))
 	}
-	b.win++
-	b.cur = b.decide(len(s.Apps))
-	return b.cur.Clone()
+	b.st.Win++
+	b.st.Cur = b.decide(len(s.Apps))
+	return b.st.Cur.Clone()
 }

@@ -25,8 +25,7 @@ type CCWS struct {
 	// Hysteresis: consecutive agreeing windows before a move.
 	Hysteresis int
 
-	votes []int
-	cur   Decision
+	st voteState
 }
 
 // NewCCWS returns the CCWS-style baseline with default thresholds.
@@ -45,44 +44,44 @@ func (c *CCWS) Name() string { return "++CCWS" }
 // Initial implements Manager: start from maxTLP and throttle on evidence,
 // which is CCWS's direction of travel (it reacts to detected thrashing).
 func (c *CCWS) Initial(numApps int) Decision {
-	c.votes = make([]int, numApps)
-	c.cur = NewDecision(numApps, config.MaxTLP)
-	return c.cur.Clone()
+	c.st.Votes = make([]int, numApps)
+	c.st.Cur = NewDecision(numApps, config.MaxTLP)
+	return c.st.Cur.Clone()
 }
 
 // OnSample implements Manager.
 func (c *CCWS) OnSample(s Sample) Decision {
-	if c.votes == nil {
+	if c.st.Votes == nil {
 		c.Initial(len(s.Apps))
 	}
 	for i := range s.Apps {
 		a := &s.Apps[i]
-		idx := config.LevelIndex(c.cur.TLP[i])
+		idx := config.LevelIndex(c.st.Cur.TLP[i])
 		if idx < 0 {
 			idx = len(config.TLPLevels) - 1
 		}
 		switch {
 		case a.VTARate > c.HighVTA:
-			if c.votes[i] > 0 {
-				c.votes[i] = 0
+			if c.st.Votes[i] > 0 {
+				c.st.Votes[i] = 0
 			}
-			c.votes[i]--
+			c.st.Votes[i]--
 		case a.VTARate < c.LowVTA && a.IssueUtil < c.LowUtil:
-			if c.votes[i] < 0 {
-				c.votes[i] = 0
+			if c.st.Votes[i] < 0 {
+				c.st.Votes[i] = 0
 			}
-			c.votes[i]++
+			c.st.Votes[i]++
 		default:
-			c.votes[i] = 0
+			c.st.Votes[i] = 0
 		}
-		if c.votes[i] <= -c.Hysteresis && idx > 0 {
+		if c.st.Votes[i] <= -c.Hysteresis && idx > 0 {
 			idx--
-			c.votes[i] = 0
-		} else if c.votes[i] >= c.Hysteresis && idx < len(config.TLPLevels)-1 {
+			c.st.Votes[i] = 0
+		} else if c.st.Votes[i] >= c.Hysteresis && idx < len(config.TLPLevels)-1 {
 			idx++
-			c.votes[i] = 0
+			c.st.Votes[i] = 0
 		}
-		c.cur.TLP[i] = config.TLPLevels[idx]
+		c.st.Cur.TLP[i] = config.TLPLevels[idx]
 	}
-	return c.cur.Clone()
+	return c.st.Cur.Clone()
 }

@@ -23,8 +23,7 @@ type DynCTA struct {
 	// Hysteresis: consecutive windows agreeing before a move is made.
 	Hysteresis int
 
-	votes []int // + for up, - for down, per app
-	cur   Decision
+	st voteState
 }
 
 // NewDynCTA returns the ++DynCTA policy with the default thresholds.
@@ -42,44 +41,44 @@ func (d *DynCTA) Name() string { return "++DynCTA" }
 
 // Initial implements Manager: DynCTA starts from a mid TLP and adapts.
 func (d *DynCTA) Initial(numApps int) Decision {
-	d.votes = make([]int, numApps)
-	d.cur = NewDecision(numApps, config.TLPLevels[len(config.TLPLevels)/2])
-	return d.cur.Clone()
+	d.st.Votes = make([]int, numApps)
+	d.st.Cur = NewDecision(numApps, config.TLPLevels[len(config.TLPLevels)/2])
+	return d.st.Cur.Clone()
 }
 
 // OnSample implements Manager.
 func (d *DynCTA) OnSample(s Sample) Decision {
-	if d.votes == nil {
+	if d.st.Votes == nil {
 		d.Initial(len(s.Apps))
 	}
 	for i := range s.Apps {
 		a := &s.Apps[i]
-		idx := config.LevelIndex(d.cur.TLP[i])
+		idx := config.LevelIndex(d.st.Cur.TLP[i])
 		if idx < 0 {
 			idx = len(config.TLPLevels) - 1
 		}
 		switch {
 		case a.MemStallFrac > d.HighMemStall:
-			if d.votes[i] > 0 {
-				d.votes[i] = 0
+			if d.st.Votes[i] > 0 {
+				d.st.Votes[i] = 0
 			}
-			d.votes[i]--
+			d.st.Votes[i]--
 		case a.MemStallFrac < d.LowMemStall && a.IssueUtil < d.LowUtil:
-			if d.votes[i] < 0 {
-				d.votes[i] = 0
+			if d.st.Votes[i] < 0 {
+				d.st.Votes[i] = 0
 			}
-			d.votes[i]++
+			d.st.Votes[i]++
 		default:
-			d.votes[i] = 0
+			d.st.Votes[i] = 0
 		}
-		if d.votes[i] <= -d.Hysteresis && idx > 0 {
+		if d.st.Votes[i] <= -d.Hysteresis && idx > 0 {
 			idx--
-			d.votes[i] = 0
-		} else if d.votes[i] >= d.Hysteresis && idx < len(config.TLPLevels)-1 {
+			d.st.Votes[i] = 0
+		} else if d.st.Votes[i] >= d.Hysteresis && idx < len(config.TLPLevels)-1 {
 			idx++
-			d.votes[i] = 0
+			d.st.Votes[i] = 0
 		}
-		d.cur.TLP[i] = config.TLPLevels[idx]
+		d.st.Cur.TLP[i] = config.TLPLevels[idx]
 	}
-	return d.cur.Clone()
+	return d.st.Cur.Clone()
 }

@@ -18,14 +18,11 @@ type ModBypass struct {
 	// accesses that would have hit) to re-enable the cache. Because the
 	// shadow rate is not observable once bypassing, re-enablement uses a
 	// periodic probe window instead.
-	BypassL1MR  float64
-	Confirm     int
-	ProbeEvery  int // windows between probation windows while bypassing
-	probeActive []bool
+	BypassL1MR float64
+	Confirm    int
+	ProbeEvery int // windows between probation windows while bypassing
 
-	votes   []int
-	windows []int
-	cur     Decision
+	st probeState
 }
 
 // NewModBypass returns the Mod+Bypass policy with default thresholds.
@@ -43,51 +40,51 @@ func (m *ModBypass) Name() string { return "Mod+Bypass" }
 
 // Initial implements Manager.
 func (m *ModBypass) Initial(numApps int) Decision {
-	m.votes = make([]int, numApps)
-	m.windows = make([]int, numApps)
-	m.probeActive = make([]bool, numApps)
-	m.cur = m.mod.Initial(numApps)
-	return m.cur.Clone()
+	m.st.Votes = make([]int, numApps)
+	m.st.Windows = make([]int, numApps)
+	m.st.ProbeActive = make([]bool, numApps)
+	m.st.Cur = m.mod.Initial(numApps)
+	return m.st.Cur.Clone()
 }
 
 // OnSample implements Manager.
 func (m *ModBypass) OnSample(s Sample) Decision {
-	if m.votes == nil {
+	if m.st.Votes == nil {
 		m.Initial(len(s.Apps))
 	}
 	d := m.mod.OnSample(s)
-	if len(m.cur.BypassL1) != len(s.Apps) {
-		m.cur = NewDecision(len(s.Apps), 0)
+	if len(m.st.Cur.BypassL1) != len(s.Apps) {
+		m.st.Cur = NewDecision(len(s.Apps), 0)
 	}
 	for i := range s.Apps {
 		a := &s.Apps[i]
-		m.windows[i]++
-		bypassing := m.cur.BypassL1[i]
+		m.st.Windows[i]++
+		bypassing := m.st.Cur.BypassL1[i]
 		switch {
 		case !bypassing:
 			if a.L1MR >= m.BypassL1MR {
-				m.votes[i]++
+				m.st.Votes[i]++
 			} else {
-				m.votes[i] = 0
+				m.st.Votes[i] = 0
 			}
-			if m.votes[i] >= m.Confirm {
-				m.cur.BypassL1[i] = true
-				m.votes[i] = 0
+			if m.st.Votes[i] >= m.Confirm {
+				m.st.Cur.BypassL1[i] = true
+				m.st.Votes[i] = 0
 			}
-		case m.probeActive[i]:
+		case m.st.ProbeActive[i]:
 			// Probation window just ran with the cache on; keep the cache
 			// if it proved useful, otherwise return to bypassing.
-			m.probeActive[i] = false
-			m.cur.BypassL1[i] = a.L1MR >= m.BypassL1MR
+			m.st.ProbeActive[i] = false
+			m.st.Cur.BypassL1[i] = a.L1MR >= m.BypassL1MR
 		default:
-			if m.ProbeEvery > 0 && m.windows[i]%m.ProbeEvery == 0 {
+			if m.ProbeEvery > 0 && m.st.Windows[i]%m.ProbeEvery == 0 {
 				// Run one window with the cache enabled to re-measure.
-				m.probeActive[i] = true
-				m.cur.BypassL1[i] = false
+				m.st.ProbeActive[i] = true
+				m.st.Cur.BypassL1[i] = false
 			}
 		}
 	}
-	d.BypassL1 = append([]bool(nil), m.cur.BypassL1...)
-	m.cur.TLP = d.TLP
+	d.BypassL1 = append([]bool(nil), m.st.Cur.BypassL1...)
+	m.st.Cur.TLP = d.TLP
 	return d
 }

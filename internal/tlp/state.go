@@ -20,8 +20,9 @@ type Stater interface {
 	SetStateBytes(b []byte) error
 }
 
-// EncodeState gob-encodes a manager state mirror (shared helper for the
-// Stater implementations here and in internal/core).
+// EncodeState gob-encodes a manager's mutable state (shared helper for
+// the Stater implementations here and in internal/core). Managers keep
+// that state in one struct with exported fields and encode it as is.
 func EncodeState(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -30,9 +31,17 @@ func EncodeState(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeState gob-decodes a manager state mirror.
-func DecodeState(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
+// DecodeState gob-decodes an EncodeState payload into a zero T and, on
+// success, stores it in *dst. Gob leaves fields absent from the payload
+// (it omits zero values) untouched, so decoding into a fresh value is
+// what makes those fields come out zero.
+func DecodeState[T any](b []byte, dst *T) error {
+	var v T
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
+		return err
+	}
+	*dst = v
+	return nil
 }
 
 // StateBytes implements Stater: static policies carry no mutable state.
@@ -46,111 +55,82 @@ func (s *Static) SetStateBytes(b []byte) error {
 	return nil
 }
 
-// modState mirrors the mutable fields shared by the vote-hysteresis
-// managers (DynCTA, CCWS).
-type modState struct {
-	Votes  []int
-	TLP    []int
-	Bypass []bool
+// voteState is the mutable state of the vote-hysteresis managers (DynCTA,
+// CCWS, WRS): per-app votes and the current decision.
+type voteState struct {
+	Votes []int // per app; the sign is the direction voted for
+	Cur   Decision
 }
 
 // StateBytes implements Stater.
-func (d *DynCTA) StateBytes() ([]byte, error) {
-	return EncodeState(modState{Votes: d.votes, TLP: d.cur.TLP, Bypass: d.cur.BypassL1})
-}
+func (d *DynCTA) StateBytes() ([]byte, error) { return EncodeState(d.st) }
 
 // SetStateBytes implements Stater.
 func (d *DynCTA) SetStateBytes(b []byte) error {
-	var st modState
-	if err := DecodeState(b, &st); err != nil {
+	if err := DecodeState(b, &d.st); err != nil {
 		return fmt.Errorf("tlp: dyncta state: %w", err)
 	}
-	d.votes = st.Votes
-	d.cur = Decision{TLP: st.TLP, BypassL1: st.Bypass}
 	return nil
 }
 
 // StateBytes implements Stater.
-func (c *CCWS) StateBytes() ([]byte, error) {
-	return EncodeState(modState{Votes: c.votes, TLP: c.cur.TLP, Bypass: c.cur.BypassL1})
-}
+func (c *CCWS) StateBytes() ([]byte, error) { return EncodeState(c.st) }
 
 // SetStateBytes implements Stater.
 func (c *CCWS) SetStateBytes(b []byte) error {
-	var st modState
-	if err := DecodeState(b, &st); err != nil {
+	if err := DecodeState(b, &c.st); err != nil {
 		return fmt.Errorf("tlp: ccws state: %w", err)
 	}
-	c.votes = st.Votes
-	c.cur = Decision{TLP: st.TLP, BypassL1: st.Bypass}
 	return nil
-}
-
-// batchState mirrors Batch: the rotation clock plus the current decision.
-type batchState struct {
-	Win    uint64
-	TLP    []int
-	Bypass []bool
 }
 
 // StateBytes implements Stater.
-func (b *Batch) StateBytes() ([]byte, error) {
-	return EncodeState(batchState{Win: b.win, TLP: b.cur.TLP, Bypass: b.cur.BypassL1})
-}
-
-// SetStateBytes implements Stater.
-func (b *Batch) SetStateBytes(bs []byte) error {
-	var st batchState
-	if err := DecodeState(bs, &st); err != nil {
-		return fmt.Errorf("tlp: batch state: %w", err)
-	}
-	b.win = st.Win
-	b.cur = Decision{TLP: st.TLP, BypassL1: st.Bypass}
-	return nil
-}
-
-// StateBytes implements Stater: WRS shares the vote-hysteresis state
-// shape of the modulating managers.
-func (w *WRS) StateBytes() ([]byte, error) {
-	return EncodeState(modState{Votes: w.votes, TLP: w.cur.TLP, Bypass: w.cur.BypassL1})
-}
+func (w *WRS) StateBytes() ([]byte, error) { return EncodeState(w.st) }
 
 // SetStateBytes implements Stater.
 func (w *WRS) SetStateBytes(b []byte) error {
-	var st modState
-	if err := DecodeState(b, &st); err != nil {
+	if err := DecodeState(b, &w.st); err != nil {
 		return fmt.Errorf("tlp: wrs state: %w", err)
 	}
-	w.votes = st.Votes
-	w.cur = Decision{TLP: st.TLP, BypassL1: st.Bypass}
 	return nil
 }
 
-// modBypassState mirrors ModBypass: the wrapped modulator's state plus the
-// bypass probation machine.
-type modBypassState struct {
-	Mod         []byte
+// turnState is Batch's mutable state: the rotation clock plus the
+// current decision.
+type turnState struct {
+	Win uint64 // completed sampling windows since Initial
+	Cur Decision
+}
+
+// StateBytes implements Stater.
+func (b *Batch) StateBytes() ([]byte, error) { return EncodeState(b.st) }
+
+// SetStateBytes implements Stater.
+func (b *Batch) SetStateBytes(bs []byte) error {
+	if err := DecodeState(bs, &b.st); err != nil {
+		return fmt.Errorf("tlp: batch state: %w", err)
+	}
+	return nil
+}
+
+// probeState is ModBypass's own mutable state: the bypass probation
+// machine and the current decision.
+type probeState struct {
 	ProbeActive []bool
 	Votes       []int
 	Windows     []int
-	TLP         []int
-	Bypass      []bool
+	Cur         Decision
+}
+
+// modBypassState pairs the wrapped modulator's state with ModBypass's own.
+type modBypassState struct {
+	Mod   voteState
+	Probe probeState
 }
 
 // StateBytes implements Stater.
 func (m *ModBypass) StateBytes() ([]byte, error) {
-	mod, err := m.mod.StateBytes()
-	if err != nil {
-		return nil, err
-	}
-	return EncodeState(modBypassState{
-		Mod:         mod,
-		ProbeActive: m.probeActive,
-		Votes:       m.votes,
-		Windows:     m.windows,
-		TLP:         m.cur.TLP,
-		Bypass:      m.cur.BypassL1,
-	})
+	return EncodeState(modBypassState{Mod: m.mod.st, Probe: m.st})
 }
 
 // SetStateBytes implements Stater.
@@ -159,12 +139,6 @@ func (m *ModBypass) SetStateBytes(b []byte) error {
 	if err := DecodeState(b, &st); err != nil {
 		return fmt.Errorf("tlp: mod+bypass state: %w", err)
 	}
-	if err := m.mod.SetStateBytes(st.Mod); err != nil {
-		return err
-	}
-	m.probeActive = st.ProbeActive
-	m.votes = st.Votes
-	m.windows = st.Windows
-	m.cur = Decision{TLP: st.TLP, BypassL1: st.Bypass}
+	m.mod.st, m.st = st.Mod, st.Probe
 	return nil
 }

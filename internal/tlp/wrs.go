@@ -28,8 +28,7 @@ type WRS struct {
 	// Hysteresis: consecutive windows agreeing before a slot moves.
 	Hysteresis int
 
-	votes []int // + to take, - to donate, per app
-	cur   Decision
+	st voteState // a vote is + to take a level, - to donate one
 }
 
 // NewWRS returns the warp-resource-sharing policy with its defaults: an
@@ -44,9 +43,9 @@ func (w *WRS) Name() string { return "++WRS" }
 
 // Initial implements Manager: everyone starts at the fair share.
 func (w *WRS) Initial(numApps int) Decision {
-	w.votes = make([]int, numApps)
-	w.cur = NewDecision(numApps, config.ClampToLevel(w.Share))
-	return w.cur.Clone()
+	w.st.Votes = make([]int, numApps)
+	w.st.Cur = NewDecision(numApps, config.ClampToLevel(w.Share))
+	return w.st.Cur.Clone()
 }
 
 // budget is the conserved allocation in TLP-level-index steps.
@@ -57,7 +56,7 @@ func (w *WRS) budget(numApps int) int {
 // allocated sums the current allocation in level-index steps.
 func (w *WRS) allocated() int {
 	total := 0
-	for _, t := range w.cur.TLP {
+	for _, t := range w.st.Cur.TLP {
 		total += config.LevelIndex(config.ClampToLevel(t))
 	}
 	return total
@@ -67,42 +66,42 @@ func (w *WRS) allocated() int {
 // is available to takers in the same window; ties break on the lowest
 // application index, keeping the policy deterministic.
 func (w *WRS) OnSample(s Sample) Decision {
-	if w.votes == nil {
+	if w.st.Votes == nil {
 		w.Initial(len(s.Apps))
 	}
 	for i := range s.Apps {
 		a := &s.Apps[i]
 		switch {
 		case a.MemStallFrac > w.HighMemStall:
-			if w.votes[i] > 0 {
-				w.votes[i] = 0
+			if w.st.Votes[i] > 0 {
+				w.st.Votes[i] = 0
 			}
-			w.votes[i]--
+			w.st.Votes[i]--
 		case a.IssueUtil < w.LowUtil:
-			if w.votes[i] < 0 {
-				w.votes[i] = 0
+			if w.st.Votes[i] < 0 {
+				w.st.Votes[i] = 0
 			}
-			w.votes[i]++
+			w.st.Votes[i]++
 		default:
-			w.votes[i] = 0
+			w.st.Votes[i] = 0
 		}
 	}
 	// Donors first: a released level immediately re-enters the pool.
-	for i := range w.cur.TLP {
-		idx := config.LevelIndex(config.ClampToLevel(w.cur.TLP[i]))
-		if w.votes[i] <= -w.Hysteresis && idx > 0 {
-			w.cur.TLP[i] = config.TLPLevels[idx-1]
-			w.votes[i] = 0
+	for i := range w.st.Cur.TLP {
+		idx := config.LevelIndex(config.ClampToLevel(w.st.Cur.TLP[i]))
+		if w.st.Votes[i] <= -w.Hysteresis && idx > 0 {
+			w.st.Cur.TLP[i] = config.TLPLevels[idx-1]
+			w.st.Votes[i] = 0
 		}
 	}
 	// Takers claim one level each while the conserved budget allows.
-	for i := range w.cur.TLP {
-		idx := config.LevelIndex(config.ClampToLevel(w.cur.TLP[i]))
-		if w.votes[i] >= w.Hysteresis && idx < len(config.TLPLevels)-1 &&
+	for i := range w.st.Cur.TLP {
+		idx := config.LevelIndex(config.ClampToLevel(w.st.Cur.TLP[i]))
+		if w.st.Votes[i] >= w.Hysteresis && idx < len(config.TLPLevels)-1 &&
 			w.allocated()+1 <= w.budget(len(s.Apps)) {
-			w.cur.TLP[i] = config.TLPLevels[idx+1]
-			w.votes[i] = 0
+			w.st.Cur.TLP[i] = config.TLPLevels[idx+1]
+			w.st.Votes[i] = 0
 		}
 	}
-	return w.cur.Clone()
+	return w.st.Cur.Clone()
 }

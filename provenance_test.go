@@ -42,10 +42,10 @@ func ledgeredCache(t *testing.T, cacheDir, ledgerPath string) *simcache.Cache {
 	return cache
 }
 
-// TestTracedSweepBitIdenticalAndWarmLedgerAllCached is the tentpole's
-// acceptance path: a grid build with spans and provenance fully enabled
-// is bit-identical to an uninstrumented build, and the warm rerun's
-// ledger reports zero cold and zero forked runs.
+// TestTracedSweepBitIdenticalAndWarmLedgerAllCached checks that a grid
+// build with spans and provenance fully enabled is bit-identical to an
+// uninstrumented build, and that the warm rerun's ledger reports zero
+// cold and zero forked runs.
 func TestTracedSweepBitIdenticalAndWarmLedgerAllCached(t *testing.T) {
 	apps := chaosApps(t)
 	dir := t.TempDir()
