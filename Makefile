@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify race chaos dsweep-chaos cover test build
+.PHONY: all verify race chaos dsweep-chaos fuzz cover test build
 
 all: verify
 
@@ -60,6 +60,16 @@ chaos:
 dsweep-chaos:
 	$(GO) test -race -run 'TestDsweepChaos' .
 	$(GO) test -race ./internal/dsweep/...
+
+# fuzz runs each fuzz target for FUZZTIME past its seed corpus (the
+# seeds alone already run under `go test`): the scheme grammar's
+# parse/print fixed point, and the fast-forward engine against the plain
+# reference engine. A failing input is saved under the package's
+# testdata/fuzz/ and replays as a regression test from then on.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseScheme$$' -fuzztime $(FUZZTIME) ./internal/spec/
+	$(GO) test -run '^$$' -fuzz '^FuzzFastForwardMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/sim/
 
 # cover prints per-package statement coverage and enforces a floor on
 # internal/obs, whose span/ledger/exposition paths this repo's explain

@@ -51,24 +51,27 @@ var Warnf = func(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }
 
-// SchemaVersion invalidates every existing checkpoint when bumped.
-// Bump it when the envelope layout or the key derivation changes.
-// Engine-behaviour changes are already covered: the prefix key folds
-// in simcache.SchemaVersion (bumped with the goldens) and restore
-// validates sim.SnapshotVersion inside the payload.
-const SchemaVersion = 1
+// SchemaVersion is the EBCK format's one version number: the envelope
+// header carries it and the prefix key folds it in, so bumping it
+// invalidates every existing checkpoint. Bump it when the envelope
+// layout or the key derivation changes. Engine changes are already
+// covered: the prefix key also folds in simcache.SchemaVersion (bumped
+// with the goldens) and sim.SnapshotVersion (bumped with the engine's
+// encoded state), so a store written by an older engine misses.
+const SchemaVersion = 2
 
 // DefaultEvery is the write cadence: one checkpoint every this many
 // sampling windows (plus the run-end window, which makes re-running
 // the same spec at the same horizon near-free).
 const DefaultEvery = 4
 
-// prefixEnvelope is what PrefixKey hashes: both schema versions
-// alongside the prefix-canonical run description.
+// prefixEnvelope is what PrefixKey hashes: the three versions alongside
+// the prefix-canonical run description.
 type prefixEnvelope struct {
-	Schema int          `json:"schema"`      // simcache.SchemaVersion: engine behaviour
-	Ckpt   int          `json:"ckpt_schema"` // this package's layout
-	Run    spec.RunSpec `json:"run"`
+	Schema   int          `json:"schema"`      // simcache.SchemaVersion: engine behaviour
+	Ckpt     int          `json:"ckpt_schema"` // this package's layout
+	Snapshot int          `json:"snapshot"`    // sim.SnapshotVersion: the payload's layout
+	Run      spec.RunSpec `json:"run"`
 }
 
 // PrefixKey returns the content address of a run's deterministic
@@ -77,30 +80,34 @@ type prefixEnvelope struct {
 // execute bit-identically up to the shorter horizon, so they share
 // checkpoints.
 func PrefixKey(rs spec.RunSpec) string {
+	return prefixKeyAt(rs, sim.SnapshotVersion)
+}
+
+// prefixKeyAt is PrefixKey for an engine whose snapshot layout is
+// snapshotVersion.
+func prefixKeyAt(rs spec.RunSpec, snapshotVersion int) string {
 	return simcache.HashJSON(prefixEnvelope{
-		Schema: simcache.SchemaVersion,
-		Ckpt:   SchemaVersion,
-		Run:    rs.PrefixCanonical(),
+		Schema:   simcache.SchemaVersion,
+		Ckpt:     SchemaVersion,
+		Snapshot: snapshotVersion,
+		Run:      rs.PrefixCanonical(),
 	})
 }
 
 // On-disk envelope ("EBCK" format, documented in DESIGN.md §11):
 //
-//	magic "EBCK" | version u8 | key len u8 | key bytes |
+//	magic "EBCK" | SchemaVersion u8 | key len u8 | key bytes |
 //	window u64 BE | payload len u64 BE | payload | FNV-1a u64 BE
 //
 // The trailing checksum covers every preceding byte, so a torn rename
 // target, truncated file, or bit flip decodes as corrupt — which the
 // ladder treats as "try the next-deepest checkpoint".
-const (
-	envelopeMagic   = "EBCK"
-	envelopeVersion = 1
-)
+const envelopeMagic = "EBCK"
 
 func encodeEnvelope(key string, window uint64, payload []byte) []byte {
 	b := make([]byte, 0, len(envelopeMagic)+2+len(key)+16+len(payload)+8)
 	b = append(b, envelopeMagic...)
-	b = append(b, envelopeVersion, byte(len(key)))
+	b = append(b, SchemaVersion, byte(len(key)))
 	b = append(b, key...)
 	b = binary.BigEndian.AppendUint64(b, window)
 	b = binary.BigEndian.AppendUint64(b, uint64(len(payload)))
@@ -120,7 +127,7 @@ func decodeEnvelope(b []byte) (key string, window uint64, payload []byte, err er
 	if string(b[:4]) != envelopeMagic {
 		return fail("bad magic")
 	}
-	if b[4] != envelopeVersion {
+	if b[4] != SchemaVersion {
 		return fail(fmt.Sprintf("version %d", b[4]))
 	}
 	h := fnv.New64a()

@@ -16,6 +16,7 @@ import (
 	"ebm/internal/metrics"
 	"ebm/internal/obs"
 	"ebm/internal/resilience"
+	"ebm/internal/sim"
 	"ebm/internal/spec"
 	"ebm/internal/workload"
 )
@@ -262,6 +263,50 @@ func TestRestorePayloadFailureDegradesCold(t *testing.T) {
 	}
 	if s := st.Stats(); s.Hits != 1 || s.Forks != 0 || s.Corrupt != 1 {
 		t.Fatalf("stats = %+v, want hit=1 fork=0 corrupt=1", s)
+	}
+}
+
+// TestStaleSnapshotVersionStoreForksAgain: a store written by an engine
+// with the previous snapshot layout holds a checkpoint at every window of
+// the run's prefix, none of which this engine can restore. The prefix key
+// carries sim.SnapshotVersion, so those files are never candidates: the
+// first run executes cold and writes its own checkpoints beside them, and
+// the second run forks from one. Both results equal the uncheckpointed
+// run's.
+func TestStaleSnapshotVersionStoreForksAgain(t *testing.T) {
+	ctx := context.Background()
+	rs := testSpec(8_000)
+	golden, err := Execute(ctx, nil, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetEvery(1)
+	stale := prefixKeyAt(rs, sim.SnapshotVersion-1)
+	for w := uint64(1); w <= rs.TotalCycles/rs.WindowCycles; w++ {
+		if err := st.Put(stale, w, []byte("not a snapshot")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for run, wantForks := range []uint64{0, 1} {
+		before := st.Stats()
+		res, err := Execute(ctx, st, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, golden) {
+			t.Fatalf("run %d diverged from the uncheckpointed run", run+1)
+		}
+		after := st.Stats()
+		if forks := after.Forks - before.Forks; forks != wantForks {
+			t.Fatalf("run %d: %d forks, want %d (stats %+v)", run+1, forks, wantForks, after)
+		}
+		if after.Corrupt != 0 {
+			t.Fatalf("run %d: stale checkpoints were read (stats %+v)", run+1, after)
+		}
 	}
 }
 

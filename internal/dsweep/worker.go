@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -204,20 +203,8 @@ func (w *Worker) execute(cell *Cell, fence uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	names := make([]string, len(rs.Apps))
-	for i := range rs.Apps {
-		names[i] = rs.Apps[i].Name
-	}
-	rec := obs.RunRecord{
-		CacheSchema: simcache.SchemaVersion,
-		Fingerprint: cell.Key,
-		Scheme:      rs.Scheme.String(),
-		Apps:        strings.Join(names, "_"),
-		Worker:      w.o.ID,
-		Cycles:      res.Cycles,
-		WallNs:      time.Since(start).Nanoseconds(),
-	}
-	trail.Fill(&rec)
+	rec := simcache.LedgerRecord(rs, cell.Key, trail, res, time.Since(start))
+	rec.Worker = w.o.ID
 	reply, _, err := w.complete(CompleteRequest{
 		Worker: w.o.ID, Key: cell.Key, Fence: fence, Result: res, Record: &rec,
 	})

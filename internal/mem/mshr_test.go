@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -189,6 +190,33 @@ func BenchmarkMSHRTable(b *testing.B) {
 		if !m.Add(line, int32(i)) {
 			m.Release(m.Remove(line))
 			m.Add(line, int32(i))
+		}
+	}
+}
+
+// TestMSHREntriesSurviveRestore checks that a table restored from its
+// Entries snapshots identically, whatever slot layout the restore
+// produced: re-inserting a probe chain that wrapped past the last slot
+// lays it out differently.
+func TestMSHREntriesSurviveRestore(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := NewMSHRTable[int32](8) // 16 slots: chains wrap often
+	for op := 0; op < 5000; op++ {
+		line := uint64(rng.Intn(32)) * 128
+		if rng.Intn(2) == 0 {
+			if !m.Append(line, int32(op)) {
+				m.Add(line, int32(op))
+			}
+		} else {
+			m.Release(m.Remove(line))
+		}
+		lines, waiters := m.Entries()
+		r := NewMSHRTable[int32](8)
+		if err := r.SetEntries(lines, waiters); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		if l2, w2 := r.Entries(); !reflect.DeepEqual(l2, lines) || !reflect.DeepEqual(w2, waiters) {
+			t.Fatalf("op %d: restored table snapshots as %v %v, want %v %v", op, l2, w2, lines, waiters)
 		}
 	}
 }

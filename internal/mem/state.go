@@ -1,22 +1,29 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Entries returns the table's in-flight lines and their waiter lists in
-// slot-index order, with the waiter slices copied. Together with
+// Entries returns the table's in-flight lines in ascending order and
+// their waiter lists, with the waiter slices copied. Together with
 // SetEntries it forms the MSHR half of an engine checkpoint: the physical
 // slot layout is not captured because no table operation's result depends
 // on it — find/Add/Append/Remove behave identically for any layout
 // holding the same entry set, and waiter order within an entry (which IS
-// observable through Remove) is preserved.
+// observable through Remove) is preserved. Line order, not slot order,
+// keeps the snapshot a function of the entry set: a restored table can
+// lay the same entries out differently (a probe chain that wrapped past
+// the last slot), and must still snapshot identically.
 func (t *MSHRTable[W]) Entries() (lines []uint64, waiters [][]W) {
 	for i := range t.slots {
-		s := &t.slots[i]
-		if !s.used {
-			continue
+		if t.slots[i].used {
+			lines = append(lines, t.slots[i].line)
 		}
-		lines = append(lines, s.line)
-		waiters = append(waiters, append([]W(nil), s.waiters...))
+	}
+	slices.Sort(lines)
+	for _, line := range lines {
+		waiters = append(waiters, append([]W(nil), t.Waiters(line)...))
 	}
 	return lines, waiters
 }

@@ -351,8 +351,10 @@ func (c *Cache) persist(ctx context.Context, key string, r sim.Result) {
 	}
 }
 
-// ledgerRecord folds one completed run into its provenance record.
-func ledgerRecord(rs spec.RunSpec, key string, trail *obs.Trail, res sim.Result, wall time.Duration) obs.RunRecord {
+// LedgerRecord folds one completed run, keyed key (its Key), into its
+// provenance record. Callers that execute for someone else (a dsweep
+// worker) set Worker on the result.
+func LedgerRecord(rs spec.RunSpec, key string, trail *obs.Trail, res sim.Result, wall time.Duration) obs.RunRecord {
 	names := make([]string, len(rs.Apps))
 	for i := range rs.Apps {
 		names[i] = rs.Apps[i].Name
@@ -414,7 +416,7 @@ func RunCached(ctx context.Context, c *Cache, r *runner.Runner, pri int, rs spec
 		gs.End()
 		sp.Annotate("outcome", obs.OutcomeCached)
 		if trail != nil {
-			c.ledger.Append(ledgerRecord(rs, key, trail, res, time.Since(start)))
+			c.ledger.Append(LedgerRecord(rs, key, trail, res, time.Since(start)))
 		}
 		return res, nil
 	}
@@ -449,7 +451,7 @@ func RunCached(ctx context.Context, c *Cache, r *runner.Runner, pri int, rs spec
 	}
 	res := v.(sim.Result)
 	if trail != nil {
-		rec := ledgerRecord(rs, key, trail, res, time.Since(start))
+		rec := LedgerRecord(rs, key, trail, res, time.Since(start))
 		sp.Annotate("outcome", rec.OutcomeString())
 		c.ledger.Append(rec)
 	} else {

@@ -13,76 +13,19 @@ import (
 	"ebm/internal/tlp"
 )
 
-// BatchSpec parameterizes the thread-batching kind. Zero fields take the
-// defaults of tlp.NewBatch.
-type BatchSpec struct {
-	// Period is how many sampling windows one application stays the
-	// batched (high-TLP) one before the turn rotates.
-	Period int `json:"period,omitempty"`
-	// Hi is the active application's TLP; Lo is every parked one's.
-	Hi int `json:"hi,omitempty"`
-	Lo int `json:"lo,omitempty"`
-}
-
-// WRSSpec parameterizes the warp-resource-sharing kind. Zero fields take
-// the defaults of tlp.NewWRS.
-type WRSSpec struct {
-	// Share is the per-application fair-share TLP level the conserved
-	// warp budget is computed from.
-	Share        int     `json:"share,omitempty"`
-	HighMemStall float64 `json:"high_mem_stall,omitempty"`
-	LowUtil      float64 `json:"low_util,omitempty"`
-	Hysteresis   int     `json:"hysteresis,omitempty"`
-}
-
 // Batch returns the thread-batching scheme with its default knobs.
 func Batch() SchemeSpec { return mustNormalize(SchemeSpec{Kind: KindBatch}) }
 
 // WRS returns the warp-resource-sharing scheme with its default knobs.
 func WRS() SchemeSpec { return mustNormalize(SchemeSpec{Kind: KindWRS}) }
 
-// defaultBatch / defaultWRS mirror the manager constructors' defaults,
-// like the other kinds, so the spec layer can never drift from them.
-func defaultBatch() *BatchSpec {
-	b := tlp.NewBatch()
-	return &BatchSpec{Period: b.Period, Hi: b.Hi, Lo: b.Lo}
-}
-
-func defaultWRS() *WRSSpec {
-	w := tlp.NewWRS()
-	return &WRSSpec{Share: w.Share, HighMemStall: w.HighMemStall, LowUtil: w.LowUtil, Hysteresis: w.Hysteresis}
-}
-
-func batchSub(sp *SchemeSpec) *BatchSpec {
-	if sp.Batch == nil {
-		sp.Batch = &BatchSpec{}
-	}
-	return sp.Batch
-}
-
-func wrsSub(sp *SchemeSpec) *WRSSpec {
-	if sp.WRS == nil {
-		sp.WRS = &WRSSpec{}
-	}
-	return sp.WRS
-}
-
 func registerBatch() {
-	Register(Descriptor{
+	Register(knobbed(Descriptor{
 		Kind: KindBatch,
 		Knobs: []KnobDef{
-			knobI(KindBatch, "period", func(sp *SchemeSpec) *int { return &batchSub(sp).Period }),
-			knobI(KindBatch, "hi", func(sp *SchemeSpec) *int { return &batchSub(sp).Hi }),
-			knobI(KindBatch, "lo", func(sp *SchemeSpec) *int { return &batchSub(sp).Lo }),
-		},
-		Normalize: func(s SchemeSpec) SchemeSpec {
-			b := defaultBatch()
-			if s.Batch != nil {
-				fillI(&b.Period, s.Batch.Period)
-				fillI(&b.Hi, s.Batch.Hi)
-				fillI(&b.Lo, s.Batch.Lo)
-			}
-			return SchemeSpec{Kind: KindBatch, Batch: b}
+			knobI(KindBatch, "period", func(sp *SchemeSpec) *int { return &sub(&sp.Batch).Period }),
+			knobI(KindBatch, "hi", func(sp *SchemeSpec) *int { return &sub(&sp.Batch).Hi }),
+			knobI(KindBatch, "lo", func(sp *SchemeSpec) *int { return &sub(&sp.Batch).Lo }),
 		},
 		Validate: func(n SchemeSpec, numApps int) error {
 			b := n.Batch
@@ -96,40 +39,22 @@ func registerBatch() {
 		},
 		Factory: func(n SchemeSpec, numApps int) (tlp.Manager, error) {
 			b := tlp.NewBatch()
-			b.Period = n.Batch.Period
-			b.Hi = n.Batch.Hi
-			b.Lo = n.Batch.Lo
+			b.BatchKnobs = *n.Batch
 			return b, nil
 		},
-		Format: func(n SchemeSpec) []string {
-			def := defaultBatch()
-			var args []string
-			intArg(&args, "period", n.Batch.Period, def.Period)
-			intArg(&args, "hi", n.Batch.Hi, def.Hi)
-			intArg(&args, "lo", n.Batch.Lo, def.Lo)
-			return args
-		},
-	})
+	}, func() SchemeSpec {
+		return SchemeSpec{Kind: KindBatch, Batch: &tlp.NewBatch().BatchKnobs}
+	}))
 }
 
 func registerWRS() {
-	Register(Descriptor{
+	Register(knobbed(Descriptor{
 		Kind: KindWRS,
 		Knobs: []KnobDef{
-			knobI(KindWRS, "share", func(sp *SchemeSpec) *int { return &wrsSub(sp).Share }),
-			knobF(KindWRS, "himem", func(sp *SchemeSpec) *float64 { return &wrsSub(sp).HighMemStall }),
-			knobF(KindWRS, "loutil", func(sp *SchemeSpec) *float64 { return &wrsSub(sp).LowUtil }),
-			knobI(KindWRS, "hyst", func(sp *SchemeSpec) *int { return &wrsSub(sp).Hysteresis }),
-		},
-		Normalize: func(s SchemeSpec) SchemeSpec {
-			w := defaultWRS()
-			if s.WRS != nil {
-				fillI(&w.Share, s.WRS.Share)
-				fillF(&w.HighMemStall, s.WRS.HighMemStall)
-				fillF(&w.LowUtil, s.WRS.LowUtil)
-				fillI(&w.Hysteresis, s.WRS.Hysteresis)
-			}
-			return SchemeSpec{Kind: KindWRS, WRS: w}
+			knobI(KindWRS, "share", func(sp *SchemeSpec) *int { return &sub(&sp.WRS).Share }),
+			knobF(KindWRS, "himem", func(sp *SchemeSpec) *float64 { return &sub(&sp.WRS).HighMemStall }),
+			knobF(KindWRS, "loutil", func(sp *SchemeSpec) *float64 { return &sub(&sp.WRS).LowUtil }),
+			knobI(KindWRS, "hyst", func(sp *SchemeSpec) *int { return &sub(&sp.WRS).Hysteresis }),
 		},
 		Validate: func(n SchemeSpec, numApps int) error {
 			w := n.WRS
@@ -149,20 +74,10 @@ func registerWRS() {
 		},
 		Factory: func(n SchemeSpec, numApps int) (tlp.Manager, error) {
 			w := tlp.NewWRS()
-			w.Share = n.WRS.Share
-			w.HighMemStall = n.WRS.HighMemStall
-			w.LowUtil = n.WRS.LowUtil
-			w.Hysteresis = n.WRS.Hysteresis
+			w.WRSKnobs = *n.WRS
 			return w, nil
 		},
-		Format: func(n SchemeSpec) []string {
-			def := defaultWRS()
-			var args []string
-			intArg(&args, "share", n.WRS.Share, def.Share)
-			numArg(&args, "himem", n.WRS.HighMemStall, def.HighMemStall)
-			numArg(&args, "loutil", n.WRS.LowUtil, def.LowUtil)
-			intArg(&args, "hyst", n.WRS.Hysteresis, def.Hysteresis)
-			return args
-		},
-	})
+	}, func() SchemeSpec {
+		return SchemeSpec{Kind: KindWRS, WRS: &tlp.NewWRS().WRSKnobs}
+	}))
 }

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -18,6 +19,13 @@ type KnobDef struct {
 	Key  string
 	Help string // display form in error/help text; "" means Key
 	Set  func(sp *SchemeSpec, val string) error
+
+	// fill and format are the scalar knob's share of a kind's Normalize
+	// and Format (set by knobF/knobI, read by knobbed): fill overwrites
+	// dst's knob with src's when src sets it, and format appends
+	// "key=value" when n's knob differs from def's.
+	fill   func(dst, src *SchemeSpec)
+	format func(args *[]string, n, def *SchemeSpec)
 }
 
 // Descriptor is the single source of truth for one scheme kind: its flag
@@ -152,27 +160,72 @@ func badArg(kind, tok string) error {
 }
 
 // knobF/knobI build float64/int knobs over a field accessor (the accessor
-// materializes the sub-spec on demand, so parsing never reads nil).
+// materializes the sub-spec on demand, so parsing never reads nil). A
+// float knob must be finite: JSON, and so every cache key, has no NaN
+// or infinity.
 func knobF(kind, key string, get func(sp *SchemeSpec) *float64) KnobDef {
-	return KnobDef{Key: key, Set: func(sp *SchemeSpec, val string) error {
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return badArg(kind, key+"="+val)
-		}
-		*get(sp) = v
-		return nil
-	}}
+	return KnobDef{
+		Key: key,
+		Set: func(sp *SchemeSpec, val string) error {
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+				return badArg(kind, key+"="+val)
+			}
+			*get(sp) = v
+			return nil
+		},
+		fill:   func(dst, src *SchemeSpec) { fillF(get(dst), *get(src)) },
+		format: func(args *[]string, n, def *SchemeSpec) { numArg(args, key, *get(n), *get(def)) },
+	}
 }
 
 func knobI(kind, key string, get func(sp *SchemeSpec) *int) KnobDef {
-	return KnobDef{Key: key, Set: func(sp *SchemeSpec, val string) error {
-		v, err := strconv.Atoi(val)
-		if err != nil {
-			return badArg(kind, key+"="+val)
+	return KnobDef{
+		Key: key,
+		Set: func(sp *SchemeSpec, val string) error {
+			v, err := strconv.Atoi(val)
+			if err != nil {
+				return badArg(kind, key+"="+val)
+			}
+			*get(sp) = v
+			return nil
+		},
+		fill:   func(dst, src *SchemeSpec) { fillI(get(dst), *get(src)) },
+		format: func(args *[]string, n, def *SchemeSpec) { intArg(args, key, *get(n), *get(def)) },
+	}
+}
+
+// sub returns the sub-spec *p, allocating a zero one first if it is nil.
+func sub[T any](p **T) *T {
+	if *p == nil {
+		*p = new(T)
+	}
+	return *p
+}
+
+// knobbed completes the descriptor of a kind whose knobs are all
+// knobF/knobI scalars. defaults returns the bare kind's normalized spec,
+// whose knob block is read off the manager's constructor. Normalize
+// starts from it and overwrites every knob the spec sets; Format prints
+// the knobs that differ from it.
+func knobbed(d Descriptor, defaults func() SchemeSpec) Descriptor {
+	knobs := d.Knobs
+	d.Normalize = func(s SchemeSpec) SchemeSpec {
+		n := defaults()
+		for _, k := range knobs {
+			k.fill(&n, &s)
 		}
-		*get(sp) = v
-		return nil
-	}}
+		return n
+	}
+	d.Format = func(n SchemeSpec) []string {
+		def := defaults()
+		var args []string
+		for _, k := range knobs {
+			k.format(&args, &n, &def)
+		}
+		return args
+	}
+	return d
 }
 
 // The registrations run from one init so the presentation order is fixed

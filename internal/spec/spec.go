@@ -58,33 +58,6 @@ type StaticSpec struct {
 	Label string `json:"label,omitempty"`
 }
 
-// DynCTASpec parameterizes the ++DynCTA baseline. Zero fields take the
-// defaults of tlp.NewDynCTA.
-type DynCTASpec struct {
-	HighMemStall float64 `json:"high_mem_stall,omitempty"`
-	LowMemStall  float64 `json:"low_mem_stall,omitempty"`
-	LowUtil      float64 `json:"low_util,omitempty"`
-	Hysteresis   int     `json:"hysteresis,omitempty"`
-}
-
-// CCWSSpec parameterizes the CCWS-style baseline. Zero fields take the
-// defaults of tlp.NewCCWS. The run must enable the victim-tag detector
-// (RunSpec.VictimTags) for the VTARate signal to be live.
-type CCWSSpec struct {
-	HighVTA    float64 `json:"high_vta,omitempty"`
-	LowVTA     float64 `json:"low_vta,omitempty"`
-	LowUtil    float64 `json:"low_util,omitempty"`
-	Hysteresis int     `json:"hysteresis,omitempty"`
-}
-
-// ModBypassSpec parameterizes the Mod+Bypass baseline. Zero fields take
-// the defaults of tlp.NewModBypass; ProbeEvery -1 disables re-probing.
-type ModBypassSpec struct {
-	BypassL1MR float64 `json:"bypass_l1mr,omitempty"`
-	Confirm    int     `json:"confirm,omitempty"`
-	ProbeEvery int     `json:"probe_every,omitempty"`
-}
-
 // PBSSpec parameterizes the pattern-based searching managers. Zero
 // fields take the defaults of core.NewPBS for the kind's objective.
 type PBSSpec struct {
@@ -108,17 +81,18 @@ type PBSSpec struct {
 
 // SchemeSpec is the canonical description of one TLP-management policy:
 // a kind plus the sub-spec that kind reads (the others stay nil). The
-// zero value of a sub-spec means "all defaults", so SchemeSpec{Kind:
+// scalar-knob kinds read their manager's own knob struct. A zero field
+// of a sub-spec means "the constructor's default", so SchemeSpec{Kind:
 // KindDynCTA} is the paper's DynCTA baseline.
 type SchemeSpec struct {
-	Kind      string         `json:"kind"`
-	Static    *StaticSpec    `json:"static,omitempty"`
-	DynCTA    *DynCTASpec    `json:"dyncta,omitempty"`
-	CCWS      *CCWSSpec      `json:"ccws,omitempty"`
-	ModBypass *ModBypassSpec `json:"modbypass,omitempty"`
-	PBS       *PBSSpec       `json:"pbs,omitempty"`
-	Batch     *BatchSpec     `json:"batch,omitempty"`
-	WRS       *WRSSpec       `json:"wrs,omitempty"`
+	Kind      string              `json:"kind"`
+	Static    *StaticSpec         `json:"static,omitempty"`
+	DynCTA    *tlp.DynCTAKnobs    `json:"dyncta,omitempty"`
+	CCWS      *tlp.CCWSKnobs      `json:"ccws,omitempty"`
+	ModBypass *tlp.ModBypassKnobs `json:"modbypass,omitempty"`
+	PBS       *PBSSpec            `json:"pbs,omitempty"`
+	Batch     *tlp.BatchKnobs     `json:"batch,omitempty"`
+	WRS       *tlp.WRSKnobs       `json:"wrs,omitempty"`
 }
 
 // Static returns a fixed-TLP-combination scheme (bypass may be nil).
@@ -203,29 +177,6 @@ func defaultPBS(kind string) *PBSSpec {
 		TunePatience:    p.TunePatience,
 		FullSearchEvery: p.FullSearchEvery,
 	}
-}
-
-// defaultDynCTA / defaultCCWS / defaultModBypass likewise mirror the
-// manager constructors' defaults.
-func defaultDynCTA() *DynCTASpec {
-	d := tlp.NewDynCTA()
-	return &DynCTASpec{
-		HighMemStall: d.HighMemStall, LowMemStall: d.LowMemStall,
-		LowUtil: d.LowUtil, Hysteresis: d.Hysteresis,
-	}
-}
-
-func defaultCCWS() *CCWSSpec {
-	c := tlp.NewCCWS()
-	return &CCWSSpec{
-		HighVTA: c.HighVTA, LowVTA: c.LowVTA,
-		LowUtil: c.LowUtil, Hysteresis: c.Hysteresis,
-	}
-}
-
-func defaultModBypass() *ModBypassSpec {
-	m := tlp.NewModBypass()
-	return &ModBypassSpec{BypassL1MR: m.BypassL1MR, Confirm: m.Confirm, ProbeEvery: m.ProbeEvery}
 }
 
 func scaleMode(s string) (pbscore.ScaleMode, error) {

@@ -8,6 +8,7 @@ import (
 
 	"ebm/internal/config"
 	"ebm/internal/metrics"
+	"ebm/internal/tlp"
 )
 
 // numAppsFor picks the application count a spec's manager is built for
@@ -234,6 +235,8 @@ func TestParseErrors(t *testing.T) {
 		"static:x",          // non-integer level
 		"ccws:bogus=1",      // unknown knob
 		"ccws:hivta=x",      // bad float
+		"dyncta:himem=NaN",  // NaN has no JSON form
+		"pbs-ws:drift=-Inf", // nor has infinity
 		"dyncta:hyst=x",     // bad int
 		"static:2,bypass=x", // bad mask char
 		"pbs-ws:scaling=no", // unknown scaling
@@ -279,9 +282,9 @@ func TestValidate(t *testing.T) {
 	invalid(Static([]int{2, 8}, []bool{true}), 2, "bypass mask")
 	invalid(SchemeSpec{Kind: KindBestTLP}, 2, "unresolved")
 	invalid(MaxTLP(), 0, "application count")
-	invalid(SchemeSpec{Kind: KindDynCTA, DynCTA: &DynCTASpec{LowMemStall: 0.9}}, 2, "lomem")
-	invalid(SchemeSpec{Kind: KindCCWS, CCWS: &CCWSSpec{LowVTA: 0.5}}, 2, "lovta")
-	invalid(SchemeSpec{Kind: KindModBypass, ModBypass: &ModBypassSpec{BypassL1MR: 1.5}}, 2, "l1mr")
+	invalid(SchemeSpec{Kind: KindDynCTA, DynCTA: &tlp.DynCTAKnobs{LowMemStall: 0.9}}, 2, "lomem")
+	invalid(SchemeSpec{Kind: KindCCWS, CCWS: &tlp.CCWSKnobs{LowVTA: 0.5}}, 2, "lovta")
+	invalid(SchemeSpec{Kind: KindModBypass, ModBypass: &tlp.ModBypassKnobs{BypassL1MR: 1.5}}, 2, "l1mr")
 	invalid(SchemeSpec{Kind: KindPBSWS, PBS: &PBSSpec{SweepLevels: []int{99}}}, 2, "out of range")
 	invalid(SchemeSpec{Kind: KindPBSWS, PBS: &PBSSpec{MeasureWindows: -1}}, 2, "measure_windows")
 	invalid(SchemeSpec{Kind: KindPBSFI, PBS: &PBSSpec{Scaling: "group"}}, 2, "group_eb")

@@ -13,14 +13,19 @@ import "ebm/internal/config"
 // fairness — which is exactly the trade-off the paper's comparison column
 // is meant to expose.
 type Batch struct {
+	BatchKnobs
+	st turnState
+}
+
+// BatchKnobs are Batch's tunables; the JSON form is the batch block of a
+// spec.SchemeSpec. Zero fields there take NewBatch's defaults.
+type BatchKnobs struct {
 	// Period is how many sampling windows one application stays active
 	// before the turn rotates.
-	Period int
+	Period int `json:"period,omitempty"`
 	// Hi is the active application's TLP; Lo is everyone else's.
-	Hi int
-	Lo int
-
-	st turnState
+	Hi int `json:"hi,omitempty"`
+	Lo int `json:"lo,omitempty"`
 }
 
 // NewBatch returns the thread-batching policy with its default knobs:
@@ -28,7 +33,7 @@ type Batch struct {
 // trickle of 2 warps for the parked ones (enough to keep their kernels
 // making forward progress between turns).
 func NewBatch() *Batch {
-	return &Batch{Period: 8, Hi: config.MaxTLP, Lo: 2}
+	return &Batch{BatchKnobs: BatchKnobs{Period: 8, Hi: config.MaxTLP, Lo: 2}}
 }
 
 // Name implements Manager.

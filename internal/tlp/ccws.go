@@ -15,27 +15,32 @@ import "ebm/internal/config"
 // (sim.Options.VictimTags > 0) for the VTARate signal to be non-zero;
 // otherwise CCWS degenerates to holding its initial TLP.
 type CCWS struct {
+	CCWSKnobs
+	st voteState
+}
+
+// CCWSKnobs are CCWS's tunables; the JSON form is the ccws block of a
+// spec.SchemeSpec. Zero fields there take NewCCWS's defaults.
+type CCWSKnobs struct {
 	// HighVTA: above this lost-locality fraction the application is
 	// thrashing its own L1 and TLP is decreased.
-	HighVTA float64
+	HighVTA float64 `json:"high_vta,omitempty"`
 	// LowVTA / LowUtil: with locality healthy and issue slots idle, TLP
 	// is increased to hide more latency.
-	LowVTA  float64
-	LowUtil float64
+	LowVTA  float64 `json:"low_vta,omitempty"`
+	LowUtil float64 `json:"low_util,omitempty"`
 	// Hysteresis: consecutive agreeing windows before a move.
-	Hysteresis int
-
-	st voteState
+	Hysteresis int `json:"hysteresis,omitempty"`
 }
 
 // NewCCWS returns the CCWS-style baseline with default thresholds.
 func NewCCWS() *CCWS {
-	return &CCWS{
+	return &CCWS{CCWSKnobs: CCWSKnobs{
 		HighVTA:    0.15,
 		LowVTA:     0.05,
 		LowUtil:    0.8,
 		Hysteresis: 2,
-	}
+	}}
 }
 
 // Name implements Manager.

@@ -11,29 +11,34 @@ import "ebm/internal/config"
 // only the application's local signals and is oblivious to co-runners'
 // shared-resource consumption.
 type DynCTA struct {
+	DynCTAKnobs
+	st voteState
+}
+
+// DynCTAKnobs are DynCTA's tunables; the JSON form is the dyncta block
+// of a spec.SchemeSpec. Zero fields there take NewDynCTA's defaults.
+type DynCTAKnobs struct {
 	// HighMemStall: above this fraction of memory-stalled idle cycles the
 	// application is deemed memory-saturated and TLP is decreased.
-	HighMemStall float64
+	HighMemStall float64 `json:"high_mem_stall,omitempty"`
 	// LowMemStall / LowUtil: below HighMemStall, if issue utilization is
 	// below LowUtil, more warps could help hide latency and TLP is
 	// increased.
-	LowMemStall float64
-	LowUtil     float64
+	LowMemStall float64 `json:"low_mem_stall,omitempty"`
+	LowUtil     float64 `json:"low_util,omitempty"`
 
 	// Hysteresis: consecutive windows agreeing before a move is made.
-	Hysteresis int
-
-	st voteState
+	Hysteresis int `json:"hysteresis,omitempty"`
 }
 
 // NewDynCTA returns the ++DynCTA policy with the default thresholds.
 func NewDynCTA() *DynCTA {
-	return &DynCTA{
+	return &DynCTA{DynCTAKnobs: DynCTAKnobs{
 		HighMemStall: 0.5,
 		LowMemStall:  0.25,
 		LowUtil:      0.8,
 		Hysteresis:   2,
-	}
+	}}
 }
 
 // Name implements Manager.

@@ -9,29 +9,32 @@ package tlp
 // signals and does not reason about aggregate bandwidth, which is the gap
 // the paper's PBS closes.
 type ModBypass struct {
+	ModBypassKnobs
 	mod *DynCTA
+	st  probeState
+}
 
-	// BypassL1MR: an application whose L1 miss rate stays above this for
-	// Confirm consecutive windows is declared cache-insensitive and its
-	// L1 is bypassed. An application drops back below UnbypassL1MR (with
-	// the same confirmation count, measured on the shadow miss rate of
-	// accesses that would have hit) to re-enable the cache. Because the
-	// shadow rate is not observable once bypassing, re-enablement uses a
-	// periodic probe window instead.
-	BypassL1MR float64
-	Confirm    int
-	ProbeEvery int // windows between probation windows while bypassing
-
-	st probeState
+// ModBypassKnobs are ModBypass's tunables; the JSON form is the modbypass
+// block of a spec.SchemeSpec. Zero fields there take NewModBypass's
+// defaults.
+type ModBypassKnobs struct {
+	// BypassL1MR: an application whose L1 miss rate stays at or above
+	// this for Confirm consecutive windows is declared cache-insensitive
+	// and its L1 is bypassed. The miss rate is not observable once
+	// bypassing, so re-enablement uses a periodic probe window instead:
+	// the cache stays on after a probe that measures a rate below it.
+	BypassL1MR float64 `json:"bypass_l1mr,omitempty"`
+	Confirm    int     `json:"confirm,omitempty"`
+	// ProbeEvery is the number of windows between probation windows
+	// while bypassing; a non-positive value never probes.
+	ProbeEvery int `json:"probe_every,omitempty"`
 }
 
 // NewModBypass returns the Mod+Bypass policy with default thresholds.
 func NewModBypass() *ModBypass {
 	return &ModBypass{
-		mod:        NewDynCTA(),
-		BypassL1MR: 0.95,
-		Confirm:    3,
-		ProbeEvery: 32,
+		ModBypassKnobs: ModBypassKnobs{BypassL1MR: 0.95, Confirm: 3, ProbeEvery: 32},
+		mod:            NewDynCTA(),
 	}
 }
 

@@ -13,29 +13,34 @@ import "ebm/internal/config"
 // never exceeds numApps times the fair share, so one application's gain
 // is always another's (idle) capacity.
 type WRS struct {
+	WRSKnobs
+	st voteState // a vote is + to take a level, - to donate one
+}
+
+// WRSKnobs are WRS's tunables; the JSON form is the wrs block of a
+// spec.SchemeSpec. Zero fields there take NewWRS's defaults.
+type WRSKnobs struct {
 	// Share is the per-application fair-share TLP level; the conserved
 	// machine budget is numApps * LevelIndex(Share) level steps.
-	Share int
+	Share int `json:"share,omitempty"`
 
 	// HighMemStall marks a donor: above this fraction of memory-stalled
 	// idle cycles the application yields a level.
-	HighMemStall float64
+	HighMemStall float64 `json:"high_mem_stall,omitempty"`
 	// LowUtil gates takers: an application below HighMemStall whose
 	// issue utilization is under LowUtil still has latency to hide, so
 	// it bids for a level.
-	LowUtil float64
+	LowUtil float64 `json:"low_util,omitempty"`
 
 	// Hysteresis: consecutive windows agreeing before a slot moves.
-	Hysteresis int
-
-	st voteState // a vote is + to take a level, - to donate one
+	Hysteresis int `json:"hysteresis,omitempty"`
 }
 
 // NewWRS returns the warp-resource-sharing policy with its defaults: an
 // 8-warp fair share (the mid TLP level), donors above 50% memory stall,
 // takers under 70% issue utilization, and 2-window hysteresis.
 func NewWRS() *WRS {
-	return &WRS{Share: 8, HighMemStall: 0.5, LowUtil: 0.7, Hysteresis: 2}
+	return &WRS{WRSKnobs: WRSKnobs{Share: 8, HighMemStall: 0.5, LowUtil: 0.7, Hysteresis: 2}}
 }
 
 // Name implements Manager.
