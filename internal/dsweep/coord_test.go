@@ -393,3 +393,57 @@ func TestSweepDoneSignals(t *testing.T) {
 		t.Fatalf("post-completion lease = %+v, want Done", reply)
 	}
 }
+
+// TestBareStatePathSavesBesideItself pins sweepd's default state path:
+// `-state auto` under a -simcache with no directory part resolves to the
+// bare name dsweep-state.json. The checkpoint's temp file must land in
+// the working directory beside it, never in $TMPDIR (here a missing
+// directory, so a temp file there fails the save), and a second
+// coordinator must resume from what the first one wrote. It changes the
+// process's working directory, so it must not run in parallel.
+func TestBareStatePathSavesBesideItself(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	t.Setenv("TMPDIR", filepath.Join(dir, "missing"))
+	oldWarnf := simcache.Warnf
+	simcache.Warnf = func(format string, args ...any) { t.Errorf("unexpected warning: "+format, args...) }
+	t.Cleanup(func() { simcache.Warnf = oldWarnf })
+
+	const state = "dsweep-state.json"
+	cells := testCells("a", "b")
+	c1 := newTestCoord(t, Options{Cells: cells, StatePath: state})
+	if r := c1.Register(goodHello("w1")); !r.OK {
+		t.Fatal(r.Error)
+	}
+	l, _ := c1.Lease(LeaseRequest{Worker: "w1"})
+	if r := c1.Complete(CompleteRequest{Worker: "w1", Key: l.Cell.Key, Fence: l.Fence, Result: fakeResult(5)}); !r.Accepted {
+		t.Fatal(r.Reason)
+	}
+	c1.Close()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != state {
+		names := make([]string, len(ents))
+		for i, e := range ents {
+			names[i] = e.Name()
+		}
+		t.Fatalf("working dir holds %v, want only %s", names, state)
+	}
+
+	c2 := newTestCoord(t, Options{Cells: cells, StatePath: state})
+	if n := c2.Counts(); n.Resumed != 1 {
+		t.Fatalf("counts = %+v, want 1 cell resumed from %s", n, state)
+	}
+	if got := c2.Results(); !reflect.DeepEqual(got[l.Cell.Key], fakeResult(5)) {
+		t.Fatalf("resumed result %+v is not the one completed before the restart", got)
+	}
+}
