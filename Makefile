@@ -65,11 +65,18 @@ dsweep-chaos:
 # seeds alone already run under `go test`): the scheme grammar's
 # parse/print fixed point, and the fast-forward engine against the plain
 # reference engine. A failing input is saved under the package's
-# testdata/fuzz/ and replays as a regression test from then on.
+# testdata/fuzz/ and replays as a regression test from then on. Each run
+# starts from an empty, throwaway fuzz cache: with the cache the go
+# command keeps between runs, the slow engine target spent its whole
+# budget re-gathering baseline coverage over its cached inputs and
+# tried none of its own.
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseScheme$$' -fuzztime $(FUZZTIME) ./internal/spec/
-	$(GO) test -run '^$$' -fuzz '^FuzzFastForwardMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	@cache=$$(mktemp -d) && trap 'rm -rf "$$cache"' EXIT && \
+	$(GO) test -run '^$$' -fuzz '^FuzzParseScheme$$' -fuzztime $(FUZZTIME) ./internal/spec/ \
+	    -args -test.fuzzcachedir="$$cache/spec" && \
+	$(GO) test -run '^$$' -fuzz '^FuzzFastForwardMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/sim/ \
+	    -args -test.fuzzcachedir="$$cache/sim"
 
 # cover prints per-package statement coverage and enforces a floor on
 # internal/obs, whose span/ledger/exposition paths this repo's explain

@@ -133,9 +133,6 @@ func TestChaosGridBuildSurvivesFaultsAndResumes(t *testing.T) {
 	oldWarnf := simcache.Warnf
 	simcache.Warnf = func(string, ...any) {} // degradation warnings are expected noise here
 	t.Cleanup(func() { simcache.Warnf = oldWarnf })
-	oldCkptWarnf := ckpt.Warnf
-	ckpt.Warnf = func(string, ...any) {}
-	t.Cleanup(func() { ckpt.Warnf = oldCkptWarnf })
 
 	cache1, err := simcache.Open(dir)
 	if err != nil {
@@ -158,18 +155,14 @@ func TestChaosGridBuildSurvivesFaultsAndResumes(t *testing.T) {
 	reg := obs.NewRegistry()
 	mon := resilience.NewMonitor(reg, nil)
 	cache1.SetHooks(inj)
-	cache1.SetResilience(resilience.Policy{
-		Attempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond,
-	}, mon)
+	cache1.SetMonitor(mon)
 	store1, err := ckpt.Open(ckptDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store1.SetEvery(1)
 	store1.SetHooks(inj) // checkpoint reads and writes share the injector
-	store1.SetResilience(resilience.Policy{
-		Attempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond,
-	}, mon)
+	store1.SetMonitor(mon)
 	pool1 := runner.New(4)
 	pool1.SetHooks(inj)
 	_, err = search.BuildGrid(context.Background(), apps, chaosGridOpts(cache1, pool1, store1))

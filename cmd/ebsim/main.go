@@ -42,14 +42,9 @@
 // snapshots under -ckpt-dir and forks uncached runs from the deepest
 // snapshot sharing their deterministic prefix (so re-running with a longer
 // -cycles only simulates the extension); -ckpt-max-bytes caps the store.
-// Under -chaos the injector's faults also hit checkpoint reads and writes,
-// which degrade to cold execution, never wrong results.
-//
-// -chaos runs the workload under deterministic fault injection (seeded by
-// -chaos-seed): cache reads and writes fail probabilistically, the engine
-// stalls periodically, and a progress watchdog guards the run — a live
-// demonstration of the failure model of DESIGN.md §10. The run must still
-// produce correct metrics; the injected-fault tally is printed at exit.
+// A result or checkpoint that cannot be read degrades to execution, and
+// one that cannot be written is retried, then warned about; neither
+// changes the metrics (DESIGN.md §10).
 //
 // SIGINT/SIGTERM cancels the run cooperatively (exit 130); a second
 // signal kills the process immediately.
@@ -61,18 +56,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"ebm/internal/ckpt"
 	"ebm/internal/cli"
 	"ebm/internal/config"
 	pbscore "ebm/internal/core"
-	"ebm/internal/faultinject"
 	"ebm/internal/kernel"
 	"ebm/internal/metrics"
 	"ebm/internal/obs"
 	"ebm/internal/profile"
-	"ebm/internal/resilience"
 	"ebm/internal/sim"
 	"ebm/internal/simcache"
 	"ebm/internal/spec"
@@ -85,25 +77,23 @@ func run(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("ebsim", flag.ContinueOnError)
 	sess := cli.NewSession(fs, cli.Cache|cli.Ckpt|cli.Spans|cli.Profile, "")
 	var (
-		wlName    = fs.String("workload", "", "workload name, e.g. BLK_TRD (suite apps joined by _)")
-		alone     = fs.String("alone", "", "profile a single application across all TLP levels")
-		scheme    = fs.String("scheme", "pbs-ws", spec.FlagHelp())
-		cycles    = fs.Uint64("cycles", 300_000, "total simulated core cycles")
-		warmup    = fs.Uint64("warmup", 10_000, "warmup cycles excluded from metrics")
-		window    = fs.Uint64("window", 2_500, "sampling window in cycles")
-		verbose   = fs.Bool("v", false, "print per-application details")
-		traceF    = fs.String("trace", "", "write per-window TLP/EB/BW/CMR time series to a CSV file")
-		chromeF   = fs.String("chrometrace", "", "write a Chrome trace-event JSON file (open in chrome://tracing)")
-		listen    = fs.String("listen", "", "serve live Prometheus metrics on this address, e.g. :8080 (0 picks a port)")
-		chaos     = fs.Bool("chaos", false, "inject deterministic faults (cache I/O errors, stalls) and guard the run with a watchdog")
-		chaosSeed = fs.Int64("chaos-seed", 1, "seed for the -chaos fault injector")
+		wlName  = fs.String("workload", "", "workload name, e.g. BLK_TRD (suite apps joined by _)")
+		alone   = fs.String("alone", "", "profile a single application across all TLP levels")
+		scheme  = fs.String("scheme", "pbs-ws", spec.FlagHelp())
+		cycles  = fs.Uint64("cycles", 300_000, "total simulated core cycles")
+		warmup  = fs.Uint64("warmup", 10_000, "warmup cycles excluded from metrics")
+		window  = fs.Uint64("window", 2_500, "sampling window in cycles")
+		verbose = fs.Bool("v", false, "print per-application details")
+		traceF  = fs.String("trace", "", "write per-window TLP/EB/BW/CMR time series to a CSV file")
+		chromeF = fs.String("chrometrace", "", "write a Chrome trace-event JSON file (open in chrome://tracing)")
+		listen  = fs.String("listen", "", "serve live Prometheus metrics on this address, e.g. :8080 (0 picks a port)")
 	)
 	if done, err := sess.Parse(args); done {
 		return err
 	}
 	// -trace-spans: the tracer rides ctx through profiling, the cached
-	// run, and the retry/watchdog layers. -ledger: provenance hangs off
-	// the result-cache handle; observed runs (-trace/-chrometrace/-listen)
+	// run, and the retry layer. -ledger: provenance hangs off the
+	// result-cache handle; observed runs (-trace/-chrometrace/-listen)
 	// bypass the cache and so leave no records.
 	ctx, err = sess.Open(ctx, obs.A("workload", *wlName))
 	if err != nil {
@@ -119,60 +109,6 @@ func run(ctx context.Context, args []string) (err error) {
 		}()
 	}
 	cfg := config.Default()
-
-	// The live-metrics registry is created up front so the resilience
-	// counters land on the same /metrics endpoint as the engine's.
-	var reg *obs.Registry
-	if *listen != "" {
-		reg = obs.NewRegistry()
-	}
-
-	// Chaos mode: a seeded injector feeds faults into the cache and the
-	// engine's window boundaries; the resilience monitor tallies the
-	// incidents; a watchdog aborts the run if injected stalls ever exceed
-	// the progress deadline. Injected faults never change results — cache
-	// read failures degrade to direct execution, write failures retry and
-	// then warn — so the metrics printed below stay correct.
-	var (
-		inj *faultinject.Injector
-		mon *resilience.Monitor
-		dog *resilience.Watchdog
-	)
-	if *chaos {
-		inj = faultinject.New(faultinject.Config{
-			Seed:              *chaosSeed,
-			CacheReadErrProb:  0.25,
-			CacheWriteErrProb: 0.25,
-			StallEveryWindows: 16,
-			Stall:             time.Millisecond,
-		})
-		monReg := reg
-		if monReg == nil {
-			monReg = obs.NewRegistry() // private tally for the exit report
-		}
-		mon = resilience.NewMonitor(monReg, nil)
-		rcache.SetHooks(inj)
-		rcache.SetResilience(resilience.DefaultPolicy(), mon)
-		// Checkpoint reads and writes face the same injected faults; the
-		// store's degradation ladder turns them into cold execution.
-		store.SetHooks(inj)
-		store.SetResilience(resilience.DefaultPolicy(), mon)
-		dog = resilience.NewWatchdog(resilience.WatchdogOptions{
-			Label:    "ebsim",
-			Deadline: 30 * time.Second,
-			Mon:      mon,
-		})
-		guarded, cancel := dog.Guard(ctx)
-		defer cancel()
-		ctx = guarded
-		defer func() {
-			c := inj.Counts()
-			fmt.Fprintf(os.Stderr,
-				"ebsim: chaos: seed=%d injected %d cache read errors, %d cache write errors, %d stalls; cache retries=%d, watchdog tripped=%v\n",
-				*chaosSeed, c.ReadErrs, c.WriteErrs, c.Stalls,
-				mon.CacheRetries.Value(), dog.Tripped())
-		}()
-	}
 
 	if *alone != "" {
 		return runAlone(ctx, cfg, *alone, rcache, store)
@@ -235,7 +171,9 @@ func run(ctx context.Context, args []string) (err error) {
 		if *traceF != "" || *chromeF != "" {
 			observer.Journal = obs.NewJournal()
 		}
-		observer.Metrics = reg // nil unless -listen
+		if *listen != "" {
+			observer.Metrics = obs.NewRegistry()
+		}
 		if pbs, ok := mgr.(*pbscore.PBS); ok {
 			observer.PhaseFn = pbs.Phase
 		}
@@ -266,7 +204,7 @@ func run(ctx context.Context, args []string) (err error) {
 		// bit-identically from disk, and a longer one forks from the
 		// deepest shared-prefix snapshot. Observed runs must execute for
 		// their event streams, so they bypass both.
-		res, err = simcache.RunCached(ctx, rcache, nil, 0, rs, directRun(rs, store, inj, dog))
+		res, err = simcache.RunCached(ctx, rcache, nil, 0, rs, ckpt.Runner(store, rs))
 		if err != nil {
 			return err
 		}
@@ -277,10 +215,6 @@ func run(ctx context.Context, args []string) (err error) {
 		}
 		runOpts.Manager = mgr // the instance observer.PhaseFn is wired to
 		runOpts.Obs = observer
-		if inj != nil { // a typed-nil *Injector must not become a non-nil Hooks
-			runOpts.Hooks = inj
-		}
-		runOpts.Watchdog = dog
 		s, err := sim.New(runOpts)
 		if err != nil {
 			return err
@@ -324,25 +258,6 @@ func run(ctx context.Context, args []string) (err error) {
 		}
 	}
 	return nil
-}
-
-// directRun builds the cache-miss execution path for RunCached: the
-// checkpoint store when -ckpt is on, and under -chaos the engine also
-// carries the injector's window hooks and the watchdog's pulse. With
-// none of the three this returns nil and RunCached falls back to
-// sim.Execute.
-func directRun(rs spec.RunSpec, store *ckpt.Store, inj *faultinject.Injector, dog *resilience.Watchdog) func(context.Context) (sim.Result, error) {
-	if store == nil && inj == nil && dog == nil {
-		return nil // RunCached falls back to sim.Execute
-	}
-	return func(ctx context.Context) (sim.Result, error) {
-		return ckpt.ExecuteWith(ctx, store, rs, func(opts *sim.Options) {
-			if inj != nil { // a typed-nil *Injector must not become a non-nil Hooks
-				opts.Hooks = inj
-			}
-			opts.Watchdog = dog
-		})
-	}
 }
 
 // writeFile creates path and runs write against it.

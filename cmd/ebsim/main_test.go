@@ -45,6 +45,8 @@ func TestLedgerWithoutSimcacheIsUsageError(t *testing.T) {
 func TestRetiredFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-sandbox"},
+		{"-chaos"},
+		{"-chaos-seed", "3"},
 	} {
 		t.Run(args[0], func(t *testing.T) {
 			if err := run(context.Background(), args); !cli.IsUsage(err) {

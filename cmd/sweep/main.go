@@ -225,8 +225,8 @@ func run(ctx context.Context, args []string) (err error) {
 		fmt.Fprintf(os.Stderr, "sweep: serving metrics on http://%s/metrics\n", srv.Addr)
 	}
 	mon := resilience.NewMonitor(reg, journal)
-	rcache.SetResilience(resilience.DefaultPolicy(), mon)
-	store.SetResilience(resilience.DefaultPolicy(), mon)
+	rcache.SetMonitor(mon)
+	store.SetMonitor(mon)
 
 	// resumeReport describes the persisted state after an interruption so
 	// the user knows exactly what a rerun will pick up.

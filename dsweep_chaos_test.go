@@ -152,9 +152,6 @@ func TestDsweepChaosRecoversBitIdentical(t *testing.T) {
 	})
 	zombieCache := openShared()
 	zombieCache.SetHooks(inj)
-	zombieCache.SetResilience(resilience.Policy{
-		Attempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond,
-	}, nil)
 	zombiePool := runner.New(2)
 	defer zombiePool.Close()
 	zombie := dsweep.NewWorker(dsweep.WorkerOptions{

@@ -17,9 +17,9 @@
 // that fails to restore falls back to a fresh (cold) simulator; a
 // snapshot that cannot be taken disables further writes for that run;
 // a write that cannot be persisted is retried, then warned and
-// counted. The store mirrors simcache's discipline throughout:
-// nil-safe methods, atomic temp+rename writes, fault-injection hooks,
-// and a retry policy with an incident monitor.
+// counted. The store shares simcache's failure handling: writes go
+// through simcache.WriteAtomic, retries through resilience.Retry, and
+// warnings through simcache.Warnf.
 package ckpt
 
 import (
@@ -43,13 +43,6 @@ import (
 	"ebm/internal/simcache"
 	"ebm/internal/spec"
 )
-
-// Warnf surfaces non-fatal checkpoint degradation (a snapshot that
-// could not be persisted). Stderr by default; replaceable for tests
-// and embedding.
-var Warnf = func(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-}
 
 // SchemaVersion is the EBCK format's one version number: the envelope
 // header carries it and the prefix key folds it in, so bumping it
@@ -177,9 +170,8 @@ type Store struct {
 	// Optional observability handles (nil-safe), set via Instrument.
 	hitC, missC, forkC, evictC, bytesC *obs.Counter
 
-	// Resilience wiring, set before use via SetHooks / SetResilience.
+	// Resilience wiring, set before use via SetHooks / SetMonitor.
 	hooks faultinject.Hooks
-	retry resilience.Policy
 	mon   *resilience.Monitor
 
 	group runner.Group // concurrent forks from one prefix share each read
@@ -224,8 +216,8 @@ func (st *Store) SetMaxBytes(n int64) {
 	st.maxBytes = n
 }
 
-// SetHooks installs the fault-injection seam (chaos tests, ebsim
-// -chaos). Call before submitting work; nil is the production default.
+// SetHooks installs the fault-injection seam (the chaos tests). Call
+// before submitting work; nil is the production default.
 func (st *Store) SetHooks(h faultinject.Hooks) {
 	if st == nil {
 		return
@@ -233,14 +225,12 @@ func (st *Store) SetHooks(h faultinject.Hooks) {
 	st.hooks = h
 }
 
-// SetResilience installs the persist retry policy and the incident
-// monitor. The zero Policy retries with resilience.DefaultPolicy; a nil
-// monitor discards incidents. Call before submitting work.
-func (st *Store) SetResilience(p resilience.Policy, mon *resilience.Monitor) {
+// SetMonitor installs the incident monitor that counts persist
+// retries; nil discards incidents. Call before submitting work.
+func (st *Store) SetMonitor(mon *resilience.Monitor) {
 	if st == nil {
 		return
 	}
-	st.retry = p
 	st.mon = mon
 }
 
@@ -286,12 +276,12 @@ func (st *Store) Path(key string, window uint64) string {
 }
 
 // Put persists a snapshot payload under (key, window): wrapped in the
-// checksummed envelope, written to a temp file, then atomically renamed
-// into place. Writes are put-if-absent — checkpoints are deterministic
-// functions of their key, so an existing file is already correct — and
-// each write is followed by the eviction pass, so the byte cap holds as
-// an invariant on return (the just-written file itself is evictable
-// when the cap demands it).
+// checksummed envelope and written through simcache.WriteAtomic. Writes
+// are put-if-absent — checkpoints are deterministic functions of their
+// key, so an existing file is already correct — and each write is
+// followed by the eviction pass, so the byte cap holds as an invariant
+// on return (the just-written file itself is evictable when the cap
+// demands it).
 func (st *Store) Put(key string, window uint64, payload []byte) error {
 	if st == nil {
 		return nil
@@ -308,23 +298,8 @@ func (st *Store) Put(key string, window uint64, payload []byte) error {
 		return nil
 	}
 	b := encodeEnvelope(key, window, payload)
-	f, err := os.CreateTemp(st.dir, filepath.Base(name)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err := simcache.WriteAtomic(name, b); err != nil {
 		return fmt.Errorf("ckpt: write %s: %w", filepath.Base(name), err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ckpt: close %s: %w", filepath.Base(name), err)
-	}
-	if err := os.Rename(tmp, name); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ckpt: rename %s: %w", filepath.Base(name), err)
 	}
 	st.writes.Add(1)
 	st.bytesWritten.Add(uint64(len(b)))
@@ -448,17 +423,17 @@ func (st *Store) best(ctx context.Context, key string, maxWindow uint64) (payloa
 	return nil, 0, false
 }
 
-// persist writes a snapshot through the retry policy; exhausting the
+// persist writes a snapshot through resilience.Retry; exhausting the
 // retries degrades to an unpersisted checkpoint with a surfaced warning
 // and a counted write failure — the simulation itself is untouched.
 func (st *Store) persist(ctx context.Context, key string, window uint64, payload []byte) {
-	err := st.retry.Retry(ctx, fmt.Sprintf("ckpt:%s:w%d", key, window), st.mon, func() error {
+	err := resilience.Retry(ctx, fmt.Sprintf("ckpt:%s:w%d", key, window), st.mon, func() error {
 		return st.Put(key, window, payload)
 	})
 	if err != nil {
 		obs.TrailFrom(ctx).AddFault("ckpt-write")
 		st.writeFails.Add(1)
-		Warnf("ckpt: warning: checkpoint %s w%d not persisted: %v", key, window, err)
+		simcache.Warnf("ckpt: warning: checkpoint %s w%d not persisted: %v", key, window, err)
 	}
 }
 
@@ -498,10 +473,10 @@ func Execute(ctx context.Context, st *Store, rs spec.RunSpec) (sim.Result, error
 }
 
 // ExecuteWith is Execute with a hook for adjusting the engine options
-// after FromSpec (fault-injection hooks, a watchdog — ebsim's -chaos
-// composes them with checkpointing this way). mutate runs before the
-// checkpoint sink is attached and must not install its own CkptSink.
-// A nil store still applies mutate and executes cold.
+// after FromSpec (a dsweep worker wraps OnWindow this way, to report
+// progress and forward a test's injected window stalls). mutate runs
+// before the checkpoint sink is attached and must not install its own
+// CkptSink. A nil store still applies mutate and executes cold.
 func ExecuteWith(ctx context.Context, st *Store, rs spec.RunSpec, mutate func(*sim.Options)) (sim.Result, error) {
 	every := uint64(0)
 	if st != nil {

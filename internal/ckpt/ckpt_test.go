@@ -9,14 +9,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ebm/internal/config"
 	"ebm/internal/faultinject"
 	"ebm/internal/metrics"
 	"ebm/internal/obs"
-	"ebm/internal/resilience"
 	"ebm/internal/sim"
+	"ebm/internal/simcache"
 	"ebm/internal/spec"
 	"ebm/internal/workload"
 )
@@ -41,9 +40,9 @@ func testSpec(total uint64) spec.RunSpec {
 
 func quietWarnf(t *testing.T) {
 	t.Helper()
-	old := Warnf
-	Warnf = func(string, ...any) {}
-	t.Cleanup(func() { Warnf = old })
+	old := simcache.Warnf
+	simcache.Warnf = func(string, ...any) {}
+	t.Cleanup(func() { simcache.Warnf = old })
 }
 
 func ckptFiles(t *testing.T, dir string) []string {
@@ -456,9 +455,6 @@ func TestFaultInjectionDegradesToCold(t *testing.T) {
 	}
 	wst.SetEvery(1)
 	wst.SetHooks(faultinject.New(faultinject.Config{Seed: 7, CacheWriteErrProb: 1}))
-	wst.SetResilience(resilience.Policy{
-		Attempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond,
-	}, nil)
 	res, err = Execute(ctx, wst, rs)
 	if err != nil {
 		t.Fatal(err)
@@ -479,7 +475,7 @@ func TestNilStoreAndRunnerSeam(t *testing.T) {
 	st.SetEvery(1)
 	st.SetMaxBytes(10)
 	st.SetHooks(nil)
-	st.SetResilience(resilience.Policy{}, nil)
+	st.SetMonitor(nil)
 	st.Instrument(obs.NewRegistry())
 	if err := st.Put("k", 1, []byte("x")); err != nil {
 		t.Fatal(err)

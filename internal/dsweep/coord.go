@@ -247,34 +247,9 @@ func (c *Coordinator) saveStateLocked() {
 	if err != nil {
 		return // plain data always marshals
 	}
-	dir, base := splitPath(c.opts.StatePath)
-	f, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		simcache.Warnf("dsweep: state checkpoint: %v", err)
-		return
-	}
-	tmp := f.Name()
-	if _, err := f.Write(b); err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
-	}
-	if err == nil {
-		err = os.Rename(tmp, c.opts.StatePath)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := simcache.WriteAtomic(c.opts.StatePath, b); err != nil {
 		simcache.Warnf("dsweep: state checkpoint: %v", err)
 	}
-}
-
-func splitPath(p string) (dir, base string) {
-	for i := len(p) - 1; i >= 0; i-- {
-		if os.IsPathSeparator(p[i]) {
-			return p[:i+1], p[i+1:]
-		}
-	}
-	return ".", p
 }
 
 // prewarm completes every pending cell the shared cache already holds:

@@ -44,9 +44,10 @@ type WorkerOptions struct {
 	Ckpt   *ckpt.Store
 	Runner *runner.Runner
 
-	// Hooks is the fault-injection seam, threaded into the engine
-	// (window stalls) and, when it implements heartbeatFaults, into
-	// the control plane (dropped/delayed beats). Nil in production.
+	// Hooks is the fault-injection seam: its WindowBoundary runs at the
+	// end of every simulated window (injected stalls), and, when it
+	// implements heartbeatFaults, it also faults the control plane
+	// (dropped/delayed beats). Nil in production.
 	Hooks faultinject.Hooks
 
 	// Version is this binary's build identity for the registration
@@ -193,9 +194,9 @@ func (w *Worker) execute(cell *Cell, fence uint64) (bool, error) {
 				if prev != nil {
 					prev(s)
 				}
-			}
-			if w.o.Hooks != nil {
-				o.Hooks = w.o.Hooks
+				if w.o.Hooks != nil {
+					w.o.Hooks.WindowBoundary(s.Cycle)
+				}
 			}
 		})
 	}

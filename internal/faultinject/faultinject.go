@@ -1,11 +1,13 @@
 // Package faultinject is the deterministic fault-injection seam behind
-// the resilience layer's chaos tests and ebsim's -chaos mode. Production
-// code calls out through the Hooks interface at its natural fault points
-// — cache reads and writes, task starts, simulation window boundaries —
-// and every call site guards the call with a single pointer-nil branch,
-// so a nil Hooks (the production configuration) costs nothing. Outside
-// the seam, Heartbeat drops and delays a distributed-sweep worker's
-// heartbeats. Every fault lands in the orchestration around the engine,
+// the resilience layer's chaos tests; only tests install an Injector.
+// Production code calls out through the Hooks interface at its natural
+// fault points — the result cache's and checkpoint store's reads and
+// writes, the runner's task starts — and every call site guards the
+// call with a single pointer-nil branch, so a nil Hooks (the production
+// configuration) costs nothing. WindowBoundary has no call site in the
+// engine: a dsweep worker handed an injector calls it from its OnWindow
+// hook, once per simulated window. Outside the seam, Heartbeat drops and
+// delays a distributed-sweep worker's heartbeats. Every fault lands in the orchestration around the engine,
 // never in a TLP manager's decisions, so a fault can cost a retry or a
 // cold run but cannot change a result.
 //

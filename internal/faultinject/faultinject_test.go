@@ -108,8 +108,9 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 }
 
 // TestNilInjectorIsInertHooks pins the typed-nil contract: a nil
-// *Injector stored in a Hooks interface value (the -chaos-off wiring
-// hazard) must inject nothing rather than dereference nil.
+// *Injector stored in a Hooks interface value (a caller wiring an
+// optional injector unconditionally) must inject nothing rather than
+// dereference nil.
 func TestNilInjectorIsInertHooks(t *testing.T) {
 	var h Hooks = (*Injector)(nil)
 	if err := h.CacheRead("k"); err != nil {

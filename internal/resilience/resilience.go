@@ -1,19 +1,18 @@
 // Package resilience is the failure-handling layer of the execution
 // stack (DESIGN.md §10): a Monitor that mirrors resilience incidents
-// into the obs registry and journal, a bounded retry policy with
-// deterministic jittered exponential backoff for transient cache I/O,
-// and a per-run Watchdog that declares a simulation stuck when its cycle
-// counter stops advancing past a progress deadline.
+// into the obs registry and journal, Retry, a fixed three-attempt
+// schedule for transient store I/O, and a Watchdog that declares work
+// stuck when its progress pulses stop for longer than a deadline (the
+// distributed-sweep coordinator runs one per worker lease).
 //
-// Everything here is nil-safe: a nil Monitor discards incidents, a nil
-// Watchdog absorbs pulses, and the zero Policy retries with defaults, so
-// call sites carry no "is resilience on?" branches.
+// Everything here is nil-safe: a nil Monitor discards incidents and a
+// nil Watchdog absorbs pulses, so call sites carry no "is resilience
+// on?" branches.
 package resilience
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -78,92 +77,33 @@ func (m *Monitor) WatchdogTrip(label string) {
 	m.journal("watchdog tripped " + label)
 }
 
-// Policy is a bounded retry schedule: Attempts tries total, sleeping
-// BaseDelay·2^(attempt-1) capped at MaxDelay between them, each delay
-// scaled by a uniform ±Jitter fraction drawn from a source seeded with
-// Seed — so a given policy value produces the same delay sequence every
-// run. The zero value is DefaultPolicy; in any other value a
-// non-positive Attempts, BaseDelay or MaxDelay takes its default.
-type Policy struct {
-	Attempts  int
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	Jitter    float64 // fraction of the delay, e.g. 0.2 for ±20%
-	Seed      int64
-}
+// retryDelays is the sleep before each retry: three attempts in all,
+// 2ms then 4ms apart. A variable only so this package's tests can
+// lengthen it.
+var retryDelays = []time.Duration{2 * time.Millisecond, 4 * time.Millisecond}
 
-// DefaultPolicy is the stack-wide cache-I/O retry schedule: 3 attempts,
-// 2ms base doubling to a 250ms cap, ±20% deterministic jitter.
-func DefaultPolicy() Policy {
-	return Policy{Attempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 250 * time.Millisecond, Jitter: 0.2, Seed: 1}
-}
-
-func (p Policy) withDefaults() Policy {
-	d := DefaultPolicy()
-	if p == (Policy{}) {
-		return d
-	}
-	if p.Attempts <= 0 {
-		p.Attempts = d.Attempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = d.BaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = d.MaxDelay
-	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
-	}
-	return p
-}
-
-// Delays returns the full backoff schedule the policy would sleep
-// through (Attempts-1 entries) — the deterministic sequence tests pin.
-func (p Policy) Delays() []time.Duration {
-	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(p.Seed))
-	out := make([]time.Duration, 0, p.Attempts-1)
-	for a := 1; a < p.Attempts; a++ {
-		out = append(out, p.delay(a, rng))
-	}
-	return out
-}
-
-func (p Policy) delay(attempt int, rng *rand.Rand) time.Duration {
-	d := p.BaseDelay << (attempt - 1)
-	if d > p.MaxDelay || d <= 0 {
-		d = p.MaxDelay
-	}
-	if p.Jitter > 0 {
-		d = time.Duration(float64(d) * (1 + p.Jitter*(2*rng.Float64()-1)))
-	}
-	return d
-}
-
-// Retry runs fn up to p.Attempts times, sleeping the backoff schedule
-// between failures (context-aware: a cancel during the sleep returns
-// ctx.Err immediately). Each retried failure is reported to mon. The
-// final error (or nil on success) is returned.
-func (p Policy) Retry(ctx context.Context, label string, mon *Monitor, fn func() error) error {
-	p = p.withDefaults()
+// Retry runs fn up to three times, sleeping 2ms and then 4ms between
+// failures (context-aware: a cancel during the sleep returns ctx.Err
+// immediately). Each retried failure is reported to mon, counted on
+// the context's provenance trail and timed as a retry span. The final
+// error (or nil on success) is returned.
+func Retry(ctx context.Context, label string, mon *Monitor, fn func() error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	var err error
 	for attempt := 1; ; attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		if err = fn(); err == nil || attempt >= p.Attempts {
+		err := fn()
+		if err == nil || attempt > len(retryDelays) {
 			return err
 		}
 		mon.CacheRetry(label, attempt, err)
 		obs.TrailFrom(ctx).AddRetry()
 		_, sp := obs.StartSpan(ctx, "retry",
 			obs.A("label", label), obs.A("attempt", strconv.Itoa(attempt)))
-		t := time.NewTimer(p.delay(attempt, rng))
+		t := time.NewTimer(retryDelays[attempt-1])
 		select {
 		case <-ctx.Done():
 			t.Stop()
@@ -175,11 +115,13 @@ func (p Policy) Retry(ctx context.Context, label string, mon *Monitor, fn func()
 	}
 }
 
-// Watchdog declares a run stuck when Pulse stops being called for longer
-// than the deadline. The engine pulses it at every sampling-window
-// boundary; Guard derives a context that is cancelled on a trip, which
-// the same boundary check then observes — so a wedged window aborts the
-// run in bounded time. A nil Watchdog absorbs every call.
+// Watchdog declares work stuck when Pulse stops being called for longer
+// than the deadline. The distributed-sweep coordinator keeps one per
+// worker, pulsed by the worker's leases, completions and advancing
+// heartbeats, and expires the worker's leases on a trip. Guard derives a
+// context that is cancelled on a trip; a simulation run under it (whose
+// OnWindow hook pulses) aborts at its next window boundary. A nil
+// Watchdog absorbs every call.
 type Watchdog struct {
 	label    string
 	deadline time.Duration
@@ -241,7 +183,7 @@ func (w *Watchdog) Deadline() time.Duration {
 }
 
 // Pulse records forward progress. Safe from any goroutine and on a nil
-// watchdog; the engine calls it once per sampling window.
+// watchdog.
 func (w *Watchdog) Pulse() {
 	if w == nil {
 		return

@@ -4,55 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
 	"ebm/internal/obs"
 )
 
-func TestDelaysDeterministicSchedule(t *testing.T) {
-	p := Policy{Attempts: 4, BaseDelay: 10 * time.Millisecond, MaxDelay: 25 * time.Millisecond, Jitter: 0.2, Seed: 42}
-	d1 := p.Delays()
-	d2 := p.Delays()
-	if !reflect.DeepEqual(d1, d2) {
-		t.Fatalf("same policy produced different schedules: %v vs %v", d1, d2)
-	}
-	if len(d1) != 3 {
-		t.Fatalf("4 attempts should sleep 3 times, got %d", len(d1))
-	}
-	// Exponential shape under the jitter envelope: base, 2*base, capped.
-	bounds := []struct{ lo, hi time.Duration }{
-		{8 * time.Millisecond, 12 * time.Millisecond},
-		{16 * time.Millisecond, 24 * time.Millisecond},
-		{20 * time.Millisecond, 30 * time.Millisecond}, // 40ms capped at 25 ± 20%
-	}
-	for i, d := range d1 {
-		if d < bounds[i].lo || d > bounds[i].hi {
-			t.Fatalf("delay %d = %v outside [%v, %v]", i, d, bounds[i].lo, bounds[i].hi)
-		}
-	}
-}
-
-func TestZeroPolicyUsesDefaults(t *testing.T) {
-	var p Policy
-	got, want := p.Delays(), DefaultPolicy().Delays()
-	if len(got) != len(want) {
-		t.Fatalf("zero policy slept %d times, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("zero policy delay %d = %v, want DefaultPolicy's %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestRetryRecoversFromTransientFailure(t *testing.T) {
 	reg := obs.NewRegistry()
 	mon := NewMonitor(reg, nil)
-	p := Policy{Attempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
 	calls := 0
-	err := p.Retry(context.Background(), "t", mon, func() error {
+	err := Retry(context.Background(), "t", mon, func() error {
 		calls++
 		if calls < 3 {
 			return fmt.Errorf("transient %d", calls)
@@ -71,15 +33,14 @@ func TestRetryRecoversFromTransientFailure(t *testing.T) {
 }
 
 func TestRetryGivesUpAfterAttempts(t *testing.T) {
-	p := Policy{Attempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
 	boom := errors.New("boom")
 	calls := 0
-	err := p.Retry(context.Background(), "t", nil, func() error { calls++; return boom })
+	err := Retry(context.Background(), "t", nil, func() error { calls++; return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the final failure", err)
 	}
 	if calls != 3 {
-		t.Fatalf("fn ran %d times, want exactly Attempts=3", calls)
+		t.Fatalf("fn ran %d times, want exactly 3", calls)
 	}
 }
 
@@ -87,7 +48,7 @@ func TestRetryHonoursCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
-	err := DefaultPolicy().Retry(ctx, "t", nil, func() error { calls++; return errors.New("x") })
+	err := Retry(ctx, "t", nil, func() error { calls++; return errors.New("x") })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -98,10 +59,12 @@ func TestRetryHonoursCancelledContext(t *testing.T) {
 
 func TestRetryCancelDuringBackoffSleep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	p := Policy{Attempts: 3, BaseDelay: time.Hour, MaxDelay: time.Hour}
+	old := retryDelays
+	retryDelays = []time.Duration{time.Hour, time.Hour}
+	t.Cleanup(func() { retryDelays = old })
 	done := make(chan error, 1)
 	go func() {
-		done <- p.Retry(ctx, "t", nil, func() error { return errors.New("x") })
+		done <- Retry(ctx, "t", nil, func() error { return errors.New("x") })
 	}()
 	time.Sleep(10 * time.Millisecond) // let it enter the hour-long sleep
 	cancel()

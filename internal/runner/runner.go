@@ -174,9 +174,9 @@ func (r *Runner) Close() {
 	r.mu.Unlock()
 }
 
-// SetHooks installs the fault-injection seam (chaos tests, ebsim
-// -chaos). Call before submitting work; nil (the default) is the
-// zero-cost production configuration.
+// SetHooks installs the fault-injection seam (the chaos tests). Call
+// before submitting work; nil (the default) is the zero-cost
+// production configuration.
 func (r *Runner) SetHooks(h faultinject.Hooks) {
 	if r == nil {
 		return

@@ -106,13 +106,14 @@ func TestCancelBeforeWarmupReturnsZeroMeasurements(t *testing.T) {
 	}
 }
 
-// TestWatchdogAbortsStalledRun wires the full resilience loop: an
-// injected per-window stall stops the cycle counter advancing, the
-// watchdog's progress deadline expires, the guarded context cancels, and
-// the engine aborts at the next boundary check.
+// TestWatchdogAbortsStalledRun wires the full resilience loop through
+// the OnWindow hook: an injected per-window stall stops the cycle
+// counter advancing, the watchdog's progress deadline expires, the
+// guarded context cancels, and the engine aborts at the next boundary
+// check.
 func TestWatchdogAbortsStalledRun(t *testing.T) {
 	opts := cancelOpts()
-	opts.Hooks = faultinject.New(faultinject.Config{
+	inj := faultinject.New(faultinject.Config{
 		StallEveryWindows: 1,
 		Stall:             300 * time.Millisecond,
 	})
@@ -121,7 +122,10 @@ func TestWatchdogAbortsStalledRun(t *testing.T) {
 		Deadline: 50 * time.Millisecond,
 		Poll:     10 * time.Millisecond,
 	})
-	opts.Watchdog = w
+	opts.OnWindow = func(s tlp.Sample) {
+		inj.WindowBoundary(s.Cycle) // stall first, then pulse
+		w.Pulse()
+	}
 	ctx, cancel := w.Guard(context.Background())
 	defer cancel()
 

@@ -14,13 +14,11 @@ import (
 
 	"ebm/internal/config"
 	"ebm/internal/dram"
-	"ebm/internal/faultinject"
 	"ebm/internal/gpu"
 	"ebm/internal/icnt"
 	"ebm/internal/kernel"
 	"ebm/internal/mem"
 	"ebm/internal/obs"
-	"ebm/internal/resilience"
 	"ebm/internal/spec"
 	"ebm/internal/tlp"
 )
@@ -73,6 +71,11 @@ type Options struct {
 	// reused between windows to keep the cycle path allocation-free: copy
 	// it if the hook retains telemetry beyond the call (the managers and
 	// the trace recorder copy scalar fields, so they are unaffected).
+	// Failure handling hangs off this hook too: a dsweep worker forwards
+	// a test's injected window stalls from it, and a run guarded by a
+	// resilience.Watchdog pulses the watchdog from it. The cancellation
+	// check at the same boundary bounds a stalled run's abort to one
+	// window.
 	OnWindow func(tlp.Sample)
 
 	// Obs attaches the observability subsystem (internal/obs): the metric
@@ -82,19 +85,6 @@ type Options struct {
 	// disabled runs stay allocation-free and bit-identical to the golden
 	// baselines.
 	Obs *obs.Observer
-
-	// Hooks is the fault-injection seam (chaos tests, ebsim -chaos):
-	// WindowBoundary is called once per sampling window, never per cycle.
-	// Nil (production) costs one pointer-nil branch per window. Hooks are
-	// not part of a run's cache identity: a window-boundary stall delays a
-	// run but cannot change its result, so stall-hooked runs (ebsim
-	// -chaos) go through the result cache like any other.
-	Hooks faultinject.Hooks
-
-	// Watchdog, when non-nil, receives a progress pulse at every sampling
-	// window boundary; pair it with Watchdog.Guard so a run whose cycle
-	// counter stops advancing is cancelled after the no-progress deadline.
-	Watchdog *resilience.Watchdog
 
 	// CkptSink, when non-nil, is called at the end of every sampling
 	// window's boundary bookkeeping with the count of windows completed so
@@ -622,15 +612,8 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			s.newWindow()
 			s.nextWindow += s.opts.WindowCycles
 
-			// Resilience boundary: the fault seam may stall here (a stuck
-			// window), the watchdog heartbeat marks progress, and the
-			// cancellation check bounds abort latency to one window.
-			if s.opts.Hooks != nil {
-				s.opts.Hooks.WindowBoundary(now + 1)
-			}
-			if s.opts.Watchdog != nil {
-				s.opts.Watchdog.Pulse()
-			}
+			// The cancellation check below bounds abort latency to one
+			// window.
 			if s.opts.CkptSink != nil && !s.ckptDead {
 				s.atBoundary = true
 				if err := s.opts.CkptSink(s.windows, s); err != nil {

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"ebm/internal/faultinject"
 	"ebm/internal/obs"
@@ -29,12 +28,6 @@ func captureWarnf(t *testing.T) *[]string {
 	}
 	t.Cleanup(func() { Warnf = old })
 	return &lines
-}
-
-// fastRetry keeps degradation tests quick: full attempts, microsecond
-// sleeps.
-func fastRetry() resilience.Policy {
-	return resilience.Policy{Attempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
 }
 
 // flakyWriteHooks fails the first N CacheWrite calls, then heals.
@@ -69,7 +62,7 @@ func TestWriteFailureDegradesToDirectExecution(t *testing.T) {
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 	mon := resilience.NewMonitor(reg, nil)
-	c.SetResilience(fastRetry(), mon)
+	c.SetMonitor(mon)
 
 	// Break the cache medium out from under the handle.
 	if err := os.RemoveAll(dir); err != nil {
@@ -113,7 +106,6 @@ func TestReadOnlyCacheDirDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetResilience(fastRetry(), nil)
 	if err := os.Chmod(dir, 0o500); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +141,7 @@ func TestTransientWriteFailureHealedByRetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	mon := resilience.NewMonitor(reg, nil)
 	c.SetHooks(&flakyWriteHooks{failures: 1})
-	c.SetResilience(fastRetry(), mon)
+	c.SetMonitor(mon)
 
 	want := awkwardResult()
 	if _, err := RunCached(nil, c, nil, runner.PriGrid, testSpec(), func(context.Context) (sim.Result, error) {
@@ -184,7 +176,6 @@ func TestInjectedReadErrorDegradesLikeCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetHooks(faultinject.New(faultinject.Config{CacheReadErrProb: 1, CacheWriteErrProb: 1}))
-	c.SetResilience(fastRetry(), nil)
 	captureWarnf(t)
 
 	executed := false
@@ -249,7 +240,7 @@ func TestCancelledRunCountsRunsCancelled(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	mon := resilience.NewMonitor(reg, nil)
-	c.SetResilience(fastRetry(), mon)
+	c.SetMonitor(mon)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 

@@ -97,7 +97,6 @@ func TestProvenanceRecordsInjectedFaultsAndRetries(t *testing.T) {
 	c.SetHooks(faultinject.New(faultinject.Config{
 		Seed: 1, CacheReadErrProb: 1, CacheWriteErrProb: 1,
 	}))
-	c.SetResilience(fastRetry(), nil)
 
 	res, err := RunCached(context.Background(), c, nil, 0, testSpec(),
 		func(context.Context) (sim.Result, error) { return awkwardResult(), nil })
@@ -119,8 +118,8 @@ func TestProvenanceRecordsInjectedFaultsAndRetries(t *testing.T) {
 	if r.Outcome != obs.OutcomeCold {
 		t.Fatalf("outcome = %q, want cold", r.Outcome)
 	}
-	// fastRetry makes 3 persist attempts: 2 retried failures, then the
-	// exhausted policy degrades to an unpersisted result.
+	// resilience.Retry makes 3 persist attempts: 2 retried failures, then
+	// the exhausted retry degrades to an unpersisted result.
 	if r.Retries != 2 {
 		t.Fatalf("retries = %d, want 2", r.Retries)
 	}

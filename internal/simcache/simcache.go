@@ -19,8 +19,8 @@
 // Invalidation is by key, never by mutation: the key embeds
 // SchemaVersion, which MUST be bumped whenever engine behaviour changes
 // (the same commits that regenerate internal/sim's golden files), and
-// every behavioural knob of the run. Writes go through a temp file and
-// an atomic rename; reads tolerate corruption (a truncated, garbled, or
+// every behavioural knob of the run. Writes go through WriteAtomic (a
+// temp file and an atomic rename); reads tolerate corruption (a truncated, garbled, or
 // foreign-schema entry is a miss, never an error), so a killed process
 // cannot poison the cache.
 package simcache
@@ -43,8 +43,9 @@ import (
 	"ebm/internal/spec"
 )
 
-// Warnf surfaces non-fatal cache degradation (a computed result that
-// could not be persisted). Stderr by default; replaceable for tests and
+// Warnf surfaces non-fatal degradation: a computed result or a
+// checkpoint that could not be persisted, a distributed-sweep state or
+// ledger write that failed. Stderr by default; replaceable for tests and
 // embedding.
 var Warnf = func(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -121,12 +122,10 @@ type Cache struct {
 	// Optional observability handles (nil-safe), set via Instrument.
 	hitC, missC, writeC, writeFailC *obs.Counter
 
-	// Resilience wiring, set before use via SetHooks / SetResilience:
-	// hooks is the fault-injection seam (nil in production), retry the
-	// persist backoff policy (zero value = resilience.DefaultPolicy),
-	// mon the incident sink (nil discards).
+	// Resilience wiring, set before use via SetHooks / SetMonitor: hooks
+	// is the fault-injection seam (nil in production), mon the incident
+	// sink (nil discards).
 	hooks faultinject.Hooks
-	retry resilience.Policy
 	mon   *resilience.Monitor
 
 	// ledger, when set via SetLedger, receives one provenance record per
@@ -155,8 +154,8 @@ func (c *Cache) Ledger() *obs.Ledger {
 	return c.ledger
 }
 
-// SetHooks installs the fault-injection seam (chaos tests, ebsim
-// -chaos). Call before submitting work; nil is the production default.
+// SetHooks installs the fault-injection seam (the chaos tests). Call
+// before submitting work; nil is the production default.
 func (c *Cache) SetHooks(h faultinject.Hooks) {
 	if c == nil {
 		return
@@ -164,14 +163,13 @@ func (c *Cache) SetHooks(h faultinject.Hooks) {
 	c.hooks = h
 }
 
-// SetResilience installs the persist retry policy and the incident
-// monitor. The zero Policy retries with resilience.DefaultPolicy; a nil
-// monitor discards incidents. Call before submitting work.
-func (c *Cache) SetResilience(p resilience.Policy, mon *resilience.Monitor) {
+// SetMonitor installs the incident monitor that counts persist retries
+// and cancelled runs; nil discards incidents. Call before submitting
+// work.
+func (c *Cache) SetMonitor(mon *resilience.Monitor) {
 	if c == nil {
 		return
 	}
-	c.retry = p
 	c.mon = mon
 }
 
@@ -244,8 +242,7 @@ func (c *Cache) get(ctx context.Context, key string, countMiss bool) (sim.Result
 	return e.Result, true
 }
 
-// Put persists a result under key: marshalled to a temp file in the
-// cache directory, then atomically renamed into place, so concurrent
+// Put persists a result under key through WriteAtomic, so concurrent
 // writers and killed processes leave either the old entry or the new
 // one, never a torn file.
 func (c *Cache) Put(key string, r sim.Result) error {
@@ -261,27 +258,37 @@ func (c *Cache) Put(key string, r sim.Result) error {
 	if err != nil {
 		return fmt.Errorf("simcache: marshal %s: %w", key, err)
 	}
-	f, err := os.CreateTemp(c.dir, key+".tmp*")
-	if err != nil {
-		return fmt.Errorf("simcache: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err := WriteAtomic(c.Path(key), b); err != nil {
 		return fmt.Errorf("simcache: write %s: %w", key, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("simcache: close %s: %w", key, err)
-	}
-	if err := os.Rename(tmp, c.Path(key)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("simcache: rename %s: %w", key, err)
 	}
 	c.writes.Add(1)
 	c.writeC.Inc()
 	return nil
+}
+
+// WriteAtomic writes b to path through a temp file created beside it (in
+// path's directory, never in $TMPDIR, so the rename stays on one file
+// system) and renamed into place: a reader sees the old file or the new
+// one, never a torn one. The temp file is removed on any failure. It is
+// the one writer behind the result cache, the checkpoint store and the
+// distributed-sweep state file.
+func WriteAtomic(path string, b []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	_, err = f.Write(b)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // Len counts valid-looking entries on disk (files named <key>.json).
@@ -333,14 +340,14 @@ func (c *Cache) Instrument(reg *obs.Registry) {
 	c.writeFailC.Set(c.writeFails.Load())
 }
 
-// persist writes a computed result through the retry policy; exhausting
+// persist writes a computed result through resilience.Retry; exhausting
 // the retries degrades to an uncached (but still returned) result with a
 // surfaced warning and a counted write failure — never an aborted run.
 func (c *Cache) persist(ctx context.Context, key string, r sim.Result) {
 	if c == nil {
 		return
 	}
-	err := c.retry.Retry(ctx, "simcache:"+key, c.mon, func() error {
+	err := resilience.Retry(ctx, "simcache:"+key, c.mon, func() error {
 		return c.Put(key, r)
 	})
 	if err != nil {
@@ -380,7 +387,7 @@ func LedgerRecord(rs spec.RunSpec, key string, trail *obs.Trail, res sim.Result,
 // cancels cooperatively: the wait, the simulation (at its next window
 // boundary), and the retry sleeps all observe it, and a cancelled run is
 // counted on the cache's resilience monitor. Cache write failures are
-// retried per the cache's policy and then deliberately non-fatal (the
+// retried (resilience.Retry) and then deliberately non-fatal (the
 // result is still perfectly good); they surface through Warnf, Stats,
 // and the instrumented counters instead.
 func RunCached(ctx context.Context, c *Cache, r *runner.Runner, pri int, rs spec.RunSpec, run func(context.Context) (sim.Result, error)) (sim.Result, error) {
@@ -394,7 +401,7 @@ func RunCached(ctx context.Context, c *Cache, r *runner.Runner, pri int, rs spec
 	ctx, sp := obs.StartSpan(ctx, "run", obs.A("key", key), obs.A("scheme", rs.Scheme.String()))
 	defer sp.End()
 	// The trail rides the run's context: the layers below (checkpoint
-	// forking, retry policies, fault-injected I/O) mark what happened,
+	// forking, retries, fault-injected I/O) mark what happened,
 	// and the completed run folds it into one ledger record. A dedup
 	// waiter's closure runs under the first submitter's context, so its
 	// own trail stays un-executed and its record reads "cached" — one
