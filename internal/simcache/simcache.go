@@ -20,9 +20,9 @@
 // SchemaVersion, which MUST be bumped whenever engine behaviour changes
 // (the same commits that regenerate internal/sim's golden files), and
 // every behavioural knob of the run. Writes go through WriteAtomic (a
-// temp file and an atomic rename); reads tolerate corruption (a truncated, garbled, or
-// foreign-schema entry is a miss, never an error), so a killed process
-// cannot poison the cache.
+// temp file and an atomic rename); reads tolerate corruption (a
+// truncated, garbled, or foreign-schema entry is a miss, never an
+// error), so a killed process cannot poison the cache.
 package simcache
 
 import (
