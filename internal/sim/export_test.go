@@ -1,6 +1,10 @@
 package sim
 
-import "ebm/internal/gpu"
+import (
+	"ebm/internal/dram"
+	"ebm/internal/gpu"
+	"ebm/internal/mem"
+)
 
 // NewReference builds a simulator on the always-tick path: every core and
 // every memory partition is ticked every cycle, with no fast-forward and
@@ -30,3 +34,29 @@ func (s *Simulator) CoreStates() []gpu.CoreState {
 func (s *Simulator) Snapshot() (*EngineState, error) { return s.state() }
 
 func (s *Simulator) Restore(st *EngineState) error { return s.setState(st) }
+
+// EnqueueRecord is one request the crossbar delivered into a partition:
+// the memory cycle of its Enqueue and the request by value.
+type EnqueueRecord struct {
+	MemCycle uint64
+	Req      mem.Request
+}
+
+// CaptureEnqueues runs opts on New's engine and records every request
+// the crossbar delivers into partition part, in delivery order. It also
+// returns that partition as the run left it and the number of memory
+// cycles the run spanned, so a replay can be checked against the machine.
+func CaptureEnqueues(opts Options, part int) ([]EnqueueRecord, *dram.Partition, uint64, error) {
+	s, err := New(opts)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	var recs []EnqueueRecord
+	s.onEnqueue = func(p int, memCycle uint64, req *mem.Request) {
+		if p == part {
+			recs = append(recs, EnqueueRecord{MemCycle: memCycle, Req: *req})
+		}
+	}
+	s.Run()
+	return recs, s.partitions[part], s.memCycle, nil
+}

@@ -264,6 +264,11 @@ type Simulator struct {
 	// the plain engine.
 	reference bool
 
+	// onEnqueue, when non-nil, sees every request the crossbar delivers
+	// into a partition, with the memory cycle of its Enqueue. Only tests
+	// set it, to capture a partition's input stream for replay.
+	onEnqueue func(part int, memCycle uint64, req *mem.Request)
+
 	cycle    uint64
 	memCycle uint64
 	memAcc   float64
@@ -541,6 +546,9 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			for _, p := range s.partitions {
 				if p.CanAccept() {
 					if req := s.toMem.Pop(p.ID, now); req != nil {
+						if s.onEnqueue != nil {
+							s.onEnqueue(p.ID, s.memCycle, req)
+						}
 						p.Enqueue(req, s.memCycle)
 					}
 				}
