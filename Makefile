@@ -17,7 +17,8 @@ test:
 # own module, so ./... never reaches it; vetting it separately compiles
 # the benchmark harness (tests included) against the root packages, so a
 # root API change that breaks it fails here. Its tests are slower (about
-# a minute) and run separately: cd bench && go test ./...
+# a minute) and run separately: cd bench && go test ./... The DRAM replay
+# benchmark runs once, so its capture hook and replay cannot rot unseen.
 verify:
 	$(GO) build ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -27,6 +28,7 @@ verify:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping"; fi
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkPartitionReplay' -benchtime 1x ./internal/sim/
 	$(GO) test -race ./internal/runner/... ./internal/resilience/... \
 	    ./internal/ckpt/... ./internal/obs/... ./internal/search/... \
 	    ./internal/dsweep/... ./internal/profile/...
@@ -63,8 +65,9 @@ dsweep-chaos:
 
 # fuzz runs each fuzz target for FUZZTIME past its seed corpus (the
 # seeds alone already run under `go test`): the scheme grammar's
-# parse/print fixed point, and the fast-forward engine against the plain
-# reference engine. A failing input is saved under the package's
+# parse/print fixed point, the fast-forward engine against the plain
+# reference engine, and a memory partition forked through State/SetState
+# against the original. A failing input is saved under the package's
 # testdata/fuzz/ and replays as a regression test from then on. Each run
 # starts from an empty, throwaway fuzz cache: with the cache the go
 # command keeps between runs, the slow engine target spent its whole
@@ -76,7 +79,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseScheme$$' -fuzztime $(FUZZTIME) ./internal/spec/ \
 	    -args -test.fuzzcachedir="$$cache/spec" && \
 	$(GO) test -run '^$$' -fuzz '^FuzzFastForwardMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/sim/ \
-	    -args -test.fuzzcachedir="$$cache/sim"
+	    -args -test.fuzzcachedir="$$cache/sim" && \
+	$(GO) test -run '^$$' -fuzz '^FuzzPartitionForkMatches$$' -fuzztime $(FUZZTIME) ./internal/dram/ \
+	    -args -test.fuzzcachedir="$$cache/dram"
 
 # cover prints per-package statement coverage and enforces a floor on
 # internal/obs, whose span/ledger/exposition paths this repo's explain

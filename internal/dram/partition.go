@@ -39,9 +39,20 @@ const (
 )
 
 type event struct {
-	at   uint64
-	kind eventKind
-	req  *mem.Request
+	at    uint64
+	kind  eventKind
+	req   *mem.Request
+	local uint64 // req's partition-local line address; derived, like dramAddr
+}
+
+// dramAddr is the decoded DRAM address of one FR-FCFS queue entry: its
+// partition-local line address (the L2 index its fill uses) and the bank
+// and row it maps to. It is derived state: pushDRAM computes it once at
+// enqueue, and SetState recomputes it from the queued requests.
+type dramAddr struct {
+	local uint64
+	row   int64
+	bank  int
 }
 
 // eventHeap is a binary min-heap on event.at. It is hand-rolled rather
@@ -112,6 +123,7 @@ type Partition struct {
 	mshr     *mem.MSHRTable[*mem.Request] // line -> read waiters in DRAM
 	pool     *mem.Pool                    // request free list (nil: plain allocation)
 	dramQ    []*mem.Request               // FR-FCFS queue
+	dramAddr []dramAddr                   // dramAddr[i] decodes dramQ[i]
 	dramQCap int
 
 	banks     []bank
@@ -242,13 +254,20 @@ func (p *Partition) globalAddr(local uint64) uint64 {
 	return (chunk*p.nparts+uint64(p.ID))*p.interleave + local%p.interleave
 }
 
-// bankAndRow maps a global line address to (bank, row) using the
-// partition-local address: consecutive rows rotate across banks so
-// streaming accesses exercise bank-level parallelism.
-func (p *Partition) bankAndRow(addr uint64) (int, int64) {
-	local := p.localAddr(addr)
+// pushDRAM appends req, whose partition-local line address is local, to
+// the FR-FCFS queue. It is the queue's only append site: it decodes the
+// DRAM (bank, row) once, here, so the scheduler's per-cycle scan compares
+// decoded values instead of re-deriving them from every queued address.
+// Consecutive rows rotate across banks so streaming accesses exercise
+// bank-level parallelism.
+func (p *Partition) pushDRAM(req *mem.Request, local uint64) {
 	rowIdx := local / p.rowBytes
-	return int(rowIdx % p.nbanks), int64(rowIdx / p.nbanks)
+	p.dramQ = append(p.dramQ, req)
+	p.dramAddr = append(p.dramAddr, dramAddr{
+		local: local,
+		row:   int64(rowIdx / p.nbanks),
+		bank:  int(rowIdx % p.nbanks),
+	})
 }
 
 // Tick advances the partition by one memory cycle.
@@ -295,14 +314,14 @@ func (p *Partition) drainEvents(now uint64) {
 		case evDRAMRead:
 			line := e.req.LineAddr
 			app := e.req.App
-			ev := p.L2.Fill(p.localAddr(line), app)
+			ev := p.L2.Fill(e.local, app)
 			if ev.Valid && ev.Dirty {
 				// Write back the dirty victim; charged to its owner. The
 				// queue may transiently exceed its cap here — write-backs
 				// are internally generated and cannot be back-pressured.
 				wb := p.pool.Get()
 				wb.Kind, wb.LineAddr, wb.App = mem.WriteReq, p.globalAddr(ev.LineAddr), ev.App
-				p.dramQ = append(p.dramQ, wb)
+				p.pushDRAM(wb, ev.LineAddr)
 			}
 			p.Apps[app].LatencySum.Add(now - e.req.MemBorn)
 			waiters := p.mshr.Remove(line)
@@ -323,12 +342,13 @@ func (p *Partition) acceptOne(now uint64) {
 	}
 	req := p.inq[0]
 	app := req.App
+	local := p.localAddr(req.LineAddr)
 
 	if req.Kind == mem.WriteReq {
 		// Store traffic is write-through from the L1s but write-back at
 		// the L2: a hit marks the line dirty and is absorbed; a miss does
 		// not allocate and goes straight to DRAM.
-		if p.L2.WriteProbe(p.localAddr(req.LineAddr)) {
+		if p.L2.WriteProbe(local) {
 			p.popInq()
 			p.pool.Put(req) // absorbed by the L2: the message is dead
 			return
@@ -336,13 +356,13 @@ func (p *Partition) acceptOne(now uint64) {
 		if len(p.dramQ) >= p.dramQCap {
 			return // back-pressure: retry next cycle
 		}
-		p.dramQ = append(p.dramQ, req)
+		p.pushDRAM(req, local)
 		p.popInq()
 		return
 	}
 
 	// Read path: record the L2 access in the app's windowed stats.
-	if p.L2.Access(p.localAddr(req.LineAddr), app) {
+	if p.L2.Access(local, app) {
 		p.events.push(event{at: now + p.l2LatMem, kind: evL2Hit, req: req})
 		p.popInq()
 		return
@@ -359,7 +379,7 @@ func (p *Partition) acceptOne(now uint64) {
 		return
 	}
 	p.mshr.Add(req.LineAddr, req)
-	p.dramQ = append(p.dramQ, req)
+	p.pushDRAM(req, local)
 	p.popInq()
 }
 
@@ -388,9 +408,8 @@ func (p *Partition) scheduleDRAM(now uint64) {
 	t := &p.cfg.Timing
 
 	pick := -1
-	for i, r := range p.dramQ {
-		b, row := p.bankAndRow(r.LineAddr)
-		if p.banks[b].OpenRow == row {
+	for i := range p.dramAddr {
+		if a := &p.dramAddr[i]; p.banks[a.bank].OpenRow == a.row {
 			pick = i
 			break
 		}
@@ -399,13 +418,15 @@ func (p *Partition) scheduleDRAM(now uint64) {
 	if pick < 0 {
 		pick = 0
 	}
-	req := p.dramQ[pick]
+	req, addr := p.dramQ[pick], p.dramAddr[pick]
+	n := len(p.dramQ) - 1
 	copy(p.dramQ[pick:], p.dramQ[pick+1:])
-	p.dramQ[len(p.dramQ)-1] = nil
-	p.dramQ = p.dramQ[:len(p.dramQ)-1]
+	copy(p.dramAddr[pick:], p.dramAddr[pick+1:])
+	p.dramQ[n] = nil
+	p.dramQ, p.dramAddr = p.dramQ[:n], p.dramAddr[:n]
 
-	bi, row := p.bankAndRow(req.LineAddr)
-	b := &p.banks[bi]
+	row := addr.row
+	b := &p.banks[addr.bank]
 	app := req.App
 
 	var colAt uint64
@@ -451,7 +472,7 @@ func (p *Partition) scheduleDRAM(now uint64) {
 		return
 	}
 	p.Apps[app].DRAMReads.Inc()
-	p.events.push(event{at: dataEnd, kind: evDRAMRead, req: req})
+	p.events.push(event{at: dataEnd, kind: evDRAMRead, req: req, local: addr.local})
 }
 
 // QueueDepth returns the current FR-FCFS queue occupancy (telemetry).

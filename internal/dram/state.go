@@ -87,7 +87,9 @@ func (p *Partition) State() PartitionState {
 // SetState restores the partition from a snapshot taken on an identically
 // configured partition. The event heap array is restored verbatim: it was
 // captured from a valid heap, and the sift functions are deterministic
-// over the array order.
+// over the array order. The decoded addresses beside the FR-FCFS queue
+// and in each event are derived state, recomputed here from the requests,
+// so the snapshot never carries them.
 func (p *Partition) SetState(st PartitionState) error {
 	if len(st.Banks) != len(p.banks) {
 		return fmt.Errorf("dram: partition %d state has %d banks, partition has %d", p.ID, len(st.Banks), len(p.banks))
@@ -118,9 +120,9 @@ func (p *Partition) SetState(st PartitionState) error {
 	if err := p.mshr.SetEntries(st.MSHRLines, waiters); err != nil {
 		return fmt.Errorf("dram: partition %d: %w", p.ID, err)
 	}
-	p.dramQ = p.dramQ[:0]
+	p.dramQ, p.dramAddr = p.dramQ[:0], p.dramAddr[:0]
 	for _, v := range st.DramQ {
-		p.dramQ = append(p.dramQ, clone(v))
+		p.pushDRAM(clone(v), p.localAddr(v.LineAddr))
 	}
 	copy(p.banks, st.Banks)
 	p.busFreeAt = st.BusFreeAt
@@ -128,7 +130,8 @@ func (p *Partition) SetState(st PartitionState) error {
 	p.lastColAt = st.LastColAt
 	p.events = p.events[:0]
 	for _, e := range st.Events {
-		p.events = append(p.events, event{at: e.At, kind: eventKind(e.Kind), req: clone(e.Req)})
+		p.events = append(p.events, event{at: e.At, kind: eventKind(e.Kind), req: clone(e.Req),
+			local: p.localAddr(e.Req.LineAddr)})
 	}
 	p.resp = p.resp[:0]
 	for _, v := range st.Resp {

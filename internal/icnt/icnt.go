@@ -12,6 +12,8 @@ package icnt
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"ebm/internal/mem"
 )
@@ -63,6 +65,14 @@ type Network struct {
 	queues    []fifo   // per destination, ordered by readyAt
 	portFree  []uint64 // per destination, first cycle the port is free
 	inFlight  int
+
+	// head[d] is the readyAt of port d's head message (MaxUint64 when
+	// the port is empty), and next the earliest of them. Every mutation
+	// keeps both exact: Push sets them when the message becomes its
+	// port's head, Pop advances the port's head and rescans head when it
+	// popped the minimum, and SetState recomputes them.
+	head []uint64
+	next uint64
 }
 
 // New builds one crossbar direction with dsts output ports. latency is the
@@ -73,13 +83,19 @@ func New(dsts, latency, flitBytes, lineBytes int) *Network {
 		panic(fmt.Sprintf("icnt: invalid parameters dsts=%d latency=%d flit=%d line=%d",
 			dsts, latency, flitBytes, lineBytes))
 	}
-	return &Network{
+	n := &Network{
 		latency:   latency,
 		flitBytes: flitBytes,
 		lineBytes: lineBytes,
 		queues:    make([]fifo, dsts),
 		portFree:  make([]uint64, dsts),
+		head:      make([]uint64, dsts),
+		next:      math.MaxUint64,
 	}
+	for d := range n.head {
+		n.head[d] = math.MaxUint64
+	}
+	return n
 }
 
 // Push injects req toward output port dst at cycle now. Delivery time
@@ -94,22 +110,38 @@ func (n *Network) Push(dst int, req *mem.Request, now uint64) {
 	}
 	done := start + flits - 1
 	n.portFree[dst] = done + 1
-	n.queues[dst].push(pkt{readyAt: done, req: req})
+	q := &n.queues[dst]
+	if q.len() == 0 {
+		n.head[dst] = done
+		n.next = min(n.next, done)
+	}
+	q.push(pkt{readyAt: done, req: req})
 	n.inFlight++
 }
 
 // Pop removes and returns the next message available at output port dst by
 // cycle now, or nil if none has arrived yet.
 func (n *Network) Pop(dst int, now uint64) *mem.Request {
-	q := &n.queues[dst]
-	head := q.peek()
-	if head == nil || head.readyAt > now {
-		return nil
+	if n.head[dst] > now {
+		return nil // empty, or its head not yet arrived
 	}
+	q := &n.queues[dst]
 	p := q.pop()
 	n.inFlight--
+	n.head[dst] = math.MaxUint64
+	if h := q.peek(); h != nil {
+		n.head[dst] = h.readyAt
+	}
+	if p.readyAt == n.next {
+		n.next = slices.Min(n.head)
+	}
 	return p.req
 }
+
+// NextReady returns the earliest cycle at which some output port has a
+// message to deliver, or math.MaxUint64 when the network is empty. Every
+// Pop before that cycle returns nil.
+func (n *Network) NextReady() uint64 { return n.next }
 
 // Pending returns the number of messages queued for output port dst.
 func (n *Network) Pending(dst int) int { return n.queues[dst].len() }

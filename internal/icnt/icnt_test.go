@@ -1,6 +1,7 @@
 package icnt
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -113,24 +114,53 @@ func TestPendingAndBusy(t *testing.T) {
 	}
 }
 
+// headsExact reports whether the network's cached per-port heads and
+// NextReady match its queues, recomputed from scratch.
+func headsExact(n *Network) bool {
+	m := uint64(math.MaxUint64)
+	for d := range n.queues {
+		want := uint64(math.MaxUint64)
+		if h := n.queues[d].peek(); h != nil {
+			want = h.readyAt
+		}
+		if n.head[d] != want {
+			return false
+		}
+		m = min(m, want)
+	}
+	return n.NextReady() == m
+}
+
 func TestConservationProperty(t *testing.T) {
-	// Every pushed message is eventually popped exactly once, in order.
+	// Every pushed message is eventually popped exactly once, in order,
+	// and NextReady stays the earliest head through every Push and Pop,
+	// with nothing deliverable before it.
 	f := func(dsts []uint8) bool {
 		n := New(4, 3, 64, 128)
 		count := 0
 		for i, d := range dsts {
-			n.Push(int(d)%4, req(mem.ReadReq, uint64(i)), uint64(i))
+			n.Push(int(d)%4, req(mem.Kind(d/4%3), uint64(i)), uint64(i))
 			count++
+			if !headsExact(n) {
+				return false
+			}
 		}
 		drained := 0
 		for cyc := uint64(0); cyc < uint64(len(dsts))*10+100; cyc++ {
+			before := n.NextReady()
 			for p := 0; p < 4; p++ {
 				if n.Pop(p, cyc) != nil {
+					if cyc < before {
+						return false
+					}
 					drained++
+				}
+				if !headsExact(n) {
+					return false
 				}
 			}
 		}
-		return drained == count && n.InFlight() == 0
+		return drained == count && n.InFlight() == 0 && n.NextReady() == math.MaxUint64
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -144,4 +174,62 @@ func TestNewPanicsOnBadParams(t *testing.T) {
 		}
 	}()
 	New(0, 1, 64, 128)
+}
+
+func TestNextReady(t *testing.T) {
+	n := New(3, 4, 64, 128)
+	if got := n.NextReady(); got != math.MaxUint64 {
+		t.Fatalf("empty network: NextReady = %d, want MaxUint64", got)
+	}
+	n.Push(1, req(mem.ReadReply, 0), 10) // 3 flits: ready at 16
+	n.Push(1, req(mem.ReadReq, 1), 10)   // behind it: ready at 17
+	n.Push(2, req(mem.ReadReq, 2), 11)   // ready at 15
+	if got := n.NextReady(); got != 15 {
+		t.Fatalf("NextReady = %d, want 15 (port 2's head)", got)
+	}
+	// A snapshot restored into a fresh network recomputes it.
+	fresh := New(3, 4, 64, 128)
+	if err := fresh.SetState(n.State()); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.NextReady(); got != 15 {
+		t.Fatalf("restored NextReady = %d, want 15", got)
+	}
+	if n.Pop(1, 15) != nil {
+		t.Fatal("port 1 delivered before its head was ready")
+	}
+	if n.Pop(2, 15) == nil {
+		t.Fatal("port 2 head not delivered at 15")
+	}
+	if got := n.NextReady(); got != 16 {
+		t.Fatalf("after popping the minimum: NextReady = %d, want 16", got)
+	}
+	n.Push(0, req(mem.ReadReq, 3), 12) // new head on an empty port: 16
+	n.Push(2, req(mem.ReadReq, 4), 12) // new head on a drained port: 16
+	if n.Pop(1, 16) == nil {
+		t.Fatal("port 1 head not delivered at 16")
+	}
+	if got := n.NextReady(); got != 16 {
+		t.Fatalf("minimum shared by three heads, one popped: NextReady = %d, want 16", got)
+	}
+	for _, p := range []int{0, 2} {
+		if n.Pop(p, 16) == nil {
+			t.Fatalf("port %d head not delivered at 16", p)
+		}
+	}
+	if got := n.NextReady(); got != 17 {
+		t.Fatalf("NextReady = %d, want 17 (port 1's second message)", got)
+	}
+	if n.Pop(1, 17) == nil {
+		t.Fatal("port 1's second message not delivered at 17")
+	}
+	if got := n.NextReady(); got != math.MaxUint64 {
+		t.Fatalf("drained network: NextReady = %d, want MaxUint64", got)
+	}
+	if err := fresh.SetState(New(3, 4, 64, 128).State()); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.NextReady(); got != math.MaxUint64 {
+		t.Fatalf("restored empty state: NextReady = %d, want MaxUint64", got)
+	}
 }

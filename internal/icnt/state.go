@@ -2,6 +2,8 @@ package icnt
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"ebm/internal/mem"
 )
@@ -52,6 +54,10 @@ func (n *Network) SetState(st NetworkState) error {
 	n.inFlight = 0
 	for d := range n.queues {
 		n.queues[d] = fifo{}
+		n.head[d] = math.MaxUint64
+		if len(st.Queues[d]) > 0 {
+			n.head[d] = st.Queues[d][0].ReadyAt
+		}
 		for _, p := range st.Queues[d] {
 			req := new(mem.Request)
 			*req = p.Req
@@ -59,5 +65,6 @@ func (n *Network) SetState(st NetworkState) error {
 			n.inFlight++
 		}
 	}
+	n.next = slices.Min(n.head)
 	return nil
 }

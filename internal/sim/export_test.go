@@ -7,8 +7,9 @@ import (
 )
 
 // NewReference builds a simulator on the always-tick path: every core and
-// every memory partition is ticked every cycle, with no fast-forward and
-// no quiescent-partition skip. It must produce exactly what New's engine
+// every memory partition is ticked every cycle, and every crossbar port
+// polled, with no fast-forward, no quiescent-partition skip and no
+// delivery-pass skip. It must produce exactly what New's engine
 // produces; the differential test holds the skips to that.
 func NewReference(opts Options) (*Simulator, error) {
 	s, err := New(opts)

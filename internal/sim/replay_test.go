@@ -127,7 +127,7 @@ func BenchmarkPartitionReplay(b *testing.B) {
 	c := loadCapture(b)
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
-		for b.Loop() {
+		for i := 0; i < b.N; i++ {
 			if _, err := c.replay(); err != nil {
 				b.Fatal(err)
 			}

@@ -260,8 +260,8 @@ type Simulator struct {
 	quietStalls  []int    // issue aborts per skipped cycle (Tick's stalls)
 
 	// reference disables every skip: each core and each memory partition
-	// is ticked every cycle. Only tests set it, to check the skips against
-	// the plain engine.
+	// is ticked every cycle, and every crossbar port polled. Only tests
+	// set it, to check the skips against the plain engine.
 	reference bool
 
 	// onEnqueue, when non-nil, sees every request the crossbar delivers
@@ -544,7 +544,9 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		for s.memAcc >= 1 {
 			s.memAcc--
 			for _, p := range s.partitions {
-				if p.CanAccept() {
+				// Before the crossbar's next-ready cycle no port has a
+				// request to deliver; Pop would return nil on each.
+				if p.CanAccept() && (s.reference || now >= s.toMem.NextReady()) {
 					if req := s.toMem.Pop(p.ID, now); req != nil {
 						if s.onEnqueue != nil {
 							s.onEnqueue(p.ID, s.memCycle, req)
@@ -575,11 +577,12 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 
 		// Deliver responses. A fill ends the destination core's quiescence
 		// (the woken warp may issue next cycle); the reply object itself is
-		// consumed here and recycled to the pool.
-		for ci, c := range s.cores {
+		// consumed here and recycled to the pool. The pass ends once no
+		// port holds a reply ready by now.
+		for ci := 0; ci < len(s.cores) && (s.reference || now >= s.toCore.NextReady()); ci++ {
 			if resp := s.toCore.Pop(ci, now); resp != nil {
 				s.wakeQuiet(ci, now+1)
-				c.HandleFill(resp.LineAddr)
+				s.cores[ci].HandleFill(resp.LineAddr)
 				s.pool.Put(resp)
 			}
 		}
