@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -110,7 +111,7 @@ func TestPartitionReplayMatchesMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, want := totals(p), totals(c.machine)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("replayed partition counters %v, machine's %v", got, want)
 	}
 	if p.Apps[0].RowHits.Total() == 0 || p.Apps[0].DRAMWrites.Total()+p.Apps[1].DRAMWrites.Total() == 0 {
