@@ -18,7 +18,9 @@ test:
 # the benchmark harness (tests included) against the root packages, so a
 # root API change that breaks it fails here. Its tests are slower (about
 # a minute) and run separately: cd bench && go test ./... The DRAM replay
-# benchmark runs once, so its capture hook and replay cannot rot unseen.
+# benchmark runs once and the per-cycle engine benchmark for 2000 cycles,
+# so neither the capture hook and replay nor the benchmark's machine
+# set-up can rot unseen.
 verify:
 	$(GO) build ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -29,6 +31,7 @@ verify:
 		else echo "staticcheck not installed; skipping"; fi
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench 'BenchmarkPartitionReplay' -benchtime 1x ./internal/sim/
+	$(GO) test -run '^$$' -bench 'BenchmarkCycleTick' -benchtime 2000x ./internal/sim/
 	$(GO) test -race ./internal/runner/... ./internal/resilience/... \
 	    ./internal/ckpt/... ./internal/obs/... ./internal/search/... \
 	    ./internal/dsweep/... ./internal/profile/...

@@ -247,13 +247,15 @@ func (g GPU) PeakBandwidthBytesPerMemCycle() float64 {
 }
 
 // MemCyclesPerCoreCycle is the memory-clock advance per core-clock cycle.
-func (g GPU) MemCyclesPerCoreCycle() float64 {
+// It and PartitionOf take a pointer receiver because the engine calls
+// them on its hot path, where a value receiver copies the whole GPU.
+func (g *GPU) MemCyclesPerCoreCycle() float64 {
 	return float64(g.MemClockMHz) / float64(g.CoreClockMHz)
 }
 
 // PartitionOf maps a byte address to its memory partition using the Table I
 // 256-byte chunk interleave.
-func (g GPU) PartitionOf(addr uint64) int {
+func (g *GPU) PartitionOf(addr uint64) int {
 	return int((addr / uint64(g.AddrInterleave)) % uint64(g.NumMemPartitions))
 }
 

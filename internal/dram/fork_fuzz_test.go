@@ -13,9 +13,12 @@ import (
 // forkCfg is a partition small enough for a short random stream to cycle
 // its L2: 4 KiB of 2-way L2 against a footprint of four banks × three rows
 // × sixteen lines (24 KiB), so dirty lines are evicted and written back.
+// Its 32 L2 MSHRs are half the FR-FCFS queue's 64 slots, so a stream can
+// fill either first.
 func forkCfg() *config.GPU {
 	c := config.Default()
 	c.L2 = config.CacheGeometry{SizeBytes: 4096, Ways: 2, LineBytes: 128}
+	c.L2MSHRs = 32
 	return &c
 }
 
@@ -39,14 +42,27 @@ func richQueue(p *Partition, driverWrites map[*mem.Request]bool) bool {
 	return writeBack && hit && len(banks) >= 2
 }
 
-// forkRun feeds a seeded random read/write stream to a partition. At the
-// first cycle from forkAt (mod 2000) on at which the FR-FCFS queue is rich
-// (see richQueue), or 500 cycles later at the latest, it clones the
-// partition through State/SetState. Both then run in lockstep on the same
-// input, and must reply in the same order at the same cycles and end with
-// identical statistics and state. It reports whether the fork point was
-// rich.
-func forkRun(t *testing.T, seed uint64, forkAt uint16, writePct uint8) bool {
+// forkCover is what one forkRun exercised: whether the fork point's
+// FR-FCFS queue was rich (see richQueue), and how many memory cycles the
+// input-queue head stalled as a read behind a full MSHR file and as a
+// write behind a full FR-FCFS queue.
+type forkCover struct {
+	rich                    bool
+	mshrStalls, dramQStalls int
+}
+
+// forkRun feeds a seeded random read/write stream to three partitions:
+// the original, ticked every memory cycle; a skipping arm, fed the same
+// stream from the start but ticked only from its NextTick on, as the
+// simulator ticks it; and a fork. At the first cycle from forkAt (mod
+// 2000) on at which the original's FR-FCFS queue is rich (see richQueue),
+// or 500 cycles later at the latest, the fork is cloned from the original
+// through State/SetState into a partition that has already ticked idle
+// (so its NextTick was MaxUint64), and from then on gets the same input
+// and is ticked from its NextTick on too. The skipping arm and the fork
+// must reply in the original's order at the same cycles and end with
+// identical statistics and state.
+func forkRun(t *testing.T, seed uint64, forkAt uint16, writePct uint8) forkCover {
 	t.Helper()
 	const (
 		forkWindow = 2000
@@ -55,6 +71,7 @@ func forkRun(t *testing.T, seed uint64, forkAt uint16, writePct uint8) bool {
 	)
 	c := forkCfg()
 	p := NewPartition(0, c, 2)
+	skip := NewPartition(0, c, 2)
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 	from := uint64(forkAt) % forkWindow
 	driverWrites := map[*mem.Request]bool{}
@@ -70,19 +87,26 @@ func forkRun(t *testing.T, seed uint64, forkAt uint16, writePct uint8) bool {
 	}
 
 	var q *Partition
-	rich := false
+	var cover forkCover
 	for now := uint64(0); now < drainEnd; now++ {
 		if q == nil && now >= from && (richQueue(p, driverWrites) || now >= from+500) {
-			rich = richQueue(p, driverWrites)
+			cover.rich = richQueue(p, driverWrites)
 			q = NewPartition(0, c, 2)
+			q.Tick(0)
 			if err := q.SetState(p.State()); err != nil {
 				t.Fatal(err)
 			}
 		}
+		arms := []*Partition{skip}
+		if q != nil {
+			arms = append(arms, q)
+		}
 		if now < inputEnd && rng.IntN(4) != 0 {
 			v := next()
-			if q != nil && q.CanAccept() != p.CanAccept() {
-				t.Fatalf("cycle %d: fork accepts %v, original %v", now, q.CanAccept(), p.CanAccept())
+			for _, a := range arms {
+				if a.CanAccept() != p.CanAccept() {
+					t.Fatalf("cycle %d: %s accepts %v, original %v", now, armName(a, skip), a.CanAccept(), p.CanAccept())
+				}
 			}
 			if p.CanAccept() {
 				r := new(mem.Request)
@@ -91,43 +115,66 @@ func forkRun(t *testing.T, seed uint64, forkAt uint16, writePct uint8) bool {
 					driverWrites[r] = true
 				}
 				p.Enqueue(r, now)
-				if q != nil {
+				for _, a := range arms {
 					r2 := new(mem.Request)
 					*r2 = v
-					q.Enqueue(r2, now)
+					a.Enqueue(r2, now)
 				}
 			}
 		}
-		p.Tick(now)
-		if q == nil {
-			for p.PopResponse() != nil {
-			}
-			continue
+		var head *mem.Request
+		if len(p.inq) > 0 {
+			head = p.inq[0]
 		}
-		q.Tick(now)
-		for {
-			a, b := p.PopResponse(), q.PopResponse()
-			if a == nil && b == nil {
-				break
+		p.Tick(now)
+		if head != nil && len(p.inq) > 0 && p.inq[0] == head {
+			if head.Kind == mem.WriteReq {
+				cover.dramQStalls++
+			} else if p.mshr.Full() {
+				cover.mshrStalls++
 			}
-			if a == nil || b == nil || *a != *b {
-				t.Fatalf("cycle %d: original replies %s, fork %s", now, reply(a), reply(b))
+		}
+		for _, a := range arms {
+			if now >= a.NextTick() {
+				a.Tick(now)
+			}
+		}
+		for {
+			want := p.PopResponse()
+			for _, a := range arms {
+				if got := a.PopResponse(); (got == nil) != (want == nil) || got != nil && *got != *want {
+					t.Fatalf("cycle %d: original replies %s, %s %s", now, reply(want), armName(a, skip), reply(got))
+				}
+			}
+			if want == nil {
+				break
 			}
 		}
 	}
 	if q == nil {
 		t.Fatal("no fork taken")
 	}
-	if !reflect.DeepEqual(p.Apps, q.Apps) {
-		t.Fatalf("app stats differ:\n original %+v\n fork     %+v", p.Apps, q.Apps)
+	for _, a := range []*Partition{skip, q} {
+		name := armName(a, skip)
+		if !reflect.DeepEqual(p.Apps, a.Apps) {
+			t.Fatalf("app stats differ:\n original %+v\n %s %+v", p.Apps, name, a.Apps)
+		}
+		if p.BusBusy != a.BusBusy || p.MSHRStalls != a.MSHRStalls {
+			t.Fatalf("bus busy/MSHR stalls: original %+v/%+v, %s %+v/%+v",
+				p.BusBusy, p.MSHRStalls, name, a.BusBusy, a.MSHRStalls)
+		}
+		if !reflect.DeepEqual(p.State(), a.State()) {
+			t.Fatalf("drained partitions' states differ: original vs %s", name)
+		}
 	}
-	if p.BusBusy != q.BusBusy {
-		t.Fatalf("bus busy: original %+v, fork %+v", p.BusBusy, q.BusBusy)
+	return cover
+}
+
+func armName(a, skip *Partition) string {
+	if a == skip {
+		return "skipping arm"
 	}
-	if !reflect.DeepEqual(p.State(), q.State()) {
-		t.Fatal("drained partitions' states differ")
-	}
-	return rich
+	return "fork"
 }
 
 func reply(r *mem.Request) string {
@@ -149,10 +196,14 @@ var forkSeeds = []struct {
 }
 
 // FuzzPartitionForkMatches holds a partition cloned mid-run through
-// State/SetState to the original: same replies in the same order at the
-// same cycles, same per-app statistics, same bus occupancy. Derived
-// scheduler state that SetState fails to rebuild from the snapshot makes
-// the fork schedule differently and fails it.
+// State/SetState, and a partition ticked only from its NextTick on, to
+// the original ticked every cycle: same replies in the same order at the
+// same cycles, same per-app statistics, same bus occupancy and MSHR
+// stalls, same final state. Derived scheduler state that SetState fails
+// to rebuild from the snapshot makes the fork schedule differently and
+// fails it; a NextTick later than the first cycle a Tick would act at
+// (past the scheduler's run-ahead horizon, or not lowered by Enqueue)
+// makes the skipping arm reply late and fails it.
 func FuzzPartitionForkMatches(f *testing.F) {
 	for _, s := range forkSeeds {
 		f.Add(s.seed, s.forkAt, s.writePct)
@@ -164,11 +215,21 @@ func FuzzPartitionForkMatches(f *testing.F) {
 
 // TestForkSeedsForkRichQueues keeps the fuzz target's seed corpus
 // meaningful: every seed must fork with write-backs and row hits across
-// several banks in the FR-FCFS queue.
+// several banks in the FR-FCFS queue, and the corpus must stall the
+// input-queue head both as a read behind a full MSHR file and as a write
+// behind a full FR-FCFS queue.
 func TestForkSeedsForkRichQueues(t *testing.T) {
+	var mshrStalls, dramQStalls int
 	for _, s := range forkSeeds {
-		if !forkRun(t, s.seed, s.forkAt, s.writePct) {
+		c := forkRun(t, s.seed, s.forkAt, s.writePct)
+		if !c.rich {
 			t.Errorf("seed %+v forked on a queue without a write-back, a row hit or two banks", s)
 		}
+		mshrStalls += c.mshrStalls
+		dramQStalls += c.dramQStalls
+	}
+	if mshrStalls == 0 || dramQStalls == 0 {
+		t.Errorf("seeds stalled %d cycles on a full MSHR file and %d on a full FR-FCFS queue, want both > 0",
+			mshrStalls, dramQStalls)
 	}
 }

@@ -14,6 +14,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 
 	"ebm/internal/cache"
 	"ebm/internal/config"
@@ -133,6 +134,11 @@ type Partition struct {
 
 	events eventHeap
 
+	// nextTick is the first memory cycle at which Tick can change any of
+	// the partition's state: Tick recomputes it, Enqueue lowers it and
+	// SetState resets it.
+	nextTick uint64
+
 	resp []*mem.Request // completed responses awaiting the return network
 
 	l2LatMem uint64 // L2 hit latency converted to memory cycles
@@ -202,16 +208,15 @@ func (p *Partition) SetPool(pool *mem.Pool) { p.pool = pool }
 // the simulator uses it for interconnect back-pressure.
 func (p *Partition) CanAccept() bool { return len(p.inq) < p.inqCap }
 
-// Quiescent reports whether Tick is a provable no-op this cycle: nothing
-// queued at the L2, nothing in flight to DRAM, no pending completion
-// events, and no refresh modeling (refresh fires on a wall-clock schedule
-// and must observe every cycle). The simulator skips ticking quiescent
-// partitions; no counters advance on an idle partition, so the skip is
-// exact.
-func (p *Partition) Quiescent() bool {
-	return len(p.inq) == 0 && len(p.dramQ) == 0 && len(p.events) == 0 &&
-		p.cfg.Timing.TREFI <= 0
-}
+// NextTick returns the first memory cycle at which Tick can change any
+// of the partition's state: a Tick at an earlier cycle is a no-op, so the
+// simulator skips it. It is the cycle after the last Tick while the input
+// queue holds a request (its head is probed every cycle) or refresh is
+// modeled (refresh fires on a wall-clock schedule); otherwise the earlier
+// of the next completion event and, with requests in the FR-FCFS queue,
+// the first cycle the scheduler's run-ahead horizon lets one issue;
+// MaxUint64 with nothing pending. Enqueue lowers it to the enqueue cycle.
+func (p *Partition) NextTick() uint64 { return p.nextTick }
 
 // Enqueue places a request arriving from the interconnect into the input
 // queue at memory cycle now. The caller must have checked CanAccept.
@@ -221,6 +226,7 @@ func (p *Partition) Enqueue(req *mem.Request, now uint64) {
 	}
 	req.MemBorn = now
 	p.inq = append(p.inq, req)
+	p.nextTick = min(p.nextTick, now)
 }
 
 // PopResponse removes one completed read reply, or returns nil.
@@ -276,6 +282,27 @@ func (p *Partition) Tick(now uint64) {
 	p.drainEvents(now)
 	p.acceptOne(now)
 	p.scheduleDRAM(now)
+
+	if len(p.inq) > 0 || p.cfg.Timing.TREFI > 0 {
+		p.nextTick = now + 1
+		return
+	}
+	next := uint64(math.MaxUint64)
+	if len(p.events) > 0 {
+		next = p.events[0].at
+	}
+	if len(p.dramQ) > 0 {
+		// scheduleDRAM issues once now+horizon reaches busFreeAt.
+		next = min(next, p.busFreeAt-min(p.busFreeAt, p.horizon()))
+	}
+	p.nextTick = next
+}
+
+// horizon is how far, in memory cycles, scheduleDRAM may run ahead of the
+// data bus.
+func (p *Partition) horizon() uint64 {
+	t := &p.cfg.Timing
+	return uint64(t.TRP + t.TRCD + t.TCL + 2*t.BL)
 }
 
 // maybeRefresh models all-bank refresh: every TREFI cycles the banks are
@@ -400,9 +427,7 @@ func (p *Partition) scheduleDRAM(now uint64) {
 	// preparation (precharge+activate+CAS) of the next requests with the
 	// current data bursts, as a pipelined controller does, while still
 	// bounding how stale the FR-FCFS decision can be.
-	t0 := &p.cfg.Timing
-	horizon := uint64(t0.TRP + t0.TRCD + t0.TCL + 2*t0.BL)
-	if p.busFreeAt > now+horizon {
+	if p.busFreeAt > now+p.horizon() {
 		return
 	}
 	t := &p.cfg.Timing

@@ -89,7 +89,8 @@ func (p *Partition) State() PartitionState {
 // captured from a valid heap, and the sift functions are deterministic
 // over the array order. The decoded addresses beside the FR-FCFS queue
 // and in each event are derived state, recomputed here from the requests,
-// so the snapshot never carries them.
+// so the snapshot never carries them; NextTick restarts at 0, so the
+// restored partition ticks at once and recomputes it.
 func (p *Partition) SetState(st PartitionState) error {
 	if len(st.Banks) != len(p.banks) {
 		return fmt.Errorf("dram: partition %d state has %d banks, partition has %d", p.ID, len(st.Banks), len(p.banks))
@@ -142,5 +143,6 @@ func (p *Partition) SetState(st PartitionState) error {
 	p.nextRefresh = st.NextRefresh
 	p.MSHRStalls = st.MSHRStalls
 	p.BusBusy = st.BusBusy
+	p.nextTick = 0
 	return nil
 }

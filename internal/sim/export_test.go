@@ -3,12 +3,14 @@ package sim
 import (
 	"ebm/internal/dram"
 	"ebm/internal/gpu"
+	"ebm/internal/icnt"
 	"ebm/internal/mem"
 )
 
 // NewReference builds a simulator on the always-tick path: every core and
-// every memory partition is ticked every cycle, and every crossbar port
-// polled, with no fast-forward, no quiescent-partition skip and no
+// every memory partition is ticked every cycle, every core's out-queue
+// visited and every crossbar port polled, with no fast-forward, no
+// partition skip before NextTick, no empty-queue skip and no
 // delivery-pass skip. It must produce exactly what New's engine
 // produces; the differential test holds the skips to that.
 func NewReference(opts Options) (*Simulator, error) {
@@ -28,6 +30,21 @@ func (s *Simulator) CoreStates() []gpu.CoreState {
 		out[i] = c.State()
 	}
 	return out
+}
+
+// PartitionStates returns every memory partition's state and
+// NetworkStates both crossbar directions' state. Call them after Run;
+// a partition's state aliases it.
+func (s *Simulator) PartitionStates() []dram.PartitionState {
+	out := make([]dram.PartitionState, len(s.partitions))
+	for i, p := range s.partitions {
+		out[i] = p.State()
+	}
+	return out
+}
+
+func (s *Simulator) NetworkStates() (toMem, toCore icnt.NetworkState) {
+	return s.toMem.State(), s.toCore.State()
 }
 
 // Snapshot and Restore expose the struct form behind SnapshotBytes and

@@ -12,25 +12,36 @@ import (
 	"ebm/internal/workload"
 )
 
-// BenchmarkCycleTick measures the per-cycle cost of the full machine:
-// b.N simulated core cycles of a two-application workload, so ns/op is
-// nanoseconds per simulated cycle and allocs/op is the cycle-path
-// allocation rate the request pool and MSHR tables are meant to hold
-// near zero.
+// BenchmarkCycleTick measures the per-cycle cost of the full Table I
+// machine: b.N simulated core cycles, so ns/op is nanoseconds per
+// simulated cycle and allocs/op is the cycle-path allocation rate the
+// request pool and MSHR tables are meant to hold near zero. mem is
+// table1Run's memory-bound GUPS_SCAN pair, where most cores sit
+// fast-forwarded behind a saturated DRAM; compute is LIB_LUD on the same
+// machine and scheme, where the cores keep issuing.
 func BenchmarkCycleTick(b *testing.B) {
-	wl := workload.MustMake("BLK", "BFS")
-	s, err := sim.New(sim.Options{
-		Config:       config.Default(),
-		Apps:         wl.Apps,
-		TotalCycles:  uint64(b.N),
-		WindowCycles: 2_000,
-	})
-	if err != nil {
-		b.Fatal(err)
+	compute := table1Run()
+	compute.Apps = workload.MustMake("LIB", "LUD").Apps
+	for _, c := range []struct {
+		name string
+		rs   spec.RunSpec
+	}{{"mem", table1Run()}, {"compute", compute}} {
+		b.Run(c.name, func(b *testing.B) {
+			rs := c.rs
+			rs.TotalCycles, rs.WarmupCycles = uint64(b.N), 0
+			opts, err := sim.FromSpec(rs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := sim.New(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			s.Run()
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	s.Run()
 }
 
 // measureRunMallocs returns the heap allocation count of one Run of the

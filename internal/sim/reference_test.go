@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"ebm/internal/config"
+	"ebm/internal/dram"
 	"ebm/internal/gpu"
+	"ebm/internal/icnt"
 	"ebm/internal/kernel"
 	"ebm/internal/sim"
 	"ebm/internal/spec"
@@ -19,11 +21,15 @@ import (
 
 // run is one engine execution's observable output: the Result, every
 // window sample the manager saw (copied, since the engine reuses the Apps
-// buffer) and every core's final state.
+// buffer), and every core's, every memory partition's and both crossbar
+// directions' final state. The partition states carry the counters no
+// Result field reads (MSHRStalls, BusBusy).
 type run struct {
-	res     sim.Result
-	samples []tlp.Sample
-	cores   []gpu.CoreState
+	res           sim.Result
+	samples       []tlp.Sample
+	cores         []gpu.CoreState
+	parts         []dram.PartitionState
+	toMem, toCore icnt.NetworkState
 }
 
 // refRun is a run description plus the one engine knob the draws vary
@@ -60,6 +66,8 @@ func execute(t *testing.T, rs refRun, build func(sim.Options) (*sim.Simulator, e
 	}
 	out.res = s.Run()
 	out.cores = s.CoreStates()
+	out.parts = s.PartitionStates()
+	out.toMem, out.toCore = s.NetworkStates()
 	return out
 }
 
@@ -86,6 +94,19 @@ func sameRun(got, want run) error {
 		if !reflect.DeepEqual(g, w) {
 			return fmt.Errorf("core %d state differs", ci)
 		}
+	}
+	for pi := range want.parts {
+		g, w := got.parts[pi], want.parts[pi]
+		if g.MSHRStalls != w.MSHRStalls || g.BusBusy != w.BusBusy {
+			return fmt.Errorf("partition %d MSHRStalls/BusBusy %+v/%+v, want %+v/%+v",
+				pi, g.MSHRStalls, g.BusBusy, w.MSHRStalls, w.BusBusy)
+		}
+		if !reflect.DeepEqual(g, w) {
+			return fmt.Errorf("partition %d state differs", pi)
+		}
+	}
+	if !reflect.DeepEqual(got.toMem, want.toMem) || !reflect.DeepEqual(got.toCore, want.toCore) {
+		return fmt.Errorf("crossbar state differs")
 	}
 	return nil
 }
@@ -217,12 +238,14 @@ func withRefresh(rs spec.RunSpec, total uint64, trefi int) spec.RunSpec {
 }
 
 // TestFastForwardMatchesReference is the differential test of the
-// engine's skips (per-core fast-forward of quiescent and issue-stalled
-// cores, the quiescent-partition skip): on drawn machines, workloads and
-// every registered scheme kind, the engine must match the always-tick
-// reference on the Result, every window sample and every core's final
-// state (FastForward aside). A fork restored at a drawn window boundary
-// must match the straight run too.
+// engine's skips: per-core fast-forward of quiescent and issue-stalled
+// cores (the awake-core set), the injection pass's visit of queued cores
+// only, the partition skip before NextTick, and the crossbar polls before
+// NextReady. On drawn machines, workloads and every registered scheme
+// kind, the engine must match the always-tick reference on the Result,
+// every window sample, every core's final state (FastForward aside),
+// every partition's final state and both crossbars' state. A fork
+// restored at a drawn window boundary must match the straight run too.
 func TestFastForwardMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(14, 2018))
 	draws := 4

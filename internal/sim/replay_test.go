@@ -58,7 +58,7 @@ func loadCapture(tb testing.TB) *capture {
 }
 
 // replay feeds the captured stream into a lone partition 0, ticking it on
-// the engine's schedule (every memory cycle it is not quiescent) and
+// the engine's schedule (every memory cycle from its NextTick on) and
 // draining its replies, and returns the partition after the last cycle.
 func (c *capture) replay() (*dram.Partition, error) {
 	p := dram.NewPartition(0, &c.cfg, c.apps)
@@ -75,7 +75,7 @@ func (c *capture) replay() (*dram.Partition, error) {
 			p.Enqueue(r, now)
 			recs = recs[1:]
 		}
-		if !p.Quiescent() {
+		if now >= p.NextTick() {
 			p.Tick(now)
 		}
 		for r := p.PopResponse(); r != nil; r = p.PopResponse() {

@@ -11,6 +11,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"ebm/internal/config"
 	"ebm/internal/dram"
@@ -253,15 +254,26 @@ type Simulator struct {
 	// have spent idling are credited in bulk when an event that can change
 	// its next Tick (fill delivery, out-queue injection, TLP decision,
 	// kernel phase switch) wakes it, or a window boundary or snapshot
-	// reads its counters.
-	coreQuiet    []bool
+	// reads its counters. awake holds the cores that are not quiet, and is
+	// the only live record of which are: the tick pass visits its members
+	// alone, and snapshots carry it as EngineState.CoreQuiet.
+	awake        coreSet
 	quietFrom    []uint64 // first skipped cycle
 	quietMemWait []bool   // ActiveMemWait sampled at quiescence entry
 	quietStalls  []int    // issue aborts per skipped cycle (Tick's stalls)
 
+	// queued holds the cores whose out-queue is non-empty, the only ones
+	// the injection pass visits. An out-queue grows only inside its core's
+	// Tick, so the tick pass adds the core; the pop that empties the queue
+	// removes it. headDst is the destination partition of each core's
+	// out-queue head, decoded once per head (-1 until then).
+	queued  coreSet
+	headDst []int
+
 	// reference disables every skip: each core and each memory partition
-	// is ticked every cycle, and every crossbar port polled. Only tests
-	// set it, to check the skips against the plain engine.
+	// is ticked every cycle, every core's out-queue visited, and every
+	// crossbar port polled. Only tests set it, to check the skips against
+	// the plain engine.
 	reference bool
 
 	// onEnqueue, when non-nil, sees every request the crossbar delivers
@@ -317,15 +329,21 @@ func New(opts Options) (*Simulator, error) {
 		coreInjectFree: make([]uint64, cfg.NumCores),
 		partRespFree:   make([]uint64, cfg.NumMemPartitions),
 		pool:           mem.NewPool(),
-		coreQuiet:      make([]bool, cfg.NumCores),
+		awake:          newCoreSet(cfg.NumCores),
 		quietFrom:      make([]uint64, cfg.NumCores),
 		quietMemWait:   make([]bool, cfg.NumCores),
 		quietStalls:    make([]int, cfg.NumCores),
+		queued:         newCoreSet(cfg.NumCores),
+		headDst:        make([]int, cfg.NumCores),
 		instAtLaunch:   make([]uint64, len(opts.Apps)),
 		kernels:        make([]uint64, len(opts.Apps)),
 		tlpAccum:       make([]float64, len(opts.Apps)),
 	}
 	s.nextWindow = opts.WindowCycles
+	for ci := 0; ci < cfg.NumCores; ci++ {
+		s.awake.add(ci)
+		s.headDst[ci] = -1
+	}
 
 	numApps := len(opts.Apps)
 	s.appCores = make([][]int, numApps)
@@ -410,24 +428,34 @@ func (s *Simulator) flushTLPAccum() {
 	s.lastTLPFlush = s.cycle
 }
 
+// coreSet is a set of core ids, one bit per core (bit ci%64 of word
+// ci/64); the engine's passes visit its members in ascending order.
+type coreSet []uint64
+
+func newCoreSet(n int) coreSet { return make(coreSet, (n+63)/64) }
+
+func (b coreSet) add(ci int)      { b[ci>>6] |= 1 << (ci & 63) }
+func (b coreSet) remove(ci int)   { b[ci>>6] &^= 1 << (ci & 63) }
+func (b coreSet) has(ci int) bool { return b[ci>>6]&(1<<(ci&63)) != 0 }
+
 // wakeQuiet ends core ci's fast-forward span: the cycles [quietFrom, upTo)
 // it would have spent idling are credited to its counters, and the core
 // resumes normal per-cycle ticking.
 func (s *Simulator) wakeQuiet(ci int, upTo uint64) {
-	if !s.coreQuiet[ci] {
+	if s.awake.has(ci) {
 		return
 	}
 	if upTo > s.quietFrom[ci] {
 		s.cores[ci].CreditIdle(upTo-s.quietFrom[ci], s.quietMemWait[ci], s.quietStalls[ci])
 	}
-	s.coreQuiet[ci] = false
+	s.awake.add(ci)
 }
 
 // creditQuiet settles core ci's fast-forward counters up to (excluding)
 // upTo without waking it, so window and snapshot reads see exact values
 // while the core stays skipped.
 func (s *Simulator) creditQuiet(ci int, upTo uint64) {
-	if !s.coreQuiet[ci] || upTo <= s.quietFrom[ci] {
+	if s.awake.has(ci) || upTo <= s.quietFrom[ci] {
 		return
 	}
 	s.cores[ci].CreditIdle(upTo-s.quietFrom[ci], s.quietMemWait[ci], s.quietStalls[ci])
@@ -501,41 +529,64 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			}
 		}
 
-		// Cores execute. A quiet core (its Tick issued nothing and left
-		// no wake-up scheduled) is fast-forwarded: its Tick is skipped
-		// until an event that can change the outcome wakes it, and the
-		// skipped idle cycles and issue aborts are credited in bulk at
-		// that event or the next window boundary.
-		for ci, c := range s.cores {
-			if s.coreQuiet[ci] {
-				continue
-			}
-			if stalls, quiet := c.Tick(now); quiet && !s.reference {
-				s.coreQuiet[ci] = true
-				s.quietFrom[ci] = now + 1
-				s.quietMemWait[ci] = c.ActiveMemWait()
-				s.quietStalls[ci] = stalls
+		// Cores execute, the awake ones only, in ascending core order. A
+		// quiet core (its Tick issued nothing and left no wake-up
+		// scheduled) is fast-forwarded: it leaves the awake set until an
+		// event that can change the outcome wakes it, and the skipped idle
+		// cycles and issue aborts are credited in bulk at that event or
+		// the next window boundary.
+		for wi, word := range s.awake {
+			for ; word != 0; word &= word - 1 {
+				ci := wi<<6 | bits.TrailingZeros64(word)
+				c := s.cores[ci]
+				stalls, quiet := c.Tick(now)
+				if c.PendingRequests() > 0 || s.reference {
+					s.queued.add(ci)
+				}
+				if quiet && !s.reference {
+					s.awake.remove(ci)
+					s.quietFrom[ci] = now + 1
+					s.quietMemWait[ci] = c.ActiveMemWait()
+					s.quietStalls[ci] = stalls
+				}
 			}
 		}
 
 		// Core -> memory injection (one message at a time per core, with
-		// flit serialization at the source port). A back-pressured head
-		// stays queued; the port retries next cycle.
-		for ci, c := range s.cores {
-			req := c.PeekRequest()
-			if req == nil || now < s.coreInjectFree[ci] {
-				continue
-			}
-			dst := s.cfg.PartitionOf(req.LineAddr)
-			if s.toMem.Pending(dst) >= networkCap {
-				continue
-			}
-			c.PopRequest()
-			s.toMem.Push(dst, req, now)
-			s.coreInjectFree[ci] = now + uint64(req.Flits(s.cfg.IcntFlitSize, s.cfg.L1.LineBytes))
-			if s.quietStalls[ci] > 0 {
-				// The freed slot may let a stalled issue through.
-				s.wakeQuiet(ci, now+1)
+		// flit serialization at the source port), over the cores with a
+		// queued request in ascending order, so the crossbar sees the
+		// pushes in core order. A back-pressured head stays queued; the
+		// port retries next cycle.
+		for wi, word := range s.queued {
+			for ; word != 0; word &= word - 1 {
+				ci := wi<<6 | bits.TrailingZeros64(word)
+				if now < s.coreInjectFree[ci] {
+					continue
+				}
+				c := s.cores[ci]
+				dst := s.headDst[ci]
+				if dst < 0 {
+					req := c.PeekRequest()
+					if req == nil {
+						continue // the reference engine keeps empty queues in the set
+					}
+					dst = s.cfg.PartitionOf(req.LineAddr)
+					s.headDst[ci] = dst
+				}
+				if s.toMem.Pending(dst) >= networkCap {
+					continue
+				}
+				req := c.PopRequest()
+				s.headDst[ci] = -1
+				if c.PendingRequests() == 0 && !s.reference {
+					s.queued.remove(ci)
+				}
+				s.toMem.Push(dst, req, now)
+				s.coreInjectFree[ci] = now + uint64(req.Flits(s.cfg.IcntFlitSize, s.cfg.L1.LineBytes))
+				if s.quietStalls[ci] > 0 {
+					// The freed slot may let a stalled issue through.
+					s.wakeQuiet(ci, now+1)
+				}
 			}
 		}
 
@@ -554,10 +605,9 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 						p.Enqueue(req, s.memCycle)
 					}
 				}
-				// A partition with nothing queued, no in-flight DRAM
-				// events and no refresh clock is a provable no-op; skip
-				// the Tick entirely.
-				if s.reference || !p.Quiescent() {
+				// Before its NextTick a partition's Tick changes nothing;
+				// skip it.
+				if s.reference || s.memCycle >= p.NextTick() {
 					p.Tick(s.memCycle)
 				}
 			}

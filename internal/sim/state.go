@@ -40,7 +40,7 @@ type EngineState struct {
 
 	CoreInjectFree []uint64
 	PartRespFree   []uint64
-	CoreQuiet      []bool
+	CoreQuiet      []bool // built from the awake-core set, not aliased
 	QuietFrom      []uint64
 	QuietMemWait   []bool
 	QuietStalls    []int
@@ -103,7 +103,7 @@ func (s *Simulator) state() (*EngineState, error) {
 		NextWindow:     s.nextWindow,
 		CoreInjectFree: s.coreInjectFree,
 		PartRespFree:   s.partRespFree,
-		CoreQuiet:      s.coreQuiet,
+		CoreQuiet:      make([]bool, len(s.cores)),
 		QuietFrom:      s.quietFrom,
 		QuietMemWait:   s.quietMemWait,
 		QuietStalls:    s.quietStalls,
@@ -134,6 +134,7 @@ func (s *Simulator) state() (*EngineState, error) {
 	}
 	for i, c := range s.cores {
 		st.Cores[i] = c.State()
+		st.CoreQuiet[i] = !s.awake.has(i)
 	}
 	for i, p := range s.partitions {
 		st.Partitions[i] = p.State()
@@ -217,7 +218,19 @@ func (s *Simulator) setState(st *EngineState) error {
 
 	copy(s.coreInjectFree, st.CoreInjectFree)
 	copy(s.partRespFree, st.PartRespFree)
-	copy(s.coreQuiet, st.CoreQuiet)
+	for ci, c := range s.cores {
+		if st.CoreQuiet[ci] {
+			s.awake.remove(ci)
+		} else {
+			s.awake.add(ci)
+		}
+		if c.PendingRequests() > 0 {
+			s.queued.add(ci)
+		} else {
+			s.queued.remove(ci)
+		}
+		s.headDst[ci] = -1
+	}
 	copy(s.quietFrom, st.QuietFrom)
 	copy(s.quietMemWait, st.QuietMemWait)
 	copy(s.quietStalls, st.QuietStalls)
