@@ -20,7 +20,10 @@ test:
 # a minute) and run separately: cd bench && go test ./... The DRAM replay
 # benchmark runs once and the per-cycle engine benchmark for 2000 cycles,
 # so neither the capture hook and replay nor the benchmark's machine
-# set-up can rot unseen.
+# set-up can rot unseen. The two fuzz targets that hold the engine's skips
+# to the every-cycle engine (a partition ticked from its NextTick on and
+# forked mid-stall; the whole engine against the reference) each explore
+# for 5 s past their seeds, from an empty fuzz cache as in `make fuzz`.
 verify:
 	$(GO) build ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -32,6 +35,11 @@ verify:
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench 'BenchmarkPartitionReplay' -benchtime 1x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkCycleTick' -benchtime 2000x ./internal/sim/
+	@cache=$$(mktemp -d) && trap 'rm -rf "$$cache"' EXIT && \
+	$(GO) test -run '^$$' -fuzz '^FuzzPartitionForkMatches$$' -fuzztime 5s ./internal/dram/ \
+	    -args -test.fuzzcachedir="$$cache/dram" && \
+	$(GO) test -run '^$$' -fuzz '^FuzzFastForwardMatchesReference$$' -fuzztime 5s ./internal/sim/ \
+	    -args -test.fuzzcachedir="$$cache/sim"
 	$(GO) test -race ./internal/runner/... ./internal/resilience/... \
 	    ./internal/ckpt/... ./internal/obs/... ./internal/search/... \
 	    ./internal/dsweep/... ./internal/profile/...

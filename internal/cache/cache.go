@@ -183,6 +183,18 @@ func (c *Cache) Access(lineAddr uint64, app int) (hit bool) {
 	return hit
 }
 
+// RecordMisses records n more misses of lineAddr by app, exactly as n
+// Access calls that miss would: the line must not be resident. A memory
+// partition uses it to count the skipped retries of a stalled head.
+func (c *Cache) RecordMisses(lineAddr uint64, app int, n uint64) {
+	m := &c.Stats[app]
+	m.Accesses.Add(n)
+	m.Misses.Add(n)
+	if c.victimSet != nil && c.victimSet[c.tag(lineAddr)] > 0 && app < len(c.VTAHits) {
+		c.VTAHits[app].Add(n)
+	}
+}
+
 // Probe looks up lineAddr, updating recency on hit, without recording any
 // statistics. Used for write-through lookups that should not perturb the
 // miss-rate telemetry the paper's mechanism samples (it samples read/load

@@ -43,25 +43,51 @@ func richQueue(p *Partition, driverWrites map[*mem.Request]bool) bool {
 }
 
 // forkCover is what one forkRun exercised: whether the fork point's
-// FR-FCFS queue was rich (see richQueue), and how many memory cycles the
-// input-queue head stalled as a read behind a full MSHR file and as a
-// write behind a full FR-FCFS queue.
+// FR-FCFS queue was rich (see richQueue); how many memory cycles the
+// original's input-queue head stalled as a read behind a full MSHR file
+// and as a write behind a full FR-FCFS queue; whether the skipping arm's
+// fork was taken inside a stall span, with retries still uncounted; and
+// how many skipped read and write retries the skipping arm credited in
+// bulk.
 type forkCover struct {
 	rich                    bool
 	mshrStalls, dramQStalls int
+	spanFork                bool
+	readSkips, writeSkips   uint64
 }
 
-// forkRun feeds a seeded random read/write stream to three partitions:
+// arm is a partition checked against the original, and its name.
+type arm struct {
+	name string
+	p    *Partition
+}
+
+// forkOf returns a partition that has already ticked idle (so its
+// NextTick was MaxUint64) restored from src's state.
+func forkOf(t *testing.T, c *config.GPU, src *Partition) *Partition {
+	t.Helper()
+	q := NewPartition(0, c, 2)
+	q.Tick(0)
+	if err := q.SetState(src.State()); err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// forkRun feeds a seeded random read/write stream to four partitions:
 // the original, ticked every memory cycle; a skipping arm, fed the same
 // stream from the start but ticked only from its NextTick on, as the
-// simulator ticks it; and a fork. At the first cycle from forkAt (mod
+// simulator ticks it; and two forks. At the first cycle from forkAt (mod
 // 2000) on at which the original's FR-FCFS queue is rich (see richQueue),
-// or 500 cycles later at the latest, the fork is cloned from the original
-// through State/SetState into a partition that has already ticked idle
-// (so its NextTick was MaxUint64), and from then on gets the same input
-// and is ticked from its NextTick on too. The skipping arm and the fork
-// must reply in the original's order at the same cycles and end with
-// identical statistics and state.
+// or 500 cycles later at the latest, the first fork is cloned from the
+// original; at the first cycle from forkAt on at which the skipping arm
+// has skipped retries of a stalled head that it has not counted yet, or
+// 500 cycles later at the latest, the second is cloned from the skipping
+// arm. Each fork is cloned through State/SetState into a partition that
+// has already ticked idle, and from then on gets the same input and is
+// ticked from its NextTick on too. The skipping arm and the forks must
+// reply in the original's order at the same cycles and, once settled,
+// end with identical statistics and state.
 func forkRun(t *testing.T, seed uint64, forkAt uint16, writePct uint8) forkCover {
 	t.Helper()
 	const (
@@ -86,26 +112,25 @@ func forkRun(t *testing.T, seed uint64, forkAt uint16, writePct uint8) forkCover
 		return r
 	}
 
-	var q *Partition
 	var cover forkCover
+	arms := []arm{{"skipping arm", skip}}
+	var forked, spanForked bool
 	for now := uint64(0); now < drainEnd; now++ {
-		if q == nil && now >= from && (richQueue(p, driverWrites) || now >= from+500) {
+		if !forked && now >= from && (richQueue(p, driverWrites) || now >= from+500) {
+			forked = true
 			cover.rich = richQueue(p, driverWrites)
-			q = NewPartition(0, c, 2)
-			q.Tick(0)
-			if err := q.SetState(p.State()); err != nil {
-				t.Fatal(err)
-			}
+			arms = append(arms, arm{"fork of the original", forkOf(t, c, p)})
 		}
-		arms := []*Partition{skip}
-		if q != nil {
-			arms = append(arms, q)
+		if !spanForked && now >= from && (skip.retryFrom != 0 && skip.retryFrom < now || now >= from+500) {
+			spanForked = true
+			cover.spanFork = skip.retryFrom != 0 && skip.retryFrom < now
+			arms = append(arms, arm{"fork of the skipping arm", forkOf(t, c, skip)})
 		}
 		if now < inputEnd && rng.IntN(4) != 0 {
 			v := next()
 			for _, a := range arms {
-				if a.CanAccept() != p.CanAccept() {
-					t.Fatalf("cycle %d: %s accepts %v, original %v", now, armName(a, skip), a.CanAccept(), p.CanAccept())
+				if a.p.CanAccept() != p.CanAccept() {
+					t.Fatalf("cycle %d: %s accepts %v, original %v", now, a.name, a.p.CanAccept(), p.CanAccept())
 				}
 			}
 			if p.CanAccept() {
@@ -118,7 +143,7 @@ func forkRun(t *testing.T, seed uint64, forkAt uint16, writePct uint8) forkCover
 				for _, a := range arms {
 					r2 := new(mem.Request)
 					*r2 = v
-					a.Enqueue(r2, now)
+					a.p.Enqueue(r2, now)
 				}
 			}
 		}
@@ -135,15 +160,19 @@ func forkRun(t *testing.T, seed uint64, forkAt uint16, writePct uint8) forkCover
 			}
 		}
 		for _, a := range arms {
-			if now >= a.NextTick() {
-				a.Tick(now)
+			if now < a.p.NextTick() {
+				continue
 			}
+			if a.p == skip {
+				cover.countSkips(skip, now)
+			}
+			a.p.Tick(now)
 		}
 		for {
 			want := p.PopResponse()
 			for _, a := range arms {
-				if got := a.PopResponse(); (got == nil) != (want == nil) || got != nil && *got != *want {
-					t.Fatalf("cycle %d: original replies %s, %s %s", now, reply(want), armName(a, skip), reply(got))
+				if got := a.p.PopResponse(); (got == nil) != (want == nil) || got != nil && *got != *want {
+					t.Fatalf("cycle %d: original replies %s, %s %s", now, reply(want), a.name, reply(got))
 				}
 			}
 			if want == nil {
@@ -151,30 +180,37 @@ func forkRun(t *testing.T, seed uint64, forkAt uint16, writePct uint8) forkCover
 			}
 		}
 	}
-	if q == nil {
-		t.Fatal("no fork taken")
+	if len(arms) != 3 {
+		t.Fatal("a fork was not taken")
 	}
-	for _, a := range []*Partition{skip, q} {
-		name := armName(a, skip)
-		if !reflect.DeepEqual(p.Apps, a.Apps) {
-			t.Fatalf("app stats differ:\n original %+v\n %s %+v", p.Apps, name, a.Apps)
+	cover.countSkips(skip, drainEnd)
+	p.Settle(drainEnd)
+	for _, a := range arms {
+		a.p.Settle(drainEnd)
+		if !reflect.DeepEqual(p.Apps, a.p.Apps) {
+			t.Fatalf("app stats differ:\n original %+v\n %s %+v", p.Apps, a.name, a.p.Apps)
 		}
-		if p.BusBusy != a.BusBusy || p.MSHRStalls != a.MSHRStalls {
+		if p.BusBusy != a.p.BusBusy || p.MSHRStalls != a.p.MSHRStalls {
 			t.Fatalf("bus busy/MSHR stalls: original %+v/%+v, %s %+v/%+v",
-				p.BusBusy, p.MSHRStalls, name, a.BusBusy, a.MSHRStalls)
+				p.BusBusy, p.MSHRStalls, a.name, a.p.BusBusy, a.p.MSHRStalls)
 		}
-		if !reflect.DeepEqual(p.State(), a.State()) {
-			t.Fatalf("drained partitions' states differ: original vs %s", name)
+		if !reflect.DeepEqual(p.State(), a.p.State()) {
+			t.Fatalf("drained partitions' states differ: original vs %s", a.name)
 		}
 	}
 	return cover
 }
 
-func armName(a, skip *Partition) string {
-	if a == skip {
-		return "skipping arm"
+// countSkips adds the retries that settling a up to upTo credits.
+func (c *forkCover) countSkips(a *Partition, upTo uint64) {
+	if a.retryFrom == 0 || upTo <= a.retryFrom {
+		return
 	}
-	return "fork"
+	if a.inq[0].Kind == mem.WriteReq {
+		c.writeSkips += upTo - a.retryFrom
+	} else {
+		c.readSkips += upTo - a.retryFrom
+	}
 }
 
 func reply(r *mem.Request) string {
@@ -196,14 +232,17 @@ var forkSeeds = []struct {
 }
 
 // FuzzPartitionForkMatches holds a partition cloned mid-run through
-// State/SetState, and a partition ticked only from its NextTick on, to
-// the original ticked every cycle: same replies in the same order at the
-// same cycles, same per-app statistics, same bus occupancy and MSHR
+// State/SetState, a partition ticked only from its NextTick on, and a
+// clone of the latter taken inside a stall span, to the original ticked
+// every cycle: same replies in the same order at the same cycles, same
+// per-app statistics (the L2's included), same bus occupancy and MSHR
 // stalls, same final state. Derived scheduler state that SetState fails
-// to rebuild from the snapshot makes the fork schedule differently and
+// to rebuild from the snapshot makes a fork schedule differently and
 // fails it; a NextTick later than the first cycle a Tick would act at
-// (past the scheduler's run-ahead horizon, or not lowered by Enqueue)
-// makes the skipping arm reply late and fails it.
+// (past the scheduler's run-ahead horizon, past an FR-FCFS issue that
+// lifts a stall, or not lowered by Enqueue) makes the skipping arm reply
+// late, and a skipped retry that Settle credits wrongly, or a snapshot
+// that drops one, makes its counters differ; both fail it.
 func FuzzPartitionForkMatches(f *testing.F) {
 	for _, s := range forkSeeds {
 		f.Add(s.seed, s.forkAt, s.writePct)
@@ -214,22 +253,36 @@ func FuzzPartitionForkMatches(f *testing.F) {
 }
 
 // TestForkSeedsForkRichQueues keeps the fuzz target's seed corpus
-// meaningful: every seed must fork with write-backs and row hits across
-// several banks in the FR-FCFS queue, and the corpus must stall the
-// input-queue head both as a read behind a full MSHR file and as a write
-// behind a full FR-FCFS queue.
+// meaningful: every seed must fork the original with write-backs and row
+// hits across several banks in the FR-FCFS queue and fork the skipping
+// arm inside a stall span; the corpus must stall the input-queue head
+// both as a read behind a full MSHR file and as a write behind a full
+// FR-FCFS queue, and make the skipping arm credit both skipped read
+// retries and skipped write retries.
 func TestForkSeedsForkRichQueues(t *testing.T) {
 	var mshrStalls, dramQStalls int
+	var readSkips, writeSkips uint64
 	for _, s := range forkSeeds {
 		c := forkRun(t, s.seed, s.forkAt, s.writePct)
 		if !c.rich {
 			t.Errorf("seed %+v forked on a queue without a write-back, a row hit or two banks", s)
 		}
+		if !c.spanFork {
+			t.Errorf("seed %+v forked the skipping arm outside a stall span", s)
+		}
 		mshrStalls += c.mshrStalls
 		dramQStalls += c.dramQStalls
+		readSkips += c.readSkips
+		writeSkips += c.writeSkips
 	}
 	if mshrStalls == 0 || dramQStalls == 0 {
 		t.Errorf("seeds stalled %d cycles on a full MSHR file and %d on a full FR-FCFS queue, want both > 0",
 			mshrStalls, dramQStalls)
 	}
+	if readSkips == 0 || writeSkips == 0 {
+		t.Errorf("skipping arm credited %d skipped read retries and %d skipped write retries, want both > 0",
+			readSkips, writeSkips)
+	}
+	t.Logf("stalls: %d read, %d write; skipped retries credited: %d read, %d write",
+		mshrStalls, dramQStalls, readSkips, writeSkips)
 }

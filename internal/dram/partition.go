@@ -135,9 +135,15 @@ type Partition struct {
 	events eventHeap
 
 	// nextTick is the first memory cycle at which Tick can change any of
-	// the partition's state: Tick recomputes it, Enqueue lowers it and
-	// SetState resets it.
+	// the partition's state beyond a stalled head's retry: Tick recomputes
+	// it, Enqueue lowers it and SetState resets it.
 	nextTick uint64
+
+	// retryFrom is the first memory cycle whose retry of a stalled
+	// input-queue head has not been counted yet (0 when the head is not
+	// stalled): the cycles before nextTick that the simulator skips are
+	// retries, which Settle credits in bulk.
+	retryFrom uint64
 
 	resp []*mem.Request // completed responses awaiting the return network
 
@@ -209,24 +215,52 @@ func (p *Partition) SetPool(pool *mem.Pool) { p.pool = pool }
 func (p *Partition) CanAccept() bool { return len(p.inq) < p.inqCap }
 
 // NextTick returns the first memory cycle at which Tick can change any
-// of the partition's state: a Tick at an earlier cycle is a no-op, so the
-// simulator skips it. It is the cycle after the last Tick while the input
-// queue holds a request (its head is probed every cycle) or refresh is
-// modeled (refresh fires on a wall-clock schedule); otherwise the earlier
-// of the next completion event and, with requests in the FR-FCFS queue,
-// the first cycle the scheduler's run-ahead horizon lets one issue;
-// MaxUint64 with nothing pending. Enqueue lowers it to the enqueue cycle.
+// of the partition's state beyond a stalled head's retry: a Tick at an
+// earlier cycle is a no-op or a retry that Settle credits, so the
+// simulator skips it. It is the cycle after the last Tick while refresh
+// is modeled (refresh fires on a wall-clock schedule) or the input queue
+// holds a head that may be accepted. When the queue is empty, or its head
+// is a read stalled on an L2 miss behind a full MSHR file or FR-FCFS
+// queue, or a write stalled on an L2 miss behind a full FR-FCFS queue, it
+// is the earlier of the next completion event and, with requests in the
+// FR-FCFS queue, the first cycle the scheduler's run-ahead horizon lets
+// one issue: only those can lift the stall. With nothing pending it is
+// MaxUint64.
 func (p *Partition) NextTick() uint64 { return p.nextTick }
 
 // Enqueue places a request arriving from the interconnect into the input
-// queue at memory cycle now. The caller must have checked CanAccept.
+// queue at memory cycle now. The caller must have checked CanAccept. A
+// request that becomes the head lowers NextTick to now; one queued behind
+// a head leaves it, since the head is either probed every cycle or
+// stalled, and a stalled head blocks the requests behind it.
 func (p *Partition) Enqueue(req *mem.Request, now uint64) {
 	if len(p.inq) >= p.inqCap {
 		panic("dram: Enqueue past capacity; caller must check CanAccept")
 	}
 	req.MemBorn = now
 	p.inq = append(p.inq, req)
-	p.nextTick = min(p.nextTick, now)
+	if len(p.inq) == 1 {
+		p.nextTick = min(p.nextTick, now)
+	}
+}
+
+// Settle counts the stalled head's retries of the skipped memory cycles
+// before upTo, exactly as Ticks at those cycles would have: a read retry
+// is one L2 access and miss for the head's app and one MSHR stall; a
+// write retry records nothing. Tick settles first; the simulator also
+// settles before it reads the partition's counters.
+func (p *Partition) Settle(upTo uint64) {
+	if p.retryFrom == 0 || upTo <= p.retryFrom {
+		return
+	}
+	n := upTo - p.retryFrom
+	p.retryFrom = upTo
+	req := p.inq[0]
+	if req.Kind == mem.WriteReq {
+		return
+	}
+	p.L2.RecordMisses(p.localAddr(req.LineAddr), req.App, n)
+	p.MSHRStalls.Add(n)
 }
 
 // PopResponse removes one completed read reply, or returns nil.
@@ -278,12 +312,21 @@ func (p *Partition) pushDRAM(req *mem.Request, local uint64) {
 
 // Tick advances the partition by one memory cycle.
 func (p *Partition) Tick(now uint64) {
+	p.Settle(now)
 	p.maybeRefresh(now)
 	p.drainEvents(now)
-	p.acceptOne(now)
+	stalled := p.acceptOne(now)
 	p.scheduleDRAM(now)
 
-	if len(p.inq) > 0 || p.cfg.Timing.TREFI > 0 {
+	// A stalled head retries identically every cycle until a completion
+	// event or an FR-FCFS issue lifts the stall; the issue may just have
+	// happened.
+	stalled = stalled && (len(p.dramQ) >= p.dramQCap || p.inq[0].Kind != mem.WriteReq && p.mshr.Full())
+	p.retryFrom = 0
+	if stalled {
+		p.retryFrom = now + 1
+	}
+	if len(p.inq) > 0 && !stalled || p.cfg.Timing.TREFI > 0 {
 		p.nextTick = now + 1
 		return
 	}
@@ -362,10 +405,12 @@ func (p *Partition) drainEvents(now uint64) {
 }
 
 // acceptOne dequeues at most one input request per memory cycle and probes
-// the L2. This matches the single tag-array port of the slice.
-func (p *Partition) acceptOne(now uint64) {
+// the L2. This matches the single tag-array port of the slice. It reports
+// whether the head stalled on an L2 miss behind a full MSHR file or
+// FR-FCFS queue.
+func (p *Partition) acceptOne(now uint64) (stalled bool) {
 	if len(p.inq) == 0 {
-		return
+		return false
 	}
 	req := p.inq[0]
 	app := req.App
@@ -378,36 +423,37 @@ func (p *Partition) acceptOne(now uint64) {
 		if p.L2.WriteProbe(local) {
 			p.popInq()
 			p.pool.Put(req) // absorbed by the L2: the message is dead
-			return
+			return false
 		}
 		if len(p.dramQ) >= p.dramQCap {
-			return // back-pressure: retry next cycle
+			return true // back-pressure: retry next cycle
 		}
 		p.pushDRAM(req, local)
 		p.popInq()
-		return
+		return false
 	}
 
 	// Read path: record the L2 access in the app's windowed stats.
 	if p.L2.Access(local, app) {
 		p.events.push(event{at: now + p.l2LatMem, kind: evL2Hit, req: req})
 		p.popInq()
-		return
+		return false
 	}
 	// L2 miss: merge into an existing MSHR entry if one is in flight.
 	if p.mshr.Append(req.LineAddr, req) {
 		p.popInq()
-		return
+		return false
 	}
 	if p.mshr.Full() || len(p.dramQ) >= p.dramQCap {
 		// Structural stall; the head request retries next cycle and
 		// back-pressure propagates to the interconnect.
 		p.MSHRStalls.Inc()
-		return
+		return true
 	}
 	p.mshr.Add(req.LineAddr, req)
 	p.pushDRAM(req, local)
 	p.popInq()
+	return false
 }
 
 func (p *Partition) popInq() {

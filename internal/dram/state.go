@@ -41,6 +41,11 @@ type PartitionState struct {
 	NextRefresh uint64
 	MSHRStalls  stats.Counter
 	BusBusy     stats.Counter
+	// RetryFrom is the first memory cycle whose retry of the stalled
+	// input-queue head is not counted yet (0 when the head is not
+	// stalled), captured raw: the restored partition's first Tick
+	// settles it.
+	RetryFrom uint64
 }
 
 // State returns the partition's snapshot. It aliases the partition's
@@ -58,6 +63,7 @@ func (p *Partition) State() PartitionState {
 		NextRefresh: p.nextRefresh,
 		MSHRStalls:  p.MSHRStalls,
 		BusBusy:     p.BusBusy,
+		RetryFrom:   p.retryFrom,
 	}
 	for _, r := range p.inq {
 		st.Inq = append(st.Inq, *r)
@@ -90,13 +96,17 @@ func (p *Partition) State() PartitionState {
 // over the array order. The decoded addresses beside the FR-FCFS queue
 // and in each event are derived state, recomputed here from the requests,
 // so the snapshot never carries them; NextTick restarts at 0, so the
-// restored partition ticks at once and recomputes it.
+// restored partition ticks at once, settles the retries the snapshot left
+// uncounted and recomputes it.
 func (p *Partition) SetState(st PartitionState) error {
 	if len(st.Banks) != len(p.banks) {
 		return fmt.Errorf("dram: partition %d state has %d banks, partition has %d", p.ID, len(st.Banks), len(p.banks))
 	}
 	if len(st.Apps) != len(p.Apps) {
 		return fmt.Errorf("dram: partition %d state has %d apps, partition has %d", p.ID, len(st.Apps), len(p.Apps))
+	}
+	if st.RetryFrom != 0 && len(st.Inq) == 0 {
+		return fmt.Errorf("dram: partition %d state has a stalled head's retries but no input queue", p.ID)
 	}
 	if err := p.L2.SetState(st.L2); err != nil {
 		return fmt.Errorf("dram: partition %d L2: %w", p.ID, err)
@@ -143,6 +153,7 @@ func (p *Partition) SetState(st PartitionState) error {
 	p.nextRefresh = st.NextRefresh
 	p.MSHRStalls = st.MSHRStalls
 	p.BusBusy = st.BusBusy
+	p.retryFrom = st.RetryFrom
 	p.nextTick = 0
 	return nil
 }

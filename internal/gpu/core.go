@@ -92,6 +92,10 @@ type Core struct {
 
 	bypassL1 bool
 
+	// room is the out-queue room the last Tick's cheapest abort on
+	// out-queue space needs (0 if no abort was on out-queue space).
+	room int
+
 	Stats CoreStats
 
 	// missBuf is scratch for the two-pass memory issue.
@@ -249,9 +253,10 @@ func (c *Core) HandleFill(lineAddr uint64) {
 // core is quiet: nothing issued and no wake-up is scheduled. A quiet
 // core's next Tick repeats this one exactly (same picks, same aborts),
 // and so does every later one until an external event touches the core:
-// a fill (HandleFill), an out-queue pop (PopRequest), a TLP or bypass
-// change, or a kernel phase switch on its warp streams. The simulator may
-// therefore skip a quiet core's ticks and credit them through CreditIdle.
+// a fill (HandleFill), an out-queue pop (PopRequest) that leaves the room
+// StallRoom reports, a TLP or bypass change, or a kernel phase switch on
+// its warp streams. The simulator may therefore skip a quiet core's ticks
+// and credit them through CreditIdle.
 func (c *Core) Tick(now uint64) (stalls int, quiet bool) {
 	if c.wheelBusy > 0 {
 		slot := now % wheelSize
@@ -266,6 +271,7 @@ func (c *Core) Tick(now uint64) (stalls int, quiet bool) {
 
 	issued := 0
 	anyActiveMemWait := false
+	c.room = 0
 	for si := range c.scheds {
 		s := &c.scheds[si]
 		act := s.activeMask(c.tlp)
@@ -282,11 +288,14 @@ func (c *Core) Tick(now uint64) (stalls int, quiet bool) {
 		} else {
 			pick = bits.TrailingZeros64(ready) // then oldest
 		}
-		if c.issue(s, pick, now) {
+		if ok, need := c.issue(s, pick, now); ok {
 			s.LastIssued = pick
 			issued++
 		} else {
 			stalls++
+			if need > 0 && (c.room == 0 || need < c.room) {
+				c.room = need
+			}
 		}
 	}
 
@@ -302,10 +311,19 @@ func (c *Core) Tick(now uint64) (stalls int, quiet bool) {
 	return stalls, issued == 0 && c.wheelBusy == 0
 }
 
+// StallRoom returns how many free out-queue slots the last Tick's
+// cheapest issue abort on out-queue space needs to go through, or 0 when
+// no abort was on out-queue space: every abort, if any, was on MSHR
+// capacity, which only a fill relieves. After a quiet Tick, an out-queue
+// pop makes the next Tick differ exactly when StallRoom() > 0 and
+// CanInject(StallRoom()) after the pop.
+func (c *Core) StallRoom() int { return c.room }
+
 // issue tries to issue the current instruction of the scheduler's warp at
 // local index li; it returns false on a structural stall (the warp stays
-// ready and will retry).
-func (c *Core) issue(s *scheduler, li int, now uint64) bool {
+// ready and will retry), with the out-queue room the instruction needs,
+// or 0 when it stalled on MSHR capacity.
+func (c *Core) issue(s *scheduler, li int, now uint64) (ok bool, need int) {
 	w := s.Base + li
 	stream := c.streams[w]
 	inst := stream.Current()
@@ -318,7 +336,7 @@ func (c *Core) issue(s *scheduler, li int, now uint64) bool {
 			c.sleep(w)
 			c.scheduleWake(w, now, delay)
 		}
-		return true
+		return true, 0
 	}
 
 	if inst.Write {
@@ -326,7 +344,7 @@ func (c *Core) issue(s *scheduler, li int, now uint64) bool {
 		// space but do not block the warp on completion.
 		if !c.CanInject(len(inst.Lines)) {
 			c.Stats.StallMSHR.Inc()
-			return false
+			return false, len(inst.Lines)
 		}
 		for _, line := range inst.Lines {
 			r := c.pool.Get()
@@ -336,7 +354,7 @@ func (c *Core) issue(s *scheduler, li int, now uint64) bool {
 		stream.Advance()
 		c.Stats.InstRetired.Inc()
 		c.Stats.MemInsts.Inc()
-		return true
+		return true, 0
 	}
 
 	// Load: classify each line (two passes so a structural stall leaves
@@ -353,9 +371,13 @@ func (c *Core) issue(s *scheduler, li int, now uint64) bool {
 		}
 	}
 	if newLines > 0 {
-		if c.mshr.Len()+newLines > c.mshr.Cap() || !c.CanInject(newLines) {
+		if c.mshr.Len()+newLines > c.mshr.Cap() {
 			c.Stats.StallMSHR.Inc()
-			return false
+			return false, 0
+		}
+		if !c.CanInject(newLines) {
+			c.Stats.StallMSHR.Inc()
+			return false, newLines
 		}
 	}
 
@@ -397,12 +419,12 @@ func (c *Core) issue(s *scheduler, li int, now uint64) bool {
 		// All hits: the warp waits out the L1 hit latency.
 		c.sleep(w)
 		c.scheduleWake(w, now, c.cfg.L1HitLatency)
-		return true
+		return true, 0
 	}
 	c.pendingFills[w] += fills
 	c.sleep(w)
 	s.MemWait |= uint64(1) << li
-	return true
+	return true, 0
 }
 
 // alu returns the issue-to-ready delay of a compute instruction for this

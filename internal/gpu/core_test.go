@@ -475,3 +475,113 @@ func TestSetStateRejectsSchedulerLayout(t *testing.T) {
 		t.Fatal("state with a shifted scheduler warp range restored")
 	}
 }
+
+// memOnly is a kernel whose every instruction is a memory access to
+// lines consecutive cache lines, all stores when store is set and all
+// loads otherwise.
+func memOnly(lines int, store bool) kernel.Params {
+	p := kernel.Params{
+		Name: "MEMONLY", Rm: 1, ALUDelay: 1, CoalesceLines: lines,
+		StepBytes: 128 * lines, PrivateWS: 1 << 20, Seed: 5,
+	}
+	if store {
+		p.WriteFrac = 1
+	}
+	return p
+}
+
+// roomCore builds a core whose first scheduler's warps run kernel a and
+// whose second's run kernel b, one active warp per scheduler, with an
+// L1 of mshrs MSHRs and an out-queue left with free empty slots.
+func roomCore(t *testing.T, mshrs int, a, b kernel.Params, free int) *Core {
+	t.Helper()
+	cfg := machine()
+	cfg.L1MSHRs = mshrs
+	if cfg.SchedulersPerCore != 2 {
+		t.Fatalf("machine has %d schedulers, want 2", cfg.SchedulersPerCore)
+	}
+	per := cfg.MaxWarpsPerCore / 2
+	streams := make([]*kernel.WarpStream, cfg.MaxWarpsPerCore)
+	for i := range streams {
+		p := &a
+		if i >= per {
+			p = &b
+		}
+		streams[i] = kernel.NewWarpStream(p, 0, i, cfg.L1.LineBytes)
+	}
+	c := NewCore(0, 0, cfg, streams, 1)
+	c.SetTLP(1)
+	for c.CanInject(free + 1) {
+		c.outq = append(c.outq, &mem.Request{Kind: mem.WriteReq})
+	}
+	return c
+}
+
+// TestStallRoom pins the room rule the simulator's out-queue wake reads:
+// StallRoom is the smallest out-queue room any of a Tick's aborts on
+// out-queue space needs, aborts on MSHR capacity need none (0), and a
+// Tick that issues reports 0.
+func TestStallRoom(t *testing.T) {
+	load4, load2, store3 := memOnly(4, false), memOnly(2, false), memOnly(3, true)
+	for _, tc := range []struct {
+		name       string
+		mshrs      int
+		a, b       kernel.Params
+		free, idle int // free out-queue slots; a scheduler with no ready warp (-1: none)
+		stalls     int
+		room       int
+	}{
+		{"load on MSHR capacity", 2, load4, load4, 0, -1, 2, 0},
+		{"load on out-queue", 64, load4, load4, 3, 1, 1, 4},
+		{"store", 64, store3, store3, 2, 0, 1, 3},
+		{"smaller need wins", 64, load4, load2, 1, -1, 2, 2},
+		{"smaller need wins, swapped", 64, load2, load4, 1, -1, 2, 2},
+		{"MSHR abort needs no room", 3, load4, load2, 1, -1, 2, 2},
+		{"store and load", 64, store3, load2, 1, -1, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := roomCore(t, tc.mshrs, tc.a, tc.b, tc.free)
+			if tc.idle >= 0 {
+				c.scheds[tc.idle].ReadyMask = 0
+			}
+			stalls, quiet := c.Tick(0)
+			if stalls != tc.stalls || !quiet {
+				t.Fatalf("stalls %d quiet %v, want %d true", stalls, quiet, tc.stalls)
+			}
+			if got := c.StallRoom(); got != tc.room {
+				t.Fatalf("StallRoom %d, want %d", got, tc.room)
+			}
+			if tc.room == 0 {
+				return
+			}
+			// Exactness: pops that leave less room change nothing, and
+			// the pop that leaves the room lets the next Tick issue.
+			for now := uint64(1); !c.CanInject(tc.room); now++ {
+				if s, q := c.Tick(now); s != stalls || !q || c.StallRoom() != tc.room {
+					t.Fatalf("cycle %d with %d free slots: stalls %d quiet %v room %d, want %d true %d",
+						now, c.outqCap-len(c.outq), s, q, c.StallRoom(), stalls, tc.room)
+				}
+				c.PopRequest()
+			}
+			before := c.Stats.InstRetired.Total()
+			if _, q := c.Tick(100); q || c.Stats.InstRetired.Total() == before {
+				t.Fatalf("tick after the pop that left room %d issued nothing", tc.room)
+			}
+		})
+	}
+}
+
+// TestStallRoomResetsOnIssue checks that a Tick that issues everywhere
+// drops the room an earlier stalled Tick reported.
+func TestStallRoomResetsOnIssue(t *testing.T) {
+	c := roomCore(t, 64, memOnly(4, false), memOnly(4, false), 1)
+	c.Tick(0)
+	if c.StallRoom() != 4 {
+		t.Fatalf("stalled tick reports room %d, want 4", c.StallRoom())
+	}
+	for c.PopRequest() != nil {
+	}
+	if stalls, _ := c.Tick(1); stalls != 0 || c.StallRoom() != 0 {
+		t.Fatalf("issuing tick: stalls %d, room %d, want 0 and 0", stalls, c.StallRoom())
+	}
+}

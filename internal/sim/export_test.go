@@ -47,6 +47,16 @@ func (s *Simulator) NetworkStates() (toMem, toCore icnt.NetworkState) {
 	return s.toMem.State(), s.toCore.State()
 }
 
+// SkipWork is what the engine's skips did over a simulator's runs:
+// partition Tick calls, and out-queue pops from a quiet core that woke
+// it or left it asleep.
+type SkipWork struct{ PartTicks, PopWakes, PopSleeps uint64 }
+
+func (s *Simulator) SkipWork() SkipWork {
+	w := &s.skipWork
+	return SkipWork{w.partTicks, w.popWakes, w.popSleeps}
+}
+
 // Snapshot and Restore expose the struct form behind SnapshotBytes and
 // RestoreBytes. A Snapshot aliases the simulator's live state.
 func (s *Simulator) Snapshot() (*EngineState, error) { return s.state() }

@@ -23,13 +23,15 @@ import (
 // window sample the manager saw (copied, since the engine reuses the Apps
 // buffer), and every core's, every memory partition's and both crossbar
 // directions' final state. The partition states carry the counters no
-// Result field reads (MSHRStalls, BusBusy).
+// Result field reads (MSHRStalls, BusBusy). work is what the skips did,
+// which sameRun does not compare.
 type run struct {
 	res           sim.Result
 	samples       []tlp.Sample
 	cores         []gpu.CoreState
 	parts         []dram.PartitionState
 	toMem, toCore icnt.NetworkState
+	work          sim.SkipWork
 }
 
 // refRun is a run description plus the one engine knob the draws vary
@@ -68,6 +70,7 @@ func execute(t *testing.T, rs refRun, build func(sim.Options) (*sim.Simulator, e
 	out.cores = s.CoreStates()
 	out.parts = s.PartitionStates()
 	out.toMem, out.toCore = s.NetworkStates()
+	out.work = s.SkipWork()
 	return out
 }
 
@@ -239,13 +242,17 @@ func withRefresh(rs spec.RunSpec, total uint64, trefi int) spec.RunSpec {
 
 // TestFastForwardMatchesReference is the differential test of the
 // engine's skips: per-core fast-forward of quiescent and issue-stalled
-// cores (the awake-core set), the injection pass's visit of queued cores
-// only, the partition skip before NextTick, and the crossbar polls before
-// NextReady. On drawn machines, workloads and every registered scheme
-// kind, the engine must match the always-tick reference on the Result,
-// every window sample, every core's final state (FastForward aside),
-// every partition's final state and both crossbars' state. A fork
-// restored at a drawn window boundary must match the straight run too.
+// cores (the awake-core set) and their wake by an out-queue pop only when
+// it leaves the room an aborted issue needs, the injection pass's visit
+// of queued cores only, the partition skip before NextTick (a stalled
+// input-queue head's retries included, credited by Settle), and the
+// crossbar polls before NextReady. On drawn machines, workloads and every
+// registered scheme kind, the engine must match the always-tick reference
+// on the Result, every window sample, every core's final state
+// (FastForward aside), every partition's final state and both crossbars'
+// state. A fork restored at a drawn window boundary must match the
+// straight run too. On the memory-bound Table I case the skips must be
+// seen to act, so the comparison cannot pass vacuously.
 func TestFastForwardMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(14, 2018))
 	draws := 4
@@ -282,6 +289,19 @@ func TestFastForwardMatchesReference(t *testing.T) {
 			}
 			if c.name == "phased-stall" && ff == 0 {
 				t.Fatal("no core was fast-forwarded: the case does not exercise the skip")
+			}
+			if c.name == "table1-machine" {
+				// The memory-bound case must show the skips acting:
+				// stalled partitions skipped, and quiet cores both woken
+				// and left asleep by out-queue pops.
+				if fast.work.PartTicks >= ref.work.PartTicks {
+					t.Fatalf("engine ticked partitions %d times, reference %d: no partition tick was skipped",
+						fast.work.PartTicks, ref.work.PartTicks)
+				}
+				if fast.work.PopWakes == 0 || fast.work.PopSleeps == 0 {
+					t.Fatalf("out-queue pops woke %d quiet cores and left %d asleep, want both > 0",
+						fast.work.PopWakes, fast.work.PopSleeps)
+				}
 			}
 			if err := forkMatches(t, c.rs, forkAt, fast); err != nil {
 				t.Fatal(err)

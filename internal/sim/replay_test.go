@@ -59,7 +59,8 @@ func loadCapture(tb testing.TB) *capture {
 
 // replay feeds the captured stream into a lone partition 0, ticking it on
 // the engine's schedule (every memory cycle from its NextTick on) and
-// draining its replies, and returns the partition after the last cycle.
+// draining its replies, and returns the partition after the last cycle,
+// settled.
 func (c *capture) replay() (*dram.Partition, error) {
 	p := dram.NewPartition(0, &c.cfg, c.apps)
 	pool := mem.NewPool()
@@ -85,16 +86,19 @@ func (c *capture) replay() (*dram.Partition, error) {
 	if len(recs) > 0 {
 		return nil, fmt.Errorf("%d requests left after the last memory cycle", len(recs))
 	}
+	p.Settle(c.end)
 	return p, nil
 }
 
-// totals is a partition's lifetime counters, window marks dropped: the
-// machine rolls its windows and the replay does not.
+// totals is a partition's lifetime counters, its L2's included, window
+// marks dropped: the machine rolls its windows and the replay does not.
 func totals(p *dram.Partition) []uint64 {
 	out := []uint64{p.BusBusy.Total(), p.MSHRStalls.Total(), p.Refreshes.Total()}
-	for _, a := range p.Apps {
+	for app, a := range p.Apps {
+		l2 := &p.L2.Stats[app]
 		out = append(out, a.BWBytes.Total(), a.RowHits.Total(), a.RowMisses.Total(),
-			a.DRAMReads.Total(), a.DRAMWrites.Total(), a.LatencySum.Total())
+			a.DRAMReads.Total(), a.DRAMWrites.Total(), a.LatencySum.Total(),
+			l2.Accesses.Total(), l2.Misses.Total())
 	}
 	return out
 }
@@ -110,6 +114,7 @@ func TestPartitionReplayMatchesMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.machine.Settle(c.end)
 	got, want := totals(p), totals(c.machine)
 	if !slices.Equal(got, want) {
 		t.Fatalf("replayed partition counters %v, machine's %v", got, want)

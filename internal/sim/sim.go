@@ -252,15 +252,17 @@ type Simulator struct {
 	// Idle fast-forward state: a quiet core (its last Tick issued nothing
 	// and left no wake-up scheduled) is not ticked; the cycles it would
 	// have spent idling are credited in bulk when an event that can change
-	// its next Tick (fill delivery, out-queue injection, TLP decision,
-	// kernel phase switch) wakes it, or a window boundary or snapshot
-	// reads its counters. awake holds the cores that are not quiet, and is
-	// the only live record of which are: the tick pass visits its members
-	// alone, and snapshots carry it as EngineState.CoreQuiet.
+	// its next Tick (fill delivery, an out-queue pop that leaves the room
+	// an aborted issue needs, TLP decision, kernel phase switch) wakes it,
+	// or a window boundary or snapshot reads its counters. awake holds the
+	// cores that are not quiet, and is the only live record of which are:
+	// the tick pass visits its members alone, and snapshots carry it as
+	// EngineState.CoreQuiet.
 	awake        coreSet
 	quietFrom    []uint64 // first skipped cycle
 	quietMemWait []bool   // ActiveMemWait sampled at quiescence entry
 	quietStalls  []int    // issue aborts per skipped cycle (Tick's stalls)
+	quietRoom    []int    // StallRoom sampled at quiescence entry
 
 	// queued holds the cores whose out-queue is non-empty, the only ones
 	// the injection pass visits. An out-queue grows only inside its core's
@@ -280,6 +282,11 @@ type Simulator struct {
 	// into a partition, with the memory cycle of its Enqueue. Only tests
 	// set it, to capture a partition's input stream for replay.
 	onEnqueue func(part int, memCycle uint64, req *mem.Request)
+
+	// skipWork counts what only tests read, to show the skips act:
+	// partition Tick calls, and out-queue pops from a quiet core that woke
+	// it or left it asleep.
+	skipWork struct{ partTicks, popWakes, popSleeps uint64 }
 
 	cycle    uint64
 	memCycle uint64
@@ -333,6 +340,7 @@ func New(opts Options) (*Simulator, error) {
 		quietFrom:      make([]uint64, cfg.NumCores),
 		quietMemWait:   make([]bool, cfg.NumCores),
 		quietStalls:    make([]int, cfg.NumCores),
+		quietRoom:      make([]int, cfg.NumCores),
 		queued:         newCoreSet(cfg.NumCores),
 		headDst:        make([]int, cfg.NumCores),
 		instAtLaunch:   make([]uint64, len(opts.Apps)),
@@ -548,6 +556,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 					s.quietFrom[ci] = now + 1
 					s.quietMemWait[ci] = c.ActiveMemWait()
 					s.quietStalls[ci] = stalls
+					s.quietRoom[ci] = c.StallRoom()
 				}
 			}
 		}
@@ -583,9 +592,15 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 				}
 				s.toMem.Push(dst, req, now)
 				s.coreInjectFree[ci] = now + uint64(req.Flits(s.cfg.IcntFlitSize, s.cfg.L1.LineBytes))
-				if s.quietStalls[ci] > 0 {
-					// The freed slot may let a stalled issue through.
-					s.wakeQuiet(ci, now+1)
+				if !s.awake.has(ci) {
+					// Wake the core only if the freed slot lets one of
+					// its aborted issues through.
+					if r := s.quietRoom[ci]; r > 0 && c.CanInject(r) {
+						s.wakeQuiet(ci, now+1)
+						s.skipWork.popWakes++
+					} else {
+						s.skipWork.popSleeps++
+					}
 				}
 			}
 		}
@@ -605,10 +620,12 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 						p.Enqueue(req, s.memCycle)
 					}
 				}
-				// Before its NextTick a partition's Tick changes nothing;
-				// skip it.
+				// Before its NextTick a partition's Tick changes nothing
+				// but a stalled head's retry, which Settle credits; skip
+				// it.
 				if s.reference || s.memCycle >= p.NextTick() {
 					p.Tick(s.memCycle)
+					s.skipWork.partTicks++
 				}
 			}
 			s.memCycle++
@@ -643,9 +660,12 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			addWork(now + 1 - counted)
 			counted = now + 1
 			// Settle fast-forwarded counters so the window telemetry is
-			// exact; quiescent cores stay skipped.
+			// exact; quiescent cores and stalled partitions stay skipped.
 			for ci := range s.cores {
 				s.creditQuiet(ci, now+1)
+			}
+			for _, p := range s.partitions {
+				p.Settle(s.memCycle)
 			}
 			sample := s.buildSample(now + 1)
 			d := s.opts.Manager.OnSample(sample)

@@ -16,7 +16,7 @@ import (
 // SnapshotVersion identifies the EngineState layout. Bump it whenever any
 // captured structure changes shape or meaning; stale checkpoints then
 // fail to restore and callers fall back to cold execution.
-const SnapshotVersion = 3
+const SnapshotVersion = 4
 
 // EngineState is the complete serializable state of a Simulator at a
 // cycle boundary: restoring it into a freshly constructed Simulator with
@@ -44,6 +44,7 @@ type EngineState struct {
 	QuietFrom      []uint64
 	QuietMemWait   []bool
 	QuietStalls    []int
+	QuietRoom      []int
 
 	Cur    tlp.Decision
 	Pend   *tlp.Decision // nil when no decision is in flight
@@ -73,8 +74,9 @@ type EngineState struct {
 }
 
 // state captures the simulator's complete state. It never mutates the
-// simulator (pending idle credits, TLP accumulators, and window marks are
-// captured raw), so taking snapshots cannot perturb a run's results.
+// simulator (pending idle credits, skipped partition retries, TLP
+// accumulators, and window marks are captured raw), so taking snapshots
+// cannot perturb a run's results.
 // Valid after RunContext returns (the state resumes at the cycle the run
 // stopped at) and inside a CkptSink callback (the state resumes at the
 // first cycle of the next window). It fails if the TLP manager does not
@@ -107,6 +109,7 @@ func (s *Simulator) state() (*EngineState, error) {
 		QuietFrom:      s.quietFrom,
 		QuietMemWait:   s.quietMemWait,
 		QuietStalls:    s.quietStalls,
+		QuietRoom:      s.quietRoom,
 		Cur:            s.curDecision,
 		Pend:           s.pendDecision,
 		PendAt:         s.pendAt,
@@ -171,7 +174,8 @@ func (s *Simulator) setState(st *EngineState) error {
 	}
 	if len(st.CoreInjectFree) != len(s.cores) || len(st.CoreQuiet) != len(s.cores) ||
 		len(st.QuietFrom) != len(s.cores) || len(st.QuietMemWait) != len(s.cores) ||
-		len(st.QuietStalls) != len(s.cores) || len(st.PartRespFree) != len(s.partitions) {
+		len(st.QuietStalls) != len(s.cores) || len(st.QuietRoom) != len(s.cores) ||
+		len(st.PartRespFree) != len(s.partitions) {
 		return fmt.Errorf("sim: snapshot per-core/per-partition vectors have wrong length")
 	}
 	if st.Warm != nil && len(st.Warm) != numApps {
@@ -234,6 +238,7 @@ func (s *Simulator) setState(st *EngineState) error {
 	copy(s.quietFrom, st.QuietFrom)
 	copy(s.quietMemWait, st.QuietMemWait)
 	copy(s.quietStalls, st.QuietStalls)
+	copy(s.quietRoom, st.QuietRoom)
 	copy(s.instAtLaunch, st.InstAtLaunch)
 	copy(s.kernels, st.Kernels)
 	copy(s.tlpAccum, st.TLPAccum)
