@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -50,8 +51,9 @@ import (
 // layout or the key derivation changes. Engine changes are already
 // covered: the prefix key also folds in simcache.SchemaVersion (bumped
 // with the goldens) and sim.SnapshotVersion (bumped with the engine's
-// encoded state), so a store written by an older engine misses.
-const SchemaVersion = 2
+// encoded state), so a store written by an older engine misses, and Open
+// removes its files (see derivation).
+const SchemaVersion = 3
 
 // DefaultEvery is the write cadence: one checkpoint every this many
 // sampling windows (plus the run-end window, which makes re-running
@@ -89,7 +91,7 @@ func prefixKeyAt(rs spec.RunSpec, snapshotVersion int) string {
 
 // On-disk envelope ("EBCK" format, documented in DESIGN.md §11):
 //
-//	magic "EBCK" | SchemaVersion u8 | key len u8 | key bytes |
+//	magic "EBCK" | derivation (3 × u8) | key len u8 | key bytes |
 //	window u64 BE | payload len u64 BE | payload | FNV-1a u64 BE
 //
 // The trailing checksum covers every preceding byte, so a torn rename
@@ -97,10 +99,20 @@ func prefixKeyAt(rs spec.RunSpec, snapshotVersion int) string {
 // ladder treats as "try the next-deepest checkpoint".
 const envelopeMagic = "EBCK"
 
+// derivation is the header's version triple: SchemaVersion,
+// simcache.SchemaVersion and sim.SnapshotVersion, the three versions
+// PrefixKey folds in. A file whose header carries any other triple was
+// written under another key derivation and is never read again.
+var derivation = [3]byte{SchemaVersion, simcache.SchemaVersion, sim.SnapshotVersion}
+
+// headerLen is the length of the magic and the derivation.
+const headerLen = len(envelopeMagic) + len(derivation)
+
 func encodeEnvelope(key string, window uint64, payload []byte) []byte {
-	b := make([]byte, 0, len(envelopeMagic)+2+len(key)+16+len(payload)+8)
+	b := make([]byte, 0, headerLen+1+len(key)+16+len(payload)+8)
 	b = append(b, envelopeMagic...)
-	b = append(b, SchemaVersion, byte(len(key)))
+	b = append(b, derivation[:]...)
+	b = append(b, byte(len(key)))
 	b = append(b, key...)
 	b = binary.BigEndian.AppendUint64(b, window)
 	b = binary.BigEndian.AppendUint64(b, uint64(len(payload)))
@@ -110,26 +122,33 @@ func encodeEnvelope(key string, window uint64, payload []byte) []byte {
 	return binary.BigEndian.AppendUint64(b, h.Sum64())
 }
 
+// foreign reports whether a header was written under another key
+// derivation: the magic matches and the version triple does not.
+func foreign(header []byte) bool {
+	return len(header) >= headerLen && string(header[:4]) == envelopeMagic &&
+		string(header[4:headerLen]) != string(derivation[:])
+}
+
 func decodeEnvelope(b []byte) (key string, window uint64, payload []byte, err error) {
 	fail := func(why string) (string, uint64, []byte, error) {
 		return "", 0, nil, fmt.Errorf("ckpt: corrupt envelope: %s", why)
 	}
-	if len(b) < len(envelopeMagic)+2+16+8 {
+	if len(b) < headerLen+1+16+8 {
 		return fail("short file")
 	}
 	if string(b[:4]) != envelopeMagic {
 		return fail("bad magic")
 	}
-	if b[4] != SchemaVersion {
-		return fail(fmt.Sprintf("version %d", b[4]))
+	if foreign(b) {
+		return fail(fmt.Sprintf("derivation %v", b[4:headerLen]))
 	}
 	h := fnv.New64a()
 	h.Write(b[:len(b)-8])
 	if binary.BigEndian.Uint64(b[len(b)-8:]) != h.Sum64() {
 		return fail("checksum mismatch")
 	}
-	keyLen := int(b[5])
-	rest := b[6 : len(b)-8]
+	keyLen := int(b[headerLen])
+	rest := b[headerLen+1 : len(b)-8]
 	if len(rest) < keyLen+16 {
 		return fail("short header")
 	}
@@ -152,7 +171,7 @@ type Stats struct {
 	Forks        uint64 // runs started from a restored checkpoint
 	Corrupt      uint64 // unreadable/torn/foreign entries skipped
 	WriteFails   uint64 // persist attempts that failed after retries
-	Evictions    uint64 // files removed to honour the byte cap
+	Evictions    uint64 // files removed to honour the byte cap, or by Open as foreign
 	BytesWritten uint64 // envelope bytes persisted
 }
 
@@ -179,12 +198,31 @@ type Store struct {
 }
 
 // Open returns a store rooted at dir, creating it if needed, with the
-// default write cadence.
+// default write cadence. It removes, as evictions, the files written under
+// another key derivation, which this build never reads; a file too short
+// for a header, or without the magic, is left to the read ladder.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	return &Store{dir: dir, every: DefaultEvery}, nil
+	st := &Store{dir: dir, every: DefaultEvery}
+	ents, _ := os.ReadDir(dir) // unreadable: nothing to reclaim
+	header := make([]byte, headerLen)
+	for _, e := range ents {
+		if !strings.HasSuffix(e.Name(), ".ckpt") {
+			continue
+		}
+		f, err := os.Open(filepath.Join(dir, e.Name()))
+		if err != nil {
+			continue
+		}
+		n, _ := io.ReadFull(f, header)
+		f.Close()
+		if foreign(header[:n]) && os.Remove(f.Name()) == nil {
+			st.evictions.Add(1)
+		}
+	}
+	return st, nil
 }
 
 // Dir returns the store root ("" for a nil store).

@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -306,6 +308,74 @@ func TestStaleSnapshotVersionStoreForksAgain(t *testing.T) {
 		if after.Corrupt != 0 {
 			t.Fatalf("run %d: stale checkpoints were read (stats %+v)", run+1, after)
 		}
+	}
+}
+
+// TestOpenReclaimsForeignDerivations: checkpoint files written under
+// another key derivation are never read again, so Open removes them and
+// counts each as an eviction. That covers the previous EBCK schema
+// (whose header carried one version byte) and a current-schema file from
+// an engine with another snapshot layout. Current files stay, and so
+// does a torn one, which is the read ladder's to skip.
+func TestOpenReclaimsForeignDerivations(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "0123456789abcdef"
+	for w := uint64(1); w <= 2; w++ {
+		if err := st.Put(key, w, []byte("current")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seal := func(b []byte) []byte {
+		h := fnv.New64a()
+		h.Write(b)
+		return binary.BigEndian.AppendUint64(b, h.Sum64())
+	}
+	// The schema-2 envelope: magic | version u8 | key len u8 | key |
+	// window | payload len | payload | checksum.
+	v2 := append([]byte(envelopeMagic), 2, byte(len(key)))
+	v2 = append(v2, key...)
+	v2 = binary.BigEndian.AppendUint64(v2, 1)
+	v2 = binary.BigEndian.AppendUint64(v2, 3)
+	v2 = seal(append(v2, "old"...))
+	staleSnap := encodeEnvelope(key, 1, []byte("stale"))
+	staleSnap = staleSnap[:len(staleSnap)-8]
+	staleSnap[headerLen-1]-- // sim.SnapshotVersion - 1
+	staleSnap = seal(staleSnap)
+	for name, b := range map[string][]byte{
+		"aaaaaaaaaaaaaaaa-w000001.ckpt": v2,
+		"bbbbbbbbbbbbbbbb-w000001.ckpt": staleSnap,
+		"cccccccccccccccc-w000001.ckpt": []byte("torn"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := st2.Stats().Evictions; ev != 2 {
+		t.Fatalf("Open evicted %d files, want 2 (stats %+v)", ev, st2.Stats())
+	}
+	var left []string
+	for _, f := range ckptFiles(t, dir) {
+		left = append(left, filepath.Base(f))
+	}
+	want := []string{st.Path(key, 1), st.Path(key, 2), filepath.Join(dir, "cccccccccccccccc-w000001.ckpt")}
+	for i := range want {
+		want[i] = filepath.Base(want[i])
+	}
+	sort.Strings(want)
+	if !reflect.DeepEqual(left, want) {
+		t.Fatalf("files after re-Open %v, want %v", left, want)
+	}
+	if p, _, ok := st2.Best(key, 2); !ok || string(p) != "current" {
+		t.Fatalf("current checkpoint lost: ok %v payload %q", ok, p)
 	}
 }
 

@@ -49,8 +49,8 @@ type CoreStats struct {
 	IdleCycles   stats.Counter // cycles with no issue: no ready active warp, or every one stalled
 	MemStall     stats.Counter // idle cycles where an active warp waited on memory
 	StallMSHR    stats.Counter // issue aborts due to full MSHRs/inject queue
-	// FastForward counts the idle cycles credited in bulk (CreditIdle)
-	// instead of ticked: cycles of a core with no issuable warp, or whose
+	// FastForward counts the cycles of a quiet span that Settle credited
+	// instead of Tick: cycles of a core with no issuable warp, or whose
 	// every ready scheduler stalls on MSHR or out-queue space. It is the
 	// one counter the fast-forward changes; every other counter reads as
 	// if each of those cycles had been ticked.
@@ -67,6 +67,16 @@ func (cs *CoreStats) NewWindow() {
 	cs.MemStall.NewWindow()
 	cs.StallMSHR.NewWindow()
 	cs.FastForward.NewWindow()
+}
+
+// quietSpan is the stretch of cycles a quiet Tick (see Tick) would repeat
+// exactly: open from the cycle after that Tick until Wake. Its fields are
+// exported so that engine checkpoints encode it as is.
+type quietSpan struct {
+	Open    bool
+	From    uint64 // first cycle not yet credited
+	MemWait bool   // an active warp waits on a fill: every cycle is a memory stall
+	Stalls  int    // issue aborts per cycle
 }
 
 // Core is one streaming multiprocessor running warps of a single
@@ -95,6 +105,8 @@ type Core struct {
 	// room is the out-queue room the last Tick's cheapest abort on
 	// out-queue space needs (0 if no abort was on out-queue space).
 	room int
+
+	span quietSpan
 
 	Stats CoreStats
 
@@ -248,16 +260,16 @@ func (c *Core) HandleFill(lineAddr uint64) {
 }
 
 // Tick advances the core by one cycle: wake-ups, then one issue attempt
-// per scheduler. It returns how many of those attempts aborted on a
-// structural stall (MSHR capacity or out-queue space), and whether the
-// core is quiet: nothing issued and no wake-up is scheduled. A quiet
-// core's next Tick repeats this one exactly (same picks, same aborts),
-// and so does every later one until an external event touches the core:
-// a fill (HandleFill), an out-queue pop (PopRequest) that leaves the room
-// StallRoom reports, a TLP or bypass change, or a kernel phase switch on
-// its warp streams. The simulator may therefore skip a quiet core's ticks
-// and credit them through CreditIdle.
-func (c *Core) Tick(now uint64) (stalls int, quiet bool) {
+// per scheduler. It reports whether the core is quiet: nothing issued and
+// no wake-up is scheduled. A quiet core's every later Tick repeats this one
+// exactly (same picks, same aborts) until an external event touches it: a
+// fill (HandleFill), an out-queue pop after which Unblocked holds, a TLP or
+// bypass change, or a kernel phase switch on its warp streams. So a quiet
+// Tick opens a span from the next cycle. A caller that skips the span's
+// ticks credits them with Settle and ends the span with Wake before it
+// ticks the core again; a core ticked every cycle needs neither, since
+// each Tick replaces the span.
+func (c *Core) Tick(now uint64) (quiet bool) {
 	if c.wheelBusy > 0 {
 		slot := now % wheelSize
 		if list := c.wheel[slot]; len(list) > 0 {
@@ -269,14 +281,14 @@ func (c *Core) Tick(now uint64) (stalls int, quiet bool) {
 		}
 	}
 
-	issued := 0
-	anyActiveMemWait := false
+	issued, stalls := 0, 0
+	memWait := false
 	c.room = 0
 	for si := range c.scheds {
 		s := &c.scheds[si]
 		act := s.activeMask(c.tlp)
 		if s.MemWait&act != 0 {
-			anyActiveMemWait = true
+			memWait = true
 		}
 		ready := s.ReadyMask & act
 		if ready == 0 {
@@ -304,20 +316,53 @@ func (c *Core) Tick(now uint64) (stalls int, quiet bool) {
 		c.Stats.ActiveCycles.Inc()
 	} else {
 		c.Stats.IdleCycles.Inc()
-		if anyActiveMemWait {
+		if memWait {
 			c.Stats.MemStall.Inc()
 		}
 	}
-	return stalls, issued == 0 && c.wheelBusy == 0
+	quiet = issued == 0 && c.wheelBusy == 0
+	if quiet {
+		c.span = quietSpan{Open: true, From: now + 1, MemWait: memWait, Stalls: stalls}
+	} else {
+		c.span = quietSpan{}
+	}
+	return quiet
 }
 
-// StallRoom returns how many free out-queue slots the last Tick's
-// cheapest issue abort on out-queue space needs to go through, or 0 when
-// no abort was on out-queue space: every abort, if any, was on MSHR
-// capacity, which only a fill relieves. After a quiet Tick, an out-queue
-// pop makes the next Tick differ exactly when StallRoom() > 0 and
-// CanInject(StallRoom()) after the pop.
-func (c *Core) StallRoom() int { return c.room }
+// Quiet reports whether the core has an open quiet span.
+func (c *Core) Quiet() bool { return c.span.Open }
+
+// Unblocked reports whether the out-queue has the room the last Tick's
+// cheapest issue abort on out-queue space needs; false when no abort was
+// on out-queue space (MSHR capacity only a fill relieves). After a quiet
+// Tick, a pop makes the next Tick differ exactly when Unblocked holds.
+func (c *Core) Unblocked() bool { return c.room > 0 && c.CanInject(c.room) }
+
+// Settle credits the open quiet span's cycles before upTo exactly as that
+// many quiet Ticks would have: each is an idle cycle, a memory stall when
+// an active warp waits on a fill, and the span's issue aborts. The span
+// stays open from upTo.
+func (c *Core) Settle(upTo uint64) {
+	sp := &c.span
+	if !sp.Open || upTo <= sp.From {
+		return
+	}
+	n := upTo - sp.From
+	c.Stats.IdleCycles.Add(n)
+	c.Stats.FastForward.Add(n)
+	if sp.MemWait {
+		c.Stats.MemStall.Add(n)
+	}
+	c.Stats.StallMSHR.Add(n * uint64(sp.Stalls))
+	sp.From = upTo
+}
+
+// Wake settles the quiet span up to upTo and ends it: the core is ticked
+// again from upTo on.
+func (c *Core) Wake(upTo uint64) {
+	c.Settle(upTo)
+	c.span = quietSpan{}
+}
 
 // issue tries to issue the current instruction of the scheduler's warp at
 // local index li; it returns false on a structural stall (the warp stays
@@ -450,32 +495,6 @@ func waitersContain(xs []int32, x int32) bool {
 		}
 	}
 	return false
-}
-
-// ActiveMemWait reports whether any warp inside the active TLP window is
-// blocked on memory. During a quiet span (see Tick) this predicate is
-// invariant, so the simulator samples it once when the core goes quiet.
-func (c *Core) ActiveMemWait() bool {
-	for si := range c.scheds {
-		s := &c.scheds[si]
-		if s.MemWait&s.activeMask(c.tlp) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// CreditIdle accounts n fast-forwarded cycles exactly as n quiet Tick
-// calls would have: each is an idle cycle, a memory stall when an active
-// warp was blocked on a fill, and stalls issue aborts (the count the
-// quiet Tick returned).
-func (c *Core) CreditIdle(n uint64, memWait bool, stalls int) {
-	c.Stats.IdleCycles.Add(n)
-	c.Stats.FastForward.Add(n)
-	if memWait {
-		c.Stats.MemStall.Add(n)
-	}
-	c.Stats.StallMSHR.Add(n * uint64(stalls))
 }
 
 // NewWindow starts a new sampling window on the core and L1 counters.

@@ -328,80 +328,149 @@ func TestPeekPopFIFO(t *testing.T) {
 func stallCore(t *testing.T, c *Core, drain bool) (stalls int, next uint64) {
 	t.Helper()
 	for now := uint64(0); now < 2000; now++ {
-		stalls, quiet := c.Tick(now)
+		quiet := c.Tick(now)
 		if drain {
 			for c.PopRequest() != nil {
 			}
 		}
-		if quiet && stalls > 0 {
-			return stalls, now + 1
+		if quiet && c.span.Stalls > 0 {
+			return c.span.Stalls, now + 1
 		}
 	}
 	t.Fatal("core never stalled")
 	return 0, 0
 }
 
-// TestCreditIdleMatchesStalledTicks pins the stall fast-forward contract:
-// on a core stalled at issue, n Ticks leave exactly the state of one Tick
-// followed by CreditIdle(n-1, ...) with the Tick's stall count; only the
-// FastForward counter differs.
-func TestCreditIdleMatchesStalledTicks(t *testing.T) {
+// stalledPair builds two identical cores stalled at issue on the given
+// cause (MSHR capacity when drain is set, out-queue space otherwise), each
+// with its quiet span open from next.
+func stalledPair(t *testing.T, mshrs, tlp int, drain bool) (a, b *Core, stalls int, next uint64) {
+	t.Helper()
+	a, b = stallReadyCore(t, mshrs), stallReadyCore(t, mshrs)
+	a.SetTLP(tlp)
+	b.SetTLP(tlp)
+	stalls, next = stallCore(t, a, drain)
+	if s2, n2 := stallCore(t, b, drain); s2 != stalls || n2 != next {
+		t.Fatalf("identical cores stalled differently: %d@%d vs %d@%d", stalls, next, s2, n2)
+	}
+	if mshrFull, outqFull := a.OutstandingMisses() == mshrs, !a.CanInject(1); mshrFull != drain || outqFull == drain {
+		t.Fatalf("stall cause: %d of %d MSHRs in use, %d requests queued",
+			a.OutstandingMisses(), mshrs, a.PendingRequests())
+	}
+	return a, b, stalls, next
+}
+
+// stallReadyCore builds a fresh core with mshrs L1 MSHRs whose warps load
+// distinct lines, so that every load allocates an MSHR.
+func stallReadyCore(t *testing.T, mshrs int) *Core {
+	t.Helper()
 	p := memHeavy()
 	p.WriteFrac = 0
-	p.PrivRandom = 1 // distinct lines per warp: every load allocates an MSHR
-	for _, tc := range []struct {
-		name  string
-		mshrs int
-		tlp   int // active warps per scheduler; both cases exceed the resource
-		drain bool
-	}{
-		{"mshr-capacity", 4, 8, true},
-		{"outq-full", 64, 24, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := machine()
-			cfg.L1MSHRs = tc.mshrs
-			ticked, credited := newCore(t, cfg, p), newCore(t, cfg, p)
-			ticked.SetTLP(tc.tlp)
-			credited.SetTLP(tc.tlp)
-			stalls, now := stallCore(t, ticked, tc.drain)
-			if s2, n2 := stallCore(t, credited, tc.drain); s2 != stalls || n2 != now {
-				t.Fatalf("identical cores stalled differently: %d@%d vs %d@%d", stalls, now, s2, n2)
-			}
-			if mshrFull, outqFull := ticked.OutstandingMisses() == tc.mshrs, !ticked.CanInject(1); mshrFull != tc.drain || outqFull == tc.drain {
-				t.Fatalf("stall cause: %d of %d MSHRs in use, %d requests queued",
-					ticked.OutstandingMisses(), tc.mshrs, ticked.PendingRequests())
-			}
+	p.PrivRandom = 1
+	cfg := machine()
+	cfg.L1MSHRs = mshrs
+	return newCore(t, cfg, p)
+}
 
+// stallCases are the two stall causes: both exceed the resource with the
+// active warps per scheduler they set.
+var stallCases = []struct {
+	name  string
+	mshrs int
+	tlp   int
+	drain bool
+}{
+	{"mshr-capacity", 4, 8, true},
+	{"outq-full", 64, 24, false},
+}
+
+// sameCore reports whether two cores hold identical state and warp
+// streams, FastForward aside when ignoreFF is set.
+func sameCore(t *testing.T, a, b *Core, ignoreFF bool) {
+	t.Helper()
+	sa, sb := a.State(), b.State()
+	if ignoreFF {
+		sa.Stats.FastForward, sb.Stats.FastForward = stats.Counter{}, stats.Counter{}
+	}
+	if !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("cores diverged:\n a: %+v span %+v room %d\n b: %+v span %+v room %d",
+			sa.Stats, sa.Span, sa.Room, sb.Stats, sb.Span, sb.Room)
+	}
+	for w := range a.streams {
+		if !reflect.DeepEqual(a.streams[w].State(), b.streams[w].State()) {
+			t.Fatalf("warp %d stream diverged", w)
+		}
+	}
+}
+
+// TestSettleMatchesQuietTicks pins the quiet-span contract: on a core
+// stalled at issue, n Ticks leave exactly the state of one Tick followed
+// by Settle over the next n-1 cycles, the open span included; only the
+// FastForward counter differs.
+func TestSettleMatchesQuietTicks(t *testing.T) {
+	for _, tc := range stallCases {
+		t.Run(tc.name, func(t *testing.T) {
+			ticked, settled, stalls, now := stalledPair(t, tc.mshrs, tc.tlp, tc.drain)
 			const n = 50
 			for i := uint64(0); i < n; i++ {
-				if s, quiet := ticked.Tick(now + i); !quiet || s != stalls {
-					t.Fatalf("stalled tick %d: stalls %d quiet %v, want %d true", i, s, quiet, stalls)
+				if quiet := ticked.Tick(now + i); !quiet || ticked.span.Stalls != stalls {
+					t.Fatalf("stalled tick %d: stalls %d quiet %v, want %d true", i, ticked.span.Stalls, quiet, stalls)
 				}
 			}
-			credited.Tick(now)
-			credited.CreditIdle(n-1, credited.ActiveMemWait(), stalls)
-
-			if got := credited.Stats.FastForward.Total(); got != n-1 {
+			settled.Tick(now)
+			settled.Settle(now + n)
+			if got := settled.Stats.FastForward.Total(); got != n-1 {
 				t.Fatalf("FastForward %d, want %d", got, n-1)
 			}
-			a, b := ticked.State(), credited.State()
-			a.Stats.FastForward, b.Stats.FastForward = stats.Counter{}, stats.Counter{}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("credited core diverged from ticked core:\nticked:   %+v\ncredited: %+v", a.Stats, b.Stats)
+			if !settled.Quiet() || settled.span.From != now+n {
+				t.Fatalf("settled span %+v, want open from %d", settled.span, now+n)
 			}
-			for w := range ticked.streams {
-				if !reflect.DeepEqual(ticked.streams[w].State(), credited.streams[w].State()) {
-					t.Fatalf("warp %d stream diverged", w)
+			sameCore(t, ticked, settled, true)
+		})
+	}
+}
+
+// TestQuietSpanSurvivesFork forks a core mid-span through State and
+// SetState into a fresh core: settled to the same cycle, the fork and the
+// original hold identical state and Stats, FastForward included, and
+// both wake unblocked by the same pop.
+func TestQuietSpanSurvivesFork(t *testing.T) {
+	for _, tc := range stallCases {
+		t.Run(tc.name, func(t *testing.T) {
+			orig, _, _, now := stalledPair(t, tc.mshrs, tc.tlp, tc.drain)
+			orig.Settle(now + 7) // a span already partly credited
+			fork := stallReadyCore(t, tc.mshrs)
+			if err := fork.SetState(orig.State()); err != nil {
+				t.Fatal(err)
+			}
+			for w := range orig.streams {
+				fork.streams[w].SetState(orig.streams[w].State())
+			}
+			orig.Settle(now + 40)
+			fork.Settle(now + 40)
+			if !fork.Quiet() || fork.Stats.FastForward.Total() != 40 {
+				t.Fatalf("fork quiet %v FastForward %d, want true 40", fork.Quiet(), fork.Stats.FastForward.Total())
+			}
+			sameCore(t, orig, fork, false)
+			if tc.drain {
+				return // an MSHR stall: only a fill unblocks it
+			}
+			for !orig.Unblocked() {
+				orig.PopRequest()
+				if fork.PopRequest(); fork.Unblocked() != orig.Unblocked() {
+					t.Fatal("fork and original disagree on the pop that unblocks them")
 				}
 			}
+			orig.Wake(now + 41)
+			fork.Wake(now + 41)
+			sameCore(t, orig, fork, false)
 		})
 	}
 }
 
 func TestTickNotQuietWhenIssuingOrWheelBusy(t *testing.T) {
 	cfg := machine()
-	if _, quiet := newCore(t, cfg, computeOnly()).Tick(0); quiet {
+	if quiet := newCore(t, cfg, computeOnly()).Tick(0); quiet {
 		t.Fatal("a tick that issued reported quiet")
 	}
 	p := computeOnly()
@@ -410,12 +479,12 @@ func TestTickNotQuietWhenIssuingOrWheelBusy(t *testing.T) {
 	c.SetTLP(1)
 	c.Tick(0) // each scheduler's one warp issues, then sleeps for 4 cycles
 	before := c.Stats.IssuedSlots.Total()
-	stalls, quiet := c.Tick(1)
+	quiet := c.Tick(1)
 	if c.Stats.IssuedSlots.Total() != before {
 		t.Fatal("a sleeping warp issued")
 	}
-	if quiet || stalls != 0 {
-		t.Fatalf("tick with wake-ups scheduled: stalls %d quiet %v, want 0 false", stalls, quiet)
+	if quiet || c.Quiet() {
+		t.Fatalf("tick with wake-ups scheduled: quiet %v, span %+v, want neither", quiet, c.span)
 	}
 }
 
@@ -517,10 +586,11 @@ func roomCore(t *testing.T, mshrs int, a, b kernel.Params, free int) *Core {
 	return c
 }
 
-// TestStallRoom pins the room rule the simulator's out-queue wake reads:
-// StallRoom is the smallest out-queue room any of a Tick's aborts on
-// out-queue space needs, aborts on MSHR capacity need none (0), and a
-// Tick that issues reports 0.
+// TestStallRoom pins the room rule behind Unblocked, which the
+// simulator's out-queue wake reads: the room is the smallest out-queue
+// room any of a Tick's aborts on out-queue space needs, aborts on MSHR
+// capacity need none (0, never unblocked by a pop), and a Tick that
+// issues reports 0.
 func TestStallRoom(t *testing.T) {
 	load4, load2, store3 := memOnly(4, false), memOnly(2, false), memOnly(3, true)
 	for _, tc := range []struct {
@@ -544,27 +614,36 @@ func TestStallRoom(t *testing.T) {
 			if tc.idle >= 0 {
 				c.scheds[tc.idle].ReadyMask = 0
 			}
-			stalls, quiet := c.Tick(0)
+			quiet := c.Tick(0)
+			stalls := c.span.Stalls
 			if stalls != tc.stalls || !quiet {
 				t.Fatalf("stalls %d quiet %v, want %d true", stalls, quiet, tc.stalls)
 			}
-			if got := c.StallRoom(); got != tc.room {
-				t.Fatalf("StallRoom %d, want %d", got, tc.room)
+			if got := c.room; got != tc.room {
+				t.Fatalf("room %d, want %d", got, tc.room)
 			}
 			if tc.room == 0 {
+				for c.PopRequest() != nil {
+				}
+				if c.Unblocked() {
+					t.Fatal("an MSHR-capacity stall reads unblocked on an empty out-queue")
+				}
 				return
 			}
 			// Exactness: pops that leave less room change nothing, and
 			// the pop that leaves the room lets the next Tick issue.
-			for now := uint64(1); !c.CanInject(tc.room); now++ {
-				if s, q := c.Tick(now); s != stalls || !q || c.StallRoom() != tc.room {
+			for now := uint64(1); !c.Unblocked(); now++ {
+				if q := c.Tick(now); c.span.Stalls != stalls || !q || c.room != tc.room {
 					t.Fatalf("cycle %d with %d free slots: stalls %d quiet %v room %d, want %d true %d",
-						now, c.outqCap-len(c.outq), s, q, c.StallRoom(), stalls, tc.room)
+						now, c.outqCap-len(c.outq), c.span.Stalls, q, c.room, stalls, tc.room)
 				}
 				c.PopRequest()
 			}
+			if !c.CanInject(tc.room) {
+				t.Fatalf("unblocked with %d free slots, room %d", c.outqCap-len(c.outq), tc.room)
+			}
 			before := c.Stats.InstRetired.Total()
-			if _, q := c.Tick(100); q || c.Stats.InstRetired.Total() == before {
+			if q := c.Tick(100); q || c.Stats.InstRetired.Total() == before {
 				t.Fatalf("tick after the pop that left room %d issued nothing", tc.room)
 			}
 		})
@@ -572,16 +651,16 @@ func TestStallRoom(t *testing.T) {
 }
 
 // TestStallRoomResetsOnIssue checks that a Tick that issues everywhere
-// drops the room an earlier stalled Tick reported.
+// drops the room and ends the quiet span an earlier stalled Tick left.
 func TestStallRoomResetsOnIssue(t *testing.T) {
 	c := roomCore(t, 64, memOnly(4, false), memOnly(4, false), 1)
 	c.Tick(0)
-	if c.StallRoom() != 4 {
-		t.Fatalf("stalled tick reports room %d, want 4", c.StallRoom())
+	if c.room != 4 || !c.Quiet() {
+		t.Fatalf("stalled tick reports room %d, quiet %v, want 4 and true", c.room, c.Quiet())
 	}
 	for c.PopRequest() != nil {
 	}
-	if stalls, _ := c.Tick(1); stalls != 0 || c.StallRoom() != 0 {
-		t.Fatalf("issuing tick: stalls %d, room %d, want 0 and 0", stalls, c.StallRoom())
+	if quiet := c.Tick(1); quiet || c.room != 0 || c.span != (quietSpan{}) {
+		t.Fatalf("issuing tick: quiet %v, room %d, span %+v, want false, 0 and no span", quiet, c.room, c.span)
 	}
 }

@@ -21,6 +21,8 @@ type CoreState struct {
 	Wheel        [][]int32 // wheelSize slots; an empty slot is nil
 	L1           cache.State
 	Stats        CoreStats
+	Span         quietSpan
+	Room         int
 }
 
 // State returns the core's snapshot. It aliases the core's live warp,
@@ -34,6 +36,8 @@ func (c *Core) State() CoreState {
 		Wheel:        make([][]int32, wheelSize),
 		L1:           c.L1.State(),
 		Stats:        c.Stats,
+		Span:         c.span,
+		Room:         c.room,
 	}
 	st.MSHRLines, st.MSHRWaiters = c.mshr.Entries()
 	for _, r := range c.outq {
@@ -89,5 +93,7 @@ func (c *Core) SetState(st CoreState) error {
 		return fmt.Errorf("gpu: core %d L1: %w", c.ID, err)
 	}
 	c.Stats = st.Stats
+	c.span = st.Span
+	c.room = st.Room
 	return nil
 }

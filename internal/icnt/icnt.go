@@ -2,9 +2,9 @@
 // memory partitions (Table I: one crossbar per direction).
 //
 // The model captures the two properties that matter for the paper's
-// contention study: a fixed traversal latency, and per-output-port
-// serialization — each output port delivers flits at one flit per cycle, so
-// data-bearing messages (write requests, read replies) occupy a port for
+// contention study: a fixed traversal latency, and per-port serialization —
+// each input port sends and each output port delivers one flit per cycle,
+// so data-bearing messages (write requests, read replies) occupy a port for
 // several cycles and back-pressure builds when many cores target the same
 // partition. Switch-internal arbitration (iSLIP) is abstracted away; the
 // output port is the bottleneck it converges to.
@@ -56,15 +56,15 @@ func (f *fifo) pop() pkt {
 	return p
 }
 
-// Network is one direction of the crossbar: any input port to any of the
-// dsts output ports.
+// Network is one direction of the crossbar: any of the srcs input ports
+// to any of the dsts output ports.
 type Network struct {
 	latency   int
 	flitBytes int
 	lineBytes int
+	srcFree   []uint64 // per source, first cycle the port may send
 	queues    []fifo   // per destination, ordered by readyAt
 	portFree  []uint64 // per destination, first cycle the port is free
-	inFlight  int
 
 	// head[d] is the readyAt of port d's head message (MaxUint64 when
 	// the port is empty), and next the earliest of them. Every mutation
@@ -75,18 +75,19 @@ type Network struct {
 	next uint64
 }
 
-// New builds one crossbar direction with dsts output ports. latency is the
-// zero-load traversal time in cycles; flitBytes and lineBytes size the
-// occupancy of data-bearing messages.
-func New(dsts, latency, flitBytes, lineBytes int) *Network {
-	if dsts <= 0 || latency < 0 || flitBytes <= 0 || lineBytes <= 0 {
-		panic(fmt.Sprintf("icnt: invalid parameters dsts=%d latency=%d flit=%d line=%d",
-			dsts, latency, flitBytes, lineBytes))
+// New builds one crossbar direction with srcs input and dsts output ports.
+// latency is the zero-load traversal time in cycles; flitBytes and
+// lineBytes size the occupancy of data-bearing messages.
+func New(srcs, dsts, latency, flitBytes, lineBytes int) *Network {
+	if srcs <= 0 || dsts <= 0 || latency < 0 || flitBytes <= 0 || lineBytes <= 0 {
+		panic(fmt.Sprintf("icnt: invalid parameters srcs=%d dsts=%d latency=%d flit=%d line=%d",
+			srcs, dsts, latency, flitBytes, lineBytes))
 	}
 	n := &Network{
 		latency:   latency,
 		flitBytes: flitBytes,
 		lineBytes: lineBytes,
+		srcFree:   make([]uint64, srcs),
 		queues:    make([]fifo, dsts),
 		portFree:  make([]uint64, dsts),
 		head:      make([]uint64, dsts),
@@ -98,11 +99,18 @@ func New(dsts, latency, flitBytes, lineBytes int) *Network {
 	return n
 }
 
-// Push injects req toward output port dst at cycle now. Delivery time
+// CanSend reports whether input port src has serialized its last message
+// by cycle now, so that it may Push again.
+func (n *Network) CanSend(src int, now uint64) bool { return now >= n.srcFree[src] }
+
+// Push injects req from input port src toward output port dst at cycle
+// now. The message occupies src for one cycle per flit. Delivery time
 // accounts for traversal latency and for serialization behind earlier
-// traffic to the same port. Push must be called with non-decreasing now.
-func (n *Network) Push(dst int, req *mem.Request, now uint64) {
+// traffic to the same output port. Push must be called with
+// non-decreasing now, and only when CanSend(src, now) holds.
+func (n *Network) Push(src, dst int, req *mem.Request, now uint64) {
 	flits := uint64(req.Flits(n.flitBytes, n.lineBytes))
+	n.srcFree[src] = now + flits
 	arrive := now + uint64(n.latency)
 	start := arrive
 	if n.portFree[dst] > start {
@@ -116,7 +124,6 @@ func (n *Network) Push(dst int, req *mem.Request, now uint64) {
 		n.next = min(n.next, done)
 	}
 	q.push(pkt{readyAt: done, req: req})
-	n.inFlight++
 }
 
 // Pop removes and returns the next message available at output port dst by
@@ -127,7 +134,6 @@ func (n *Network) Pop(dst int, now uint64) *mem.Request {
 	}
 	q := &n.queues[dst]
 	p := q.pop()
-	n.inFlight--
 	n.head[dst] = math.MaxUint64
 	if h := q.peek(); h != nil {
 		n.head[dst] = h.readyAt
@@ -145,10 +151,3 @@ func (n *Network) NextReady() uint64 { return n.next }
 
 // Pending returns the number of messages queued for output port dst.
 func (n *Network) Pending(dst int) int { return n.queues[dst].len() }
-
-// InFlight returns the total number of messages inside the network.
-func (n *Network) InFlight() int { return n.inFlight }
-
-// PortBusyUntil returns the first cycle output port dst will be idle; used
-// by tests and by congestion telemetry.
-func (n *Network) PortBusyUntil(dst int) uint64 { return n.portFree[dst] }

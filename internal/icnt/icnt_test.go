@@ -13,17 +13,17 @@ func req(kind mem.Kind, addr uint64) *mem.Request {
 }
 
 func TestZeroLoadLatency(t *testing.T) {
-	n := New(4, 8, 64, 128)
+	n := New(1, 4, 8, 64, 128)
 	r := req(mem.ReadReq, 0)
-	n.Push(2, r, 100)
+	n.Push(0, 2, r, 100)
 	if got := n.Pop(2, 107); got != nil {
 		t.Fatal("delivered before latency elapsed")
 	}
 	if got := n.Pop(2, 108); got != r {
 		t.Fatal("not delivered at latency")
 	}
-	if n.InFlight() != 0 {
-		t.Fatalf("inflight = %d after drain", n.InFlight())
+	if n.Pending(2) != 0 || n.NextReady() != math.MaxUint64 {
+		t.Fatalf("after drain: %d pending, NextReady %d", n.Pending(2), n.NextReady())
 	}
 }
 
@@ -44,13 +44,13 @@ func TestFlitOccupancy(t *testing.T) {
 }
 
 func TestOutputPortSerialization(t *testing.T) {
-	n := New(1, 8, 64, 128)
+	n := New(2, 1, 8, 64, 128)
 	// Two 3-flit messages to the same port pushed in the same cycle:
 	// the second is delayed by the first's occupancy.
 	a := req(mem.ReadReply, 0)
 	b := req(mem.ReadReply, 128)
-	n.Push(0, a, 0)
-	n.Push(0, b, 0)
+	n.Push(0, 0, a, 0)
+	n.Push(1, 0, b, 0)
 	// a: arrive 8, occupies 8-10, ready at 10. b: starts 11, ready 13.
 	if got := n.Pop(0, 9); got != nil {
 		t.Fatal("a ready too early")
@@ -67,11 +67,11 @@ func TestOutputPortSerialization(t *testing.T) {
 }
 
 func TestIndependentPorts(t *testing.T) {
-	n := New(2, 8, 64, 128)
+	n := New(2, 2, 8, 64, 128)
 	a := req(mem.ReadReply, 0)
 	b := req(mem.ReadReply, 128)
-	n.Push(0, a, 0)
-	n.Push(1, b, 0)
+	n.Push(0, 0, a, 0)
+	n.Push(1, 1, b, 0)
 	// Different ports do not serialize against each other.
 	if n.Pop(0, 10) != a || n.Pop(1, 10) != b {
 		t.Fatal("independent ports interfered")
@@ -79,12 +79,12 @@ func TestIndependentPorts(t *testing.T) {
 }
 
 func TestFIFOOrderPerPort(t *testing.T) {
-	n := New(1, 2, 64, 128)
+	n := New(1, 1, 2, 64, 128)
 	var pushed []*mem.Request
 	for i := 0; i < 10; i++ {
 		r := req(mem.ReadReq, uint64(i*128))
 		pushed = append(pushed, r)
-		n.Push(0, r, uint64(i))
+		n.Push(0, 0, r, uint64(i))
 	}
 	var got []*mem.Request
 	for cyc := uint64(0); cyc < 100 && len(got) < 10; cyc++ {
@@ -103,13 +103,13 @@ func TestFIFOOrderPerPort(t *testing.T) {
 }
 
 func TestPendingAndBusy(t *testing.T) {
-	n := New(1, 4, 64, 128)
-	n.Push(0, req(mem.ReadReq, 0), 0)
-	n.Push(0, req(mem.ReadReq, 128), 0)
+	n := New(2, 1, 4, 64, 128)
+	n.Push(0, 0, req(mem.ReadReq, 0), 0)
+	n.Push(1, 0, req(mem.ReadReq, 128), 0)
 	if n.Pending(0) != 2 {
 		t.Fatalf("pending = %d", n.Pending(0))
 	}
-	if n.PortBusyUntil(0) == 0 {
+	if n.State().PortFree[0] == 0 {
 		t.Fatal("port busy time not tracked")
 	}
 }
@@ -136,10 +136,10 @@ func TestConservationProperty(t *testing.T) {
 	// and NextReady stays the earliest head through every Push and Pop,
 	// with nothing deliverable before it.
 	f := func(dsts []uint8) bool {
-		n := New(4, 3, 64, 128)
+		n := New(1, 4, 3, 64, 128)
 		count := 0
 		for i, d := range dsts {
-			n.Push(int(d)%4, req(mem.Kind(d/4%3), uint64(i)), uint64(i))
+			n.Push(0, int(d)%4, req(mem.Kind(d/4%3), uint64(i)), uint64(i))
 			count++
 			if !headsExact(n) {
 				return false
@@ -160,7 +160,7 @@ func TestConservationProperty(t *testing.T) {
 				}
 			}
 		}
-		return drained == count && n.InFlight() == 0 && n.NextReady() == math.MaxUint64
+		return drained == count && n.NextReady() == math.MaxUint64
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -173,27 +173,63 @@ func TestNewPanicsOnBadParams(t *testing.T) {
 			t.Fatal("New accepted zero destinations")
 		}
 	}()
-	New(0, 1, 64, 128)
+	New(1, 0, 1, 64, 128)
+}
+
+// TestSourceSerialization checks the input-port side: a source that
+// pushed an n-flit message cannot send again until n cycles later,
+// whichever output port it targets, and the other sources are not held.
+func TestSourceSerialization(t *testing.T) {
+	n := New(2, 2, 4, 64, 128)
+	for _, tc := range []struct {
+		kind  mem.Kind
+		flits uint64
+	}{{mem.ReadReq, 1}, {mem.ReadReply, 3}, {mem.WriteReq, 3}} {
+		now := uint64(100)
+		for !n.CanSend(0, now) || !n.CanSend(1, now) {
+			now++
+		}
+		n.Push(0, int(now)%2, req(tc.kind, now), now)
+		for c := now; c < now+tc.flits; c++ {
+			if n.CanSend(0, c) {
+				t.Fatalf("%v: source 0 may send at %d, %d cycles after a %d-flit push",
+					tc.kind, c, c-now, tc.flits)
+			}
+			if !n.CanSend(1, c) {
+				t.Fatalf("%v: source 1 held at %d by source 0's push", tc.kind, c)
+			}
+		}
+		if !n.CanSend(0, now+tc.flits) {
+			t.Fatalf("%v: source 0 still held %d cycles after a %d-flit push", tc.kind, tc.flits, tc.flits)
+		}
+	}
 }
 
 func TestNextReady(t *testing.T) {
-	n := New(3, 4, 64, 128)
+	n := New(3, 3, 4, 64, 128)
 	if got := n.NextReady(); got != math.MaxUint64 {
 		t.Fatalf("empty network: NextReady = %d, want MaxUint64", got)
 	}
-	n.Push(1, req(mem.ReadReply, 0), 10) // 3 flits: ready at 16
-	n.Push(1, req(mem.ReadReq, 1), 10)   // behind it: ready at 17
-	n.Push(2, req(mem.ReadReq, 2), 11)   // ready at 15
+	n.Push(0, 1, req(mem.ReadReply, 0), 10) // 3 flits: ready at 16
+	n.Push(1, 1, req(mem.ReadReq, 1), 10)   // behind it: ready at 17
+	n.Push(2, 2, req(mem.ReadReq, 2), 11)   // ready at 15
 	if got := n.NextReady(); got != 15 {
 		t.Fatalf("NextReady = %d, want 15 (port 2's head)", got)
 	}
-	// A snapshot restored into a fresh network recomputes it.
-	fresh := New(3, 4, 64, 128)
+	// A snapshot restored into a fresh network recomputes it, and keeps
+	// each source's serialization: source 0 is busy until 13.
+	fresh := New(3, 3, 4, 64, 128)
 	if err := fresh.SetState(n.State()); err != nil {
 		t.Fatal(err)
 	}
 	if got := fresh.NextReady(); got != 15 {
 		t.Fatalf("restored NextReady = %d, want 15", got)
+	}
+	for src, free := range []uint64{13, 11, 12} {
+		if fresh.CanSend(src, free-1) || !fresh.CanSend(src, free) {
+			t.Fatalf("restored source %d: CanSend at %d/%d = %v/%v, want false/true",
+				src, free-1, free, fresh.CanSend(src, free-1), fresh.CanSend(src, free))
+		}
 	}
 	if n.Pop(1, 15) != nil {
 		t.Fatal("port 1 delivered before its head was ready")
@@ -204,8 +240,8 @@ func TestNextReady(t *testing.T) {
 	if got := n.NextReady(); got != 16 {
 		t.Fatalf("after popping the minimum: NextReady = %d, want 16", got)
 	}
-	n.Push(0, req(mem.ReadReq, 3), 12) // new head on an empty port: 16
-	n.Push(2, req(mem.ReadReq, 4), 12) // new head on a drained port: 16
+	n.Push(1, 0, req(mem.ReadReq, 3), 12) // new head on an empty port: 16
+	n.Push(2, 2, req(mem.ReadReq, 4), 12) // new head on a drained port: 16
 	if n.Pop(1, 16) == nil {
 		t.Fatal("port 1 head not delivered at 16")
 	}
@@ -226,7 +262,7 @@ func TestNextReady(t *testing.T) {
 	if got := n.NextReady(); got != math.MaxUint64 {
 		t.Fatalf("drained network: NextReady = %d, want MaxUint64", got)
 	}
-	if err := fresh.SetState(New(3, 4, 64, 128).State()); err != nil {
+	if err := fresh.SetState(New(3, 3, 4, 64, 128).State()); err != nil {
 		t.Fatal(err)
 	}
 	if got := fresh.NextReady(); got != math.MaxUint64 {

@@ -19,6 +19,7 @@ type PktState struct {
 
 // NetworkState is one crossbar direction's serializable snapshot.
 type NetworkState struct {
+	SrcFree  []uint64
 	Queues   [][]PktState // per destination, FIFO order
 	PortFree []uint64
 }
@@ -26,6 +27,7 @@ type NetworkState struct {
 // State returns the network's snapshot.
 func (n *Network) State() NetworkState {
 	st := NetworkState{
+		SrcFree:  append([]uint64(nil), n.srcFree...),
 		Queues:   make([][]PktState, len(n.queues)),
 		PortFree: append([]uint64(nil), n.portFree...),
 	}
@@ -47,11 +49,12 @@ func (n *Network) State() NetworkState {
 // SetState restores the network from a snapshot taken on an identically
 // configured network.
 func (n *Network) SetState(st NetworkState) error {
-	if len(st.Queues) != len(n.queues) || len(st.PortFree) != len(n.portFree) {
-		return fmt.Errorf("icnt: state has %d ports, network has %d", len(st.Queues), len(n.queues))
+	if len(st.SrcFree) != len(n.srcFree) || len(st.Queues) != len(n.queues) || len(st.PortFree) != len(n.portFree) {
+		return fmt.Errorf("icnt: state has %d/%d ports, network has %d/%d",
+			len(st.SrcFree), len(st.Queues), len(n.srcFree), len(n.queues))
 	}
+	copy(n.srcFree, st.SrcFree)
 	copy(n.portFree, st.PortFree)
-	n.inFlight = 0
 	for d := range n.queues {
 		n.queues[d] = fifo{}
 		n.head[d] = math.MaxUint64
@@ -62,7 +65,6 @@ func (n *Network) SetState(st NetworkState) error {
 			req := new(mem.Request)
 			*req = p.Req
 			n.queues[d].push(pkt{readyAt: p.ReadyAt, req: req})
-			n.inFlight++
 		}
 	}
 	n.next = slices.Min(n.head)

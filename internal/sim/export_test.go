@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"ebm/internal/dram"
 	"ebm/internal/gpu"
 	"ebm/internal/icnt"
@@ -55,6 +57,27 @@ type SkipWork struct{ PartTicks, PopWakes, PopSleeps uint64 }
 func (s *Simulator) SkipWork() SkipWork {
 	w := &s.skipWork
 	return SkipWork{w.partTicks, w.popWakes, w.popSleeps}
+}
+
+// IndexError reports the first way the engine's derived indices differ
+// from the components they are derived from: awake must hold exactly the
+// cores that are not Quiet, and queued exactly the cores with a pending
+// request. The reference engine keeps both sets full, so it has nothing
+// to check.
+func (s *Simulator) IndexError() error {
+	if s.reference {
+		return nil
+	}
+	for ci, c := range s.cores {
+		if s.awake.has(ci) == c.Quiet() {
+			return fmt.Errorf("cycle %d: core %d awake %v, Quiet %v", s.cycle, ci, s.awake.has(ci), c.Quiet())
+		}
+		if s.queued.has(ci) != (c.PendingRequests() > 0) {
+			return fmt.Errorf("cycle %d: core %d queued %v with %d pending requests",
+				s.cycle, ci, s.queued.has(ci), c.PendingRequests())
+		}
+	}
+	return nil
 }
 
 // Snapshot and Restore expose the struct form behind SnapshotBytes and

@@ -41,8 +41,10 @@ type refRun struct {
 	DecisionDelay uint64
 }
 
-// execute runs rs on the engine build returns. A non-nil sink becomes
-// the run's CkptSink; a non-nil snapshot is restored before the run.
+// execute runs rs on the engine build returns. A non-nil sink is called
+// at every window boundary, as the run's CkptSink; a non-nil snapshot is
+// restored before the run. At every boundary the engine's derived
+// indices must match its components.
 func execute(t *testing.T, rs refRun, build func(sim.Options) (*sim.Simulator, error),
 	sink func(uint64, *sim.Simulator) error, snapshot []byte) run {
 	t.Helper()
@@ -56,7 +58,15 @@ func execute(t *testing.T, rs refRun, build func(sim.Options) (*sim.Simulator, e
 		sm.Apps = slices.Clone(sm.Apps)
 		out.samples = append(out.samples, sm)
 	}
-	opts.CkptSink = sink
+	opts.CkptSink = func(w uint64, s *sim.Simulator) error {
+		if err := s.IndexError(); err != nil {
+			t.Errorf("window %d: %v", w, err)
+		}
+		if sink == nil {
+			return nil
+		}
+		return sink(w, s)
+	}
 	s, err := build(opts)
 	if err != nil {
 		t.Fatal(err)

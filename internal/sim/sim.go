@@ -72,11 +72,9 @@ type Options struct {
 	// reused between windows to keep the cycle path allocation-free: copy
 	// it if the hook retains telemetry beyond the call (the managers and
 	// the trace recorder copy scalar fields, so they are unaffected).
-	// Failure handling hangs off this hook too: a dsweep worker forwards
-	// a test's injected window stalls from it, and a run guarded by a
-	// resilience.Watchdog pulses the watchdog from it. The cancellation
-	// check at the same boundary bounds a stalled run's abort to one
-	// window.
+	// A dsweep worker reports progress and forwards a test's injected
+	// window stalls from it. The cancellation check at the same boundary
+	// bounds a stalled run's abort to one window.
 	OnWindow func(tlp.Sample)
 
 	// Obs attaches the observability subsystem (internal/obs): the metric
@@ -242,33 +240,20 @@ type Simulator struct {
 	toMem      *icnt.Network
 	toCore     *icnt.Network
 
-	coreInjectFree []uint64
-	partRespFree   []uint64
-
 	// pool recycles mem.Request objects machine-wide; one pool per
 	// simulator, touched only by the (single-goroutine) cycle loop.
 	pool *mem.Pool
 
-	// Idle fast-forward state: a quiet core (its last Tick issued nothing
-	// and left no wake-up scheduled) is not ticked; the cycles it would
-	// have spent idling are credited in bulk when an event that can change
-	// its next Tick (fill delivery, an out-queue pop that leaves the room
-	// an aborted issue needs, TLP decision, kernel phase switch) wakes it,
-	// or a window boundary or snapshot reads its counters. awake holds the
-	// cores that are not quiet, and is the only live record of which are:
-	// the tick pass visits its members alone, and snapshots carry it as
-	// EngineState.CoreQuiet.
-	awake        coreSet
-	quietFrom    []uint64 // first skipped cycle
-	quietMemWait []bool   // ActiveMemWait sampled at quiescence entry
-	quietStalls  []int    // issue aborts per skipped cycle (Tick's stalls)
-	quietRoom    []int    // StallRoom sampled at quiescence entry
-
-	// queued holds the cores whose out-queue is non-empty, the only ones
-	// the injection pass visits. An out-queue grows only inside its core's
-	// Tick, so the tick pass adds the core; the pop that empties the queue
-	// removes it. headDst is the destination partition of each core's
-	// out-queue head, decoded once per head (-1 until then).
+	// Indices derived from the components, rebuilt on restore. awake holds
+	// the cores that are not Quiet, the only ones the tick pass visits: a
+	// quiet Tick removes its core, and wakeQuiet adds it back at an event
+	// that can change its next Tick. queued holds the cores whose
+	// out-queue is non-empty, the only ones the injection pass visits: an
+	// out-queue grows only inside its core's Tick, so the tick pass adds
+	// the core, and the pop that empties the queue removes it. headDst is
+	// the destination partition of each core's out-queue head, decoded
+	// once per head (-1 until then).
+	awake   coreSet
 	queued  coreSet
 	headDst []int
 
@@ -331,21 +316,15 @@ func New(opts Options) (*Simulator, error) {
 	}
 	cfg := opts.Config
 	s := &Simulator{
-		opts:           opts,
-		cfg:            &cfg,
-		coreInjectFree: make([]uint64, cfg.NumCores),
-		partRespFree:   make([]uint64, cfg.NumMemPartitions),
-		pool:           mem.NewPool(),
-		awake:          newCoreSet(cfg.NumCores),
-		quietFrom:      make([]uint64, cfg.NumCores),
-		quietMemWait:   make([]bool, cfg.NumCores),
-		quietStalls:    make([]int, cfg.NumCores),
-		quietRoom:      make([]int, cfg.NumCores),
-		queued:         newCoreSet(cfg.NumCores),
-		headDst:        make([]int, cfg.NumCores),
-		instAtLaunch:   make([]uint64, len(opts.Apps)),
-		kernels:        make([]uint64, len(opts.Apps)),
-		tlpAccum:       make([]float64, len(opts.Apps)),
+		opts:         opts,
+		cfg:          &cfg,
+		pool:         mem.NewPool(),
+		awake:        newCoreSet(cfg.NumCores),
+		queued:       newCoreSet(cfg.NumCores),
+		headDst:      make([]int, cfg.NumCores),
+		instAtLaunch: make([]uint64, len(opts.Apps)),
+		kernels:      make([]uint64, len(opts.Apps)),
+		tlpAccum:     make([]float64, len(opts.Apps)),
 	}
 	s.nextWindow = opts.WindowCycles
 	for ci := 0; ci < cfg.NumCores; ci++ {
@@ -399,8 +378,8 @@ func New(opts Options) (*Simulator, error) {
 		}
 	}
 
-	s.toMem = icnt.New(cfg.NumMemPartitions, cfg.IcntLatency, cfg.IcntFlitSize, cfg.L1.LineBytes)
-	s.toCore = icnt.New(cfg.NumCores, cfg.IcntLatency, cfg.IcntFlitSize, cfg.L1.LineBytes)
+	s.toMem = icnt.New(cfg.NumCores, cfg.NumMemPartitions, cfg.IcntLatency, cfg.IcntFlitSize, cfg.L1.LineBytes)
+	s.toCore = icnt.New(cfg.NumMemPartitions, cfg.NumCores, cfg.IcntLatency, cfg.IcntFlitSize, cfg.L1.LineBytes)
 
 	s.curDecision = opts.Manager.Initial(numApps)
 	if len(s.curDecision.TLP) != numApps {
@@ -446,28 +425,15 @@ func (b coreSet) add(ci int)      { b[ci>>6] |= 1 << (ci & 63) }
 func (b coreSet) remove(ci int)   { b[ci>>6] &^= 1 << (ci & 63) }
 func (b coreSet) has(ci int) bool { return b[ci>>6]&(1<<(ci&63)) != 0 }
 
-// wakeQuiet ends core ci's fast-forward span: the cycles [quietFrom, upTo)
-// it would have spent idling are credited to its counters, and the core
-// resumes normal per-cycle ticking.
+// wakeQuiet ends core ci's quiet span at upTo (gpu.Core.Wake) and puts
+// it back in the awake set. The reference engine ticks every core, so its
+// awake set is always full; it ends spans at the same events.
 func (s *Simulator) wakeQuiet(ci int, upTo uint64) {
-	if s.awake.has(ci) {
+	if s.awake.has(ci) && !s.reference {
 		return
 	}
-	if upTo > s.quietFrom[ci] {
-		s.cores[ci].CreditIdle(upTo-s.quietFrom[ci], s.quietMemWait[ci], s.quietStalls[ci])
-	}
+	s.cores[ci].Wake(upTo)
 	s.awake.add(ci)
-}
-
-// creditQuiet settles core ci's fast-forward counters up to (excluding)
-// upTo without waking it, so window and snapshot reads see exact values
-// while the core stays skipped.
-func (s *Simulator) creditQuiet(ci int, upTo uint64) {
-	if s.awake.has(ci) || upTo <= s.quietFrom[ci] {
-		return
-	}
-	s.cores[ci].CreditIdle(upTo-s.quietFrom[ci], s.quietMemWait[ci], s.quietStalls[ci])
-	s.quietFrom[ci] = upTo
 }
 
 func (s *Simulator) applyDecision(d tlp.Decision) {
@@ -538,25 +504,19 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		}
 
 		// Cores execute, the awake ones only, in ascending core order. A
-		// quiet core (its Tick issued nothing and left no wake-up
-		// scheduled) is fast-forwarded: it leaves the awake set until an
-		// event that can change the outcome wakes it, and the skipped idle
-		// cycles and issue aborts are credited in bulk at that event or
-		// the next window boundary.
+		// quiet core leaves the awake set: its span is skipped until an
+		// event that can change its next Tick wakes it, and credited in
+		// bulk at that event or the next window boundary.
 		for wi, word := range s.awake {
 			for ; word != 0; word &= word - 1 {
 				ci := wi<<6 | bits.TrailingZeros64(word)
 				c := s.cores[ci]
-				stalls, quiet := c.Tick(now)
+				quiet := c.Tick(now)
 				if c.PendingRequests() > 0 || s.reference {
 					s.queued.add(ci)
 				}
 				if quiet && !s.reference {
 					s.awake.remove(ci)
-					s.quietFrom[ci] = now + 1
-					s.quietMemWait[ci] = c.ActiveMemWait()
-					s.quietStalls[ci] = stalls
-					s.quietRoom[ci] = c.StallRoom()
 				}
 			}
 		}
@@ -569,7 +529,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		for wi, word := range s.queued {
 			for ; word != 0; word &= word - 1 {
 				ci := wi<<6 | bits.TrailingZeros64(word)
-				if now < s.coreInjectFree[ci] {
+				if !s.toMem.CanSend(ci, now) {
 					continue
 				}
 				c := s.cores[ci]
@@ -590,12 +550,11 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 				if c.PendingRequests() == 0 && !s.reference {
 					s.queued.remove(ci)
 				}
-				s.toMem.Push(dst, req, now)
-				s.coreInjectFree[ci] = now + uint64(req.Flits(s.cfg.IcntFlitSize, s.cfg.L1.LineBytes))
-				if !s.awake.has(ci) {
+				s.toMem.Push(ci, dst, req, now)
+				if c.Quiet() {
 					// Wake the core only if the freed slot lets one of
 					// its aborted issues through.
-					if r := s.quietRoom[ci]; r > 0 && c.CanInject(r) {
+					if c.Unblocked() {
 						s.wakeQuiet(ci, now+1)
 						s.skipWork.popWakes++
 					} else {
@@ -633,12 +592,11 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 
 		// Partition -> core responses (flit-serialized at the source).
 		for pi, p := range s.partitions {
-			if now < s.partRespFree[pi] {
+			if !s.toCore.CanSend(pi, now) {
 				continue
 			}
 			if resp := p.PopResponse(); resp != nil {
-				s.toCore.Push(resp.Core, resp, now)
-				s.partRespFree[pi] = now + uint64(resp.Flits(s.cfg.IcntFlitSize, s.cfg.L1.LineBytes))
+				s.toCore.Push(pi, resp.Core, resp, now)
 			}
 		}
 
@@ -659,10 +617,10 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			s.windows++
 			addWork(now + 1 - counted)
 			counted = now + 1
-			// Settle fast-forwarded counters so the window telemetry is
-			// exact; quiescent cores and stalled partitions stay skipped.
-			for ci := range s.cores {
-				s.creditQuiet(ci, now+1)
+			// Settle skipped spans so the window telemetry is exact; quiet
+			// cores and stalled partitions stay skipped.
+			for _, c := range s.cores {
+				c.Settle(now + 1)
 			}
 			for _, p := range s.partitions {
 				p.Settle(s.memCycle)

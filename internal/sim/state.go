@@ -16,7 +16,7 @@ import (
 // SnapshotVersion identifies the EngineState layout. Bump it whenever any
 // captured structure changes shape or meaning; stale checkpoints then
 // fail to restore and callers fall back to cold execution.
-const SnapshotVersion = 4
+const SnapshotVersion = 5
 
 // EngineState is the complete serializable state of a Simulator at a
 // cycle boundary: restoring it into a freshly constructed Simulator with
@@ -37,14 +37,6 @@ type EngineState struct {
 	MemAcc     float64
 	Windows    uint64
 	NextWindow uint64
-
-	CoreInjectFree []uint64
-	PartRespFree   []uint64
-	CoreQuiet      []bool // built from the awake-core set, not aliased
-	QuietFrom      []uint64
-	QuietMemWait   []bool
-	QuietStalls    []int
-	QuietRoom      []int
 
 	Cur    tlp.Decision
 	Pend   *tlp.Decision // nil when no decision is in flight
@@ -74,9 +66,10 @@ type EngineState struct {
 }
 
 // state captures the simulator's complete state. It never mutates the
-// simulator (pending idle credits, skipped partition retries, TLP
+// simulator (quiet cores' spans, skipped partition retries, TLP
 // accumulators, and window marks are captured raw), so taking snapshots
-// cannot perturb a run's results.
+// cannot perturb a run's results. The awake, queued and headDst indices
+// are not captured: setState rebuilds them from the components.
 // Valid after RunContext returns (the state resumes at the cycle the run
 // stopped at) and inside a CkptSink callback (the state resumes at the
 // first cycle of the next window). It fails if the TLP manager does not
@@ -97,36 +90,29 @@ func (s *Simulator) state() (*EngineState, error) {
 		cycle++
 	}
 	st := &EngineState{
-		Version:        SnapshotVersion,
-		Cycle:          cycle,
-		MemCycle:       s.memCycle,
-		MemAcc:         s.memAcc,
-		Windows:        s.windows,
-		NextWindow:     s.nextWindow,
-		CoreInjectFree: s.coreInjectFree,
-		PartRespFree:   s.partRespFree,
-		CoreQuiet:      make([]bool, len(s.cores)),
-		QuietFrom:      s.quietFrom,
-		QuietMemWait:   s.quietMemWait,
-		QuietStalls:    s.quietStalls,
-		QuietRoom:      s.quietRoom,
-		Cur:            s.curDecision,
-		Pend:           s.pendDecision,
-		PendAt:         s.pendAt,
-		InstAtLaunch:   s.instAtLaunch,
-		Kernels:        s.kernels,
-		PhaseIdx:       s.phaseIdx,
-		TLPAccum:       s.tlpAccum,
-		LastTLPFlush:   s.lastTLPFlush,
-		Warm:           s.warm,
-		ManagerName:    s.opts.Manager.Name(),
-		Manager:        mb,
-		Streams:        make([][]kernel.StreamState, len(s.appStreams)),
-		Cores:          make([]gpu.CoreState, len(s.cores)),
-		Partitions:     make([]dram.PartitionState, len(s.partitions)),
-		ToMem:          s.toMem.State(),
-		ToCore:         s.toCore.State(),
-		Pool:           s.pool.State(),
+		Version:      SnapshotVersion,
+		Cycle:        cycle,
+		MemCycle:     s.memCycle,
+		MemAcc:       s.memAcc,
+		Windows:      s.windows,
+		NextWindow:   s.nextWindow,
+		Cur:          s.curDecision,
+		Pend:         s.pendDecision,
+		PendAt:       s.pendAt,
+		InstAtLaunch: s.instAtLaunch,
+		Kernels:      s.kernels,
+		PhaseIdx:     s.phaseIdx,
+		TLPAccum:     s.tlpAccum,
+		LastTLPFlush: s.lastTLPFlush,
+		Warm:         s.warm,
+		ManagerName:  s.opts.Manager.Name(),
+		Manager:      mb,
+		Streams:      make([][]kernel.StreamState, len(s.appStreams)),
+		Cores:        make([]gpu.CoreState, len(s.cores)),
+		Partitions:   make([]dram.PartitionState, len(s.partitions)),
+		ToMem:        s.toMem.State(),
+		ToCore:       s.toCore.State(),
+		Pool:         s.pool.State(),
 	}
 	for app, streams := range s.appStreams {
 		ss := make([]kernel.StreamState, len(streams))
@@ -137,7 +123,6 @@ func (s *Simulator) state() (*EngineState, error) {
 	}
 	for i, c := range s.cores {
 		st.Cores[i] = c.State()
-		st.CoreQuiet[i] = !s.awake.has(i)
 	}
 	for i, p := range s.partitions {
 		st.Partitions[i] = p.State()
@@ -171,12 +156,6 @@ func (s *Simulator) setState(st *EngineState) error {
 	if len(st.Cores) != len(s.cores) || len(st.Partitions) != len(s.partitions) {
 		return fmt.Errorf("sim: snapshot has %d cores / %d partitions, machine has %d / %d",
 			len(st.Cores), len(st.Partitions), len(s.cores), len(s.partitions))
-	}
-	if len(st.CoreInjectFree) != len(s.cores) || len(st.CoreQuiet) != len(s.cores) ||
-		len(st.QuietFrom) != len(s.cores) || len(st.QuietMemWait) != len(s.cores) ||
-		len(st.QuietStalls) != len(s.cores) || len(st.QuietRoom) != len(s.cores) ||
-		len(st.PartRespFree) != len(s.partitions) {
-		return fmt.Errorf("sim: snapshot per-core/per-partition vectors have wrong length")
 	}
 	if st.Warm != nil && len(st.Warm) != numApps {
 		return fmt.Errorf("sim: snapshot warmup block has %d apps, want %d", len(st.Warm), numApps)
@@ -220,25 +199,17 @@ func (s *Simulator) setState(st *EngineState) error {
 	}
 	s.pool.SetState(st.Pool)
 
-	copy(s.coreInjectFree, st.CoreInjectFree)
-	copy(s.partRespFree, st.PartRespFree)
+	clear(s.awake)
+	clear(s.queued)
 	for ci, c := range s.cores {
-		if st.CoreQuiet[ci] {
-			s.awake.remove(ci)
-		} else {
+		if !c.Quiet() {
 			s.awake.add(ci)
 		}
 		if c.PendingRequests() > 0 {
 			s.queued.add(ci)
-		} else {
-			s.queued.remove(ci)
 		}
 		s.headDst[ci] = -1
 	}
-	copy(s.quietFrom, st.QuietFrom)
-	copy(s.quietMemWait, st.QuietMemWait)
-	copy(s.quietStalls, st.QuietStalls)
-	copy(s.quietRoom, st.QuietRoom)
 	copy(s.instAtLaunch, st.InstAtLaunch)
 	copy(s.kernels, st.Kernels)
 	copy(s.tlpAccum, st.TLPAccum)

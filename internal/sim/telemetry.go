@@ -168,11 +168,11 @@ func (s *Simulator) snapshot() []appSnapshot {
 }
 
 // snapshotInto fills dst (grown if needed) with per-app lifetime totals,
-// settling fast-forwarded idle counters and skipped partition retries
-// first so Total() reads are exact.
+// settling quiet cores' spans and skipped partition retries first so
+// Total() reads are exact.
 func (s *Simulator) snapshotInto(dst []appSnapshot) []appSnapshot {
-	for ci := range s.cores {
-		s.creditQuiet(ci, s.cycle)
+	for _, c := range s.cores {
+		c.Settle(s.cycle)
 	}
 	for _, p := range s.partitions {
 		p.Settle(s.memCycle)
