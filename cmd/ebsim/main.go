@@ -38,9 +38,9 @@
 // profiles of the workload's applications and the run itself. A repeated
 // invocation with identical flags replays bit-identically from disk.
 // Runs with -trace/-chrometrace/-listen bypass the cache for the run
-// itself (they need the live event stream). -ckpt persists engine
-// snapshots under -ckpt-dir and forks uncached runs from the deepest
-// snapshot sharing their deterministic prefix (so re-running with a longer
+// itself (they need the live event stream). -ckpt DIR (default "",
+// disabled) persists engine snapshots under DIR and forks uncached runs
+// from the deepest snapshot sharing their deterministic prefix (so re-running with a longer
 // -cycles only simulates the extension); -ckpt-max-bytes caps the store.
 // A result or checkpoint that cannot be read degrades to execution, and
 // one that cannot be written is retried, then warned about; neither

@@ -65,7 +65,7 @@ func TestCkptForksProfileRuns(t *testing.T) {
 	}
 	dir := t.TempDir()
 	args := []string{"-workload", "BLK_TRD", "-cycles", "20000", "-warmup", "5000",
-		"-simcache", "", "-ckpt", "-ckpt-dir", dir}
+		"-simcache", "", "-ckpt", dir}
 	var stderr string
 	for i := 0; i < 2; i++ {
 		var err error

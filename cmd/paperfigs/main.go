@@ -11,8 +11,8 @@
 //
 // Simulation results are cached under ./simcache by default (-simcache ""
 // disables); a warm rerun replays alone-run profiles, grids, and
-// evaluations from disk. -ckpt additionally persists engine snapshots
-// under -ckpt-dir and forks every uncached simulation from the deepest
+// evaluations from disk. -ckpt DIR additionally persists engine snapshots
+// under DIR and forks every uncached simulation from the deepest
 // snapshot sharing its deterministic prefix — a cold -quick pass and the
 // full pass share the prefix work.
 //

@@ -27,9 +27,9 @@
 // Results — the workload's alone-run profiles and every combination —
 // are persisted under -simcache (default ./simcache), so an interrupted
 // sweep resumes where it left off: already persisted combinations replay
-// from disk, only the missing ones are simulated. -ckpt additionally
-// persists engine snapshots at window boundaries under -ckpt-dir and
-// forks each uncached simulation from the deepest snapshot sharing its
+// from disk, only the missing ones are simulated. -ckpt DIR additionally
+// persists engine snapshots at window boundaries under DIR and forks
+// each uncached simulation from the deepest snapshot sharing its
 // deterministic prefix, so even the cold part of a sweep is sub-linear;
 // -ckpt-max-bytes caps the store (oldest checkpoints evicted first). The
 // exit report counts simulations computed, replayed from cache, and
@@ -78,6 +78,7 @@ import (
 	"ebm/internal/cli"
 	"ebm/internal/config"
 	"ebm/internal/dsweep"
+	"ebm/internal/experiments"
 	"ebm/internal/kernel"
 	"ebm/internal/metrics"
 	"ebm/internal/obs"
@@ -363,37 +364,23 @@ func run(ctx context.Context, args []string) (err error) {
 	if err := report("++maxTLP", []int{config.MaxTLP, config.MaxTLP}); err != nil {
 		return err
 	}
-	for _, x := range []struct {
-		label string
-		eval  search.Eval
-	}{
-		{"optWS", wsEval}, {"optFI", fiEval}, {"optHS", hsEval},
-		{"BF-WS", surfaces["ebws"].eval}, {"BF-FI", surfaces["ebfi"].eval},
-		{"BF-HS", search.EBEval(metrics.ObjHS, aloneEB)},
-		{"maxIT", surfaces["it"].eval},
-	} {
-		c, _ := g.Best(x.eval)
-		if err := report(x.label, c); err != nil {
-			return err
+	// The evaluation's grid picks, with sweep's own maxIT row before
+	// PBS-Offline's searches.
+	for _, p := range experiments.GridPicks(aloneIPC, aloneEB) {
+		if p.Name == experiments.SchPBSWSOff {
+			c, _ := g.Best(surfaces["it"].eval)
+			if err := report("maxIT", c); err != nil {
+				return err
+			}
 		}
-	}
-	for _, x := range []struct {
-		label string
-		obj   metrics.Objective
-		scale []float64
-	}{
-		{"PBS-WS(Offline)", metrics.ObjWS, nil},
-		{"PBS-FI(Offline)", metrics.ObjFI, aloneEB},
-		{"PBS-HS(Offline)", metrics.ObjHS, aloneEB},
-	} {
-		c, _, err := g.PBSOffline(x.obj, x.scale)
+		c, err := p.Pick(g)
 		if err != nil {
 			if ctx.Err() != nil {
-				resumeReport("search " + x.label)
+				resumeReport("search " + p.Name)
 			}
 			return err
 		}
-		if err := report(x.label, c); err != nil {
+		if err := report(p.Name, c); err != nil {
 			return err
 		}
 	}

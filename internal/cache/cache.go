@@ -45,7 +45,7 @@ type Cache struct {
 	lineBits uint
 	tick     uint64
 
-	// Stats holds one windowed access/miss counter per application.
+	// Stats holds one lifetime access/miss counter per application.
 	Stats []stats.MissRatio
 
 	// allowedWays[app] restricts fills of that app to the enabled ways
@@ -60,7 +60,7 @@ type Cache struct {
 	victimHead int
 	victimSet  map[uint64]int // tag -> live count in the FIFO
 	// VTAHits counts lost-locality misses per application.
-	VTAHits []stats.Counter
+	VTAHits []uint64
 }
 
 // New builds a cache with the given geometry and per-app stats for numApps
@@ -101,7 +101,7 @@ func (c *Cache) EnableVictimTags(n int) {
 	c.victimTags = make([]uint64, 0, n)
 	c.victimHead = 0
 	c.victimSet = make(map[uint64]int, n)
-	c.VTAHits = make([]stats.Counter, len(c.Stats))
+	c.VTAHits = make([]uint64, len(c.Stats))
 }
 
 // VictimTagsEnabled reports whether the detector is active.
@@ -134,7 +134,7 @@ func (c *Cache) noteMiss(tag uint64, app int) {
 		return
 	}
 	if c.victimSet[tag] > 0 && app < len(c.VTAHits) {
-		c.VTAHits[app].Inc()
+		c.VTAHits[app]++
 	}
 }
 
@@ -172,8 +172,8 @@ func (c *Cache) tag(lineAddr uint64) uint64 {
 }
 
 // Access looks up lineAddr on behalf of app and records the outcome in the
-// app's windowed stats. On a hit the line's recency is updated. Access
-// never allocates; use Fill when the miss data returns.
+// app's stats. On a hit the line's recency is updated. Access never
+// allocates; use Fill when the miss data returns.
 func (c *Cache) Access(lineAddr uint64, app int) (hit bool) {
 	hit = c.Probe(lineAddr)
 	c.Stats[app].Record(!hit)
@@ -188,10 +188,10 @@ func (c *Cache) Access(lineAddr uint64, app int) (hit bool) {
 // partition uses it to count the skipped retries of a stalled head.
 func (c *Cache) RecordMisses(lineAddr uint64, app int, n uint64) {
 	m := &c.Stats[app]
-	m.Accesses.Add(n)
-	m.Misses.Add(n)
+	m.Accesses += n
+	m.Misses += n
 	if c.victimSet != nil && c.victimSet[c.tag(lineAddr)] > 0 && app < len(c.VTAHits) {
-		c.VTAHits[app].Add(n)
+		c.VTAHits[app] += n
 	}
 }
 
@@ -338,16 +338,6 @@ func (c *Cache) Occupancy() []int {
 
 // Lines returns the total line capacity.
 func (c *Cache) Lines() int { return len(c.sets) }
-
-// NewWindow starts a new sampling window on every app's counters.
-func (c *Cache) NewWindow() {
-	for i := range c.Stats {
-		c.Stats[i].NewWindow()
-	}
-	for i := range c.VTAHits {
-		c.VTAHits[i].NewWindow()
-	}
-}
 
 // Flush invalidates every line (kernel relaunch of a fresh context uses
 // this in some experiments).

@@ -22,10 +22,10 @@ func TestMissThenFillThenHit(t *testing.T) {
 	if !c.Access(addr, 0) {
 		t.Fatal("miss after fill")
 	}
-	if got := c.Stats[0].Accesses.Total(); got != 2 {
+	if got := c.Stats[0].Accesses; got != 2 {
 		t.Fatalf("accesses = %d, want 2", got)
 	}
-	if got := c.Stats[0].Misses.Total(); got != 1 {
+	if got := c.Stats[0].Misses; got != 1 {
 		t.Fatalf("misses = %d, want 1", got)
 	}
 }
@@ -163,18 +163,6 @@ func TestWayPartitionErrors(t *testing.T) {
 	}
 }
 
-func TestNewWindowResetsStats(t *testing.T) {
-	c := New(tiny(), 1)
-	c.Access(0, 0)
-	c.NewWindow()
-	if c.Stats[0].Accesses.Window() != 0 {
-		t.Fatal("window not reset")
-	}
-	if c.Stats[0].Accesses.Total() != 1 {
-		t.Fatal("total lost on window reset")
-	}
-}
-
 func TestFlush(t *testing.T) {
 	c := New(tiny(), 1)
 	c.Fill(0, 0)
@@ -193,7 +181,7 @@ func TestProbeDoesNotRecordStats(t *testing.T) {
 	c := New(tiny(), 1)
 	c.Probe(0)
 	c.WriteProbe(0)
-	if c.Stats[0].Accesses.Total() != 0 {
+	if c.Stats[0].Accesses != 0 {
 		t.Fatal("Probe/WriteProbe perturbed the read miss-rate stats")
 	}
 }
@@ -242,7 +230,7 @@ func TestWorkingSetFitsMeansNoSteadyStateMisses(t *testing.T) {
 			c.Fill(a, 0)
 		}
 	}
-	c.NewWindow()
+	start := c.Stats[0]
 	for pass := 0; pass < 3; pass++ {
 		for _, a := range lines {
 			if !c.Access(a, 0) {
@@ -250,8 +238,8 @@ func TestWorkingSetFitsMeansNoSteadyStateMisses(t *testing.T) {
 			}
 		}
 	}
-	if r := c.Stats[0].WindowRate(); r != 0 {
-		t.Fatalf("steady-state miss rate %v for a fitting working set", r)
+	if m := c.Stats[0].Misses - start.Misses; m != 0 {
+		t.Fatalf("%d steady-state misses for a fitting working set", m)
 	}
 }
 
@@ -268,14 +256,15 @@ func TestThrashingCircularScanMissesEverything(t *testing.T) {
 			}
 		}
 	}
-	c.NewWindow()
+	start := c.Stats[0]
 	for _, a := range lines {
 		if !c.Access(a, 0) {
 			c.Fill(a, 0)
 		}
 	}
-	if r := c.Stats[0].WindowRate(); r != 1 {
-		t.Fatalf("circular over-capacity scan miss rate %v, want 1 (LRU)", r)
+	acc, miss := c.Stats[0].Accesses-start.Accesses, c.Stats[0].Misses-start.Misses
+	if miss != acc {
+		t.Fatalf("circular over-capacity scan missed %d of %d accesses, want all (LRU)", miss, acc)
 	}
 }
 

@@ -20,7 +20,7 @@ type State struct {
 	VictimTags []uint64
 	VictimCap  int
 	VictimHead int
-	VTAHits    []stats.Counter
+	VTAHits    []uint64
 }
 
 // State returns the cache's snapshot. It aliases the cache's live tag
@@ -60,7 +60,7 @@ func (c *Cache) SetState(st State) error {
 		for _, tag := range c.victimTags {
 			c.victimSet[tag]++
 		}
-		c.VTAHits = append([]stats.Counter(nil), st.VTAHits...)
+		c.VTAHits = append([]uint64(nil), st.VTAHits...)
 	} else if c.victimSet != nil {
 		// The snapshot was taken with the detector off; mirror that.
 		c.victimTags, c.victimSet, c.VTAHits = nil, nil, nil

@@ -24,7 +24,7 @@ type Group uint8
 const (
 	// Cache registers -simcache and -ledger.
 	Cache Group = 1 << iota
-	// Ckpt registers -ckpt, -ckpt-dir and -ckpt-max-bytes.
+	// Ckpt registers -ckpt and -ckpt-max-bytes.
 	Ckpt
 	// Spans registers -trace-spans.
 	Spans
@@ -43,7 +43,6 @@ type Session struct {
 	version          bool
 	simcache         string
 	ledgers          ledgerFlag
-	ckptOn           bool
 	ckptDir          string
 	ckptMax          int64
 	spans            string
@@ -72,8 +71,7 @@ func NewSession(fs *flag.FlagSet, groups Group, ledgerDefault string) *Session {
 				"(auto = ledger.jsonl beside the -simcache directory; empty disables; needs -simcache)")
 	}
 	if groups&Ckpt != 0 {
-		fs.BoolVar(&s.ckptOn, "ckpt", false, "fork uncached simulations from prefix checkpoints")
-		fs.StringVar(&s.ckptDir, "ckpt-dir", "ckpt", "prefix-checkpoint store directory (with -ckpt)")
+		fs.StringVar(&s.ckptDir, "ckpt", "", "fork uncached simulations from prefix checkpoints kept in this `dir` (empty disables)")
 		fs.Int64Var(&s.ckptMax, "ckpt-max-bytes", 0, "checkpoint store byte cap, oldest evicted first (0 = unbounded)")
 	}
 	if groups&Spans != 0 {
@@ -195,7 +193,7 @@ func (s *Session) openStores(paths []string) (err error) {
 			return err
 		}
 	}
-	if s.ckptOn {
+	if s.ckptDir != "" {
 		if s.store, err = ckpt.Open(s.ckptDir); err != nil {
 			return err
 		}

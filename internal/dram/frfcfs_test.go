@@ -83,7 +83,7 @@ func TestFRFCFSOrder(t *testing.T) {
 		if got := issueOrder(p, 0); !slices.Equal(got, []uint64{hit2, hit1, miss}) {
 			t.Fatalf("issue order %#x, want %#x", got, []uint64{hit2, hit1, miss})
 		}
-		if h, m := p.Apps[0].RowHits.Total(), p.Apps[0].RowMisses.Total(); h != 2 || m != 1 {
+		if h, m := p.Apps[0].RowHits, p.Apps[0].RowMisses; h != 2 || m != 1 {
 			t.Fatalf("row hits/misses = %d/%d, want 2/1", h, m)
 		}
 	})
@@ -104,7 +104,7 @@ func TestFRFCFSOrder(t *testing.T) {
 		if got := issueOrder(p, 0); !slices.Equal(got, []uint64{conflict, closed, other}) {
 			t.Fatalf("issue order %#x, want age order", got)
 		}
-		if w := p.Apps[0].DRAMWrites.Total(); w != 3 {
+		if w := p.Apps[0].DRAMWrites; w != 3 {
 			t.Fatalf("DRAM writes = %d, want 3", w)
 		}
 	})
@@ -129,7 +129,7 @@ func TestFRFCFSOrder(t *testing.T) {
 		settle(read(a, 0))
 		settle(write(a, 0))
 		settle(read(b, 0))
-		if w := p.Apps[0].DRAMWrites.Total(); w != 0 {
+		if w := p.Apps[0].DRAMWrites; w != 0 {
 			t.Fatalf("setup wrote %d lines to DRAM", w)
 		}
 
@@ -154,14 +154,14 @@ func TestFRFCFSOrder(t *testing.T) {
 		if got := queued(p); !slices.Equal(got, []uint64{d, a}) {
 			t.Fatalf("queue after C's fill %#x, want [D, write-back of A] %#x", got, []uint64{d, a})
 		}
-		hits := p.Apps[0].RowHits.Total()
+		hits := p.Apps[0].RowHits
 		p.scheduleDRAM(fillAt)
 		if got := queued(p); !slices.Equal(got, []uint64{d}) {
 			t.Fatalf("queue after one issue %#x, want D left", got)
 		}
-		if p.Apps[0].DRAMWrites.Total() != 1 || p.Apps[0].RowHits.Total() != hits+1 {
+		if p.Apps[0].DRAMWrites != 1 || p.Apps[0].RowHits != hits+1 {
 			t.Fatalf("write-back not issued as a row hit: writes %d, hits %d (was %d)",
-				p.Apps[0].DRAMWrites.Total(), p.Apps[0].RowHits.Total(), hits)
+				p.Apps[0].DRAMWrites, p.Apps[0].RowHits, hits)
 		}
 	})
 }

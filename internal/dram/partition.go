@@ -19,7 +19,6 @@ import (
 	"ebm/internal/cache"
 	"ebm/internal/config"
 	"ebm/internal/mem"
-	"ebm/internal/stats"
 )
 
 // bank holds per-DRAM-bank row-buffer and timing state, in memory cycles.
@@ -104,12 +103,12 @@ func (h *eventHeap) pop() event {
 // Stats aggregates the partition-side per-application telemetry the
 // paper's designated-partition sampling reads (Fig. 8 items 4–6).
 type Stats struct {
-	BWBytes    stats.Counter // data-bus bytes transferred (reads+writes)
-	RowHits    stats.Counter
-	RowMisses  stats.Counter // activates (closed or conflict)
-	DRAMReads  stats.Counter
-	DRAMWrites stats.Counter
-	LatencySum stats.Counter // read latency in mem cycles, summed
+	BWBytes    uint64 // data-bus bytes transferred (reads+writes)
+	RowHits    uint64
+	RowMisses  uint64 // activates (closed or conflict)
+	DRAMReads  uint64
+	DRAMWrites uint64
+	LatencySum uint64 // read latency in mem cycles, summed
 }
 
 // Partition is one memory controller plus its L2 slice.
@@ -154,17 +153,17 @@ type Partition struct {
 
 	// Refreshes counts all-bank refresh operations (zero unless the
 	// timing's TREFI is configured).
-	Refreshes   stats.Counter
+	Refreshes   uint64
 	nextRefresh uint64
 
 	// MSHRStalls counts memory cycles the input-queue head was blocked by
 	// a full L2 MSHR file or DRAM queue (structural back-pressure toward
 	// the interconnect); BusBusy accumulates the memory cycles the data
-	// bus spent bursting, so (windowed BusBusy)/(window mem cycles) is the
-	// bus utilization. Both are observability counters: they feed the obs
+	// bus spent bursting, so its growth over a window divided by the
+	// window's memory cycles is the bus utilization. Both are observability counters: they feed the obs
 	// exporters and never influence scheduling.
-	MSHRStalls stats.Counter
-	BusBusy    stats.Counter
+	MSHRStalls uint64
+	BusBusy    uint64
 
 	// derived address mapping
 	interleave uint64
@@ -260,7 +259,7 @@ func (p *Partition) Settle(upTo uint64) {
 		return
 	}
 	p.L2.RecordMisses(p.localAddr(req.LineAddr), req.App, n)
-	p.MSHRStalls.Add(n)
+	p.MSHRStalls += n
 }
 
 // PopResponse removes one completed read reply, or returns nil.
@@ -356,7 +355,7 @@ func (p *Partition) maybeRefresh(now uint64) {
 		return
 	}
 	p.nextRefresh = now + uint64(t.TREFI)
-	p.Refreshes.Inc()
+	p.Refreshes++
 	done := now + uint64(t.TRFC)
 	for i := range p.banks {
 		b := &p.banks[i]
@@ -393,7 +392,7 @@ func (p *Partition) drainEvents(now uint64) {
 				wb.Kind, wb.LineAddr, wb.App = mem.WriteReq, p.globalAddr(ev.LineAddr), ev.App
 				p.pushDRAM(wb, ev.LineAddr)
 			}
-			p.Apps[app].LatencySum.Add(now - e.req.MemBorn)
+			p.Apps[app].LatencySum += now - e.req.MemBorn
 			waiters := p.mshr.Remove(line)
 			for _, w := range waiters {
 				w.Kind = mem.ReadReply
@@ -433,7 +432,7 @@ func (p *Partition) acceptOne(now uint64) (stalled bool) {
 		return false
 	}
 
-	// Read path: record the L2 access in the app's windowed stats.
+	// Read path: record the L2 access in the app's stats.
 	if p.L2.Access(local, app) {
 		p.events.push(event{at: now + p.l2LatMem, kind: evL2Hit, req: req})
 		p.popInq()
@@ -447,7 +446,7 @@ func (p *Partition) acceptOne(now uint64) (stalled bool) {
 	if p.mshr.Full() || len(p.dramQ) >= p.dramQCap {
 		// Structural stall; the head request retries next cycle and
 		// back-pressure propagates to the interconnect.
-		p.MSHRStalls.Inc()
+		p.MSHRStalls++
 		return true
 	}
 	p.mshr.Add(req.LineAddr, req)
@@ -504,7 +503,7 @@ func (p *Partition) scheduleDRAM(now uint64) {
 	switch {
 	case rowHit:
 		colAt = max(now, b.ColReady, p.lastColAt+uint64(t.TCCD))
-		p.Apps[app].RowHits.Inc()
+		p.Apps[app].RowHits++
 	case b.OpenRow < 0:
 		actAt := max(now, b.PreDone, p.lastActAt+uint64(t.TRRD))
 		b.ActAt = actAt
@@ -512,7 +511,7 @@ func (p *Partition) scheduleDRAM(now uint64) {
 		b.ColReady = actAt + uint64(t.TRCD)
 		p.lastActAt = actAt
 		colAt = max(b.ColReady, p.lastColAt+uint64(t.TCCD))
-		p.Apps[app].RowMisses.Inc()
+		p.Apps[app].RowMisses++
 	default: // row conflict: precharge, then activate
 		preAt := max(now, b.ActAt+uint64(t.TRAS), b.LastColAt+uint64(t.TWR))
 		actAt := max(preAt+uint64(t.TRP), p.lastActAt+uint64(t.TRRD))
@@ -522,7 +521,7 @@ func (p *Partition) scheduleDRAM(now uint64) {
 		b.ColReady = actAt + uint64(t.TRCD)
 		p.lastActAt = actAt
 		colAt = max(b.ColReady, p.lastColAt+uint64(t.TCCD))
-		p.Apps[app].RowMisses.Inc()
+		p.Apps[app].RowMisses++
 	}
 	// Serialize the data burst on the shared bus.
 	dataStart := max(colAt+uint64(t.TCL), p.busFreeAt)
@@ -531,18 +530,18 @@ func (p *Partition) scheduleDRAM(now uint64) {
 	}
 	dataEnd := dataStart + uint64(t.BL)
 	p.busFreeAt = dataEnd
-	p.BusBusy.Add(uint64(t.BL))
+	p.BusBusy += uint64(t.BL)
 	b.LastColAt = colAt
 	b.ColReady = colAt + uint64(t.TCCD)
 	p.lastColAt = colAt
 
-	p.Apps[app].BWBytes.Add(uint64(p.cfg.L2.LineBytes))
+	p.Apps[app].BWBytes += uint64(p.cfg.L2.LineBytes)
 	if req.Kind == mem.WriteReq {
-		p.Apps[app].DRAMWrites.Inc()
+		p.Apps[app].DRAMWrites++
 		p.pool.Put(req) // fire and forget: the burst retires the message
 		return
 	}
-	p.Apps[app].DRAMReads.Inc()
+	p.Apps[app].DRAMReads++
 	p.events.push(event{at: dataEnd, kind: evDRAMRead, req: req, local: addr.local})
 }
 
@@ -554,23 +553,6 @@ func (p *Partition) InputDepth() int { return len(p.inq) }
 
 // OutstandingMisses returns the number of distinct lines in flight to DRAM.
 func (p *Partition) OutstandingMisses() int { return p.mshr.Len() }
-
-// NewWindow rolls every per-app counter (including the L2's) into a new
-// sampling window.
-func (p *Partition) NewWindow() {
-	p.L2.NewWindow()
-	p.MSHRStalls.NewWindow()
-	p.BusBusy.NewWindow()
-	for i := range p.Apps {
-		a := &p.Apps[i]
-		a.BWBytes.NewWindow()
-		a.RowHits.NewWindow()
-		a.RowMisses.NewWindow()
-		a.DRAMReads.NewWindow()
-		a.DRAMWrites.NewWindow()
-		a.LatencySum.NewWindow()
-	}
-}
 
 // String summarizes the partition state for diagnostics.
 func (p *Partition) String() string {

@@ -49,11 +49,11 @@ func TestReadMissRoundTrip(t *testing.T) {
 	if at < min {
 		t.Fatalf("response at %d, faster than DRAM timing allows (%d)", at, min)
 	}
-	if p.Apps[0].DRAMReads.Total() != 1 {
+	if p.Apps[0].DRAMReads != 1 {
 		t.Fatal("DRAM read not counted")
 	}
-	if p.Apps[0].BWBytes.Total() != uint64(c.L2.LineBytes) {
-		t.Fatalf("bytes = %d", p.Apps[0].BWBytes.Total())
+	if p.Apps[0].BWBytes != uint64(c.L2.LineBytes) {
+		t.Fatalf("bytes = %d", p.Apps[0].BWBytes)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestL2HitIsFasterAndCountsNoDRAM(t *testing.T) {
 	p := NewPartition(0, c, 1)
 	p.Enqueue(read(0, 0), 0)
 	_, coldAt := runUntil(p, 0, 500)
-	p.NewWindow()
+	reads, misses := p.Apps[0].DRAMReads, p.L2.Stats[0].Misses
 	p.Enqueue(read(0, 0), 1000)
 	resp, hitAt := runUntil(p, 1000, 500)
 	if resp == nil {
@@ -71,10 +71,10 @@ func TestL2HitIsFasterAndCountsNoDRAM(t *testing.T) {
 	if hitLat := hitAt - 1000; hitLat >= coldAt {
 		t.Fatalf("L2 hit latency %d not faster than cold %d", hitLat, coldAt)
 	}
-	if p.Apps[0].DRAMReads.Window() != 0 {
+	if p.Apps[0].DRAMReads != reads {
 		t.Fatal("L2 hit went to DRAM")
 	}
-	if p.L2.Stats[0].Misses.Window() != 0 {
+	if p.L2.Stats[0].Misses != misses {
 		t.Fatal("L2 hit recorded as miss")
 	}
 }
@@ -97,8 +97,8 @@ func TestMSHRMergesDuplicateLines(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("%d responses, want 2 (both waiters served)", len(got))
 	}
-	if p.Apps[0].DRAMReads.Total() != 1 {
-		t.Fatalf("DRAM reads = %d, want 1 (merged)", p.Apps[0].DRAMReads.Total())
+	if p.Apps[0].DRAMReads != 1 {
+		t.Fatalf("DRAM reads = %d, want 1 (merged)", p.Apps[0].DRAMReads)
 	}
 }
 
@@ -113,11 +113,11 @@ func TestRowHitVsRowMissAccounting(t *testing.T) {
 		p.Tick(now)
 		p.PopResponse()
 	}
-	if p.Apps[0].RowMisses.Total() != 1 {
-		t.Fatalf("activates = %d, want 1", p.Apps[0].RowMisses.Total())
+	if p.Apps[0].RowMisses != 1 {
+		t.Fatalf("activates = %d, want 1", p.Apps[0].RowMisses)
 	}
-	if p.Apps[0].RowHits.Total() != 1 {
-		t.Fatalf("row hits = %d, want 1", p.Apps[0].RowHits.Total())
+	if p.Apps[0].RowHits != 1 {
+		t.Fatalf("row hits = %d, want 1", p.Apps[0].RowHits)
 	}
 }
 
@@ -176,12 +176,12 @@ func TestWriteAbsorbedByL2(t *testing.T) {
 		p.Tick(now)
 		p.PopResponse()
 	}
-	base := p.Apps[0].DRAMWrites.Total()
+	base := p.Apps[0].DRAMWrites
 	p.Enqueue(write(0, 0), 300) // resident: write hit, no DRAM traffic
 	for now := uint64(300); now < 600; now++ {
 		p.Tick(now)
 	}
-	if p.Apps[0].DRAMWrites.Total() != base {
+	if p.Apps[0].DRAMWrites != base {
 		t.Fatal("write hit leaked to DRAM")
 	}
 }
@@ -193,8 +193,8 @@ func TestWriteMissGoesToDRAM(t *testing.T) {
 	for now := uint64(0); now < 300; now++ {
 		p.Tick(now)
 	}
-	if p.Apps[0].DRAMWrites.Total() != 1 {
-		t.Fatalf("write misses to DRAM = %d, want 1 (no-allocate)", p.Apps[0].DRAMWrites.Total())
+	if p.Apps[0].DRAMWrites != 1 {
+		t.Fatalf("write misses to DRAM = %d, want 1 (no-allocate)", p.Apps[0].DRAMWrites)
 	}
 	if p.PendingResponses() != 0 {
 		t.Fatal("write produced a response")
@@ -222,10 +222,10 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	step(0, false)
 	step(0, true) // dirty it
 	step(stride, false)
-	base := p.Apps[0].DRAMWrites.Total()
+	base := p.Apps[0].DRAMWrites
 	step(2*stride, false) // evicts dirty line 0
-	if p.Apps[0].DRAMWrites.Total() != base+1 {
-		t.Fatalf("dirty eviction writes = %d, want %d", p.Apps[0].DRAMWrites.Total(), base+1)
+	if p.Apps[0].DRAMWrites != base+1 {
+		t.Fatalf("dirty eviction writes = %d, want %d", p.Apps[0].DRAMWrites, base+1)
 	}
 }
 
@@ -238,9 +238,9 @@ func TestPerAppAccounting(t *testing.T) {
 		p.Tick(now)
 		p.PopResponse()
 	}
-	if p.Apps[0].DRAMReads.Total() != 1 || p.Apps[1].DRAMReads.Total() != 1 {
+	if p.Apps[0].DRAMReads != 1 || p.Apps[1].DRAMReads != 1 {
 		t.Fatalf("per-app reads wrong: %d / %d",
-			p.Apps[0].DRAMReads.Total(), p.Apps[1].DRAMReads.Total())
+			p.Apps[0].DRAMReads, p.Apps[1].DRAMReads)
 	}
 }
 
@@ -309,9 +309,9 @@ func TestBandwidthConservation(t *testing.T) {
 		p.PopResponse()
 	}
 	a := &p.Apps[0]
-	want := (a.DRAMReads.Total() + a.DRAMWrites.Total()) * uint64(c.L2.LineBytes)
-	if a.BWBytes.Total() != want {
-		t.Fatalf("BW bytes %d != lines*%d = %d", a.BWBytes.Total(), c.L2.LineBytes, want)
+	want := (a.DRAMReads + a.DRAMWrites) * uint64(c.L2.LineBytes)
+	if a.BWBytes != want {
+		t.Fatalf("BW bytes %d != lines*%d = %d", a.BWBytes, c.L2.LineBytes, want)
 	}
 }
 
@@ -320,7 +320,7 @@ func TestLatencyAccountingSane(t *testing.T) {
 	p := NewPartition(0, c, 1)
 	p.Enqueue(read(0, 0), 0)
 	_, at := runUntil(p, 0, 500)
-	lat := p.Apps[0].LatencySum.Total()
+	lat := p.Apps[0].LatencySum
 	if lat == 0 || lat > at+1 {
 		t.Fatalf("latency %d implausible (completed at %d)", lat, at)
 	}

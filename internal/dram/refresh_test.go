@@ -20,7 +20,7 @@ func TestRefreshCounted(t *testing.T) {
 		p.Tick(now)
 	}
 	// Refreshes at 0, 500, 1000, 1500, 2000, 2500.
-	if got := p.Refreshes.Total(); got != 6 {
+	if got := p.Refreshes; got != 6 {
 		t.Fatalf("refreshes = %d, want 6", got)
 	}
 }
@@ -31,7 +31,7 @@ func TestRefreshDisabledByDefault(t *testing.T) {
 	for now := uint64(0); now < 10_000; now++ {
 		p.Tick(now)
 	}
-	if p.Refreshes.Total() != 0 {
+	if p.Refreshes != 0 {
 		t.Fatal("refresh ran with TREFI=0")
 	}
 }
@@ -67,13 +67,13 @@ func TestRefreshClosesRows(t *testing.T) {
 		p.Tick(now)
 		p.PopResponse()
 	}
-	hitsBefore := p.Apps[0].RowHits.Total()
+	hitsBefore := p.Apps[0].RowHits
 	p.Enqueue(&mem.Request{Kind: mem.ReadReq, LineAddr: 128, App: 0}, 600)
 	for now := uint64(600); now < 1100; now++ {
 		p.Tick(now)
 		p.PopResponse()
 	}
-	if p.Apps[0].RowHits.Total() != hitsBefore {
+	if p.Apps[0].RowHits != hitsBefore {
 		t.Fatal("row survived a refresh (refresh must precharge all banks)")
 	}
 }
@@ -95,7 +95,7 @@ func TestRefreshReducesBandwidth(t *testing.T) {
 			for p.PopResponse() != nil {
 			}
 		}
-		return p.Apps[0].BWBytes.Total()
+		return p.Apps[0].BWBytes
 	}
 	without := run(0, 0)
 	with := run(1000, 130)

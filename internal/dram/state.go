@@ -5,7 +5,6 @@ import (
 
 	"ebm/internal/cache"
 	"ebm/internal/mem"
-	"ebm/internal/stats"
 )
 
 // EventState is one pending completion event: its fire time, kind, and
@@ -37,10 +36,10 @@ type PartitionState struct {
 	Events      []EventState // raw heap-array order
 	Resp        []mem.Request
 	Apps        []Stats
-	Refreshes   stats.Counter
+	Refreshes   uint64
 	NextRefresh uint64
-	MSHRStalls  stats.Counter
-	BusBusy     stats.Counter
+	MSHRStalls  uint64
+	BusBusy     uint64
 	// RetryFrom is the first memory cycle whose retry of the stalled
 	// input-queue head is not counted yet (0 when the head is not
 	// stalled), captured raw: the restored partition's first Tick

@@ -350,6 +350,42 @@ func FigureSchemes(bestTLPs []int) map[string]spec.SchemeSpec {
 	}
 }
 
+// GridPick is one static combination the evaluation picks off a
+// workload's exhaustive grid; Name is its scheme name.
+type GridPick struct {
+	Name string
+	Pick func(*search.Grid) ([]int, error)
+}
+
+// GridPicks lists the grid picks in report order: the slowdown optima,
+// the brute-force EB optima, then PBS-Offline's searches. aloneIPC scales
+// the slowdown objectives, aloneEB the EB searches' FI and HS.
+func GridPicks(aloneIPC, aloneEB []float64) []GridPick {
+	best := func(eval search.Eval) func(*search.Grid) ([]int, error) {
+		return func(g *search.Grid) ([]int, error) {
+			c, _ := g.Best(eval)
+			return c, nil
+		}
+	}
+	offline := func(obj metrics.Objective, scale []float64) func(*search.Grid) ([]int, error) {
+		return func(g *search.Grid) ([]int, error) {
+			c, _, err := g.PBSOffline(obj, scale)
+			return c, err
+		}
+	}
+	return []GridPick{
+		{SchOptWS, best(search.SDEval(metrics.ObjWS, aloneIPC))},
+		{SchOptFI, best(search.SDEval(metrics.ObjFI, aloneIPC))},
+		{SchOptHS, best(search.SDEval(metrics.ObjHS, aloneIPC))},
+		{SchBFWS, best(search.EBEval(metrics.ObjWS, nil))},
+		{SchBFFI, best(search.EBEval(metrics.ObjFI, aloneEB))},
+		{SchBFHS, best(search.EBEval(metrics.ObjHS, aloneEB))},
+		{SchPBSWSOff, offline(metrics.ObjWS, nil)},
+		{SchPBSFIOff, offline(metrics.ObjFI, aloneEB)},
+		{SchPBSHSOff, offline(metrics.ObjHS, aloneEB)},
+	}
+}
+
 // EvalWorkload measures every comparison scheme on one workload. Static
 // combinations discovered by the searches are re-run at evaluation length;
 // online schemes run with full overheads.
@@ -370,33 +406,10 @@ func (e *Env) EvalWorkload(w workload.Workload) (*Eval, error) {
 		SchBestTLP: bestTLPs,
 		SchMaxTLP:  maxCombo(len(w.Apps)),
 	}
-	for _, o := range []struct {
-		name string
-		eval search.Eval
-	}{
-		{SchOptWS, search.SDEval(metrics.ObjWS, aloneIPC)},
-		{SchOptFI, search.SDEval(metrics.ObjFI, aloneIPC)},
-		{SchOptHS, search.SDEval(metrics.ObjHS, aloneIPC)},
-		{SchBFWS, search.EBEval(metrics.ObjWS, nil)},
-		{SchBFFI, search.EBEval(metrics.ObjFI, aloneEB)},
-		{SchBFHS, search.EBEval(metrics.ObjHS, aloneEB)},
-	} {
-		combos[o.name], _ = g.Best(o.eval)
-	}
-	for _, off := range []struct {
-		name  string
-		obj   metrics.Objective
-		scale []float64
-	}{
-		{SchPBSWSOff, metrics.ObjWS, nil},
-		{SchPBSFIOff, metrics.ObjFI, aloneEB},
-		{SchPBSHSOff, metrics.ObjHS, aloneEB},
-	} {
-		c, _, err := g.PBSOffline(off.obj, off.scale)
-		if err != nil {
+	for _, p := range GridPicks(aloneIPC, aloneEB) {
+		if combos[p.Name], err = p.Pick(g); err != nil {
 			return nil, err
 		}
-		combos[off.name] = c
 	}
 
 	ev := &Eval{

@@ -13,7 +13,6 @@ import (
 	"ebm/internal/config"
 	"ebm/internal/kernel"
 	"ebm/internal/mem"
-	"ebm/internal/stats"
 )
 
 // wheelSize bounds how far in the future a warp wake-up may be scheduled
@@ -42,31 +41,19 @@ func (s *scheduler) activeMask(tlp int) uint64 {
 // CoreStats is the per-core telemetry read by the sampling hardware and
 // the TLP managers.
 type CoreStats struct {
-	InstRetired  stats.Counter // warp instructions issued/retired
-	MemInsts     stats.Counter
-	IssuedSlots  stats.Counter // issue slots used (<= 2 per cycle)
-	ActiveCycles stats.Counter // cycles with at least one issue
-	IdleCycles   stats.Counter // cycles with no issue: no ready active warp, or every one stalled
-	MemStall     stats.Counter // idle cycles where an active warp waited on memory
-	StallMSHR    stats.Counter // issue aborts due to full MSHRs/inject queue
+	InstRetired  uint64 // warp instructions issued/retired
+	MemInsts     uint64
+	IssuedSlots  uint64 // issue slots used (<= 2 per cycle)
+	ActiveCycles uint64 // cycles with at least one issue
+	IdleCycles   uint64 // cycles with no issue: no ready active warp, or every one stalled
+	MemStall     uint64 // idle cycles where an active warp waited on memory
+	StallMSHR    uint64 // issue aborts due to full MSHRs/inject queue
 	// FastForward counts the cycles of a quiet span that Settle credited
 	// instead of Tick: cycles of a core with no issuable warp, or whose
 	// every ready scheduler stalls on MSHR or out-queue space. It is the
 	// one counter the fast-forward changes; every other counter reads as
 	// if each of those cycles had been ticked.
-	FastForward stats.Counter
-}
-
-// NewWindow rolls every counter into a new sampling window.
-func (cs *CoreStats) NewWindow() {
-	cs.InstRetired.NewWindow()
-	cs.MemInsts.NewWindow()
-	cs.IssuedSlots.NewWindow()
-	cs.ActiveCycles.NewWindow()
-	cs.IdleCycles.NewWindow()
-	cs.MemStall.NewWindow()
-	cs.StallMSHR.NewWindow()
-	cs.FastForward.NewWindow()
+	FastForward uint64
 }
 
 // quietSpan is the stretch of cycles a quiet Tick (see Tick) would repeat
@@ -312,12 +299,12 @@ func (c *Core) Tick(now uint64) (quiet bool) {
 	}
 
 	if issued > 0 {
-		c.Stats.IssuedSlots.Add(uint64(issued))
-		c.Stats.ActiveCycles.Inc()
+		c.Stats.IssuedSlots += uint64(issued)
+		c.Stats.ActiveCycles++
 	} else {
-		c.Stats.IdleCycles.Inc()
+		c.Stats.IdleCycles++
 		if memWait {
-			c.Stats.MemStall.Inc()
+			c.Stats.MemStall++
 		}
 	}
 	quiet = issued == 0 && c.wheelBusy == 0
@@ -348,12 +335,12 @@ func (c *Core) Settle(upTo uint64) {
 		return
 	}
 	n := upTo - sp.From
-	c.Stats.IdleCycles.Add(n)
-	c.Stats.FastForward.Add(n)
+	c.Stats.IdleCycles += n
+	c.Stats.FastForward += n
 	if sp.MemWait {
-		c.Stats.MemStall.Add(n)
+		c.Stats.MemStall += n
 	}
-	c.Stats.StallMSHR.Add(n * uint64(sp.Stalls))
+	c.Stats.StallMSHR += n * uint64(sp.Stalls)
 	sp.From = upTo
 }
 
@@ -375,7 +362,7 @@ func (c *Core) issue(s *scheduler, li int, now uint64) (ok bool, need int) {
 
 	if !inst.IsMem {
 		stream.Advance()
-		c.Stats.InstRetired.Inc()
+		c.Stats.InstRetired++
 		delay := c.alu()
 		if delay > 1 {
 			c.sleep(w)
@@ -388,7 +375,7 @@ func (c *Core) issue(s *scheduler, li int, now uint64) (ok bool, need int) {
 		// Stores are write-through and fire-and-forget: they need out-queue
 		// space but do not block the warp on completion.
 		if !c.CanInject(len(inst.Lines)) {
-			c.Stats.StallMSHR.Inc()
+			c.Stats.StallMSHR++
 			return false, len(inst.Lines)
 		}
 		for _, line := range inst.Lines {
@@ -397,8 +384,8 @@ func (c *Core) issue(s *scheduler, li int, now uint64) (ok bool, need int) {
 			c.outq = append(c.outq, r)
 		}
 		stream.Advance()
-		c.Stats.InstRetired.Inc()
-		c.Stats.MemInsts.Inc()
+		c.Stats.InstRetired++
+		c.Stats.MemInsts++
 		return true, 0
 	}
 
@@ -417,11 +404,11 @@ func (c *Core) issue(s *scheduler, li int, now uint64) (ok bool, need int) {
 	}
 	if newLines > 0 {
 		if c.mshr.Len()+newLines > c.mshr.Cap() {
-			c.Stats.StallMSHR.Inc()
+			c.Stats.StallMSHR++
 			return false, 0
 		}
 		if !c.CanInject(newLines) {
-			c.Stats.StallMSHR.Inc()
+			c.Stats.StallMSHR++
 			return false, newLines
 		}
 	}
@@ -457,8 +444,8 @@ func (c *Core) issue(s *scheduler, li int, now uint64) (ok bool, need int) {
 	}
 
 	stream.Advance()
-	c.Stats.InstRetired.Inc()
-	c.Stats.MemInsts.Inc()
+	c.Stats.InstRetired++
+	c.Stats.MemInsts++
 
 	if fills == 0 {
 		// All hits: the warp waits out the L1 hit latency.
@@ -495,10 +482,4 @@ func waitersContain(xs []int32, x int32) bool {
 		}
 	}
 	return false
-}
-
-// NewWindow starts a new sampling window on the core and L1 counters.
-func (c *Core) NewWindow() {
-	c.Stats.NewWindow()
-	c.L1.NewWindow()
 }

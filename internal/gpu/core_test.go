@@ -7,7 +7,6 @@ import (
 	"ebm/internal/config"
 	"ebm/internal/kernel"
 	"ebm/internal/mem"
-	"ebm/internal/stats"
 )
 
 func machine() *config.GPU {
@@ -46,7 +45,7 @@ func TestComputeBoundIPCSaturatesIssueWidth(t *testing.T) {
 	for now := uint64(0); now < cycles; now++ {
 		c.Tick(now)
 	}
-	ipc := float64(c.Stats.InstRetired.Total()) / cycles
+	ipc := float64(c.Stats.InstRetired) / cycles
 	if ipc < 1.9 || ipc > 2.01 {
 		t.Fatalf("compute-bound IPC %v, want ~2 (two schedulers)", ipc)
 	}
@@ -60,7 +59,7 @@ func TestTLP1ComputeIPC(t *testing.T) {
 		c.Tick(now)
 	}
 	// ALUDelay 1: even one warp per scheduler sustains full issue.
-	ipc := float64(c.Stats.InstRetired.Total()) / 2000
+	ipc := float64(c.Stats.InstRetired) / 2000
 	if ipc < 1.9 {
 		t.Fatalf("TLP=1, ALUDelay=1 IPC %v, want ~2", ipc)
 	}
@@ -75,7 +74,7 @@ func TestALUDelayThrottlesSingleWarp(t *testing.T) {
 	for now := uint64(0); now < 2000; now++ {
 		c.Tick(now)
 	}
-	ipc := float64(c.Stats.InstRetired.Total()) / 2000
+	ipc := float64(c.Stats.InstRetired) / 2000
 	// One warp per scheduler issuing every 4 cycles: IPC ~ 2/4.
 	if ipc < 0.45 || ipc > 0.55 {
 		t.Fatalf("dependent-chain IPC %v, want ~0.5", ipc)
@@ -86,7 +85,7 @@ func TestALUDelayThrottlesSingleWarp(t *testing.T) {
 	for now := uint64(0); now < 2000; now++ {
 		c2.Tick(now)
 	}
-	if ipc2 := float64(c2.Stats.InstRetired.Total()) / 2000; ipc2 < 1.9 {
+	if ipc2 := float64(c2.Stats.InstRetired) / 2000; ipc2 < 1.9 {
 		t.Fatalf("TLP=8 did not hide ALU latency: IPC %v", ipc2)
 	}
 }
@@ -112,7 +111,7 @@ func TestMemoryInstructionsProduceRequests(t *testing.T) {
 	if got == 0 {
 		t.Fatal("no memory requests produced")
 	}
-	if c.Stats.MemInsts.Total() == 0 {
+	if c.Stats.MemInsts == 0 {
 		t.Fatal("memory instructions not counted")
 	}
 }
@@ -137,11 +136,11 @@ func TestWarpsBlockUntilFill(t *testing.T) {
 	if len(outstanding) > 4 {
 		t.Fatalf("%d reads without any fill; warps are not blocking", len(outstanding))
 	}
-	before := c.Stats.InstRetired.Total()
+	before := c.Stats.InstRetired
 	for now := uint64(300); now < 400; now++ {
 		c.Tick(now)
 	}
-	if c.Stats.InstRetired.Total() != before {
+	if c.Stats.InstRetired != before {
 		t.Fatal("blocked warps kept retiring")
 	}
 	// Deliver the fills: the warps wake and make progress.
@@ -154,7 +153,7 @@ func TestWarpsBlockUntilFill(t *testing.T) {
 			c.PopRequest()
 		}
 	}
-	if c.Stats.InstRetired.Total() <= before {
+	if c.Stats.InstRetired <= before {
 		t.Fatal("fills did not wake the warps")
 	}
 }
@@ -216,7 +215,7 @@ func TestL1HitsDontGenerateTraffic(t *testing.T) {
 		c.Tick(now)
 		drain()
 	}
-	c.NewWindow()
+	start := c.L1.Stats[0]
 	reads := 0
 	for now := uint64(3000); now < 6000; now++ {
 		c.Tick(now)
@@ -229,8 +228,8 @@ func TestL1HitsDontGenerateTraffic(t *testing.T) {
 	if reads != 0 {
 		t.Fatalf("resident working set still missed %d times", reads)
 	}
-	if mr := c.L1.Stats[0].WindowRate(); mr != 0 {
-		t.Fatalf("steady-state L1 miss rate %v, want 0", mr)
+	if m := c.L1.Stats[0].Misses - start.Misses; m != 0 {
+		t.Fatalf("%d steady-state L1 misses, want 0", m)
 	}
 }
 
@@ -255,8 +254,8 @@ func TestBypassL1ForcesMisses(t *testing.T) {
 			}
 		}
 	}
-	if mr := c.L1.Stats[0].TotalRate(); mr != 1 {
-		t.Fatalf("bypassing L1 miss rate %v, want 1", mr)
+	if st := c.L1.Stats[0]; st.Misses != st.Accesses {
+		t.Fatalf("bypassing L1 missed %d of %d accesses, want all", st.Misses, st.Accesses)
 	}
 }
 
@@ -390,7 +389,7 @@ func sameCore(t *testing.T, a, b *Core, ignoreFF bool) {
 	t.Helper()
 	sa, sb := a.State(), b.State()
 	if ignoreFF {
-		sa.Stats.FastForward, sb.Stats.FastForward = stats.Counter{}, stats.Counter{}
+		sa.Stats.FastForward, sb.Stats.FastForward = 0, 0
 	}
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("cores diverged:\n a: %+v span %+v room %d\n b: %+v span %+v room %d",
@@ -419,7 +418,7 @@ func TestSettleMatchesQuietTicks(t *testing.T) {
 			}
 			settled.Tick(now)
 			settled.Settle(now + n)
-			if got := settled.Stats.FastForward.Total(); got != n-1 {
+			if got := settled.Stats.FastForward; got != n-1 {
 				t.Fatalf("FastForward %d, want %d", got, n-1)
 			}
 			if !settled.Quiet() || settled.span.From != now+n {
@@ -448,8 +447,8 @@ func TestQuietSpanSurvivesFork(t *testing.T) {
 			}
 			orig.Settle(now + 40)
 			fork.Settle(now + 40)
-			if !fork.Quiet() || fork.Stats.FastForward.Total() != 40 {
-				t.Fatalf("fork quiet %v FastForward %d, want true 40", fork.Quiet(), fork.Stats.FastForward.Total())
+			if !fork.Quiet() || fork.Stats.FastForward != 40 {
+				t.Fatalf("fork quiet %v FastForward %d, want true 40", fork.Quiet(), fork.Stats.FastForward)
 			}
 			sameCore(t, orig, fork, false)
 			if tc.drain {
@@ -478,9 +477,9 @@ func TestTickNotQuietWhenIssuingOrWheelBusy(t *testing.T) {
 	c := newCore(t, cfg, p)
 	c.SetTLP(1)
 	c.Tick(0) // each scheduler's one warp issues, then sleeps for 4 cycles
-	before := c.Stats.IssuedSlots.Total()
+	before := c.Stats.IssuedSlots
 	quiet := c.Tick(1)
-	if c.Stats.IssuedSlots.Total() != before {
+	if c.Stats.IssuedSlots != before {
 		t.Fatal("a sleeping warp issued")
 	}
 	if quiet || c.Quiet() {
@@ -494,12 +493,16 @@ func TestStatsWindows(t *testing.T) {
 	for now := uint64(0); now < 100; now++ {
 		c.Tick(now)
 	}
-	if c.Stats.InstRetired.Window() == 0 {
-		t.Fatal("no windowed instructions")
+	// A window's count is the difference of the totals over it.
+	start := c.Stats.InstRetired
+	if start == 0 {
+		t.Fatal("no instructions")
 	}
-	c.NewWindow()
-	if c.Stats.InstRetired.Window() != 0 {
-		t.Fatal("NewWindow did not roll core stats")
+	for now := uint64(100); now < 200; now++ {
+		c.Tick(now)
+	}
+	if c.Stats.InstRetired-start == 0 {
+		t.Fatal("no instructions in the second window")
 	}
 }
 
@@ -642,8 +645,8 @@ func TestStallRoom(t *testing.T) {
 			if !c.CanInject(tc.room) {
 				t.Fatalf("unblocked with %d free slots, room %d", c.outqCap-len(c.outq), tc.room)
 			}
-			before := c.Stats.InstRetired.Total()
-			if q := c.Tick(100); q || c.Stats.InstRetired.Total() == before {
+			before := c.Stats.InstRetired
+			if q := c.Tick(100); q || c.Stats.InstRetired == before {
 				t.Fatalf("tick after the pop that left room %d issued nothing", tc.room)
 			}
 		})

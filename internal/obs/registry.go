@@ -13,8 +13,9 @@
 // allocation-free and bit-identical with observability disabled (guarded
 // by the golden and steady-state-allocation tests in internal/sim).
 // Publishing happens at window granularity: the engine scrapes its
-// existing windowed counters into the registry's atomic values, which the
-// HTTP exporter reads from any goroutine without locks.
+// lifetime counters, and their growth over the window, into the
+// registry's atomic values, which the HTTP exporter reads from any
+// goroutine without locks.
 package obs
 
 import (
@@ -28,8 +29,8 @@ import (
 
 // Counter is a monotonically increasing metric. The engine publishes
 // either by Add/Inc (event-driven counters) or by Set with the lifetime
-// total of an internal stats.Counter (scrape-style mirroring); both keep
-// the exported value monotone.
+// total of an engine counter (scrape-style mirroring); both keep the
+// exported value monotone.
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.

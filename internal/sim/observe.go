@@ -148,8 +148,8 @@ func (w *simObs) warmup(cycle uint64) {
 // window publishes one completed sampling window: per-app telemetry from
 // the sample the manager saw, machine-wide counters scraped from the
 // engine's lifetime totals, and the journal events the CSV and Chrome
-// trace exporters replay. Called once per window, before newWindow rolls
-// the windowed counters.
+// trace exporters replay. Called once per window, before startWindow
+// records the next window's start.
 func (w *simObs) window(s *Simulator, sample tlp.Sample, windows uint64) {
 	for i := range sample.Apps {
 		a := &sample.Apps[i]
@@ -162,7 +162,7 @@ func (w *simObs) window(s *Simulator, sample tlp.Sample, windows uint64) {
 		w.appL2MR[i].Set(a.L2MR)
 		w.appStall[i].Set(a.MemStallFrac)
 		w.appUtil[i].Set(a.IssueUtil)
-		w.appInsts[i].Set(s.appTotalInsts(i))
+		w.appInsts[i].Set(s.appCounters(i, false).Insts)
 		w.appKernels[i].Set(s.kernels[i])
 		w.ebHist.Observe(a.EB)
 
@@ -182,27 +182,25 @@ func (w *simObs) window(s *Simulator, sample tlp.Sample, windows uint64) {
 		w.windows.Set(windows)
 
 		var rowHits, rowMisses, reads, writes, bytes, refreshes uint64
-		var l2Stalls, l2Occ uint64
-		var latSumWin, readsWin uint64
+		var l2Stalls, l2Occ, latSum uint64
 		memCyclesWin := float64(s.opts.WindowCycles) * s.cfg.MemCyclesPerCoreCycle()
 		for pi, p := range s.partitions {
 			for app := range p.Apps {
 				a := &p.Apps[app]
-				rowHits += a.RowHits.Total()
-				rowMisses += a.RowMisses.Total()
-				reads += a.DRAMReads.Total()
-				writes += a.DRAMWrites.Total()
-				bytes += a.BWBytes.Total()
-				latSumWin += a.LatencySum.Window()
-				readsWin += a.DRAMReads.Window()
+				rowHits += a.RowHits
+				rowMisses += a.RowMisses
+				reads += a.DRAMReads
+				writes += a.DRAMWrites
+				bytes += a.BWBytes
+				latSum += a.LatencySum
 			}
-			refreshes += p.Refreshes.Total()
-			l2Stalls += p.MSHRStalls.Total()
+			refreshes += p.Refreshes
+			l2Stalls += p.MSHRStalls
 			l2Occ += uint64(p.OutstandingMisses())
 			w.partQ[pi].Set(float64(p.QueueDepth()))
 			w.partIn[pi].Set(float64(p.InputDepth()))
 			if memCyclesWin > 0 {
-				w.partBus[pi].Set(float64(p.BusBusy.Window()) / memCyclesWin)
+				w.partBus[pi].Set(float64(p.BusBusy-s.win.BusBusy[pi]) / memCyclesWin)
 			}
 		}
 		w.rowHits.Set(rowHits)
@@ -213,17 +211,23 @@ func (w *simObs) window(s *Simulator, sample tlp.Sample, windows uint64) {
 		w.refreshes.Set(refreshes)
 		w.mshrStallL2.Set(l2Stalls)
 		w.mshrOccL2.Set(float64(l2Occ))
+		// The window-start record sums every partition's DRAM reads.
+		latSumWin, readsWin := latSum, reads
+		for _, a := range s.win.Apps {
+			latSumWin -= a.LatSum
+			readsWin -= a.Reads
+		}
 		if readsWin > 0 {
 			w.latHist.Observe(float64(latSumWin) / float64(readsWin))
 		}
 
 		var l1Stalls, l1Occ uint64
 		for i, c := range s.cores {
-			l1Stalls += c.Stats.StallMSHR.Total()
+			l1Stalls += c.Stats.StallMSHR
 			l1Occ += uint64(c.OutstandingMisses())
-			w.coreIdle[i].Set(c.Stats.IdleCycles.Total())
-			w.coreStall[i].Set(c.Stats.MemStall.Total())
-			w.coreFF[i].Set(c.Stats.FastForward.Total())
+			w.coreIdle[i].Set(c.Stats.IdleCycles)
+			w.coreStall[i].Set(c.Stats.MemStall)
+			w.coreFF[i].Set(c.Stats.FastForward)
 		}
 		w.mshrStallL1.Set(l1Stalls)
 		w.mshrOccL1.Set(float64(l1Occ))

@@ -90,15 +90,14 @@ func (c *capture) replay() (*dram.Partition, error) {
 	return p, nil
 }
 
-// totals is a partition's lifetime counters, its L2's included, window
-// marks dropped: the machine rolls its windows and the replay does not.
+// totals is a partition's lifetime counters, its L2's included.
 func totals(p *dram.Partition) []uint64 {
-	out := []uint64{p.BusBusy.Total(), p.MSHRStalls.Total(), p.Refreshes.Total()}
+	out := []uint64{p.BusBusy, p.MSHRStalls, p.Refreshes}
 	for app, a := range p.Apps {
 		l2 := &p.L2.Stats[app]
-		out = append(out, a.BWBytes.Total(), a.RowHits.Total(), a.RowMisses.Total(),
-			a.DRAMReads.Total(), a.DRAMWrites.Total(), a.LatencySum.Total(),
-			l2.Accesses.Total(), l2.Misses.Total())
+		out = append(out, a.BWBytes, a.RowHits, a.RowMisses,
+			a.DRAMReads, a.DRAMWrites, a.LatencySum,
+			l2.Accesses, l2.Misses)
 	}
 	return out
 }
@@ -119,7 +118,7 @@ func TestPartitionReplayMatchesMachine(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("replayed partition counters %v, machine's %v", got, want)
 	}
-	if p.Apps[0].RowHits.Total() == 0 || p.Apps[0].DRAMWrites.Total()+p.Apps[1].DRAMWrites.Total() == 0 {
+	if p.Apps[0].RowHits == 0 || p.Apps[0].DRAMWrites+p.Apps[1].DRAMWrites == 0 {
 		t.Fatalf("capture exercises no row hits or no writes: %v", got)
 	}
 	t.Logf("%d requests over %d memory cycles", len(c.recs), c.end)

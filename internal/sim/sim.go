@@ -208,22 +208,32 @@ func (r Result) EBsInto(dst []float64) []float64 {
 	return dst
 }
 
-// appSnapshot is one application's lifetime totals at a cycle. Its fields
-// are exported so that engine checkpoints encode the warmup snapshot as
-// is.
+// appSnapshot is one application's lifetime totals at a cycle. A run's
+// Result differences the totals at the warmup boundary from those at the
+// end, a sampling window's telemetry the totals at the window's start
+// from those at its end. Its fields are exported so that engine
+// checkpoints encode it as is.
 type appSnapshot struct {
 	Insts            uint64
 	L1Acc, L1Miss    uint64
+	VTAHits          uint64
 	L2Acc, L2Miss    uint64
 	BWBytes          uint64
 	RowHits, RowMiss uint64
 	LatSum, Reads    uint64
-	Idle, MemStall   uint64
+	MemStall         uint64
 	Issued           uint64
-	Cycles           uint64
 	MemCycles        uint64
 	TLPWeighted      float64
 	Kernels          uint64
+}
+
+// windowStart is the record the current sampling window's telemetry
+// differences from, captured at the window's first cycle. Its fields are
+// exported so that engine checkpoints encode it as is.
+type windowStart struct {
+	Apps    []appSnapshot // per app, the counters buildSample reads (no clocks, TLP or kernels)
+	BusBusy []uint64      // per partition, the data bus's busy memory cycles
 }
 
 // Simulator holds the assembled machine.
@@ -301,6 +311,7 @@ type Simulator struct {
 
 	warm  []appSnapshot // snapshot at warmup
 	accum []appSnapshot // end-of-run snapshot buffer, reused
+	win   windowStart   // totals at the current sampling window's start
 
 	sampleApps []tlp.AppSample // per-window telemetry buffer, reused
 
@@ -325,6 +336,10 @@ func New(opts Options) (*Simulator, error) {
 		instAtLaunch: make([]uint64, len(opts.Apps)),
 		kernels:      make([]uint64, len(opts.Apps)),
 		tlpAccum:     make([]float64, len(opts.Apps)),
+		win: windowStart{
+			Apps:    make([]appSnapshot, len(opts.Apps)),
+			BusBusy: make([]uint64, cfg.NumMemPartitions),
+		},
 	}
 	s.nextWindow = opts.WindowCycles
 	for ci := 0; ci < cfg.NumCores; ci++ {
@@ -648,7 +663,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			if s.obsw != nil {
 				s.obsw.window(s, sample, s.windows)
 			}
-			s.newWindow()
+			s.startWindow()
 			s.nextWindow += s.opts.WindowCycles
 
 			// The cancellation check below bounds abort latency to one

@@ -16,7 +16,7 @@ import (
 // SnapshotVersion identifies the EngineState layout. Bump it whenever any
 // captured structure changes shape or meaning; stale checkpoints then
 // fail to restore and callers fall back to cold execution.
-const SnapshotVersion = 5
+const SnapshotVersion = 6
 
 // EngineState is the complete serializable state of a Simulator at a
 // cycle boundary: restoring it into a freshly constructed Simulator with
@@ -50,6 +50,8 @@ type EngineState struct {
 
 	// Warm is nil when the warmup boundary has not been reached yet.
 	Warm []appSnapshot
+	// Window holds the totals at the current sampling window's start.
+	Window windowStart
 
 	// ManagerName sanity-checks that a checkpoint is restored under the
 	// same policy that produced it; Manager is the policy's opaque state.
@@ -66,10 +68,10 @@ type EngineState struct {
 }
 
 // state captures the simulator's complete state. It never mutates the
-// simulator (quiet cores' spans, skipped partition retries, TLP
-// accumulators, and window marks are captured raw), so taking snapshots
-// cannot perturb a run's results. The awake, queued and headDst indices
-// are not captured: setState rebuilds them from the components.
+// simulator (quiet cores' spans, skipped partition retries and TLP
+// accumulators are captured raw), so taking snapshots cannot perturb a
+// run's results. The awake, queued and headDst indices are not
+// captured: setState rebuilds them from the components.
 // Valid after RunContext returns (the state resumes at the cycle the run
 // stopped at) and inside a CkptSink callback (the state resumes at the
 // first cycle of the next window). It fails if the TLP manager does not
@@ -105,6 +107,7 @@ func (s *Simulator) state() (*EngineState, error) {
 		TLPAccum:     s.tlpAccum,
 		LastTLPFlush: s.lastTLPFlush,
 		Warm:         s.warm,
+		Window:       s.win,
 		ManagerName:  s.opts.Manager.Name(),
 		Manager:      mb,
 		Streams:      make([][]kernel.StreamState, len(s.appStreams)),
@@ -159,6 +162,10 @@ func (s *Simulator) setState(st *EngineState) error {
 	}
 	if st.Warm != nil && len(st.Warm) != numApps {
 		return fmt.Errorf("sim: snapshot warmup block has %d apps, want %d", len(st.Warm), numApps)
+	}
+	if len(st.Window.Apps) != numApps || len(st.Window.BusBusy) != len(s.partitions) {
+		return fmt.Errorf("sim: snapshot window-start record has %d apps / %d partitions, want %d / %d",
+			len(st.Window.Apps), len(st.Window.BusBusy), numApps, len(s.partitions))
 	}
 	for app, ss := range st.Streams {
 		if len(ss) != len(s.appStreams[app]) {
@@ -226,6 +233,8 @@ func (s *Simulator) setState(st *EngineState) error {
 	}
 	s.pendAt = st.PendAt
 	s.warm = append([]appSnapshot(nil), st.Warm...)
+	copy(s.win.Apps, st.Window.Apps)
+	copy(s.win.BusBusy, st.Window.BusBusy)
 
 	s.cycle = st.Cycle
 	s.memCycle = st.MemCycle

@@ -27,18 +27,37 @@ func TestGoldenSnapshotRestore(t *testing.T) {
 	// lands before its warmup cycle.
 	prefixes := map[string][]uint64{
 		// N=60000, warmup 10000, window 2500.
-		"pbs-ws/BLK_TRD": {12_345, 30_000, 57_500},
+		"pbs-ws/BLK_TRD": {12_345, 30_000, 57_500, 58_765},
 		// N=40000, warmup 5000, window 5000 (default).
-		"maxtlp/BFS_FFT": {7_500, 20_000, 23_456},
+		"maxtlp/BFS_FFT": {7_500, 20_000, 23_456, 38_765},
 	}
+	// One unaligned prefix per configuration, inside the last window,
+	// also forks with observers attached: the fork's one window starts
+	// before its restore point, and the gauges it publishes must equal
+	// the uninterrupted run's.
+	observedAt := map[string]uint64{"pbs-ws/BLK_TRD": 58_765, "maxtlp/BFS_FFT": 38_765}
 	for _, g := range goldenRuns {
 		g := g
 		t.Run(g.label, func(t *testing.T) {
-			s, err := sim.New(g.opts())
+			observed := func() (sim.Options, *obs.Registry) {
+				opts, reg := g.opts(), obs.NewRegistry()
+				opts.Obs = &obs.Observer{Metrics: reg}
+				return opts, reg
+			}
+			metricsText := func(reg *obs.Registry) string {
+				var sb strings.Builder
+				if err := reg.WriteText(&sb); err != nil {
+					t.Fatal(err)
+				}
+				return filterHistLines(sb.String())
+			}
+			opts, reg := observed()
+			s, err := sim.New(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			golden := s.Run()
+			goldenMetrics := metricsText(reg)
 			for _, k := range prefixes[g.label] {
 				short := g.opts()
 				total := short.TotalCycles
@@ -52,7 +71,11 @@ func TestGoldenSnapshotRestore(t *testing.T) {
 				if err != nil {
 					t.Fatalf("k=%d: snapshot: %v", k, err)
 				}
-				fs, err := sim.New(g.opts())
+				fopts, freg := g.opts(), (*obs.Registry)(nil)
+				if k == observedAt[g.label] {
+					fopts, freg = observed()
+				}
+				fs, err := sim.New(fopts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -66,6 +89,9 @@ func TestGoldenSnapshotRestore(t *testing.T) {
 				if !reflect.DeepEqual(forked, golden) {
 					t.Errorf("k=%d of %d: forked run diverged from golden:\nforked: %+v\ngolden: %+v",
 						k, total, forked, golden)
+				}
+				if freg != nil && metricsText(freg) != goldenMetrics {
+					t.Errorf("k=%d of %d: observed fork's metrics diverged from golden", k, total)
 				}
 			}
 		})

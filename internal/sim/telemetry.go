@@ -11,9 +11,10 @@ import (
 const cmrFloor = 1e-2
 
 // buildSample assembles the per-window telemetry handed to the TLP
-// manager. With DesignatedSampling it reads one core and one partition per
-// application exactly as the paper's hardware does (Fig. 8); otherwise it
-// aggregates machine-wide.
+// manager, from the totals accrued since the window-start record. With
+// DesignatedSampling it reads one core and one partition per application
+// exactly as the paper's hardware does (Fig. 8); otherwise it aggregates
+// machine-wide.
 func (s *Simulator) buildSample(cycle uint64) tlp.Sample {
 	numApps := len(s.opts.Apps)
 	// The Apps buffer is reused between windows (documented on
@@ -30,8 +31,10 @@ func (s *Simulator) buildSample(cycle uint64) tlp.Sample {
 
 	// Memory cycles elapsed this window (for bandwidth normalization).
 	memCyclesWin := float64(windowCycles) * s.cfg.MemCyclesPerCoreCycle()
-	peakWinBytesAll := s.cfg.PeakBandwidthBytesPerMemCycle() * memCyclesWin
-	peakWinBytesOne := float64(s.cfg.BusWidthBytes) * memCyclesWin
+	peakWinBytes := s.cfg.PeakBandwidthBytesPerMemCycle() * memCyclesWin
+	if s.opts.DesignatedSampling {
+		peakWinBytes = float64(s.cfg.BusWidthBytes) * memCyclesWin
+	}
 
 	totalBW := 0.0
 	for app := 0; app < numApps; app++ {
@@ -41,69 +44,21 @@ func (s *Simulator) buildSample(cycle uint64) tlp.Sample {
 		as.Bypass = s.cores[s.appCores[app][0]].BypassL1()
 		as.Cycles = windowCycles
 
-		var insts, issued, idle, memStall uint64
-		var l1Acc, l1Miss, vtaHits uint64
-		if s.opts.DesignatedSampling {
-			dc := s.cores[s.appCores[app][0]]
-			l1Acc = dc.L1.Stats[app].Accesses.Window()
-			l1Miss = dc.L1.Stats[app].Misses.Window()
-			if dc.L1.VictimTagsEnabled() {
-				vtaHits = dc.L1.VTAHits[app].Window()
-			}
+		cur := s.appCounters(app, s.opts.DesignatedSampling)
+		d := cur.sub(&s.win.Apps[app])
+		as.Insts = d.Insts
+		r := s.rates(app, &d, windowCycles, peakWinBytes)
+		as.IPC, as.L1MR, as.L2MR, as.CMR, as.BW, as.EB = r.IPC, r.L1MR, r.L2MR, r.CMR, r.BW, r.EB
+		as.IssueUtil, as.MemStallFrac = r.IssueUtil, r.MemStallFrac
+		if d.L1Miss > 0 {
+			as.VTARate = float64(d.VTAHits) / float64(d.L1Miss)
 		}
-		for _, ci := range s.appCores[app] {
-			c := s.cores[ci]
-			insts += c.Stats.InstRetired.Window()
-			issued += c.Stats.IssuedSlots.Window()
-			idle += c.Stats.IdleCycles.Window()
-			memStall += c.Stats.MemStall.Window()
-			if !s.opts.DesignatedSampling {
-				l1Acc += c.L1.Stats[app].Accesses.Window()
-				l1Miss += c.L1.Stats[app].Misses.Window()
-				if c.L1.VictimTagsEnabled() {
-					vtaHits += c.L1.VTAHits[app].Window()
-				}
-			}
-		}
-		as.Insts = insts
-		as.IPC = float64(insts) / float64(windowCycles)
-		nc := float64(len(s.appCores[app]))
-		as.IssueUtil = float64(issued) / (float64(windowCycles) * nc * float64(s.cfg.SchedulersPerCore))
-		as.MemStallFrac = float64(memStall) / (float64(windowCycles) * nc)
-
-		var l2Acc, l2Miss, bwBytes uint64
-		if s.opts.DesignatedSampling {
-			p := s.partitions[0]
-			l2Acc = p.L2.Stats[app].Accesses.Window()
-			l2Miss = p.L2.Stats[app].Misses.Window()
-			bwBytes = p.Apps[app].BWBytes.Window()
-		} else {
-			for _, p := range s.partitions {
-				l2Acc += p.L2.Stats[app].Accesses.Window()
-				l2Miss += p.L2.Stats[app].Misses.Window()
-				bwBytes += p.Apps[app].BWBytes.Window()
-			}
-		}
-
-		if l1Miss > 0 {
-			as.VTARate = float64(vtaHits) / float64(l1Miss)
-		}
-		as.L1MR = rate(l1Miss, l1Acc)
-		as.L2MR = rate(l2Miss, l2Acc)
-		as.CMR = as.L1MR * as.L2MR
-		if s.opts.DesignatedSampling {
-			as.BW = float64(bwBytes) / peakWinBytesOne
-		} else {
-			as.BW = float64(bwBytes) / peakWinBytesAll
-		}
-		as.EB = eb(as.BW, as.CMR)
 		totalBW += as.BW
 
 		// Kernel relaunch detection at app granularity.
 		kp := &s.opts.Apps[app]
 		if kp.KernelInsts > 0 {
-			totalInsts := s.appTotalInsts(app)
-			for totalInsts-s.instAtLaunch[app] >= kp.KernelInsts {
+			for cur.Insts-s.instAtLaunch[app] >= kp.KernelInsts {
 				s.instAtLaunch[app] += kp.KernelInsts
 				s.kernels[app]++
 				as.KernelRelaunched = true
@@ -127,6 +82,31 @@ func (s *Simulator) buildSample(cycle uint64) tlp.Sample {
 	return sample
 }
 
+// appRates are an application's rate metrics over an interval: a
+// sampling window for the TLP manager, or the measured run for Result.
+type appRates struct {
+	IPC, L1MR, L2MR, CMR, BW, EB float64
+	IssueUtil, MemStallFrac      float64
+}
+
+// rates computes app's rate metrics from the totals d accrued over an
+// interval of cycles; peakBytes, the interval's peak DRAM transfer,
+// normalises the bandwidth.
+func (s *Simulator) rates(app int, d *appSnapshot, cycles uint64, peakBytes float64) appRates {
+	nc := float64(len(s.appCores[app]))
+	r := appRates{
+		IPC:          float64(d.Insts) / float64(cycles),
+		L1MR:         rate(d.L1Miss, d.L1Acc),
+		L2MR:         rate(d.L2Miss, d.L2Acc),
+		BW:           float64(d.BWBytes) / peakBytes,
+		IssueUtil:    float64(d.Issued) / (float64(cycles) * nc * float64(s.cfg.SchedulersPerCore)),
+		MemStallFrac: float64(d.MemStall) / (float64(cycles) * nc),
+	}
+	r.CMR = r.L1MR * r.L2MR
+	r.EB = eb(r.BW, r.CMR)
+	return r
+}
+
 // rate returns misses/accesses with the idle-window convention of 1.0.
 func rate(miss, acc uint64) float64 {
 	if acc == 0 {
@@ -144,21 +124,72 @@ func eb(bw, cmr float64) float64 {
 	return bw / cmr
 }
 
-func (s *Simulator) appTotalInsts(app int) uint64 {
-	var t uint64
-	for _, ci := range s.appCores[app] {
-		t += s.cores[ci].Stats.InstRetired.Total()
+// appCounters sums app's lifetime counters over its cores and every
+// partition. With designated, the L1 counters come from the app's first
+// core only and the L2 and bandwidth counters from partition 0 only, the
+// units the paper's sampling hardware reads. Callers settle skipped spans
+// first so the sums are exact.
+func (s *Simulator) appCounters(app int, designated bool) appSnapshot {
+	var sn appSnapshot
+	for i, ci := range s.appCores[app] {
+		c := s.cores[ci]
+		sn.Insts += c.Stats.InstRetired
+		sn.MemStall += c.Stats.MemStall
+		sn.Issued += c.Stats.IssuedSlots
+		if i == 0 || !designated {
+			sn.L1Acc += c.L1.Stats[app].Accesses
+			sn.L1Miss += c.L1.Stats[app].Misses
+			if c.L1.VictimTagsEnabled() {
+				sn.VTAHits += c.L1.VTAHits[app]
+			}
+		}
 	}
-	return t
+	for pi, p := range s.partitions {
+		if pi == 0 || !designated {
+			sn.L2Acc += p.L2.Stats[app].Accesses
+			sn.L2Miss += p.L2.Stats[app].Misses
+			sn.BWBytes += p.Apps[app].BWBytes
+		}
+		a := &p.Apps[app]
+		sn.RowHits += a.RowHits
+		sn.RowMiss += a.RowMisses
+		sn.LatSum += a.LatencySum
+		sn.Reads += a.DRAMReads
+	}
+	return sn
 }
 
-// newWindow rolls every windowed counter in the machine.
-func (s *Simulator) newWindow() {
-	for _, c := range s.cores {
-		c.NewWindow()
+// sub returns the counts e accrued since w, an earlier snapshot.
+func (e *appSnapshot) sub(w *appSnapshot) appSnapshot {
+	return appSnapshot{
+		Insts:       e.Insts - w.Insts,
+		L1Acc:       e.L1Acc - w.L1Acc,
+		L1Miss:      e.L1Miss - w.L1Miss,
+		VTAHits:     e.VTAHits - w.VTAHits,
+		L2Acc:       e.L2Acc - w.L2Acc,
+		L2Miss:      e.L2Miss - w.L2Miss,
+		BWBytes:     e.BWBytes - w.BWBytes,
+		RowHits:     e.RowHits - w.RowHits,
+		RowMiss:     e.RowMiss - w.RowMiss,
+		LatSum:      e.LatSum - w.LatSum,
+		Reads:       e.Reads - w.Reads,
+		MemStall:    e.MemStall - w.MemStall,
+		Issued:      e.Issued - w.Issued,
+		MemCycles:   e.MemCycles - w.MemCycles,
+		TLPWeighted: e.TLPWeighted - w.TLPWeighted,
+		Kernels:     e.Kernels - w.Kernels,
 	}
-	for _, p := range s.partitions {
-		p.NewWindow()
+}
+
+// startWindow captures the record the next sampling window's telemetry
+// differences from. It runs at the window boundary after the sample has
+// been built and observed, with every skipped span settled.
+func (s *Simulator) startWindow() {
+	for app := range s.win.Apps {
+		s.win.Apps[app] = s.appCounters(app, s.opts.DesignatedSampling)
+	}
+	for pi, p := range s.partitions {
+		s.win.BusBusy[pi] = p.BusBusy
 	}
 }
 
@@ -168,8 +199,8 @@ func (s *Simulator) snapshot() []appSnapshot {
 }
 
 // snapshotInto fills dst (grown if needed) with per-app lifetime totals,
-// settling quiet cores' spans and skipped partition retries first so
-// Total() reads are exact.
+// settling quiet cores' spans and skipped partition retries first so the
+// counter reads are exact.
 func (s *Simulator) snapshotInto(dst []appSnapshot) []appSnapshot {
 	for _, c := range s.cores {
 		c.Settle(s.cycle)
@@ -182,33 +213,12 @@ func (s *Simulator) snapshotInto(dst []appSnapshot) []appSnapshot {
 		dst = make([]appSnapshot, numApps)
 	}
 	snaps := dst[:numApps]
-	for i := range snaps {
-		snaps[i] = appSnapshot{}
-	}
-	for app := 0; app < numApps; app++ {
-		sn := &snaps[app]
-		for _, ci := range s.appCores[app] {
-			c := s.cores[ci]
-			sn.Insts += c.Stats.InstRetired.Total()
-			sn.L1Acc += c.L1.Stats[app].Accesses.Total()
-			sn.L1Miss += c.L1.Stats[app].Misses.Total()
-			sn.Idle += c.Stats.IdleCycles.Total()
-			sn.MemStall += c.Stats.MemStall.Total()
-			sn.Issued += c.Stats.IssuedSlots.Total()
-		}
-		for _, p := range s.partitions {
-			sn.L2Acc += p.L2.Stats[app].Accesses.Total()
-			sn.L2Miss += p.L2.Stats[app].Misses.Total()
-			sn.BWBytes += p.Apps[app].BWBytes.Total()
-			sn.RowHits += p.Apps[app].RowHits.Total()
-			sn.RowMiss += p.Apps[app].RowMisses.Total()
-			sn.LatSum += p.Apps[app].LatencySum.Total()
-			sn.Reads += p.Apps[app].DRAMReads.Total()
-		}
-		sn.Cycles = s.cycle
+	for app := range snaps {
+		sn := s.appCounters(app, false)
 		sn.MemCycles = s.memCycle
 		sn.Kernels = s.kernels[app]
 		sn.TLPWeighted = s.tlpWeighted(app)
+		snaps[app] = sn
 	}
 	return snaps
 }
@@ -234,29 +244,22 @@ func (s *Simulator) result(windows uint64) Result {
 
 	res := Result{Cycles: measCycles, Windows: windows, Apps: make([]AppResult, len(s.opts.Apps))}
 	for app := range s.opts.Apps {
-		w, e := &s.warm[app], &end[app]
+		d := end[app].sub(&s.warm[app])
+		r := s.rates(app, &d, measCycles, peakBytes)
 		a := &res.Apps[app]
 		a.Name = s.opts.Apps[app].Name
-		a.Insts = e.Insts - w.Insts
-		a.IPC = float64(a.Insts) / float64(measCycles)
-		a.L1MR = rate(e.L1Miss-w.L1Miss, e.L1Acc-w.L1Acc)
-		a.L2MR = rate(e.L2Miss-w.L2Miss, e.L2Acc-w.L2Acc)
-		a.CMR = a.L1MR * a.L2MR
-		a.BW = float64(e.BWBytes-w.BWBytes) / peakBytes
-		a.EB = eb(a.BW, a.CMR)
-		rowAcc := (e.RowHits - w.RowHits) + (e.RowMiss - w.RowMiss)
-		if rowAcc > 0 {
-			a.RowHitRate = float64(e.RowHits-w.RowHits) / float64(rowAcc)
+		a.Insts = d.Insts
+		a.IPC, a.L1MR, a.L2MR, a.CMR, a.BW, a.EB = r.IPC, r.L1MR, r.L2MR, r.CMR, r.BW, r.EB
+		a.IssueUtil, a.MemStallFrac = r.IssueUtil, r.MemStallFrac
+		if rowAcc := d.RowHits + d.RowMiss; rowAcc > 0 {
+			a.RowHitRate = float64(d.RowHits) / float64(rowAcc)
 		}
-		if reads := e.Reads - w.Reads; reads > 0 {
-			a.AvgLatency = float64(e.LatSum-w.LatSum) / float64(reads)
+		if d.Reads > 0 {
+			a.AvgLatency = float64(d.LatSum) / float64(d.Reads)
 		}
-		nc := float64(len(s.appCores[app]))
-		a.MemStallFrac = float64(e.MemStall-w.MemStall) / (float64(measCycles) * nc)
-		a.IssueUtil = float64(e.Issued-w.Issued) / (float64(measCycles) * nc * float64(s.cfg.SchedulersPerCore))
-		a.AvgTLP = (e.TLPWeighted - w.TLPWeighted) / float64(measCycles)
+		a.AvgTLP = d.TLPWeighted / float64(measCycles)
 		a.FinalTLP = s.CurrentTLP(app)
-		a.Kernels = e.Kernels - w.Kernels
+		a.Kernels = d.Kernels
 		res.TotalBW += a.BW
 	}
 	return res

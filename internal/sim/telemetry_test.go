@@ -45,19 +45,19 @@ func TestEBAppliesCMRFloor(t *testing.T) {
 func pokeTelemetry(s *Simulator) {
 	// App 0, designated core: 10 accesses, 5 misses (L1MR 0.5).
 	dc := s.cores[s.appCores[0][0]]
-	dc.L1.Stats[0].Accesses.Add(10)
-	dc.L1.Stats[0].Misses.Add(5)
+	dc.L1.Stats[0].Accesses += 10
+	dc.L1.Stats[0].Misses += 5
 	// App 0, second core: 10 accesses, 0 misses (aggregate L1MR 0.25).
 	oc := s.cores[s.appCores[0][1]]
-	oc.L1.Stats[0].Accesses.Add(10)
+	oc.L1.Stats[0].Accesses += 10
 	// Designated partition 0: L2MR 1.0 for app 0.
-	s.partitions[0].L2.Stats[0].Accesses.Add(4)
-	s.partitions[0].L2.Stats[0].Misses.Add(4)
+	s.partitions[0].L2.Stats[0].Accesses += 4
+	s.partitions[0].L2.Stats[0].Misses += 4
 	// Partition 1: L2MR 0 traffic only (aggregate L2MR 0.5).
-	s.partitions[1].L2.Stats[0].Accesses.Add(4)
+	s.partitions[1].L2.Stats[0].Accesses += 4
 	// Bandwidth: only partition 1 moved data, so designated sampling
 	// (partition 0 only) sees zero BW while the aggregate does not.
-	s.partitions[1].Apps[0].BWBytes.Add(1 << 14)
+	s.partitions[1].Apps[0].BWBytes += 1 << 14
 }
 
 func newTelemetrySim(t *testing.T, designated bool) *Simulator {
@@ -166,6 +166,10 @@ func TestObserverIntegration(t *testing.T) {
 	reg := obs.NewRegistry()
 	j := obs.NewJournal()
 	var midRun strings.Builder
+	var s *Simulator
+	// Each partition's data-bus busy cycles at the last two window
+	// boundaries: the last window's utilization gauge is their difference.
+	var prevBusy, lastBusy []uint64
 	s, err := New(Options{
 		Config:       smallCfg(),
 		Apps:         []kernel.Params{app("BLK"), app("TRD")},
@@ -179,6 +183,11 @@ func TestObserverIntegration(t *testing.T) {
 					t.Errorf("mid-run scrape: %v", err)
 				}
 			}
+			prevBusy = lastBusy
+			lastBusy = nil
+			for _, p := range s.partitions {
+				lastBusy = append(lastBusy, p.BusBusy)
+			}
 		},
 		Obs: &obs.Observer{Metrics: reg, Journal: j},
 	})
@@ -186,6 +195,13 @@ func TestObserverIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := s.Run()
+	memCyclesWin := float64(s.opts.WindowCycles) * s.cfg.MemCyclesPerCoreCycle()
+	for pi, g := range s.obsw.partBus {
+		want := float64(lastBusy[pi]-prevBusy[pi]) / memCyclesWin
+		if got := g.Value(); got != want || got <= 0 {
+			t.Errorf("partition %d bus utilization %v, want the last window's %v", pi, got, want)
+		}
+	}
 
 	var final strings.Builder
 	if err := reg.WriteText(&final); err != nil {
