@@ -42,15 +42,15 @@ verify:
 	    -args -test.fuzzcachedir="$$cache/sim"
 	$(GO) test -race ./internal/runner/... ./internal/resilience/... \
 	    ./internal/ckpt/... ./internal/obs/... ./internal/search/... \
-	    ./internal/dsweep/... ./internal/profile/...
+	    ./internal/dsweep/... ./internal/profile/... ./internal/simcache/...
 	$(GO) test -race -run 'TestEnvWarmSimCacheBitIdentical|TestGridSingleflightUnderConcurrency' \
 	    ./internal/experiments/
 
 # race runs the short test suite under the race detector. The concurrent
 # paths are the ones verify races in full: the runner pool behind grid
 # builds and profiling, the resilience monitor, the checkpoint store's
-# shared reads, obs spans and metrics, adaptive search and the
-# distributed sweep.
+# shared reads, the result cache's pooled read buffers, obs spans and
+# metrics, adaptive search and the distributed sweep.
 race:
 	$(GO) test -race -short ./...
 

@@ -16,7 +16,7 @@
 // Contract: tasks must be leaves. A task running on a pool worker must
 // never submit to (and wait on) the same pool — with every worker blocked
 // the queue can no longer drain. Orchestration loops therefore fan out
-// on plain caller goroutines through ForEach and submit only the actual
+// on ForEach's own worker goroutines and submit only the actual
 // simulations.
 package runner
 
@@ -383,14 +383,14 @@ func (g *Group) Do(key string, fn func() (any, error)) (v any, shared bool, err 
 	return c.val, false, c.err
 }
 
-// ForEach calls fn(i) for each i in [0,n) on caller goroutines, with at
-// most limit calls in flight (limit <= 0 means no bound); calls start in
-// ascending order of i. The first limit calls start together; each later
-// one starts when an earlier call returns, unless a call has returned an
-// error. No call starts once ctx is done. ForEach waits for the calls it
-// started and returns the first error in completion order. A done ctx is
-// not itself an error: callers that word an interruption check ctx
-// themselves.
+// ForEach calls fn(i) for each i in [0,n) on at most limit long-lived
+// worker goroutines (limit <= 0 means one per call), which claim indices
+// in ascending order. The first limit calls start together; each later
+// one is claimed by a worker whose previous call returned, unless a call
+// has returned an error. No call starts once ctx is done. ForEach waits
+// for the calls it started and returns the first error in completion
+// order. A done ctx is not itself an error: callers that word an
+// interruption check ctx themselves.
 func ForEach(ctx context.Context, n, limit int, fn func(i int) error) error {
 	if limit <= 0 || limit > n {
 		limit = n
@@ -400,30 +400,34 @@ func ForEach(ctx context.Context, n, limit int, fn func(i int) error) error {
 		once   sync.Once
 		failed atomic.Bool
 		first  error
+		next   atomic.Int64 // the next index past the first limit
 	)
+	next.Store(int64(limit))
 	done := ctx.Done()
-	stopped := func(i int) bool {
+	cancelled := func() bool {
 		select {
 		case <-done:
 			return true
 		default:
-			return i >= limit && failed.Load()
+			return false
 		}
 	}
-	sem := make(chan struct{}, limit)
-	for i := 0; i < n; i++ {
-		sem <- struct{}{} // past the first limit calls, waits for one to return
-		if stopped(i) {
-			break
-		}
-		wg.Add(1)
-		go func() {
+	wg.Add(limit)
+	for w := 0; w < limit; w++ {
+		go func(i int) {
 			defer wg.Done()
-			if err := fn(i); err != nil {
-				once.Do(func() { first = err; failed.Store(true) })
+			for !cancelled() {
+				if err := fn(i); err != nil {
+					once.Do(func() { first = err; failed.Store(true) })
+				}
+				if failed.Load() {
+					return
+				}
+				if i = int(next.Add(1) - 1); i >= n {
+					return
+				}
 			}
-			<-sem // after recording the error, so the next launch sees it
-		}()
+		}(w)
 	}
 	wg.Wait()
 	return first

@@ -42,7 +42,7 @@ type goldenRun struct {
 	apps    []goldenApp
 }
 
-// goldenRuns pins the engine's exact output for two configurations. The bit
+// goldenRuns pins the engine's exact output for three configurations. The bit
 // patterns were captured from the pre-optimization (map-MSHR, heap-request,
 // always-tick) engine at the seed commit; the pooled/fast-forward engine
 // must reproduce them exactly. If an intentional model change shifts these
@@ -119,6 +119,48 @@ var goldenRuns = []goldenRun{
 				rowHitRate: 0x3fce94fba3064462, avgLatency: 0x4082a43984af2b5b,
 				memStallFrac: 0x3feecd2e2af3117f, issueUtil: 0x3f978e3f8be85c38,
 				avgTLP: 0x4038000000000000, finalTLP: 24,
+			},
+		},
+	},
+	{
+		// PBS-WS on BFS_FFT long enough to sweep, tune and hold a stable
+		// pick (64 windows): the final TLPs follow from the EB values the
+		// window samples carried, so the bits pin what PBS samples. The
+		// pbs-ws/BLK_TRD run ends mid-sweep, where decisions ignore them.
+		label: "pbs-ws/BFS_FFT",
+		opts: func() sim.Options {
+			wl := workload.MustMake("BFS", "FFT")
+			return sim.Options{
+				Config:             config.Default(),
+				Apps:               wl.Apps,
+				Manager:            pbscore.NewPBS(metrics.ObjWS),
+				TotalCycles:        160_000,
+				WarmupCycles:       10_000,
+				WindowCycles:       2_500,
+				DesignatedSampling: true,
+			}
+		},
+		cycles:  150000,
+		windows: 64,
+		totalBW: 0x3fda07a775cfccb2,
+		apps: []goldenApp{
+			{
+				name: "BFS", insts: 67559,
+				ipc: 0x3fdcd33e8f4032ae, l1mr: 0x3fe2a1b005a4dcc2,
+				l2mr: 0x3fe98e6bcb059da5, cmr: 0x3fddc27b88b6c936,
+				bw: 0x3fcc7f838c3c7d08, eb: 0x3fdea4b7e29fa6a8,
+				rowHitRate: 0x3fb6abe1df42442a, avgLatency: 0x407b20f3c56b12d0,
+				memStallFrac: 0x3fedf4570dbc3990, issueUtil: 0x3f9cd33e8f4032ae,
+				avgTLP: 0x4024b33333333333, finalTLP: 1,
+			},
+			{
+				name: "FFT", insts: 267859,
+				ipc: 0x3ffc9256200edad6, l1mr: 0x3fd8bcf14adf2f9e,
+				l2mr: 0x3fe63d6d2c4ef4be, cmr: 0x3fd131627546e6be,
+				bw: 0x3fc78fcb5f631c5d, eb: 0x3fe5ed492e484d29,
+				rowHitRate: 0x3fd25c47abfe82cd, avgLatency: 0x407569f910530ede,
+				memStallFrac: 0x3fe94902de00d1b7, issueUtil: 0x3fbc9256200edad6,
+				avgTLP: 0x4026578492e8ed06, finalTLP: 4,
 			},
 		},
 	},

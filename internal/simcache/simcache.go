@@ -26,12 +26,16 @@
 package simcache
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,18 +67,48 @@ const SchemaVersion = 2
 // HashJSON fingerprints any plain data value as FNV-1a over its JSON
 // encoding, rendered as 16 hex digits. It is the shared helper behind
 // profile fingerprints and run keys; values must marshal cleanly (plain
-// config/parameter structs always do).
+// config/parameter structs always do). The encoding streams into the
+// hash: the bytes are json.Marshal's, without a copy of them.
 func HashJSON(v any) string {
-	b, err := json.Marshal(v)
-	if err != nil {
+	h := fnv1a{sum: 1469598103934665603}
+	if err := json.NewEncoder(&h).Encode(v); err != nil {
 		panic(err) // plain data structs always marshal
 	}
-	var h uint64 = 1469598103934665603
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+	var sum [8]byte
+	var digits [16]byte
+	binary.BigEndian.PutUint64(sum[:], h.sum)
+	hex.Encode(digits[:], sum[:])
+	return string(digits[:])
+}
+
+// fnv1a is a streaming FNV-1a (64-bit) state that holds back the last
+// byte written, so the newline json.Encoder ends a value with never
+// reaches the hash. Its offset basis, 1469598103934665603, is not FNV's
+// standard 14695981039346656037 (a digit short); every key on disk
+// depends on it, so it stays.
+type fnv1a struct {
+	sum  uint64
+	last byte
+	held bool
+}
+
+func (h *fnv1a) Write(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, nil
 	}
-	return fmt.Sprintf("%016x", h)
+	if h.held {
+		h.add(h.last)
+	}
+	for _, c := range b[:len(b)-1] {
+		h.add(c)
+	}
+	h.last, h.held = b[len(b)-1], true
+	return len(b), nil
+}
+
+func (h *fnv1a) add(c byte) {
+	h.sum ^= uint64(c)
+	h.sum *= 1099511628211
 }
 
 // keyEnvelope is what Key actually hashes: the schema version alongside
@@ -220,8 +254,9 @@ func (c *Cache) get(ctx context.Context, key string, countMiss bool) (sim.Result
 			return sim.Result{}, false
 		}
 	}
-	b, err := os.ReadFile(c.Path(key))
-	if err != nil {
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer readBufs.Put(buf)
+	if err := readFile(c.Path(key), buf); err != nil {
 		if countMiss {
 			c.misses.Add(1)
 			c.missC.Inc()
@@ -229,7 +264,7 @@ func (c *Cache) get(ctx context.Context, key string, countMiss bool) (sim.Result
 		return sim.Result{}, false
 	}
 	var e entry
-	if err := json.Unmarshal(b, &e); err != nil || e.Schema != SchemaVersion || e.Key != key {
+	if err := json.Unmarshal(buf.Bytes(), &e); err != nil || e.Schema != SchemaVersion || e.Key != key {
 		c.corrupt.Add(1)
 		if countMiss {
 			c.misses.Add(1)
@@ -240,6 +275,23 @@ func (c *Cache) get(ctx context.Context, key string, countMiss bool) (sim.Result
 	c.hits.Add(1)
 	c.hitC.Inc()
 	return e.Result, true
+}
+
+// readBufs holds the buffers get reads entries into. json.Unmarshal
+// copies every string and slice it decodes, so a buffer is free for the
+// next read as soon as get has decoded from it.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readFile replaces buf's contents with the file at path.
+func readFile(path string, buf *bytes.Buffer) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	buf.Reset()
+	_, err = buf.ReadFrom(f)
+	return err
 }
 
 // Put persists a result under key through WriteAtomic, so concurrent
@@ -394,9 +446,6 @@ func RunCached(ctx context.Context, c *Cache, r *runner.Runner, pri int, rs spec
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if run == nil {
-		run = func(ctx context.Context) (sim.Result, error) { return sim.Execute(ctx, rs) }
-	}
 	key := Key(rs)
 	ctx, sp := obs.StartSpan(ctx, "run", obs.A("key", key), obs.A("scheme", rs.Scheme.String()))
 	defer sp.End()
@@ -428,6 +477,9 @@ func RunCached(ctx context.Context, c *Cache, r *runner.Runner, pri int, rs spec
 		return res, nil
 	}
 	gs.End()
+	if run == nil {
+		run = execute(rs)
+	}
 	if r == nil {
 		r = runner.Default()
 	}
@@ -465,4 +517,11 @@ func RunCached(ctx context.Context, c *Cache, r *runner.Runner, pri int, rs spec
 		sp.Annotate("outcome", "run")
 	}
 	return res, nil
+}
+
+// execute is RunCached's default run: the spec itself through
+// sim.Execute. Building the closure here, and only on a miss, keeps a
+// cache hit from moving RunCached's spec to the heap.
+func execute(rs spec.RunSpec) func(context.Context) (sim.Result, error) {
+	return func(ctx context.Context) (sim.Result, error) { return sim.Execute(ctx, rs) }
 }

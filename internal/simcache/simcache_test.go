@@ -3,6 +3,7 @@ package simcache
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -167,6 +168,43 @@ func TestKeyCanonicalEquivalence(t *testing.T) {
 	}
 }
 
+// TestHashJSONMatchesMarshal holds the streamed hash to its definition:
+// FNV-1a, from the package's offset basis, over json.Marshal's bytes.
+// The values cover the run keys TestKeyGolden pins and text both
+// encoders must escape alike (HTML characters, non-ASCII, invalid UTF-8,
+// the JavaScript line separators).
+func TestHashJSONMatchesMarshal(t *testing.T) {
+	app, _ := kernel.ByName("BLK")
+	ccwsKnobbed := spec.CCWS()
+	ccwsKnobbed.CCWS.HighVTA = 0.2
+	values := []any{
+		awkwardResult(),
+		map[string]string{"html": `<a href="x">&amp;</a>`, "text": "naïve — 日本語", "sep": "\u2028\u2029"},
+		struct{ A, B string }{"<>&", "\xff"},
+		0, "", []int(nil),
+	}
+	for _, sch := range []spec.SchemeSpec{spec.Static([]int{4}, nil), spec.MaxTLP(), spec.DynCTA(), ccwsKnobbed, spec.PBS(0)} {
+		rs := spec.RunSpec{
+			Config:       config.Default(),
+			Apps:         []kernel.Params{app},
+			Scheme:       sch,
+			TotalCycles:  60_000,
+			WarmupCycles: 10_000,
+		}
+		values = append(values, keyEnvelope{Schema: SchemaVersion, Run: rs.Canonical()})
+	}
+	for i, v := range values {
+		h := uint64(1469598103934665603)
+		for _, c := range mustJSON(v) {
+			h ^= uint64(c)
+			h *= 1099511628211
+		}
+		if got, want := HashJSON(v), fmt.Sprintf("%016x", h); got != want {
+			t.Errorf("value %d: HashJSON %s, FNV-1a over json.Marshal %s", i, got, want)
+		}
+	}
+}
+
 func TestPutGetBitIdentical(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
@@ -200,6 +238,43 @@ func TestPutGetBitIdentical(t *testing.T) {
 	if s := c.Stats(); s.Hits != 1 || s.Writes != 1 {
 		t.Fatalf("stats %+v", s)
 	}
+}
+
+// TestConcurrentGetsKeepTheirOwnEntries reads entries of different
+// sizes from many goroutines at once: gets share pooled read buffers, so
+// a result that kept a reference into one would change under the next
+// read (and the race detector would see the write).
+func TestConcurrentGetsKeepTheirOwnEntries(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]sim.Result, 16)
+	for i := range want {
+		want[i] = awkwardResult()
+		for j := 0; j < i; j++ {
+			want[i].Apps = append(want[i].Apps, sim.AppResult{Name: fmt.Sprintf("app%d-%d", i, j), Insts: uint64(i*100 + j)})
+		}
+		if err := c.Put(fmt.Sprint("k", i), want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				i := (g + n) % len(want)
+				got, ok := c.Get(fmt.Sprint("k", i))
+				if !ok || !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("k%d: got %+v (hit %v)", i, got, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCorruptEntriesAreMisses(t *testing.T) {
@@ -268,6 +343,37 @@ func TestRunCachedHitSkipsPoolAndRun(t *testing.T) {
 	})
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("hit path: %v %v", got, err)
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// TestRunCachedHitAllocs bounds what a cache hit allocates on the
+// default execution path: the key, the span attributes, the file handle
+// and the decoded result, but not a copy of the entry's bytes, the key's
+// JSON or the spec.
+func TestRunCachedHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := testSpec()
+	if err := c.Put(Key(rs), awkwardResult()); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := RunCached(ctx, c, nil, runner.PriEval, rs, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 28
+	if allocs > bound {
+		t.Errorf("%v allocs per cache hit, want <= %d", allocs, bound)
 	}
 }
 
