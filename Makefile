@@ -22,8 +22,10 @@ test:
 # so neither the capture hook and replay nor the benchmark's machine
 # set-up can rot unseen. The two fuzz targets that hold the engine's skips
 # to the every-cycle engine (a partition ticked from its NextTick on and
-# forked mid-stall; the whole engine against the reference) each explore
-# for 5 s past their seeds, from an empty fuzz cache as in `make fuzz`.
+# forked mid-stall; the whole engine against the reference) and the one
+# that holds the result cache's entry decoder to encoding/json each
+# explore for 5 s past their seeds, from an empty fuzz cache as in
+# `make fuzz`.
 verify:
 	$(GO) build ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -39,7 +41,9 @@ verify:
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionForkMatches$$' -fuzztime 5s ./internal/dram/ \
 	    -args -test.fuzzcachedir="$$cache/dram" && \
 	$(GO) test -run '^$$' -fuzz '^FuzzFastForwardMatchesReference$$' -fuzztime 5s ./internal/sim/ \
-	    -args -test.fuzzcachedir="$$cache/sim"
+	    -args -test.fuzzcachedir="$$cache/sim" && \
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 5s ./internal/simcache/ \
+	    -args -test.fuzzcachedir="$$cache/simcache"
 	$(GO) test -race ./internal/runner/... ./internal/resilience/... \
 	    ./internal/ckpt/... ./internal/obs/... ./internal/search/... \
 	    ./internal/dsweep/... ./internal/profile/... ./internal/simcache/...
@@ -77,8 +81,9 @@ dsweep-chaos:
 # fuzz runs each fuzz target for FUZZTIME past its seed corpus (the
 # seeds alone already run under `go test`): the scheme grammar's
 # parse/print fixed point, the fast-forward engine against the plain
-# reference engine, and a memory partition forked through State/SetState
-# against the original. A failing input is saved under the package's
+# reference engine, a memory partition forked through State/SetState
+# against the original, and the result cache's entry decoder against
+# encoding/json. A failing input is saved under the package's
 # testdata/fuzz/ and replays as a regression test from then on. Each run
 # starts from an empty, throwaway fuzz cache: with the cache the go
 # command keeps between runs, the slow engine target spent its whole
@@ -92,7 +97,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFastForwardMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/sim/ \
 	    -args -test.fuzzcachedir="$$cache/sim" && \
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionForkMatches$$' -fuzztime $(FUZZTIME) ./internal/dram/ \
-	    -args -test.fuzzcachedir="$$cache/dram"
+	    -args -test.fuzzcachedir="$$cache/dram" && \
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/simcache/ \
+	    -args -test.fuzzcachedir="$$cache/simcache"
 
 # cover prints per-package statement coverage and enforces a floor on
 # internal/obs, whose span/ledger/exposition paths this repo's explain

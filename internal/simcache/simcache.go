@@ -263,8 +263,8 @@ func (c *Cache) get(ctx context.Context, key string, countMiss bool) (sim.Result
 		}
 		return sim.Result{}, false
 	}
-	var e entry
-	if err := json.Unmarshal(buf.Bytes(), &e); err != nil || e.Schema != SchemaVersion || e.Key != key {
+	e, err := decodeEntry(buf.Bytes())
+	if err != nil || e.Schema != SchemaVersion || e.Key != key {
 		c.corrupt.Add(1)
 		if countMiss {
 			c.misses.Add(1)
@@ -277,9 +277,9 @@ func (c *Cache) get(ctx context.Context, key string, countMiss bool) (sim.Result
 	return e.Result, true
 }
 
-// readBufs holds the buffers get reads entries into. json.Unmarshal
-// copies every string and slice it decodes, so a buffer is free for the
-// next read as soon as get has decoded from it.
+// readBufs holds the buffers get reads entries into. decodeEntry copies
+// every string and slice it decodes, so a buffer is free for the next
+// read as soon as get has decoded from it.
 var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // readFile replaces buf's contents with the file at path.
@@ -447,8 +447,11 @@ func RunCached(ctx context.Context, c *Cache, r *runner.Runner, pri int, rs spec
 		ctx = context.Background()
 	}
 	key := Key(rs)
-	ctx, sp := obs.StartSpan(ctx, "run", obs.A("key", key), obs.A("scheme", rs.Scheme.String()))
+	ctx, sp := obs.StartSpan(ctx, "run", obs.A("key", key))
 	defer sp.End()
+	if sp != nil {
+		sp.Annotate("scheme", rs.Scheme.String()) // formatted only for a tracer
+	}
 	// The trail rides the run's context: the layers below (checkpoint
 	// forking, retries, fault-injected I/O) mark what happened,
 	// and the completed run folds it into one ledger record. A dedup

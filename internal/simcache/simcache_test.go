@@ -344,6 +344,22 @@ func TestRunCachedHitSkipsPoolAndRun(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("hit path: %v %v", got, err)
 	}
+
+	// Under a tracer the hit's run span names the key and the scheme.
+	tracer := obs.NewTracer()
+	if _, err := RunCached(obs.WithTracer(context.Background(), tracer), c, nil, runner.PriEval, rs, nil); err != nil {
+		t.Fatal(err)
+	}
+	var run []obs.Attr
+	for _, sp := range tracer.Spans() {
+		if sp.Name == "run" {
+			run = sp.Attrs
+		}
+	}
+	wantAttrs := []obs.Attr{obs.A("key", Key(rs)), obs.A("scheme", rs.Scheme.String()), obs.A("outcome", obs.OutcomeCached)}
+	if !reflect.DeepEqual(run, wantAttrs) {
+		t.Errorf("run span attributes %v, want %v", run, wantAttrs)
+	}
 }
 
 // raceEnabled is set under the race detector (race_test.go).
@@ -371,7 +387,7 @@ func TestRunCachedHitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const bound = 28
+	const bound = 15
 	if allocs > bound {
 		t.Errorf("%v allocs per cache hit, want <= %d", allocs, bound)
 	}
