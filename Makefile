@@ -22,10 +22,10 @@ test:
 # so neither the capture hook and replay nor the benchmark's machine
 # set-up can rot unseen. The two fuzz targets that hold the engine's skips
 # to the every-cycle engine (a partition ticked from its NextTick on and
-# forked mid-stall; the whole engine against the reference) and the one
-# that holds the result cache's entry decoder to encoding/json each
-# explore for 5 s past their seeds, from an empty fuzz cache as in
-# `make fuzz`.
+# forked mid-stall; the whole engine against the reference) and the two
+# that hold the result cache's entry decoder and key encoder to
+# encoding/json each explore for 5 s past their seeds, from an empty fuzz
+# cache as in `make fuzz`.
 verify:
 	$(GO) build ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -43,7 +43,9 @@ verify:
 	$(GO) test -run '^$$' -fuzz '^FuzzFastForwardMatchesReference$$' -fuzztime 5s ./internal/sim/ \
 	    -args -test.fuzzcachedir="$$cache/sim" && \
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 5s ./internal/simcache/ \
-	    -args -test.fuzzcachedir="$$cache/simcache"
+	    -args -test.fuzzcachedir="$$cache/simcache" && \
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyMatchesMarshal$$' -fuzztime 5s ./internal/simcache/ \
+	    -args -test.fuzzcachedir="$$cache/simcache-key"
 	$(GO) test -race ./internal/runner/... ./internal/resilience/... \
 	    ./internal/ckpt/... ./internal/obs/... ./internal/search/... \
 	    ./internal/dsweep/... ./internal/profile/... ./internal/simcache/...
@@ -82,8 +84,8 @@ dsweep-chaos:
 # seeds alone already run under `go test`): the scheme grammar's
 # parse/print fixed point, the fast-forward engine against the plain
 # reference engine, a memory partition forked through State/SetState
-# against the original, and the result cache's entry decoder against
-# encoding/json. A failing input is saved under the package's
+# against the original, and the result cache's entry decoder and key
+# encoder against encoding/json. A failing input is saved under the package's
 # testdata/fuzz/ and replays as a regression test from then on. Each run
 # starts from an empty, throwaway fuzz cache: with the cache the go
 # command keeps between runs, the slow engine target spent its whole
@@ -99,7 +101,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionForkMatches$$' -fuzztime $(FUZZTIME) ./internal/dram/ \
 	    -args -test.fuzzcachedir="$$cache/dram" && \
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/simcache/ \
-	    -args -test.fuzzcachedir="$$cache/simcache"
+	    -args -test.fuzzcachedir="$$cache/simcache" && \
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyMatchesMarshal$$' -fuzztime $(FUZZTIME) ./internal/simcache/ \
+	    -args -test.fuzzcachedir="$$cache/simcache-key"
 
 # cover prints per-package statement coverage and enforces a floor on
 # internal/obs, whose span/ledger/exposition paths this repo's explain

@@ -60,20 +60,12 @@ const SchemaVersion = 3
 // the same spec at the same horizon near-free).
 const DefaultEvery = 4
 
-// prefixEnvelope is what PrefixKey hashes: the three versions alongside
-// the prefix-canonical run description.
-type prefixEnvelope struct {
-	Schema   int          `json:"schema"`      // simcache.SchemaVersion: engine behaviour
-	Ckpt     int          `json:"ckpt_schema"` // this package's layout
-	Snapshot int          `json:"snapshot"`    // sim.SnapshotVersion: the payload's layout
-	Run      spec.RunSpec `json:"run"`
-}
-
 // PrefixKey returns the content address of a run's deterministic
-// prefix: FNV-1a over the prefix-canonical spec JSON (the canonical
-// form with TotalCycles cleared). Two runs with equal prefix keys
-// execute bit-identically up to the shorter horizon, so they share
-// checkpoints.
+// prefix: FNV-1a over the JSON of the three versions alongside the
+// prefix-canonical spec (the canonical form with TotalCycles cleared),
+// written by the same encoder as simcache.Key (simcache.HashRun). Two
+// runs with equal prefix keys execute bit-identically up to the shorter
+// horizon, so they share checkpoints.
 func PrefixKey(rs spec.RunSpec) string {
 	return prefixKeyAt(rs, sim.SnapshotVersion)
 }
@@ -81,12 +73,11 @@ func PrefixKey(rs spec.RunSpec) string {
 // prefixKeyAt is PrefixKey for an engine whose snapshot layout is
 // snapshotVersion.
 func prefixKeyAt(rs spec.RunSpec, snapshotVersion int) string {
-	return simcache.HashJSON(prefixEnvelope{
-		Schema:   simcache.SchemaVersion,
-		Ckpt:     SchemaVersion,
-		Snapshot: snapshotVersion,
-		Run:      rs.PrefixCanonical(),
-	})
+	return simcache.HashRun(rs.PrefixCanonical(),
+		simcache.Version{Name: "schema", N: simcache.SchemaVersion}, // engine behaviour
+		simcache.Version{Name: "ckpt_schema", N: SchemaVersion},     // this package's layout
+		simcache.Version{Name: "snapshot", N: snapshotVersion},      // sim.SnapshotVersion: the payload's layout
+	)
 }
 
 // On-disk envelope ("EBCK" format, documented in DESIGN.md §11):

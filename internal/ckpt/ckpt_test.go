@@ -14,6 +14,7 @@ import (
 
 	"ebm/internal/config"
 	"ebm/internal/faultinject"
+	"ebm/internal/kernel"
 	"ebm/internal/metrics"
 	"ebm/internal/obs"
 	"ebm/internal/sim"
@@ -74,6 +75,54 @@ func TestPrefixKeySharedAcrossHorizons(t *testing.T) {
 	sch.Scheme = spec.MaxTLP()
 	if PrefixKey(sch) == k1 {
 		t.Fatal("different schemes share a prefix key")
+	}
+}
+
+// prefixEnvelope is the value whose json.Marshal bytes PrefixKey hashes.
+type prefixEnvelope struct {
+	Schema   int          `json:"schema"`
+	Ckpt     int          `json:"ckpt_schema"`
+	Snapshot int          `json:"snapshot"`
+	Run      spec.RunSpec `json:"run"`
+}
+
+// TestPrefixKeyGolden pins the prefix keys of simcache's TestKeyGolden
+// runs. A failure here means every checkpoint on disk silently went
+// cold: if the change is intentional, bump SchemaVersion in the same
+// commit and repin.
+func TestPrefixKeyGolden(t *testing.T) {
+	app, _ := kernel.ByName("BLK")
+	base := func(sch spec.SchemeSpec) spec.RunSpec {
+		return spec.RunSpec{
+			Config:       config.Default(),
+			Apps:         []kernel.Params{app},
+			Scheme:       sch,
+			TotalCycles:  60_000,
+			WarmupCycles: 10_000,
+		}
+	}
+	ccwsKnobbed := spec.CCWS()
+	ccwsKnobbed.CCWS.HighVTA = 0.2
+	golden := []struct {
+		name string
+		rs   spec.RunSpec
+		key  string
+	}{
+		{"static", base(spec.Static([]int{4}, nil)), "71e542f4897f7744"},
+		{"maxtlp", base(spec.MaxTLP()), "84d0b3e4873ab582"},
+		{"dyncta", base(spec.DynCTA()), "b568f5ff4b643e9f"},
+		{"ccws knobbed", base(ccwsKnobbed), "bc58c6ae6049a266"},
+		{"pbs-ws", base(spec.PBS(0)), "1d693bed6d349983"},
+	}
+	for _, g := range golden {
+		if k := PrefixKey(g.rs); k != g.key {
+			t.Errorf("%s: prefix key %s, want %s", g.name, k, g.key)
+		}
+		// The key is FNV-1a over json.Marshal of its envelope.
+		env := prefixEnvelope{simcache.SchemaVersion, SchemaVersion, sim.SnapshotVersion, g.rs.PrefixCanonical()}
+		if k := simcache.HashJSON(env); k != g.key {
+			t.Errorf("%s: HashJSON of the envelope %s, want %s", g.name, k, g.key)
+		}
 	}
 }
 

@@ -26,7 +26,6 @@
 package simcache
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/hex"
@@ -34,9 +33,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"ebm/internal/faultinject"
@@ -65,65 +65,41 @@ var Warnf = func(format string, args ...any) {
 const SchemaVersion = 2
 
 // HashJSON fingerprints any plain data value as FNV-1a over its JSON
-// encoding, rendered as 16 hex digits. It is the shared helper behind
-// profile fingerprints and run keys; values must marshal cleanly (plain
-// config/parameter structs always do). The encoding streams into the
-// hash: the bytes are json.Marshal's, without a copy of them.
+// encoding, rendered as 16 hex digits; values must marshal cleanly
+// (plain config/parameter structs always do). Run keys are HashRun,
+// which writes the same bytes json.Marshal would without reflection;
+// HashJSON serves everything else, such as the benchmark's result digest.
 func HashJSON(v any) string {
-	h := fnv1a{sum: 1469598103934665603}
-	if err := json.NewEncoder(&h).Encode(v); err != nil {
+	b, err := json.Marshal(v)
+	if err != nil {
 		panic(err) // plain data structs always marshal
+	}
+	return sum64(b)
+}
+
+// sum64 renders FNV-1a (64-bit) over b as 16 hex digits. Its offset
+// basis, 1469598103934665603, is not FNV's standard 14695981039346656037
+// (a digit short); every key on disk depends on it, so it stays.
+func sum64(b []byte) string {
+	h := uint64(1469598103934665603)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
 	}
 	var sum [8]byte
 	var digits [16]byte
-	binary.BigEndian.PutUint64(sum[:], h.sum)
+	binary.BigEndian.PutUint64(sum[:], h)
 	hex.Encode(digits[:], sum[:])
 	return string(digits[:])
 }
 
-// fnv1a is a streaming FNV-1a (64-bit) state that holds back the last
-// byte written, so the newline json.Encoder ends a value with never
-// reaches the hash. Its offset basis, 1469598103934665603, is not FNV's
-// standard 14695981039346656037 (a digit short); every key on disk
-// depends on it, so it stays.
-type fnv1a struct {
-	sum  uint64
-	last byte
-	held bool
-}
-
-func (h *fnv1a) Write(b []byte) (int, error) {
-	if len(b) == 0 {
-		return 0, nil
-	}
-	if h.held {
-		h.add(h.last)
-	}
-	for _, c := range b[:len(b)-1] {
-		h.add(c)
-	}
-	h.last, h.held = b[len(b)-1], true
-	return len(b), nil
-}
-
-func (h *fnv1a) add(c byte) {
-	h.sum ^= uint64(c)
-	h.sum *= 1099511628211
-}
-
-// keyEnvelope is what Key actually hashes: the schema version alongside
-// the canonical run description.
-type keyEnvelope struct {
-	Schema int          `json:"schema"`
-	Run    spec.RunSpec `json:"run"`
-}
-
 // Key returns a run's content address under the current schema: FNV-1a
-// over the canonical spec JSON. Canonicalization (spec.RunSpec.Canonical)
-// is what makes equivalent requests — scheme aliases, display labels,
-// knobs stated at their defaults — share one entry.
+// over the JSON of {"schema": SchemaVersion, "run": the canonical spec}
+// (HashRun). Canonicalization (spec.RunSpec.Canonical) is what makes
+// equivalent requests — scheme aliases, display labels, knobs stated at
+// their defaults — share one entry.
 func Key(rs spec.RunSpec) string {
-	return HashJSON(keyEnvelope{Schema: SchemaVersion, Run: rs.Canonical()})
+	return HashRun(rs.Canonical(), Version{"schema", SchemaVersion})
 }
 
 // entry is the on-disk layout: the schema and key are stored alongside
@@ -254,16 +230,18 @@ func (c *Cache) get(ctx context.Context, key string, countMiss bool) (sim.Result
 			return sim.Result{}, false
 		}
 	}
-	buf := readBufs.Get().(*bytes.Buffer)
-	defer readBufs.Put(buf)
-	if err := readFile(c.Path(key), buf); err != nil {
+	bp := bufs.Get().(*[]byte)
+	defer bufs.Put(bp)
+	b, err := readFile(c.Path(key), *bp)
+	*bp = b
+	if err != nil {
 		if countMiss {
 			c.misses.Add(1)
 			c.missC.Inc()
 		}
 		return sim.Result{}, false
 	}
-	e, err := decodeEntry(buf.Bytes())
+	e, err := decodeEntry(b)
 	if err != nil || e.Schema != SchemaVersion || e.Key != key {
 		c.corrupt.Add(1)
 		if countMiss {
@@ -277,21 +255,36 @@ func (c *Cache) get(ctx context.Context, key string, countMiss bool) (sim.Result
 	return e.Result, true
 }
 
-// readBufs holds the buffers get reads entries into. decodeEntry copies
-// every string and slice it decodes, so a buffer is free for the next
-// read as soon as get has decoded from it.
-var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// readChunk is how much room readFile makes whenever its buffer is full.
+const readChunk = 4096
 
-// readFile replaces buf's contents with the file at path.
-func readFile(path string, buf *bytes.Buffer) error {
-	f, err := os.Open(path)
+// readFile reads the file at path into b's backing array, growing it as
+// needed, and returns the file's bytes. It makes only the open, read and
+// close system calls: an *os.File would add, for each entry read, the
+// non-blocking mode toggles, the failing poller registration and the
+// finalizer it sets up for every regular file.
+func readFile(path string, b []byte) ([]byte, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 	if err != nil {
-		return err
+		return b[:0], err
 	}
-	defer f.Close()
-	buf.Reset()
-	_, err = buf.ReadFrom(f)
-	return err
+	defer syscall.Close(fd)
+	b = b[:0]
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, readChunk)
+		}
+		n, err := syscall.Read(fd, b[len(b):cap(b)])
+		switch {
+		case err == syscall.EINTR:
+		case err != nil:
+			return b, err
+		case n == 0:
+			return b, nil
+		default:
+			b = b[:len(b)+n]
+		}
+	}
 }
 
 // Put persists a result under key through WriteAtomic, so concurrent
