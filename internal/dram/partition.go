@@ -165,6 +165,10 @@ type Partition struct {
 	MSHRStalls uint64
 	BusBusy    uint64
 
+	// l2Reads counts read-path L2 Access calls: engine work, not model
+	// state, so snapshots leave it out.
+	l2Reads uint64
+
 	// derived address mapping
 	interleave uint64
 	nparts     uint64
@@ -272,6 +276,10 @@ func (p *Partition) PopResponse() *mem.Request {
 	p.resp = p.resp[:len(p.resp)-1]
 	return r
 }
+
+// L2Reads returns the number of read-path L2 Access calls the partition
+// made since it was built. Settle's credited retries are not calls.
+func (p *Partition) L2Reads() uint64 { return p.l2Reads }
 
 // PendingResponses returns the number of replies awaiting the return path.
 func (p *Partition) PendingResponses() int { return len(p.resp) }
@@ -433,6 +441,7 @@ func (p *Partition) acceptOne(now uint64) (stalled bool) {
 	}
 
 	// Read path: record the L2 access in the app's stats.
+	p.l2Reads++
 	if p.L2.Access(local, app) {
 		p.events.push(event{at: now + p.l2LatMem, kind: evL2Hit, req: req})
 		p.popInq()

@@ -49,16 +49,6 @@ func (s *Simulator) NetworkStates() (toMem, toCore icnt.NetworkState) {
 	return s.toMem.State(), s.toCore.State()
 }
 
-// SkipWork is what the engine's skips did over a simulator's runs:
-// partition Tick calls, and out-queue pops from a quiet core that woke
-// it or left it asleep.
-type SkipWork struct{ PartTicks, PopWakes, PopSleeps uint64 }
-
-func (s *Simulator) SkipWork() SkipWork {
-	w := &s.skipWork
-	return SkipWork{w.partTicks, w.popWakes, w.popSleeps}
-}
-
 // IndexError reports the first way the engine's derived indices differ
 // from the components they are derived from: awake must hold exactly the
 // cores that are not Quiet, and queued exactly the cores with a pending

@@ -20,28 +20,43 @@ import (
 // fast-forwarded behind a saturated DRAM; compute is LIB_LUD on the same
 // machine and scheme, where the cores keep issuing.
 func BenchmarkCycleTick(b *testing.B) {
-	compute := table1Run()
-	compute.Apps = workload.MustMake("LIB", "LUD").Apps
-	for _, c := range []struct {
-		name string
-		rs   spec.RunSpec
-	}{{"mem", table1Run()}, {"compute", compute}} {
+	for _, c := range cycleTickRuns() {
 		b.Run(c.name, func(b *testing.B) {
-			rs := c.rs
-			rs.TotalCycles, rs.WarmupCycles = uint64(b.N), 0
-			opts, err := sim.FromSpec(rs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := sim.New(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
+			s := newCycleTick(b, c.rs, uint64(b.N))
 			b.ReportAllocs()
 			b.ResetTimer()
 			s.Run()
 		})
 	}
+}
+
+// cycleTickRun is one of BenchmarkCycleTick's machines, which
+// TestWorkGolden also runs.
+type cycleTickRun struct {
+	name string
+	rs   spec.RunSpec
+}
+
+func cycleTickRuns() []cycleTickRun {
+	compute := table1Run()
+	compute.Apps = workload.MustMake("LIB", "LUD").Apps
+	return []cycleTickRun{{"mem", table1Run()}, {"compute", compute}}
+}
+
+// newCycleTick builds rs's simulator for a run of cycles core cycles, all
+// of them measured.
+func newCycleTick(tb testing.TB, rs spec.RunSpec, cycles uint64) *sim.Simulator {
+	tb.Helper()
+	rs.TotalCycles, rs.WarmupCycles = cycles, 0
+	opts, err := sim.FromSpec(rs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := sim.New(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
 }
 
 // measureRunMallocs returns the heap allocation count of one Run of the

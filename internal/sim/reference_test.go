@@ -30,7 +30,7 @@ type run struct {
 	cores         []gpu.CoreState
 	parts         []dram.PartitionState
 	toMem, toCore icnt.NetworkState
-	work          sim.SkipWork
+	work          sim.Work
 }
 
 // refRun is a run description plus the one engine knob the draws vary
@@ -79,7 +79,7 @@ func execute(t *testing.T, rs refRun, build func(sim.Options) (*sim.Simulator, e
 	out.cores = s.CoreStates()
 	out.parts = s.PartitionStates()
 	out.toMem, out.toCore = s.NetworkStates()
-	out.work = s.SkipWork()
+	out.work = s.Work()
 	return out
 }
 

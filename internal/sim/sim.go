@@ -278,10 +278,9 @@ type Simulator struct {
 	// set it, to capture a partition's input stream for replay.
 	onEnqueue func(part int, memCycle uint64, req *mem.Request)
 
-	// skipWork counts what only tests read, to show the skips act:
-	// partition Tick calls, and out-queue pops from a quiet core that woke
-	// it or left it asleep.
-	skipWork struct{ partTicks, popWakes, popSleeps uint64 }
+	// work counts the calls the engine's skips decide whether to make;
+	// Work reads it.
+	work Work
 
 	cycle    uint64
 	memCycle uint64
@@ -527,6 +526,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 				ci := wi<<6 | bits.TrailingZeros64(word)
 				c := s.cores[ci]
 				quiet := c.Tick(now)
+				s.work.CoreTicks++
 				if c.PendingRequests() > 0 || s.reference {
 					s.queued.add(ci)
 				}
@@ -571,9 +571,9 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 					// its aborted issues through.
 					if c.Unblocked() {
 						s.wakeQuiet(ci, now+1)
-						s.skipWork.popWakes++
+						s.work.PopWakes++
 					} else {
-						s.skipWork.popSleeps++
+						s.work.PopSleeps++
 					}
 				}
 			}
@@ -587,6 +587,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 				// Before the crossbar's next-ready cycle no port has a
 				// request to deliver; Pop would return nil on each.
 				if p.CanAccept() && (s.reference || now >= s.toMem.NextReady()) {
+					s.work.PopsToMem++
 					if req := s.toMem.Pop(p.ID, now); req != nil {
 						if s.onEnqueue != nil {
 							s.onEnqueue(p.ID, s.memCycle, req)
@@ -599,7 +600,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 				// it.
 				if s.reference || s.memCycle >= p.NextTick() {
 					p.Tick(s.memCycle)
-					s.skipWork.partTicks++
+					s.work.PartTicks++
 				}
 			}
 			s.memCycle++
@@ -620,6 +621,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		// consumed here and recycled to the pool. The pass ends once no
 		// port holds a reply ready by now.
 		for ci := 0; ci < len(s.cores) && (s.reference || now >= s.toCore.NextReady()); ci++ {
+			s.work.PopsToCore++
 			if resp := s.toCore.Pop(ci, now); resp != nil {
 				s.wakeQuiet(ci, now+1)
 				s.cores[ci].HandleFill(resp.LineAddr)

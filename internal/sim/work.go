@@ -45,3 +45,26 @@ func addWork(n uint64) {
 	cyclesSimulated.Add(n)
 	workCounter.Load().Add(n)
 }
+
+// Work is what one simulator's engine did over its runs, counted in the
+// calls its skips decide whether to make. Unlike wall-clock time it is
+// deterministic, so a change that claims to skip work can show exactly
+// which calls it saved. A restored simulator counts from zero.
+type Work struct {
+	CoreTicks  uint64 // gpu.Core.Tick calls
+	PartTicks  uint64 // dram.Partition.Tick calls
+	L2Reads    uint64 // read-path L2.Access calls, over all partitions
+	PopsToMem  uint64 // core-to-memory crossbar Pop calls
+	PopsToCore uint64 // memory-to-core crossbar Pop calls
+	PopWakes   uint64 // out-queue pops that woke a quiet core
+	PopSleeps  uint64 // out-queue pops that left a quiet core asleep
+}
+
+// Work returns the engine work done so far.
+func (s *Simulator) Work() Work {
+	w := s.work
+	for _, p := range s.partitions {
+		w.L2Reads += p.L2Reads()
+	}
+	return w
+}

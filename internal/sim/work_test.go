@@ -1,6 +1,9 @@
 package sim_test
 
 import (
+	"encoding/json"
+	"os"
+	"reflect"
 	"testing"
 
 	"ebm/internal/obs"
@@ -85,4 +88,47 @@ func TestInstrumentWork(t *testing.T) {
 	if got, want := c.Value(), sim.CyclesSimulated(); got != want {
 		t.Fatalf("counter at %d after a run, want %d", got, want)
 	}
+}
+
+// workGolden holds the engine work of BenchmarkCycleTick's runs at
+// workCycles cycles, by run name.
+const (
+	workGolden = "testdata/work.golden"
+	workCycles = 100_000
+)
+
+// TestWorkGolden pins the engine work of BenchmarkCycleTick's mem and
+// compute runs: every core Tick, partition Tick, read-path L2 access
+// and crossbar Pop they make. The counts are deterministic, so a change
+// that claims to skip work shows here exactly which calls it saved, and
+// a change that should not move them cannot move them unseen. A change
+// that moves them on purpose updates the golden and reports the delta.
+func TestWorkGolden(t *testing.T) {
+	raw, err := os.ReadFile(workGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]sim.Work
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatalf("%s: %v", workGolden, err)
+	}
+	got := map[string]sim.Work{}
+	for _, c := range cycleTickRuns() {
+		s := newCycleTick(t, c.rs, workCycles)
+		s.Run()
+		got[c.name] = s.Work()
+	}
+	if reflect.DeepEqual(got, golden) {
+		return
+	}
+	for _, c := range cycleTickRuns() {
+		g, w := reflect.ValueOf(got[c.name]), reflect.ValueOf(golden[c.name])
+		for i := 0; i < g.NumField(); i++ {
+			if gv, wv := g.Field(i).Uint(), w.Field(i).Uint(); gv != wv {
+				t.Errorf("%s: %s = %d, golden %d (%+d)", c.name, g.Type().Field(i).Name, gv, wv, int64(gv-wv))
+			}
+		}
+	}
+	now, _ := json.MarshalIndent(got, "", "  ")
+	t.Fatalf("engine work moved; if on purpose, write this to %s and report the delta:\n%s", workGolden, now)
 }
