@@ -18,9 +18,10 @@ test:
 # the benchmark harness (tests included) against the root packages, so a
 # root API change that breaks it fails here. Its tests are slower (about
 # a minute) and run separately: cd bench && go test ./... The DRAM replay
-# benchmark runs once and the per-cycle engine benchmark for 2000 cycles,
-# so neither the capture hook and replay nor the benchmark's machine
-# set-up can rot unseen. The two fuzz targets that hold the engine's skips
+# benchmark and the tag-store benchmark (the caches' own, an L2-geometry
+# Access/Fill mix) run once and the per-cycle engine benchmark for 2000
+# cycles, so neither the capture hook and replay, the cache benchmark's
+# address stream nor the engine benchmark's machine set-up can rot unseen. The two fuzz targets that hold the engine's skips
 # to the every-cycle engine (a partition ticked from its NextTick on and
 # forked mid-stall; the whole engine against the reference) and the two
 # that hold the result cache's entry decoder and key encoder to
@@ -36,6 +37,7 @@ verify:
 		else echo "staticcheck not installed; skipping"; fi
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench 'BenchmarkPartitionReplay' -benchtime 1x ./internal/sim/
+	$(GO) test -run '^$$' -bench 'BenchmarkTagStore' -benchtime 1x ./internal/cache/
 	$(GO) test -run '^$$' -bench 'BenchmarkCycleTick' -benchtime 2000x ./internal/sim/
 	@cache=$$(mktemp -d) && trap 'rm -rf "$$cache"' EXIT && \
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionForkMatches$$' -fuzztime 5s ./internal/dram/ \

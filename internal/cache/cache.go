@@ -17,14 +17,11 @@ import (
 	"ebm/internal/stats"
 )
 
-// line is one tag-store entry. Its fields are exported so that engine
-// checkpoints encode the tag store as is.
-type line struct {
-	Tag   uint64
+// meta is a way's owner and dirty bit. Its fields are exported so that
+// engine checkpoints encode the tag store as is.
+type meta struct {
 	App   int8
-	Valid bool
 	Dirty bool
-	LRU   uint64 // global LRU tick of last touch; smaller = older
 }
 
 // Eviction describes a line displaced by Fill.
@@ -38,8 +35,18 @@ type Eviction struct {
 // Cache is a single set-associative cache. It is not safe for concurrent
 // use; the simulator is single-goroutine by design.
 type Cache struct {
-	geom     config.CacheGeometry
-	sets     []line // sets*ways lines, flattened
+	geom config.CacheGeometry
+
+	// The tag store, split by field so that a lookup scans only keys, 8
+	// bytes per way. Each holds sets*ways entries, flattened by set.
+	// keys[i] is way i's tag plus one, or 0 while the way is invalid,
+	// which it is only from construction to its first Fill. lru[i] is
+	// the tick of the way's last touch (smaller = older; 0 while
+	// invalid).
+	keys []uint64
+	lru  []uint64
+	meta []meta
+
 	ways     int
 	setMask  uint64
 	lineBits uint
@@ -74,7 +81,9 @@ func New(geom config.CacheGeometry, numApps int) *Cache {
 	sets := geom.Sets()
 	c := &Cache{
 		geom:        geom,
-		sets:        make([]line, sets*geom.Ways),
+		keys:        make([]uint64, sets*geom.Ways),
+		lru:         make([]uint64, sets*geom.Ways),
+		meta:        make([]meta, sets*geom.Ways),
 		ways:        geom.Ways,
 		setMask:     uint64(sets - 1),
 		Stats:       make([]stats.MissRatio, numApps),
@@ -195,154 +204,110 @@ func (c *Cache) RecordMisses(lineAddr uint64, app int, n uint64) {
 	}
 }
 
+// find returns the tag-store index of lineAddr's way, or -1 when the line
+// is not resident.
+func (c *Cache) find(lineAddr uint64) int {
+	key := c.tag(lineAddr) + 1
+	base := int(c.setIndex(lineAddr)) * c.ways
+	for w, k := range c.keys[base : base+c.ways] {
+		if k == key {
+			return base + w
+		}
+	}
+	return -1
+}
+
 // Probe looks up lineAddr, updating recency on hit, without recording any
 // statistics. Used for write-through lookups that should not perturb the
 // miss-rate telemetry the paper's mechanism samples (it samples read/load
 // miss rates).
 func (c *Cache) Probe(lineAddr uint64) bool {
-	set := c.setIndex(lineAddr)
-	tag := c.tag(lineAddr)
-	base := int(set) * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.sets[base+w]
-		if l.Valid && l.Tag == tag {
-			c.tick++
-			l.LRU = c.tick
-			return true
-		}
+	i := c.find(lineAddr)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.tick++
+	c.lru[i] = c.tick
+	return true
 }
 
 // WriteProbe looks up lineAddr for a store: on a hit the line is marked
 // dirty (write-back semantics) and recency is updated. Stores do not
 // allocate on miss and are not recorded in the read miss-rate telemetry.
 func (c *Cache) WriteProbe(lineAddr uint64) bool {
-	set := c.setIndex(lineAddr)
-	tag := c.tag(lineAddr)
-	base := int(set) * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.sets[base+w]
-		if l.Valid && l.Tag == tag {
-			c.tick++
-			l.LRU = c.tick
-			l.Dirty = true
-			return true
-		}
+	i := c.find(lineAddr)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.tick++
+	c.lru[i] = c.tick
+	c.meta[i].Dirty = true
+	return true
 }
 
 // Contains reports whether the line is resident without touching recency.
-func (c *Cache) Contains(lineAddr uint64) bool {
-	set := c.setIndex(lineAddr)
-	tag := c.tag(lineAddr)
-	base := int(set) * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.sets[base+w]
-		if l.Valid && l.Tag == tag {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Contains(lineAddr uint64) bool { return c.find(lineAddr) >= 0 }
 
 // Fill installs lineAddr for app, evicting the LRU line among the app's
 // allowed ways if needed. Filling an already-resident line only refreshes
 // its recency. It returns the displaced line, if any, so the caller can
 // write back dirty victims.
 func (c *Cache) Fill(lineAddr uint64, app int) Eviction {
-	set := c.setIndex(lineAddr)
 	tag := c.tag(lineAddr)
-	base := int(set) * c.ways
+	base := int(c.setIndex(lineAddr)) * c.ways
+	keys, lru := c.keys[base:base+c.ways], c.lru[base:base+c.ways]
 	c.tick++
 
+	// The victim is the allowed way with the strictly lowest LRU tick,
+	// the first of equals. An invalid way's tick is 0 and a valid way's
+	// at least 1, so that is the first invalid allowed way, else the
+	// least recently used one.
 	allowed := c.allowedWays[app]
 	victim := -1
 	var victimLRU uint64 = ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		l := &c.sets[base+w]
-		if l.Valid && l.Tag == tag {
+	for w, k := range keys {
+		if k == tag+1 {
 			// Already present (e.g. two in-flight fills merged upstream
 			// or a race between bypassed and cached paths).
-			l.LRU = c.tick
-			l.App = int8(app)
+			lru[w] = c.tick
+			c.meta[base+w].App = int8(app)
 			return Eviction{}
 		}
-		if allowed != nil && !allowed[w] {
-			continue
-		}
-		if !l.Valid {
-			if victim == -1 || c.sets[base+victim].Valid {
-				victim = w
-				victimLRU = 0
-			}
-			continue
-		}
-		if l.LRU < victimLRU {
-			victim = w
-			victimLRU = l.LRU
+		if (allowed == nil || allowed[w]) && lru[w] < victimLRU {
+			victim, victimLRU = w, lru[w]
 		}
 	}
 	if victim == -1 {
-		// All of the app's allowed ways hold other lines and none is
-		// preferable; should be unreachable because allowed masks always
-		// enable at least one way.
+		// Unreachable: allowed masks always enable at least one way.
 		panic("cache: no fill victim")
 	}
-	l := &c.sets[base+victim]
+	m := &c.meta[base+victim]
 	var ev Eviction
-	if l.Valid {
+	if old := keys[victim]; old != 0 {
 		ev = Eviction{
-			LineAddr: l.Tag << c.lineBits,
-			App:      int(l.App),
-			Dirty:    l.Dirty,
+			LineAddr: (old - 1) << c.lineBits,
+			App:      int(m.App),
+			Dirty:    m.Dirty,
 			Valid:    true,
 		}
-		c.recordVictim(l.Tag)
+		c.recordVictim(old - 1)
 	}
-	l.Tag = tag
-	l.Valid = true
-	l.Dirty = false
-	l.App = int8(app)
-	l.LRU = c.tick
+	keys[victim] = tag + 1
+	lru[victim] = c.tick
+	*m = meta{App: int8(app)}
 	return ev
-}
-
-// Invalidate removes lineAddr if resident, returning whether it was.
-func (c *Cache) Invalidate(lineAddr uint64) bool {
-	set := c.setIndex(lineAddr)
-	tag := c.tag(lineAddr)
-	base := int(set) * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.sets[base+w]
-		if l.Valid && l.Tag == tag {
-			l.Valid = false
-			return true
-		}
-	}
-	return false
 }
 
 // Occupancy returns the number of valid lines currently owned by each app.
 func (c *Cache) Occupancy() []int {
 	occ := make([]int, len(c.Stats))
-	for i := range c.sets {
-		l := &c.sets[i]
-		if l.Valid && int(l.App) < len(occ) {
-			occ[l.App]++
+	for i, k := range c.keys {
+		if app := int(c.meta[i].App); k != 0 && app < len(occ) {
+			occ[app]++
 		}
 	}
 	return occ
 }
 
 // Lines returns the total line capacity.
-func (c *Cache) Lines() int { return len(c.sets) }
-
-// Flush invalidates every line (kernel relaunch of a fresh context uses
-// this in some experiments).
-func (c *Cache) Flush() {
-	for i := range c.sets {
-		c.sets[i].Valid = false
-	}
-}
+func (c *Cache) Lines() int { return len(c.keys) }

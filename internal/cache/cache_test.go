@@ -108,20 +108,6 @@ func TestDirtyClearedOnRefill(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(tiny(), 1)
-	c.Fill(0x80, 0)
-	if !c.Invalidate(0x80) {
-		t.Fatal("Invalidate missed a resident line")
-	}
-	if c.Invalidate(0x80) {
-		t.Fatal("Invalidate hit twice")
-	}
-	if c.Contains(0x80) {
-		t.Fatal("line survived invalidation")
-	}
-}
-
 func TestWayPartitioning(t *testing.T) {
 	c := New(tiny(), 2)
 	if err := c.SetWayPartition(0, []bool{true, false}); err != nil {
@@ -160,20 +146,6 @@ func TestWayPartitionErrors(t *testing.T) {
 	}
 	if err := c.SetWayPartition(0, nil); err != nil {
 		t.Errorf("clearing partition failed: %v", err)
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := New(tiny(), 1)
-	c.Fill(0, 0)
-	c.Fill(128, 0)
-	c.Flush()
-	if c.Contains(0) || c.Contains(128) {
-		t.Fatal("lines survived Flush")
-	}
-	occ := c.Occupancy()
-	if occ[0] != 0 {
-		t.Fatalf("occupancy after flush: %v", occ)
 	}
 }
 

@@ -10,7 +10,11 @@ import (
 // partitions are construction-time configuration (re-derived from the run
 // spec on restore) and are not captured.
 type State struct {
-	Lines []line
+	// The tag store's three arrays, one entry per way (see Cache).
+	Keys []uint64
+	LRU  []uint64
+	Meta []meta
+
 	Tick  uint64
 	Stats []stats.MissRatio
 
@@ -26,7 +30,7 @@ type State struct {
 // State returns the cache's snapshot. It aliases the cache's live tag
 // store and counters: encode it before the cache runs again.
 func (c *Cache) State() State {
-	st := State{Lines: c.sets, Tick: c.tick, Stats: c.Stats}
+	st := State{Keys: c.keys, LRU: c.lru, Meta: c.meta, Tick: c.tick, Stats: c.Stats}
 	if c.victimSet != nil {
 		st.VictimTags = c.victimTags
 		st.VictimCap = cap(c.victimTags)
@@ -40,13 +44,22 @@ func (c *Cache) State() State {
 // configured cache. The victim-tag membership index is rebuilt from the
 // FIFO content.
 func (c *Cache) SetState(st State) error {
-	if len(st.Lines) != len(c.sets) {
-		return fmt.Errorf("cache: state has %d lines, cache has %d", len(st.Lines), len(c.sets))
+	if len(st.Keys) != len(c.keys) || len(st.LRU) != len(c.keys) || len(st.Meta) != len(c.keys) {
+		return fmt.Errorf("cache: state has %d/%d/%d keys/LRU ticks/metas, cache has %d lines",
+			len(st.Keys), len(st.LRU), len(st.Meta), len(c.keys))
 	}
 	if len(st.Stats) != len(c.Stats) {
 		return fmt.Errorf("cache: state has %d app stats, cache has %d", len(st.Stats), len(c.Stats))
 	}
-	copy(c.sets, st.Lines)
+	for i, k := range st.Keys {
+		// Fill's victim choice reads an invalid way as LRU tick 0.
+		if (k == 0) != (st.LRU[i] == 0) {
+			return fmt.Errorf("cache: way %d has key %d but LRU tick %d", i, k, st.LRU[i])
+		}
+	}
+	copy(c.keys, st.Keys)
+	copy(c.lru, st.LRU)
+	copy(c.meta, st.Meta)
 	c.tick = st.Tick
 	copy(c.Stats, st.Stats)
 	if st.VictimCap > 0 {

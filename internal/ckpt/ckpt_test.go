@@ -108,11 +108,11 @@ func TestPrefixKeyGolden(t *testing.T) {
 		rs   spec.RunSpec
 		key  string
 	}{
-		{"static", base(spec.Static([]int{4}, nil)), "71e542f4897f7744"},
-		{"maxtlp", base(spec.MaxTLP()), "84d0b3e4873ab582"},
-		{"dyncta", base(spec.DynCTA()), "b568f5ff4b643e9f"},
-		{"ccws knobbed", base(ccwsKnobbed), "bc58c6ae6049a266"},
-		{"pbs-ws", base(spec.PBS(0)), "1d693bed6d349983"},
+		{"static", base(spec.Static([]int{4}, nil)), "10ea2001ca8a5129"},
+		{"maxtlp", base(spec.MaxTLP()), "f65b66e1e4654919"},
+		{"dyncta", base(spec.DynCTA()), "442f4902340ee830"},
+		{"ccws knobbed", base(ccwsKnobbed), "f971e1fc7597e4d9"},
+		{"pbs-ws", base(spec.PBS(0)), "25eb63f03cc0b45c"},
 	}
 	for _, g := range golden {
 		if k := PrefixKey(g.rs); k != g.key {

@@ -254,9 +254,10 @@ func (g *GPU) MemCyclesPerCoreCycle() float64 {
 }
 
 // PartitionOf maps a byte address to its memory partition using the Table I
-// 256-byte chunk interleave.
+// 256-byte chunk interleave. The partition count is a power of two
+// (Validate), so the chunk's partition is its low bits.
 func (g *GPU) PartitionOf(addr uint64) int {
-	return int((addr / uint64(g.AddrInterleave)) % uint64(g.NumMemPartitions))
+	return int((addr / uint64(g.AddrInterleave)) & uint64(g.NumMemPartitions-1))
 }
 
 // String summarizes the configuration as a Table-I style block.

@@ -12,14 +12,16 @@ import (
 // (bank, row), off bytes into the row. The arithmetic is the address map's
 // own, restated here so the tests do not lean on the code under test.
 func lineAt(p *Partition, bank int, row int64, off uint64) uint64 {
-	local := (uint64(row)*p.nbanks+uint64(bank))*p.rowBytes + off
+	nbanks := uint64(p.cfg.BanksPerMC)
+	local := (uint64(row)*nbanks+uint64(bank))*p.rowBytes + off
 	return p.globalAddr(local)
 }
 
 // bankRowOf inverts lineAt: the (bank, row) a global line address maps to.
 func bankRowOf(p *Partition, line uint64) (int, int64) {
 	rowIdx := p.localAddr(line) / p.rowBytes
-	return int(rowIdx % p.nbanks), int64(rowIdx / p.nbanks)
+	nbanks := uint64(p.cfg.BanksPerMC)
+	return int(rowIdx % nbanks), int64(rowIdx / nbanks)
 }
 
 // queued returns the FR-FCFS queue's line addresses, oldest first.
@@ -142,7 +144,7 @@ func TestFRFCFSOrder(t *testing.T) {
 		fillAt := p.events[0].at
 
 		bankA, rowA := bankRowOf(p, a)
-		d := lineAt(p, (bankA+5)%int(p.nbanks), 9, 128) // older, not a hit
+		d := lineAt(p, (bankA+5)%p.cfg.BanksPerMC, 9, 128) // older, not a hit
 		p.Enqueue(read(d, 0), now)
 		admit(t, p, now)
 		p.banks[bankA].OpenRow = rowA

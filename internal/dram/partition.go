@@ -15,6 +15,7 @@ package dram
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ebm/internal/cache"
 	"ebm/internal/config"
@@ -169,11 +170,14 @@ type Partition struct {
 	// state, so snapshots leave it out.
 	l2Reads uint64
 
-	// derived address mapping
+	// Derived address mapping. The partition and bank counts are powers
+	// of two (config.GPU.Validate), so their divisions are shifts and
+	// masks; the interleave and the row size need not be.
 	interleave uint64
-	nparts     uint64
 	rowBytes   uint64
-	nbanks     uint64
+	partShift  uint   // log2 of the partition count
+	bankShift  uint   // log2 of the bank count
+	bankMask   uint64 // bank count - 1
 }
 
 // NewPartition builds partition id of the machine described by cfg with
@@ -198,9 +202,10 @@ func NewPartition(id int, cfg *config.GPU, numApps int) *Partition {
 		l2LatMem:   l2LatMem,
 		Apps:       make([]Stats, numApps),
 		interleave: uint64(cfg.AddrInterleave),
-		nparts:     uint64(cfg.NumMemPartitions),
 		rowBytes:   uint64(cfg.RowBytes),
-		nbanks:     uint64(cfg.BanksPerMC),
+		partShift:  uint(bits.TrailingZeros(uint(cfg.NumMemPartitions))),
+		bankShift:  uint(bits.TrailingZeros(uint(cfg.BanksPerMC))),
+		bankMask:   uint64(cfg.BanksPerMC - 1),
 	}
 	for i := range p.banks {
 		p.banks[i].OpenRow = -1
@@ -292,13 +297,13 @@ func (p *Partition) PendingResponses() int { return len(p.resp) }
 // within a partition.
 func (p *Partition) localAddr(addr uint64) uint64 {
 	chunk := addr / p.interleave
-	return (chunk/p.nparts)*p.interleave + addr%p.interleave
+	return (chunk>>p.partShift)*p.interleave + addr - chunk*p.interleave
 }
 
 // globalAddr inverts localAddr for this partition.
 func (p *Partition) globalAddr(local uint64) uint64 {
 	chunk := local / p.interleave
-	return (chunk*p.nparts+uint64(p.ID))*p.interleave + local%p.interleave
+	return (chunk<<p.partShift+uint64(p.ID))*p.interleave + local - chunk*p.interleave
 }
 
 // pushDRAM appends req, whose partition-local line address is local, to
@@ -312,8 +317,8 @@ func (p *Partition) pushDRAM(req *mem.Request, local uint64) {
 	p.dramQ = append(p.dramQ, req)
 	p.dramAddr = append(p.dramAddr, dramAddr{
 		local: local,
-		row:   int64(rowIdx / p.nbanks),
-		bank:  int(rowIdx % p.nbanks),
+		row:   int64(rowIdx >> p.bankShift),
+		bank:  int(rowIdx & p.bankMask),
 	})
 }
 

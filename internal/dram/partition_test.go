@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"ebm/internal/config"
@@ -281,14 +282,57 @@ func TestEnqueuePastCapacityPanics(t *testing.T) {
 	p.Enqueue(read(0, 0), 0)
 }
 
+// TestLocalGlobalAddressRoundTrip checks the address map on every
+// power-of-two partition count from 1 to 16 and bank count from 1 to 32,
+// with the Table I 256-B interleave and a 384-B one: the shift and mask
+// forms of config.PartitionOf, localAddr and the bank/row decode must
+// equal their division forms, and globalAddr must invert localAddr.
 func TestLocalGlobalAddressRoundTrip(t *testing.T) {
-	c := cfg()
-	for id := 0; id < c.NumMemPartitions; id++ {
-		p := NewPartition(id, c, 1)
-		for chunk := 0; chunk < 64; chunk++ {
-			global := uint64(chunk*c.NumMemPartitions+id) * uint64(c.AddrInterleave)
-			if got := p.globalAddr(p.localAddr(global)); got != global {
-				t.Fatalf("partition %d: roundtrip %#x -> %#x", id, global, got)
+	rng := rand.New(rand.NewPCG(5, 8))
+	for _, interleave := range []uint64{256, 384} {
+		for nparts := uint64(1); nparts <= 16; nparts *= 2 {
+			for nbanks := uint64(1); nbanks <= 32; nbanks *= 2 {
+				c := cfg()
+				c.AddrInterleave = int(interleave)
+				c.RowBytes = int(8 * interleave)
+				c.NumMemPartitions = int(nparts)
+				c.BanksPerMC = int(nbanks)
+				c.BankGroupsPerMC = 1
+				if err := c.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				rowBytes := uint64(c.RowBytes)
+				for id := uint64(0); id < nparts; id++ {
+					p := NewPartition(int(id), c, 1)
+					for i := 0; i < 200; i++ {
+						chunk := uint64(i)
+						if i >= 64 {
+							chunk = rng.Uint64N(1 << 40)
+						}
+						off := rng.Uint64N(interleave) &^ 127
+						global := (chunk*nparts+id)*interleave + off
+						if got := c.PartitionOf(global); got != int((global/interleave)%nparts) || got != int(id) {
+							t.Fatalf("%d partitions, interleave %d: PartitionOf(%#x) = %d, want %d",
+								nparts, interleave, global, got, id)
+						}
+						local := p.localAddr(global)
+						if want := (global/interleave/nparts)*interleave + global%interleave; local != want {
+							t.Fatalf("%d partitions, interleave %d: localAddr(%#x) = %#x, want %#x",
+								nparts, interleave, global, local, want)
+						}
+						if got := p.globalAddr(local); got != global {
+							t.Fatalf("partition %d of %d, interleave %d: roundtrip %#x -> %#x",
+								id, nparts, interleave, global, got)
+						}
+						p.pushDRAM(read(global, 0), local)
+						got := p.dramAddr[len(p.dramAddr)-1]
+						rowIdx := local / rowBytes
+						want := dramAddr{local: local, row: int64(rowIdx / nbanks), bank: int(rowIdx % nbanks)}
+						if got != want {
+							t.Fatalf("%d banks: decode of %#x = %+v, want %+v", nbanks, local, got, want)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -144,6 +144,10 @@ func (n *Network) Pop(dst int, now uint64) *mem.Request {
 	return p.req
 }
 
+// Ready reports whether output port dst holds a message deliverable by
+// cycle now, that is, whether Pop(dst, now) would return one.
+func (n *Network) Ready(dst int, now uint64) bool { return n.head[dst] <= now }
+
 // NextReady returns the earliest cycle at which some output port has a
 // message to deliver, or math.MaxUint64 when the network is empty. Every
 // Pop before that cycle returns nil.

@@ -16,18 +16,17 @@ package mem
 // Like Pool, an MSHRTable serves exactly one simulated structure on one
 // goroutine and is not safe for concurrent use.
 type MSHRTable[W any] struct {
-	slots []mshrSlot[W]
-	mask  uint64
-	shift uint
-	n     int
-	cap   int
-	spare [][]W // detached waiter buffers awaiting reuse
-}
-
-type mshrSlot[W any] struct {
-	line    uint64
-	used    bool
-	waiters []W
+	// keys[i] is slot i's line plus one, or 0 when the slot is empty: a
+	// probe reads 8 bytes per slot. waiters[i] is the slot's waiter list.
+	// A line must not be the all-ones address, whose key would read empty;
+	// line addresses are line-aligned, so none is.
+	keys    []uint64
+	waiters [][]W
+	mask    uint64
+	shift   uint
+	n       int
+	cap     int
+	spare   [][]W // detached waiter buffers awaiting reuse
 }
 
 // NewMSHRTable builds a table admitting at most capacity distinct lines.
@@ -42,10 +41,11 @@ func NewMSHRTable[W any](capacity int) *MSHRTable[W] {
 		shift--
 	}
 	return &MSHRTable[W]{
-		slots: make([]mshrSlot[W], size),
-		mask:  uint64(size - 1),
-		shift: shift,
-		cap:   capacity,
+		keys:    make([]uint64, size),
+		waiters: make([][]W, size),
+		mask:    uint64(size - 1),
+		shift:   shift,
+		cap:     capacity,
 	}
 }
 
@@ -58,9 +58,10 @@ func (t *MSHRTable[W]) home(line uint64) uint64 {
 // find locates line's slot, or the empty slot that terminates its probe
 // chain. The <= 50% load factor guarantees an empty slot exists.
 func (t *MSHRTable[W]) find(line uint64) (idx uint64, ok bool) {
+	key := line + 1
 	i := t.home(line)
-	for t.slots[i].used {
-		if t.slots[i].line == line {
+	for k := t.keys[i]; k != 0; k = t.keys[i] {
+		if k == key {
 			return i, true
 		}
 		i = (i + 1) & t.mask
@@ -88,7 +89,7 @@ func (t *MSHRTable[W]) Contains(line uint64) bool {
 // least one waiter, so nil unambiguously means "no entry".
 func (t *MSHRTable[W]) Waiters(line uint64) []W {
 	if i, ok := t.find(line); ok {
-		return t.slots[i].waiters
+		return t.waiters[i]
 	}
 	return nil
 }
@@ -100,7 +101,7 @@ func (t *MSHRTable[W]) Append(line uint64, w W) bool {
 	if !ok {
 		return false
 	}
-	t.slots[i].waiters = append(t.slots[i].waiters, w)
+	t.waiters[i] = append(t.waiters[i], w)
 	return true
 }
 
@@ -115,14 +116,13 @@ func (t *MSHRTable[W]) Add(line uint64, w W) bool {
 	if ok {
 		return false
 	}
-	s := &t.slots[i]
-	s.line = line
-	s.used = true
-	if s.waiters == nil && len(t.spare) > 0 {
-		s.waiters = t.spare[len(t.spare)-1]
+	t.keys[i] = line + 1
+	ws := t.waiters[i]
+	if ws == nil && len(t.spare) > 0 {
+		ws = t.spare[len(t.spare)-1]
 		t.spare = t.spare[:len(t.spare)-1]
 	}
-	s.waiters = append(s.waiters[:0], w)
+	t.waiters[i] = append(ws[:0], w)
 	t.n++
 	return true
 }
@@ -135,21 +135,21 @@ func (t *MSHRTable[W]) Remove(line uint64) []W {
 	if !ok {
 		return nil
 	}
-	buf := t.slots[i].waiters
-	t.slots[i] = mshrSlot[W]{}
+	buf := t.waiters[i]
+	t.keys[i], t.waiters[i] = 0, nil
 	// Backward-shift compaction: walk the probe chain after the hole and
 	// pull back any entry whose home slot precedes the hole, so later
 	// lookups never probe across a gap.
 	j := i
 	for {
 		j = (j + 1) & t.mask
-		if !t.slots[j].used {
+		k := t.keys[j]
+		if k == 0 {
 			break
 		}
-		h := t.home(t.slots[j].line)
-		if (j-h)&t.mask >= (j-i)&t.mask {
-			t.slots[i] = t.slots[j]
-			t.slots[j] = mshrSlot[W]{}
+		if h := t.home(k - 1); (j-h)&t.mask >= (j-i)&t.mask {
+			t.keys[i], t.waiters[i] = k, t.waiters[j]
+			t.keys[j], t.waiters[j] = 0, nil
 			i = j
 		}
 	}

@@ -16,9 +16,9 @@ import (
 // lay the same entries out differently (a probe chain that wrapped past
 // the last slot), and must still snapshot identically.
 func (t *MSHRTable[W]) Entries() (lines []uint64, waiters [][]W) {
-	for i := range t.slots {
-		if t.slots[i].used {
-			lines = append(lines, t.slots[i].line)
+	for _, k := range t.keys {
+		if k != 0 {
+			lines = append(lines, k-1)
 		}
 	}
 	slices.Sort(lines)
@@ -39,9 +39,8 @@ func (t *MSHRTable[W]) SetEntries(lines []uint64, waiters [][]W) error {
 	if len(lines) > t.cap {
 		return fmt.Errorf("mem: mshr state has %d entries, capacity %d", len(lines), t.cap)
 	}
-	for i := range t.slots {
-		t.slots[i] = mshrSlot[W]{}
-	}
+	clear(t.keys)
+	clear(t.waiters)
 	t.n = 0
 	t.spare = t.spare[:0]
 	for i, line := range lines {

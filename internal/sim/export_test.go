@@ -11,10 +11,10 @@ import (
 
 // NewReference builds a simulator on the always-tick path: every core and
 // every memory partition is ticked every cycle, every core's out-queue
-// visited and every crossbar port polled, with no fast-forward, no
-// partition skip before NextTick, no empty-queue skip and no
-// delivery-pass skip. It must produce exactly what New's engine
-// produces; the differential test holds the skips to that.
+// and every partition's reply queue visited and every crossbar port
+// polled, with no fast-forward, no partition skip before NextTick, no
+// empty-queue skip and no port skip. It must produce exactly what New's
+// engine produces; the differential test holds the skips to that.
 func NewReference(opts Options) (*Simulator, error) {
 	s, err := New(opts)
 	if err != nil {

@@ -301,8 +301,9 @@ func TestFastForwardMatchesReference(t *testing.T) {
 			}
 			if c.name == "table1-machine" {
 				// The memory-bound case must show the skips acting:
-				// stalled partitions skipped, and quiet cores both woken
-				// and left asleep by out-queue pops.
+				// stalled partitions skipped, quiet cores both woken and
+				// left asleep by out-queue pops, and crossbar ports left
+				// unpolled.
 				if fast.work.PartTicks >= ref.work.PartTicks {
 					t.Fatalf("engine ticked partitions %d times, reference %d: no partition tick was skipped",
 						fast.work.PartTicks, ref.work.PartTicks)
@@ -310,6 +311,10 @@ func TestFastForwardMatchesReference(t *testing.T) {
 				if fast.work.PopWakes == 0 || fast.work.PopSleeps == 0 {
 					t.Fatalf("out-queue pops woke %d quiet cores and left %d asleep, want both > 0",
 						fast.work.PopWakes, fast.work.PopSleeps)
+				}
+				if fast.work.PopsToMem >= ref.work.PopsToMem || fast.work.PopsToCore >= ref.work.PopsToCore {
+					t.Fatalf("engine popped the crossbar %d/%d times, reference %d/%d: no port poll was skipped",
+						fast.work.PopsToMem, fast.work.PopsToCore, ref.work.PopsToMem, ref.work.PopsToCore)
 				}
 			}
 			if err := forkMatches(t, c.rs, forkAt, fast); err != nil {

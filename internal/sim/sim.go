@@ -268,9 +268,9 @@ type Simulator struct {
 	headDst []int
 
 	// reference disables every skip: each core and each memory partition
-	// is ticked every cycle, every core's out-queue visited, and every
-	// crossbar port polled. Only tests set it, to check the skips against
-	// the plain engine.
+	// is ticked every cycle, every core's out-queue and every partition's
+	// reply queue visited, and every crossbar port polled. Only tests set
+	// it, to check the skips against the plain engine.
 	reference bool
 
 	// onEnqueue, when non-nil, sees every request the crossbar delivers
@@ -584,9 +584,9 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		for s.memAcc >= 1 {
 			s.memAcc--
 			for _, p := range s.partitions {
-				// Before the crossbar's next-ready cycle no port has a
-				// request to deliver; Pop would return nil on each.
-				if p.CanAccept() && (s.reference || now >= s.toMem.NextReady()) {
+				// Only a Ready port has a request to deliver; Pop would
+				// return nil on any other.
+				if p.CanAccept() && (s.reference || s.toMem.Ready(p.ID, now)) {
 					s.work.PopsToMem++
 					if req := s.toMem.Pop(p.ID, now); req != nil {
 						if s.onEnqueue != nil {
@@ -606,9 +606,10 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			s.memCycle++
 		}
 
-		// Partition -> core responses (flit-serialized at the source).
+		// Partition -> core responses (flit-serialized at the source),
+		// from the partitions with a reply queued.
 		for pi, p := range s.partitions {
-			if !s.toCore.CanSend(pi, now) {
+			if (!s.reference && p.PendingResponses() == 0) || !s.toCore.CanSend(pi, now) {
 				continue
 			}
 			if resp := p.PopResponse(); resp != nil {
@@ -616,11 +617,14 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			}
 		}
 
-		// Deliver responses. A fill ends the destination core's quiescence
-		// (the woken warp may issue next cycle); the reply object itself is
-		// consumed here and recycled to the pool. The pass ends once no
-		// port holds a reply ready by now.
+		// Deliver responses to the cores whose port is Ready. A fill ends
+		// the destination core's quiescence (the woken warp may issue next
+		// cycle); the reply object itself is consumed here and recycled to
+		// the pool. The pass ends once no port holds a reply ready by now.
 		for ci := 0; ci < len(s.cores) && (s.reference || now >= s.toCore.NextReady()); ci++ {
+			if !s.reference && !s.toCore.Ready(ci, now) {
+				continue
+			}
 			s.work.PopsToCore++
 			if resp := s.toCore.Pop(ci, now); resp != nil {
 				s.wakeQuiet(ci, now+1)
