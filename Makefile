@@ -23,10 +23,10 @@ test:
 # cycles, so neither the capture hook and replay, the cache benchmark's
 # address stream nor the engine benchmark's machine set-up can rot unseen. The two fuzz targets that hold the engine's skips
 # to the every-cycle engine (a partition ticked from its NextTick on and
-# forked mid-stall; the whole engine against the reference) and the two
-# that hold the result cache's entry decoder and key encoder to
-# encoding/json each explore for 5 s past their seeds, from an empty fuzz
-# cache as in `make fuzz`.
+# forked mid-stall; the whole engine against the reference), the one
+# that holds the result cache's entry decoder to encoding/json and the
+# one that holds its key walk injective each explore for 5 s past their
+# seeds, from an empty fuzz cache as in `make fuzz`.
 verify:
 	$(GO) build ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -46,7 +46,7 @@ verify:
 	    -args -test.fuzzcachedir="$$cache/sim" && \
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 5s ./internal/simcache/ \
 	    -args -test.fuzzcachedir="$$cache/simcache" && \
-	$(GO) test -run '^$$' -fuzz '^FuzzKeyMatchesMarshal$$' -fuzztime 5s ./internal/simcache/ \
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyInjective$$' -fuzztime 5s ./internal/simcache/ \
 	    -args -test.fuzzcachedir="$$cache/simcache-key"
 	$(GO) test -race ./internal/runner/... ./internal/resilience/... \
 	    ./internal/ckpt/... ./internal/obs/... ./internal/search/... \
@@ -86,8 +86,8 @@ dsweep-chaos:
 # seeds alone already run under `go test`): the scheme grammar's
 # parse/print fixed point, the fast-forward engine against the plain
 # reference engine, a memory partition forked through State/SetState
-# against the original, and the result cache's entry decoder and key
-# encoder against encoding/json. A failing input is saved under the package's
+# against the original, the result cache's entry decoder against
+# encoding/json, and its key walk for injectivity. A failing input is saved under the package's
 # testdata/fuzz/ and replays as a regression test from then on. Each run
 # starts from an empty, throwaway fuzz cache: with the cache the go
 # command keeps between runs, the slow engine target spent its whole
@@ -104,7 +104,7 @@ fuzz:
 	    -args -test.fuzzcachedir="$$cache/dram" && \
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/simcache/ \
 	    -args -test.fuzzcachedir="$$cache/simcache" && \
-	$(GO) test -run '^$$' -fuzz '^FuzzKeyMatchesMarshal$$' -fuzztime $(FUZZTIME) ./internal/simcache/ \
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyInjective$$' -fuzztime $(FUZZTIME) ./internal/simcache/ \
 	    -args -test.fuzzcachedir="$$cache/simcache-key"
 
 # cover prints per-package statement coverage and enforces a floor on

@@ -6,6 +6,7 @@ package ebm_test
 // manager across module boundaries.
 
 import (
+	"slices"
 	"testing"
 
 	"ebm"
@@ -238,5 +239,82 @@ func TestClaimEBTracksIPC(t *testing.T) {
 	if d := bestIPCIdx - bestEBIdx; d < -1 || d > 1 {
 		t.Fatalf("IPC argmax level %d vs EB argmax level %d: EB does not track IPC",
 			p.Levels[bestIPCIdx].TLP, p.Levels[bestEBIdx].TLP)
+	}
+}
+
+// TestFig11SeriesFromRecord: Fig. 11's per-window series, rebuilt from a
+// run's decision record (Result.WindowStates), equals what the window
+// hook and the manager report while the run executes — each window's
+// cycle, per-app TLPs and L1 bypass flags from the Sample, and whether
+// PBS is searching after it — for PBS-WS and PBS-FI on BLK_BFS, on the
+// claims' reduced machine. The record's counts equal the manager's.
+func TestFig11SeriesFromRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := ebm.DefaultConfig()
+	cfg.NumCores = 8
+	cfg.NumMemPartitions = 8
+	wl, ok := ebm.WorkloadByName("BLK_BFS")
+	if !ok {
+		t.Fatal("workload BLK_BFS")
+	}
+	for name, mgr := range map[string]*ebm.PBS{"PBS-WS": ebm.NewPBSWS(), "PBS-FI": ebm.NewPBSFI()} {
+		type window struct {
+			cycle     uint64
+			tlp       []int
+			bypass    []bool
+			searching bool
+		}
+		var want []window
+		opts := ebm.RunOptions{
+			Config:             cfg,
+			Apps:               wl.Apps,
+			Manager:            mgr,
+			TotalCycles:        200_000,
+			WarmupCycles:       5_000,
+			WindowCycles:       2_500,
+			DesignatedSampling: true,
+			OnWindow: func(s ebm.Sample) {
+				w := window{cycle: s.Cycle, bypass: make([]bool, len(s.Apps)), searching: mgr.Searching()}
+				for i, a := range s.Apps {
+					w.tlp = append(w.tlp, a.TLP)
+					w.bypass[i] = a.Bypass
+				}
+				want = append(want, w)
+			},
+		}
+		res, err := ebm.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.WindowStates(opts.WindowCycles)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d windows from the record, %d observed", name, len(got), len(want))
+		}
+		searching := 0
+		for k, st := range got {
+			w := want[k]
+			bypass := make([]bool, len(w.tlp))
+			if st.Bypass != nil {
+				bypass = st.Bypass
+			}
+			if st.Cycle != w.cycle || !slices.Equal(st.TLP, w.tlp) || !slices.Equal(bypass, w.bypass) || st.Searching != w.searching {
+				t.Fatalf("%s: window %d from the record %+v, observed %+v", name, k, st, w)
+			}
+			if st.Searching {
+				searching++
+			}
+		}
+		if searching == 0 || searching == len(got) {
+			t.Fatalf("%s: PBS searched in %d of %d windows; the series shows no search ending", name, searching, len(got))
+		}
+		d := res.Decisions
+		if d.Searches != mgr.Searches() || d.Restarts != mgr.Restarts() || d.Drifts != mgr.Drifts() {
+			t.Fatalf("%s: record counts %d/%d/%d, manager %d/%d/%d", name,
+				d.Searches, d.Restarts, d.Drifts, mgr.Searches(), mgr.Restarts(), mgr.Drifts())
+		}
+		t.Logf("%s: %d windows, %d searching, %d change points, %d searches, %d restarts",
+			name, len(got), searching, len(d.Changes), d.Searches, d.Restarts)
 	}
 }

@@ -31,7 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	run := func(label string, mgr ebm.Manager) {
+	run := func(label string, mgr ebm.Manager) ebm.Result {
 		res, err := ebm.Run(ebm.RunOptions{
 			Config:             cfg,
 			Apps:               wl.Apps,
@@ -53,16 +53,18 @@ func main() {
 				a.Name, sd[i], a.EB, a.AvgTLP, a.FinalTLP)
 		}
 		fmt.Printf("  WS=%.3f FI=%.3f (FI of 1.0 = perfectly fair)\n", ebm.WS(sd), ebm.FI(sd))
+		return res
 	}
 
 	run("++bestTLP (each app tuned as if alone)", ebm.NewStaticManager("++bestTLP", best))
 
 	pbs := ebm.NewPBSFI()
-	run("PBS-FI (balance effective bandwidth online)", pbs)
+	res := run("PBS-FI (balance effective bandwidth online)", pbs)
 
 	fmt.Println("\nPBS sampling table (TLP combination -> per-app EB):")
 	for _, e := range pbs.Table() {
 		fmt.Printf("  TLP%v  EB=%.3f / %.3f\n", e.TLP, e.EB[0], e.EB[1])
 	}
-	fmt.Printf("searches completed: %d, kernel restarts: %d\n", pbs.Searches(), pbs.Restarts())
+	// The run's decision record carries the search counts.
+	fmt.Printf("searches completed: %d, kernel restarts: %d\n", res.Decisions.Searches, res.Decisions.Restarts)
 }

@@ -53,7 +53,7 @@ import (
 // with the goldens) and sim.SnapshotVersion (bumped with the engine's
 // encoded state), so a store written by an older engine misses, and Open
 // removes its files (see derivation).
-const SchemaVersion = 3
+const SchemaVersion = 4
 
 // DefaultEvery is the write cadence: one checkpoint every this many
 // sampling windows (plus the run-end window, which makes re-running
@@ -61,9 +61,9 @@ const SchemaVersion = 3
 const DefaultEvery = 4
 
 // PrefixKey returns the content address of a run's deterministic
-// prefix: FNV-1a over the JSON of the three versions alongside the
-// prefix-canonical spec (the canonical form with TotalCycles cleared),
-// written by the same encoder as simcache.Key (simcache.HashRun). Two
+// prefix: simcache.HashRun, the encoder behind simcache.Key, of the
+// prefix-canonical spec (the canonical form with TotalCycles cleared)
+// under the three versions. Two
 // runs with equal prefix keys execute bit-identically up to the shorter
 // horizon, so they share checkpoints.
 func PrefixKey(rs spec.RunSpec) string {
@@ -74,9 +74,9 @@ func PrefixKey(rs spec.RunSpec) string {
 // snapshotVersion.
 func prefixKeyAt(rs spec.RunSpec, snapshotVersion int) string {
 	return simcache.HashRun(rs.PrefixCanonical(),
-		simcache.Version{Name: "schema", N: simcache.SchemaVersion}, // engine behaviour
-		simcache.Version{Name: "ckpt_schema", N: SchemaVersion},     // this package's layout
-		simcache.Version{Name: "snapshot", N: snapshotVersion},      // sim.SnapshotVersion: the payload's layout
+		simcache.SchemaVersion, // engine behaviour
+		SchemaVersion,          // this package's layout and key derivation
+		snapshotVersion,        // sim.SnapshotVersion: the payload's layout
 	)
 }
 

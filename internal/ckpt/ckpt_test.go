@@ -78,14 +78,6 @@ func TestPrefixKeySharedAcrossHorizons(t *testing.T) {
 	}
 }
 
-// prefixEnvelope is the value whose json.Marshal bytes PrefixKey hashes.
-type prefixEnvelope struct {
-	Schema   int          `json:"schema"`
-	Ckpt     int          `json:"ckpt_schema"`
-	Snapshot int          `json:"snapshot"`
-	Run      spec.RunSpec `json:"run"`
-}
-
 // TestPrefixKeyGolden pins the prefix keys of simcache's TestKeyGolden
 // runs. A failure here means every checkpoint on disk silently went
 // cold: if the change is intentional, bump SchemaVersion in the same
@@ -108,20 +100,20 @@ func TestPrefixKeyGolden(t *testing.T) {
 		rs   spec.RunSpec
 		key  string
 	}{
-		{"static", base(spec.Static([]int{4}, nil)), "10ea2001ca8a5129"},
-		{"maxtlp", base(spec.MaxTLP()), "f65b66e1e4654919"},
-		{"dyncta", base(spec.DynCTA()), "442f4902340ee830"},
-		{"ccws knobbed", base(ccwsKnobbed), "f971e1fc7597e4d9"},
-		{"pbs-ws", base(spec.PBS(0)), "25eb63f03cc0b45c"},
+		{"static", base(spec.Static([]int{4}, nil)), "dd132973e454c0f2"},
+		{"maxtlp", base(spec.MaxTLP()), "ee0fcdd8c6b367ee"},
+		{"dyncta", base(spec.DynCTA()), "9f40a901252b0937"},
+		{"ccws knobbed", base(ccwsKnobbed), "ef338728e94ef118"},
+		{"pbs-ws", base(spec.PBS(0)), "3cdd3eb1530b5b25"},
 	}
 	for _, g := range golden {
 		if k := PrefixKey(g.rs); k != g.key {
 			t.Errorf("%s: prefix key %s, want %s", g.name, k, g.key)
 		}
-		// The key is FNV-1a over json.Marshal of its envelope.
-		env := prefixEnvelope{simcache.SchemaVersion, SchemaVersion, sim.SnapshotVersion, g.rs.PrefixCanonical()}
-		if k := simcache.HashJSON(env); k != g.key {
-			t.Errorf("%s: HashJSON of the envelope %s, want %s", g.name, k, g.key)
+		// The key is the key walk of the prefix-canonical run under the
+		// three versions.
+		if k := simcache.HashRun(g.rs.PrefixCanonical(), simcache.SchemaVersion, SchemaVersion, sim.SnapshotVersion); k != g.key {
+			t.Errorf("%s: HashRun of the prefix-canonical run %s, want %s", g.name, k, g.key)
 		}
 	}
 }

@@ -132,28 +132,14 @@ func ablWindow(e *Env, w io.Writer) error {
 	}
 	t := newTable("window (cycles)", "WS", "searches done")
 	for _, win := range []uint64{1000, 2500, 5000, 10000} {
-		// Search counters are read after the run, so this is one of the
-		// deliberately uncacheable direct-engine paths: the manager comes
-		// from the registry, the run does not go through the cache.
-		mgr, err := spec.PBSManager(spec.PBS(metrics.ObjWS), len(wl.Apps))
+		rs := e.EvalSpec(wl, spec.PBS(metrics.ObjWS))
+		rs.WindowCycles = win
+		r, err := e.Run(rs)
 		if err != nil {
 			return err
 		}
-		s, err := sim.New(sim.Options{
-			Config:             e.Opt.Config,
-			Apps:               wl.Apps,
-			Manager:            mgr,
-			TotalCycles:        e.Opt.EvalCycles,
-			WarmupCycles:       e.Opt.EvalWarmup,
-			WindowCycles:       win,
-			DesignatedSampling: true,
-		})
-		if err != nil {
-			return err
-		}
-		r := s.Run()
 		t.row(fmt.Sprint(win), fmt.Sprintf("%.3f", metrics.WS(SD(r, aloneIPC))),
-			fmt.Sprint(mgr.Searches()))
+			fmt.Sprint(r.Decisions.Searches))
 	}
 	t.write(w)
 	fmt.Fprintf(w, "\nshort windows are noisy; long windows slow the search. The default (2500)\n"+

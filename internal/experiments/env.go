@@ -230,10 +230,11 @@ func (e *Env) Grid(w workload.Workload) (*search.Grid, error) {
 }
 
 // Run executes a declarative run description through the shared executor
-// (PriEval) and the on-disk result cache. Every cacheable simulation an
-// experiment performs funnels through here; runs that need observers or
-// per-window hooks (uncacheable by construction) assemble sim.Options
-// directly instead.
+// (PriEval), the on-disk result cache and the checkpoint store. Every
+// simulation a panel performs funnels through here or through the
+// profile and grid layers, which share the cache and the store; a panel
+// that reads the policy's decisions reads them from the result's
+// decision record.
 func (e *Env) Run(rs spec.RunSpec) (sim.Result, error) {
 	return simcache.RunCached(e.ctx, e.cache, e.pool, runner.PriEval, rs, ckpt.Runner(e.ckpt, rs))
 }

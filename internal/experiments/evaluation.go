@@ -8,10 +8,8 @@ import (
 	"ebm/internal/metrics"
 	"ebm/internal/runner"
 	"ebm/internal/search"
-	"ebm/internal/sim"
 	"ebm/internal/spec"
 	"ebm/internal/stats"
-	"ebm/internal/tlp"
 	"ebm/internal/workload"
 )
 
@@ -134,38 +132,29 @@ func Fig11(e *Env, w io.Writer) error {
 		sch  spec.SchemeSpec
 		name string
 	}{{spec.PBS(metrics.ObjWS), SchPBSWS}, {spec.PBS(metrics.ObjFI), SchPBSFI}} {
-		mgr, err := spec.PBSManager(variant.sch, len(wl.Apps))
+		// Twice the evaluation horizon so kernel-relaunch restarts (and
+		// the re-sampling periods around them) are visible.
+		rs := e.EvalSpec(wl, variant.sch)
+		rs.TotalCycles *= 2
+		r, err := e.Run(rs)
 		if err != nil {
 			return err
 		}
 		// Per-app TLP per window, and how many windows PBS spent
-		// searching (the shaded regions of the paper's figure).
+		// searching (the shaded regions of the paper's figure), from the
+		// run's decision record.
 		series := make([][]point, len(wl.Apps))
-		windows, searching := 0, 0
-		// Twice the evaluation horizon so kernel-relaunch restarts (and
-		// the re-sampling periods around them) are visible.
-		s, err := sim.New(sim.Options{
-			Config:             e.Opt.Config,
-			Apps:               wl.Apps,
-			Manager:            mgr,
-			TotalCycles:        2 * e.Opt.EvalCycles,
-			WarmupCycles:       e.Opt.EvalWarmup,
-			WindowCycles:       e.Opt.WindowCycles,
-			DesignatedSampling: true,
-			OnWindow: func(sm tlp.Sample) {
-				for i, a := range sm.Apps {
-					series[i] = append(series[i], point{sm.Cycle, float64(a.TLP)})
-				}
-				windows++
-				if mgr.Searching() {
-					searching++
-				}
-			},
-		})
-		if err != nil {
-			return err
+		states := r.WindowStates(rs.WindowCycles)
+		searching := 0
+		for _, st := range states {
+			for i, tlp := range st.TLP {
+				series[i] = append(series[i], point{st.Cycle, float64(tlp)})
+			}
+			if st.Searching {
+				searching++
+			}
 		}
-		s.Run()
+		d := r.Decisions // every PBS run carries one
 		fmt.Fprintf(w, "\n--- %s ---\n", variant.name)
 		for app := range wl.Apps {
 			fmt.Fprintf(w, "\nTLP-%s over time (bar height = TLP, max 24):\n%s",
@@ -173,8 +162,8 @@ func Fig11(e *Env, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "\nsampling/search windows: %d of %d (%.0f%%); searches completed: %d; "+
 			"kernel-relaunch restarts: %d\n",
-			searching, windows, 100*float64(searching)/float64(max(1, windows)),
-			mgr.Searches(), mgr.Restarts())
+			searching, len(states), 100*float64(searching)/float64(max(1, len(states))),
+			d.Searches, d.Restarts)
 	}
 	fmt.Fprintf(w, "\npaper shape: a preferred combination holds for most of the run, with\n"+
 		"re-sampling periods (shaded in the paper) around kernel relaunches.\n")

@@ -7,7 +7,6 @@ import (
 	"ebm/internal/kernel"
 	"ebm/internal/metrics"
 	"ebm/internal/profile"
-	"ebm/internal/sim"
 	"ebm/internal/spec"
 	"ebm/internal/workload"
 )
@@ -95,30 +94,16 @@ func extraPhases(e *Env, w io.Writer) error {
 		{"PBS-WS (paper: relaunch-only restarts)", 0},
 		{"PBS-WS + drift detector", 0.6},
 	} {
-		// Drift counters are read post-run, so this path stays on the
-		// direct engine; the knobbed manager still comes from the registry.
 		sch := spec.PBS(metrics.ObjWS)
 		sch.PBS.DriftThreshold = variant.drift
 		sch.PBS.DriftWindows = 4
-		mgr, err := spec.PBSManager(sch, len(wl.Apps))
+		r, err := e.RunScheme(wl, sch)
 		if err != nil {
 			return err
 		}
-		s, err := sim.New(sim.Options{
-			Config:             e.Opt.Config,
-			Apps:               wl.Apps,
-			Manager:            mgr,
-			TotalCycles:        e.Opt.EvalCycles,
-			WarmupCycles:       e.Opt.EvalWarmup,
-			WindowCycles:       e.Opt.WindowCycles,
-			DesignatedSampling: true,
-		})
-		if err != nil {
-			return err
-		}
-		sd := SD(s.Run(), aloneIPC)
-		t.row(variant.name, fmt.Sprintf("%.3f", metrics.WS(sd)),
-			fmt.Sprint(mgr.Searches()), fmt.Sprint(mgr.Restarts()), fmt.Sprint(mgr.Drifts()))
+		d := r.Decisions
+		t.row(variant.name, fmt.Sprintf("%.3f", metrics.WS(SD(r, aloneIPC))),
+			fmt.Sprint(d.Searches), fmt.Sprint(d.Restarts), fmt.Sprint(d.Drifts))
 	}
 	t.write(w)
 	fmt.Fprintf(w, "\n(BFS alternates between a cache-sensitive and a streaming phase each kernel;\n"+

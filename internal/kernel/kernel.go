@@ -79,7 +79,10 @@ type Params struct {
 	Seed uint64
 }
 
-// Validate reports an error for out-of-range parameters.
+// Validate reports an error for out-of-range parameters. A phase with no
+// name is checked under the name "<base>#<n>". Validate does not modify
+// p, so a run spec that shares p keys the same before and after a run
+// validates it.
 func (p *Params) Validate() error {
 	switch {
 	case p.Name == "":
@@ -104,7 +107,7 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("kernel %s: WriteFrac %v out of [0,1]", p.Name, p.WriteFrac)
 	}
 	for i := range p.Phases {
-		ph := &p.Phases[i]
+		ph := p.Phases[i]
 		if ph.Name == "" {
 			ph.Name = fmt.Sprintf("%s#%d", p.Name, i+1)
 		}

@@ -26,6 +26,26 @@ func TestValidateAcceptsSuiteAndBase(t *testing.T) {
 	}
 }
 
+// TestValidateLeavesPhasesUntouched: a nameless phase validates under
+// its default name without that name being written into the caller's
+// Phases, which run specs share.
+func TestValidateLeavesPhasesUntouched(t *testing.T) {
+	p := baseParams()
+	phase := baseParams()
+	phase.Name = ""
+	p.Phases = []Params{phase}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("nameless phase rejected: %v", err)
+	}
+	if p.Phases[0].Name != "" {
+		t.Fatalf("Validate named the caller's phase %q", p.Phases[0].Name)
+	}
+	p.Phases[0].Rm = 0
+	if err := p.Validate(); err == nil {
+		t.Fatal("invalid nameless phase accepted")
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	muts := []func(*Params){
 		func(p *Params) { p.Name = "" },

@@ -40,6 +40,14 @@ type goldenRun struct {
 	windows uint64
 	totalBW uint64
 	apps    []goldenApp
+	record  *goldenRecord // nil: the run carries no decision record
+}
+
+// goldenRecord pins a run's decision record by its counts and its number
+// of change points.
+type goldenRecord struct {
+	changes                    int
+	searches, restarts, drifts uint64
 }
 
 // goldenRuns pins the engine's exact output for three configurations. The bit
@@ -86,6 +94,7 @@ var goldenRuns = []goldenRun{
 				avgTLP: 0x403490917d6b65aa, finalTLP: 1,
 			},
 		},
+		record: &goldenRecord{changes: 8},
 	},
 	{
 		label: "maxtlp/BFS_FFT",
@@ -163,6 +172,7 @@ var goldenRuns = []goldenRun{
 				avgTLP: 0x4026578492e8ed06, finalTLP: 4,
 			},
 		},
+		record: &goldenRecord{changes: 19, searches: 1},
 	},
 }
 
@@ -221,7 +231,26 @@ func TestGoldenResults(t *testing.T) {
 					t.Errorf("%s: Kernels = %d, want %d", al, a.Kernels, want.kernels)
 				}
 			}
+			checkRecord(t, g, r)
 		})
+	}
+}
+
+func checkRecord(t *testing.T, g goldenRun, r sim.Result) {
+	t.Helper()
+	d := r.Decisions
+	switch {
+	case g.record == nil && d != nil:
+		t.Errorf("decision record %+v, want none", *d)
+	case g.record == nil:
+	case d == nil:
+		t.Errorf("no decision record, want %+v", *g.record)
+	default:
+		got := goldenRecord{len(d.Changes), d.Searches, d.Restarts, d.Drifts}
+		if got != *g.record {
+			t.Errorf("decision record: %d changes, %d searches, %d restarts, %d drifts; want %+v",
+				got.changes, got.searches, got.restarts, got.drifts, *g.record)
+		}
 	}
 }
 

@@ -180,6 +180,10 @@ type Result struct {
 	TotalBW float64
 	Apps    []AppResult
 	Windows uint64
+
+	// Decisions is the record of the policy's decisions over the whole
+	// run, warmup included; nil for a static policy.
+	Decisions *Decisions `json:",omitempty"`
 }
 
 // IPCs returns the per-app IPC vector in a fresh slice. Hot reporting
@@ -301,6 +305,7 @@ type Simulator struct {
 	curDecision  tlp.Decision
 	pendDecision *tlp.Decision
 	pendAt       uint64
+	changes      []Change // the decision record's change points so far
 
 	instAtLaunch []uint64 // per app, inst count at last kernel launch
 	kernels      []uint64
@@ -403,6 +408,7 @@ func New(opts Options) (*Simulator, error) {
 			opts.Manager.Name(), len(s.curDecision.TLP), numApps)
 	}
 	s.applyDecision(s.curDecision)
+	s.noteChange(0)
 	if opts.Obs != nil {
 		s.obsw = newSimObs(s, opts.Obs)
 	}
@@ -663,6 +669,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 				s.pendDecision = &dc
 				s.pendAt = now + 1 + s.opts.DecisionDelay
 			}
+			s.noteChange(now + 1)
 			if s.opts.OnWindow != nil {
 				s.opts.OnWindow(sample)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"ebm/internal/dram"
 	"ebm/internal/gpu"
@@ -16,7 +17,7 @@ import (
 // SnapshotVersion identifies the EngineState layout. Bump it whenever any
 // captured structure changes shape or meaning; stale checkpoints then
 // fail to restore and callers fall back to cold execution.
-const SnapshotVersion = 7
+const SnapshotVersion = 8
 
 // EngineState is the complete serializable state of a Simulator at a
 // cycle boundary: restoring it into a freshly constructed Simulator with
@@ -41,6 +42,8 @@ type EngineState struct {
 	Cur    tlp.Decision
 	Pend   *tlp.Decision // nil when no decision is in flight
 	PendAt uint64
+	// Changes is the decision record's change points so far.
+	Changes []Change
 
 	InstAtLaunch []uint64
 	Kernels      []uint64
@@ -101,6 +104,7 @@ func (s *Simulator) state() (*EngineState, error) {
 		Cur:          s.curDecision,
 		Pend:         s.pendDecision,
 		PendAt:       s.pendAt,
+		Changes:      s.changes,
 		InstAtLaunch: s.instAtLaunch,
 		Kernels:      s.kernels,
 		PhaseIdx:     s.phaseIdx,
@@ -232,6 +236,7 @@ func (s *Simulator) setState(st *EngineState) error {
 		s.pendDecision = &d
 	}
 	s.pendAt = st.PendAt
+	s.changes = slices.Clone(st.Changes)
 	s.warm = append([]appSnapshot(nil), st.Warm...)
 	copy(s.win.Apps, st.Window.Apps)
 	copy(s.win.BusBusy, st.Window.BusBusy)

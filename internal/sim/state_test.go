@@ -30,6 +30,10 @@ func TestGoldenSnapshotRestore(t *testing.T) {
 		"pbs-ws/BLK_TRD": {12_345, 30_000, 57_500, 58_765},
 		// N=40000, warmup 5000, window 5000 (default).
 		"maxtlp/BFS_FFT": {7_500, 20_000, 23_456, 38_765},
+		// N=160000, warmup 10000, window 2500: forks mid-sweep, mid-tune
+		// and after the search settled, so the fork's decision record
+		// starts from each stage of the restored one.
+		"pbs-ws/BFS_FFT": {40_000, 101_234, 128_765},
 	}
 	// One unaligned prefix per configuration, inside the last window,
 	// also forks with observers attached: the fork's one window starts
@@ -86,6 +90,10 @@ func TestGoldenSnapshotRestore(t *testing.T) {
 					t.Fatalf("k=%d: restored simulator at cycle %d", k, got)
 				}
 				forked := fs.Run()
+				if !reflect.DeepEqual(forked.Decisions, golden.Decisions) {
+					t.Errorf("k=%d of %d: forked decision record diverged:\nforked: %+v\ngolden: %+v",
+						k, total, forked.Decisions, golden.Decisions)
+				}
 				if !reflect.DeepEqual(forked, golden) {
 					t.Errorf("k=%d of %d: forked run diverged from golden:\nforked: %+v\ngolden: %+v",
 						k, total, forked, golden)

@@ -242,7 +242,7 @@ func (s *Simulator) result(windows uint64) Result {
 	memCycles := float64(end[0].MemCycles - s.warm[0].MemCycles)
 	peakBytes := s.cfg.PeakBandwidthBytesPerMemCycle() * memCycles
 
-	res := Result{Cycles: measCycles, Windows: windows, Apps: make([]AppResult, len(s.opts.Apps))}
+	res := Result{Cycles: measCycles, Windows: windows, Apps: make([]AppResult, len(s.opts.Apps)), Decisions: s.decisions()}
 	for app := range s.opts.Apps {
 		d := end[app].sub(&s.warm[app])
 		r := s.rates(app, &d, measCycles, peakBytes)

@@ -11,11 +11,12 @@ import (
 
 // decodeEntry parses an entry file without reflection. It accepts exactly
 // the bytes json.Marshal(entry{...}) writes: the fields of entry,
-// sim.Result and sim.AppResult in declaration order, no whitespace, Apps
-// as null, [] or a list of objects. Everything it accepts, json.Unmarshal
-// accepts too and decodes to a reflect.DeepEqual entry
-// (TestDecodeEntryMatchesUnmarshal, FuzzDecodeEntry); anything else is an
-// error, which Cache.get counts as a corrupt miss that the next Put
+// sim.Result, sim.AppResult and the decision record (sim.Decisions,
+// sim.Change) in declaration order, omitempty fields only when set, no
+// whitespace, lists as null, [] or a list of values. Everything it
+// accepts, json.Unmarshal accepts too and decodes to a reflect.DeepEqual
+// entry (TestDecodeEntryMatchesUnmarshal, FuzzDecodeEntry); anything else
+// is an error, which Cache.get counts as a corrupt miss that the next Put
 // heals. A field added to those structs changes the layout json.Marshal
 // writes, so it must be added here as well: until it is, the tests fail
 // and every read misses.
@@ -32,22 +33,12 @@ func decodeEntry(b []byte) (entry, error) {
 	d.lit(`,"TotalBW":`)
 	r.TotalBW = d.float()
 	d.lit(`,"Apps":`)
-	switch {
-	case d.skip(`null`):
-	case d.skip(`[]`):
-		r.Apps = []sim.AppResult{}
-	default:
-		d.lit(`[`)
-		for {
-			r.Apps = append(r.Apps, d.app())
-			if !d.skip(`,`) {
-				break
-			}
-		}
-		d.lit(`]`)
-	}
+	r.Apps = list(&d, d.app)
 	d.lit(`,"Windows":`)
 	r.Windows = d.uint()
+	if d.skip(`,"Decisions":`) {
+		r.Decisions = d.decisions()
+	}
 	d.lit(`}}`)
 	if len(d.b) > 0 {
 		d.fail(errEntryLayout)
@@ -92,6 +83,58 @@ func (d *entryDecoder) app() (a sim.AppResult) {
 	a.Kernels = d.uint()
 	d.lit(`}`)
 	return a
+}
+
+// decisions decodes one sim.Decisions object.
+func (d *entryDecoder) decisions() *sim.Decisions {
+	var r sim.Decisions
+	d.lit(`{"Changes":`)
+	r.Changes = list(d, d.change)
+	d.lit(`,"Searches":`)
+	r.Searches = d.uint()
+	d.lit(`,"Restarts":`)
+	r.Restarts = d.uint()
+	d.lit(`,"Drifts":`)
+	r.Drifts = d.uint()
+	d.lit(`}`)
+	return &r
+}
+
+// change decodes one sim.Change object.
+func (d *entryDecoder) change() (c sim.Change) {
+	d.lit(`{"Cycle":`)
+	c.Cycle = d.uint()
+	d.lit(`,"TLP":`)
+	c.TLP = list(d, d.int)
+	if d.skip(`,"Bypass":`) {
+		c.Bypass = list(d, d.bool)
+	}
+	if d.skip(`,"Searching":`) {
+		c.Searching = d.bool()
+	}
+	d.lit(`}`)
+	return c
+}
+
+// list decodes a list of the values elem decodes: null is a nil slice
+// and [] an empty one, as json.Unmarshal decodes them.
+func list[T any](d *entryDecoder, elem func() T) []T {
+	switch {
+	case d.skip(`null`):
+		return nil
+	case d.skip(`[]`):
+		return []T{}
+	}
+	d.lit(`[`)
+	var vs []T
+	for {
+		vs = append(vs, elem())
+		if !d.skip(`,`) {
+			break
+		}
+	}
+	d.lit(`]`)
+	return vs
 }
 
 var errEntryLayout = errors.New("not the layout json.Marshal writes")
@@ -195,6 +238,14 @@ func (d *entryDecoder) uint() uint64 {
 		d.fail(err)
 	}
 	return n
+}
+
+func (d *entryDecoder) bool() bool {
+	if d.skip(`true`) {
+		return true
+	}
+	d.lit(`false`)
+	return false
 }
 
 func (d *entryDecoder) float() float64 {

@@ -19,10 +19,13 @@ func TestDecodeEntryMatchesUnmarshal(t *testing.T) {
 		sim.AppResult{Name: "sep\u2028\u2029 back\\slash tab\t naïve \xff\xfe"},
 	)
 	results := map[string]sim.Result{
-		"awkward":    awkwardResult(),
-		"zero":       {},
-		"empty apps": {Apps: []sim.AppResult{}},
-		"three apps": three,
+		"awkward":                awkwardResult(),
+		"zero":                   {},
+		"empty apps":             {Apps: []sim.AppResult{}},
+		"three apps":             three,
+		"record":                 recordResult(),
+		"empty record":           {Decisions: &sim.Decisions{}},
+		"record without changes": {Decisions: &sim.Decisions{Changes: []sim.Change{}, Drifts: 1}},
 	}
 	for name, r := range results {
 		b := mustJSON(entry{Schema: SchemaVersion, Key: "0123456789abcdef", Result: r})
@@ -69,6 +72,15 @@ func TestDecodeEntryMatchesUnmarshal(t *testing.T) {
 		"uint exponent":    bytes.Replace(b, []byte(`"Windows":123`), []byte(`"Windows":1e2`), 1),
 		"control byte":     bytes.Replace(b, []byte(`"BLK"`), []byte("\"B\x01K\""), 1),
 	}
+	rb := mustJSON(entry{Schema: SchemaVersion, Key: "k", Result: recordResult()})
+	for name, data := range map[string][]byte{
+		"record null":        bytes.Replace(rb, []byte(`"Decisions":{`), []byte(`"Decisions":null,"x":{`), 1),
+		"fields reordered":   bytes.Replace(rb, []byte(`"Searches":3,"Restarts":1`), []byte(`"Restarts":1,"Searches":3`), 1),
+		"searching a string": bytes.Replace(rb, []byte(`"Searching":true`), []byte(`"Searching":"true"`), 1),
+		"tlp a float":        bytes.Replace(rb, []byte(`"TLP":[24,1]`), []byte(`"TLP":[24,1.5]`), 1),
+	} {
+		rejects[name] = data
+	}
 	for name, data := range rejects {
 		if bytes.Equal(data, b) {
 			t.Fatalf("%s: the case did not change the entry", name)
@@ -77,6 +89,22 @@ func TestDecodeEntryMatchesUnmarshal(t *testing.T) {
 			t.Errorf("%s: accepted\n%s", name, data)
 		}
 	}
+}
+
+// recordResult is a result carrying a decision record: TLP lists nil,
+// empty and set, a bypass mask, and both searching flags.
+func recordResult() sim.Result {
+	r := awkwardResult()
+	r.Decisions = &sim.Decisions{
+		Changes: []sim.Change{
+			{Cycle: 0, TLP: []int{24, 24}, Searching: true},
+			{Cycle: 2500, TLP: []int{24, 1}, Bypass: []bool{false, true}, Searching: true},
+			{Cycle: 5000, TLP: []int{}},
+			{Cycle: 1 << 62},
+		},
+		Searches: 3, Restarts: 1, Drifts: math.MaxUint64,
+	}
+	return r
 }
 
 // FuzzDecodeEntry checks decodeEntry against encoding/json both ways:
@@ -108,6 +136,15 @@ func FuzzDecodeEntry(f *testing.F) {
 			Cycles: n, TotalBW: x, Windows: n / 2,
 			Apps: []sim.AppResult{app, {Name: name + name, FinalTLP: -tlp}},
 		}}
+		if tlp%2 != 0 {
+			e.Result.Decisions = &sim.Decisions{
+				Changes: []sim.Change{
+					{Cycle: n, TLP: []int{tlp, -tlp}, Searching: x > 0},
+					{Cycle: ^n, TLP: []int{tlp}, Bypass: []bool{x < 0, true}},
+				},
+				Searches: n, Restarts: n / 3, Drifts: ^n,
+			}
+		}
 		b, err := json.Marshal(e)
 		if err != nil {
 			return // NaN and ±Inf have no JSON form, so Put never writes them

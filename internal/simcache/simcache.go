@@ -5,7 +5,7 @@
 // cells, evaluation runs, and alone profiles persist across processes:
 // an interrupted sweep resumes where it stopped and a warm paperfigs run
 // replays from disk instead of re-simulating. Because the key is the
-// canonical spec JSON rather than a manager name string, any knobbed
+// canonical spec rather than a manager name string, any knobbed
 // manager the registry can build is cacheable, and equivalent requests
 // (++maxTLP vs the static combination it executes as, a labeled alone
 // run vs the same static run) deduplicate onto one entry.
@@ -60,15 +60,15 @@ var Warnf = func(format string, args ...any) {
 // change that regenerates the golden bit-identity files — or when the
 // key derivation or entry layout changes.
 //
-// History: 1 keyed runs by manager name strings; 2 keys them by the
-// canonical spec.RunSpec JSON.
-const SchemaVersion = 2
+// History: 1 keyed runs by manager name strings; 2 by the canonical
+// spec.RunSpec's JSON; 3 by a binary walk of it (HashRun), with results
+// that carry their policy's decision record.
+const SchemaVersion = 3
 
 // HashJSON fingerprints any plain data value as FNV-1a over its JSON
 // encoding, rendered as 16 hex digits; values must marshal cleanly
-// (plain config/parameter structs always do). Run keys are HashRun,
-// which writes the same bytes json.Marshal would without reflection;
-// HashJSON serves everything else, such as the benchmark's result digest.
+// (plain config/parameter structs always do). Run keys are HashRun's;
+// HashJSON is kept for the benchmark's result digest.
 func HashJSON(v any) string {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -93,13 +93,12 @@ func sum64(b []byte) string {
 	return string(digits[:])
 }
 
-// Key returns a run's content address under the current schema: FNV-1a
-// over the JSON of {"schema": SchemaVersion, "run": the canonical spec}
-// (HashRun). Canonicalization (spec.RunSpec.Canonical) is what makes
+// Key returns a run's content address under the current schema:
+// HashRun of the canonical spec under SchemaVersion. Canonicalization (spec.RunSpec.Canonical) is what makes
 // equivalent requests — scheme aliases, display labels, knobs stated at
 // their defaults — share one entry.
 func Key(rs spec.RunSpec) string {
-	return HashRun(rs.Canonical(), Version{"schema", SchemaVersion})
+	return HashRun(rs.Canonical(), SchemaVersion)
 }
 
 // entry is the on-disk layout: the schema and key are stored alongside

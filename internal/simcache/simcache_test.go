@@ -87,8 +87,7 @@ func TestKeyStabilityAndInvalidation(t *testing.T) {
 	}
 
 	// A schema bump must change every key even for identical specs.
-	bumped := keyEnvelope{Schema: SchemaVersion + 1, Run: testSpec().Canonical()}
-	if HashJSON(bumped) == k {
+	if HashRun(testSpec().Canonical(), SchemaVersion+1) == k {
 		t.Fatal("key insensitive to schema version")
 	}
 }
@@ -115,11 +114,11 @@ func TestKeyGolden(t *testing.T) {
 		rs   spec.RunSpec
 		key  string
 	}{
-		{"static", base(spec.Static([]int{4}, nil)), "7685589eb6dadc03"},
-		{"maxtlp", base(spec.MaxTLP()), "9e6f84e2908c386b"},
-		{"dyncta", base(spec.DynCTA()), "0fd73e0024d3e7ce"},
-		{"ccws knobbed", base(ccwsKnobbed), "f08b59db0d893673"},
-		{"pbs-ws", base(spec.PBS(0)), "9fe7f23833a9d3ba"},
+		{"static", base(spec.Static([]int{4}, nil)), "6bd66cab58d212f2"},
+		{"maxtlp", base(spec.MaxTLP()), "c83bd241a273f8ae"},
+		{"dyncta", base(spec.DynCTA()), "9d00eaccb1fa0593"},
+		{"ccws knobbed", base(ccwsKnobbed), "af32802a5cee8bc8"},
+		{"pbs-ws", base(spec.PBS(0)), "1c30872975859e7d"},
 	}
 	for _, g := range golden {
 		if k := Key(g.rs); k != g.key {
@@ -192,7 +191,7 @@ func TestHashJSONMatchesMarshal(t *testing.T) {
 			TotalCycles:  60_000,
 			WarmupCycles: 10_000,
 		}
-		values = append(values, keyEnvelope{Schema: SchemaVersion, Run: rs.Canonical()})
+		values = append(values, rs.Canonical())
 	}
 	for i, v := range values {
 		h := uint64(1469598103934665603)

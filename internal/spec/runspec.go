@@ -44,7 +44,8 @@ func (r RunSpec) Manager() (tlp.Manager, error) {
 
 // Canonical returns the run with its scheme rewritten to the canonical
 // form (labels dropped, aliases collapsed, knobs explicit at their
-// defaults): the value whose JSON encoding is the run's cache identity.
+// defaults): the value whose key walk (simcache.Key) is the run's cache
+// identity.
 // Two RunSpecs that would execute identically canonicalize equal.
 func (r RunSpec) Canonical() RunSpec {
 	r.Scheme = r.Scheme.canonical(len(r.Apps))
@@ -52,7 +53,8 @@ func (r RunSpec) Canonical() RunSpec {
 }
 
 // PrefixCanonical returns the canonical run with TotalCycles cleared: the
-// value whose JSON encoding identifies the run's deterministic prefix.
+// value whose key walk (ckpt.PrefixKey) identifies the run's
+// deterministic prefix.
 // Nothing in the engine reads TotalCycles except the cycle-loop bound, so
 // two runs whose PrefixCanonical forms are equal execute bit-identically
 // up to the shorter horizon — which is what makes a checkpoint written by
