@@ -100,11 +100,11 @@ func TestPrefixKeyGolden(t *testing.T) {
 		rs   spec.RunSpec
 		key  string
 	}{
-		{"static", base(spec.Static([]int{4}, nil)), "dd132973e454c0f2"},
-		{"maxtlp", base(spec.MaxTLP()), "ee0fcdd8c6b367ee"},
-		{"dyncta", base(spec.DynCTA()), "9f40a901252b0937"},
-		{"ccws knobbed", base(ccwsKnobbed), "ef338728e94ef118"},
-		{"pbs-ws", base(spec.PBS(0)), "3cdd3eb1530b5b25"},
+		{"static", base(spec.Static([]int{4}, nil)), "4a820ac3516cb4cb"},
+		{"maxtlp", base(spec.MaxTLP()), "a28e2dcc69bd612f"},
+		{"dyncta", base(spec.DynCTA()), "417aad778f16dfce"},
+		{"ccws knobbed", base(ccwsKnobbed), "6f0a83820ed97595"},
+		{"pbs-ws", base(spec.PBS(0)), "3f9f61b3bdf65550"},
 	}
 	for _, g := range golden {
 		if k := PrefixKey(g.rs); k != g.key {

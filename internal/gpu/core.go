@@ -80,12 +80,24 @@ type Core struct {
 	scheds       []scheduler
 	tlp          int // active warps per scheduler
 
-	mshr      *mem.MSHRTable[int32] // line -> core-local warp waiters
-	pool      *mem.Pool             // request free list (nil: plain allocation)
-	outq      []*mem.Request
-	outqCap   int
-	wheel     [wheelSize][]int32 // wake lists; entry = core-local warp index
-	wheelBusy int                // total queued wakeups (fast empty check)
+	mshr    *mem.MSHRTable[int32] // line -> core-local warp waiters
+	pool    *mem.Pool             // request free list (nil: plain allocation)
+	outq    []*mem.Request
+	outqCap int
+	// wheel holds the pending wake-ups: slot t's row, wheel[t*S:(t+1)*S]
+	// for S schedulers, is each scheduler's mask of warps that become
+	// ready at a cycle t mod wheelSize. wheelSlots has bit t set exactly
+	// when row t is non-empty.
+	wheel      []uint64
+	wheelSlots uint64
+
+	// mshrBlocked is, per scheduler, the warps whose current load last
+	// aborted on MSHR capacity. Until a fill, the L1 gains no line and
+	// the MSHR file no room, so such a load would abort again: its retry
+	// skips the probe. Every event that can change that clears it
+	// (HandleFill, SetBypassL1, SetState, PhaseSwitched). It is derived
+	// and never encoded.
+	mshrBlocked []uint64
 
 	bypassL1 bool
 
@@ -122,6 +134,8 @@ func NewCore(id, app int, cfg *config.GPU, streams []*kernel.WarpStream, numApps
 	}
 	per := cfg.MaxWarpsPerCore / cfg.SchedulersPerCore
 	c.scheds = make([]scheduler, cfg.SchedulersPerCore)
+	c.wheel = make([]uint64, wheelSize*cfg.SchedulersPerCore)
+	c.mshrBlocked = make([]uint64, cfg.SchedulersPerCore)
 	for i := range c.scheds {
 		c.scheds[i] = scheduler{
 			Base:       i * per,
@@ -155,7 +169,15 @@ func (c *Core) SetPool(p *mem.Pool) { c.pool = p }
 
 // SetBypassL1 enables or disables L1 bypassing for this core (used by the
 // Mod+Bypass baseline).
-func (c *Core) SetBypassL1(on bool) { c.bypassL1 = on }
+func (c *Core) SetBypassL1(on bool) {
+	c.bypassL1 = on
+	clear(c.mshrBlocked)
+}
+
+// PhaseSwitched tells the core that its warp streams switched kernel
+// phase (kernel.WarpStream.SetPhase), which drops each warp's current
+// instruction.
+func (c *Core) PhaseSwitched() { clear(c.mshrBlocked) }
 
 // BypassL1 reports whether the L1 is being bypassed.
 func (c *Core) BypassL1() bool { return c.bypassL1 }
@@ -198,20 +220,9 @@ func (c *Core) schedulerOf(w int) (*scheduler, int) {
 	return &c.scheds[si], w - c.scheds[si].Base
 }
 
-// wake marks warp w ready.
-func (c *Core) wake(w int) {
-	s, li := c.schedulerOf(w)
-	s.ReadyMask |= uint64(1) << li
-}
-
-// sleep marks warp w not ready.
-func (c *Core) sleep(w int) {
-	s, li := c.schedulerOf(w)
-	s.ReadyMask &^= uint64(1) << li
-}
-
-// scheduleWake arranges for warp w to become ready after delay cycles.
-func (c *Core) scheduleWake(w int, now uint64, delay int) {
+// scheduleWake arranges for warp li of scheduler si to become ready after
+// delay cycles.
+func (c *Core) scheduleWake(si, li int, now uint64, delay int) {
 	if delay <= 0 {
 		delay = 1
 	}
@@ -219,13 +230,14 @@ func (c *Core) scheduleWake(w int, now uint64, delay int) {
 		delay = wheelSize - 1
 	}
 	slot := (now + uint64(delay)) % wheelSize
-	c.wheel[slot] = append(c.wheel[slot], int32(w))
-	c.wheelBusy++
+	c.wheel[int(slot)*len(c.scheds)+si] |= uint64(1) << li
+	c.wheelSlots |= uint64(1) << slot
 }
 
 // HandleFill delivers a returned line: it fills the L1 (unless bypassing)
 // and wakes every warp that was waiting on it.
 func (c *Core) HandleFill(lineAddr uint64) {
+	clear(c.mshrBlocked)
 	if !c.bypassL1 {
 		c.L1.Fill(lineAddr, c.App)
 	}
@@ -238,8 +250,8 @@ func (c *Core) HandleFill(lineAddr uint64) {
 		c.pendingFills[w]--
 		if c.pendingFills[w] <= 0 {
 			c.pendingFills[w] = 0
-			c.wake(w)
 			s, li := c.schedulerOf(w)
+			s.ReadyMask |= uint64(1) << li
 			s.MemWait &^= uint64(1) << li
 		}
 	}
@@ -257,15 +269,14 @@ func (c *Core) HandleFill(lineAddr uint64) {
 // ticks the core again; a core ticked every cycle needs neither, since
 // each Tick replaces the span.
 func (c *Core) Tick(now uint64) (quiet bool) {
-	if c.wheelBusy > 0 {
-		slot := now % wheelSize
-		if list := c.wheel[slot]; len(list) > 0 {
-			for _, w := range list {
-				c.wake(int(w))
-			}
-			c.wheelBusy -= len(list)
-			c.wheel[slot] = list[:0]
+	if slot := now % wheelSize; c.wheelSlots&(uint64(1)<<slot) != 0 {
+		n := len(c.scheds)
+		row := c.wheel[int(slot)*n:][:n]
+		for si, m := range row {
+			c.scheds[si].ReadyMask |= m
+			row[si] = 0
 		}
+		c.wheelSlots &^= uint64(1) << slot
 	}
 
 	issued, stalls := 0, 0
@@ -287,7 +298,21 @@ func (c *Core) Tick(now uint64) (quiet bool) {
 		} else {
 			pick = bits.TrailingZeros64(ready) // then oldest
 		}
-		if ok, need := c.issue(s, pick, now); ok {
+		w, bit := s.Base+pick, uint64(1)<<pick
+		ok, need := false, 0
+		if c.mshrBlocked[si]&bit != 0 {
+			c.Stats.StallMSHR++ // the warp's load would abort again
+		} else if c.streams[w].TakeCompute() {
+			ok = true
+			c.Stats.InstRetired++
+			if delay := c.alu(); delay > 1 {
+				s.ReadyMask &^= bit
+				c.scheduleWake(si, pick, now, delay)
+			}
+		} else {
+			ok, need = c.issueMem(si, pick, now)
+		}
+		if ok {
 			s.LastIssued = pick
 			issued++
 		} else {
@@ -307,7 +332,7 @@ func (c *Core) Tick(now uint64) (quiet bool) {
 			c.Stats.MemStall++
 		}
 	}
-	quiet = issued == 0 && c.wheelBusy == 0
+	quiet = issued == 0 && c.wheelSlots == 0
 	if quiet {
 		c.span = quietSpan{Open: true, From: now + 1, MemWait: memWait, Stalls: stalls}
 	} else {
@@ -351,25 +376,16 @@ func (c *Core) Wake(upTo uint64) {
 	c.span = quietSpan{}
 }
 
-// issue tries to issue the current instruction of the scheduler's warp at
-// local index li; it returns false on a structural stall (the warp stays
-// ready and will retry), with the out-queue room the instruction needs,
-// or 0 when it stalled on MSHR capacity.
-func (c *Core) issue(s *scheduler, li int, now uint64) (ok bool, need int) {
+// issueMem tries to issue the current memory instruction of scheduler
+// si's warp at local index li; it returns false on a structural stall (the
+// warp stays ready and will retry), with the out-queue room the
+// instruction needs, or 0 when it stalled on MSHR capacity.
+func (c *Core) issueMem(si, li int, now uint64) (ok bool, need int) {
+	s := &c.scheds[si]
+	bit := uint64(1) << li
 	w := s.Base + li
 	stream := c.streams[w]
 	inst := stream.Current()
-
-	if !inst.IsMem {
-		stream.Advance()
-		c.Stats.InstRetired++
-		delay := c.alu()
-		if delay > 1 {
-			c.sleep(w)
-			c.scheduleWake(w, now, delay)
-		}
-		return true, 0
-	}
 
 	if inst.Write {
 		// Stores are write-through and fire-and-forget: they need out-queue
@@ -404,6 +420,7 @@ func (c *Core) issue(s *scheduler, li int, now uint64) (ok bool, need int) {
 	}
 	if newLines > 0 {
 		if c.mshr.Len()+newLines > c.mshr.Cap() {
+			c.mshrBlocked[si] |= bit
 			c.Stats.StallMSHR++
 			return false, 0
 		}
@@ -447,15 +464,14 @@ func (c *Core) issue(s *scheduler, li int, now uint64) (ok bool, need int) {
 	c.Stats.InstRetired++
 	c.Stats.MemInsts++
 
+	s.ReadyMask &^= bit
 	if fills == 0 {
 		// All hits: the warp waits out the L1 hit latency.
-		c.sleep(w)
-		c.scheduleWake(w, now, c.cfg.L1HitLatency)
+		c.scheduleWake(si, li, now, c.cfg.L1HitLatency)
 		return true, 0
 	}
 	c.pendingFills[w] += fills
-	c.sleep(w)
-	s.MemWait |= uint64(1) << li
+	s.MemWait |= bit
 	return true, 0
 }
 

@@ -28,7 +28,7 @@ func memHeavy() kernel.Params {
 	}
 }
 
-func newCore(t *testing.T, cfg *config.GPU, p kernel.Params) *Core {
+func newCore(t testing.TB, cfg *config.GPU, p kernel.Params) *Core {
 	t.Helper()
 	streams := make([]*kernel.WarpStream, cfg.MaxWarpsPerCore)
 	for i := range streams {

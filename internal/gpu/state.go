@@ -18,7 +18,7 @@ type CoreState struct {
 	MSHRLines    []uint64
 	MSHRWaiters  [][]int32
 	Outq         []mem.Request
-	Wheel        [][]int32 // wheelSize slots; an empty slot is nil
+	Wheel        []uint64 // wheelSize rows of one ready mask per scheduler
 	L1           cache.State
 	Stats        CoreStats
 	Span         quietSpan
@@ -27,13 +27,14 @@ type CoreState struct {
 
 // State returns the core's snapshot. It aliases the core's live warp,
 // scheduler, wheel and cache state: encode it before the core runs again.
+// The MSHR-blocked memo is derived and not captured.
 func (c *Core) State() CoreState {
 	st := CoreState{
 		TLP:          c.tlp,
 		BypassL1:     c.bypassL1,
 		PendingFills: c.pendingFills,
 		Scheds:       c.scheds,
-		Wheel:        make([][]int32, wheelSize),
+		Wheel:        c.wheel,
 		L1:           c.L1.State(),
 		Stats:        c.Stats,
 		Span:         c.span,
@@ -42,11 +43,6 @@ func (c *Core) State() CoreState {
 	st.MSHRLines, st.MSHRWaiters = c.mshr.Entries()
 	for _, r := range c.outq {
 		st.Outq = append(st.Outq, *r)
-	}
-	for i, l := range c.wheel {
-		if len(l) > 0 {
-			st.Wheel[i] = l
-		}
 	}
 	return st
 }
@@ -68,8 +64,13 @@ func (c *Core) SetState(st CoreState) error {
 				c.ID, i, s.Base, s.Base+s.Count-1, c.scheds[i].Base, c.scheds[i].Base+c.scheds[i].Count-1)
 		}
 	}
-	if len(st.Wheel) != wheelSize {
-		return fmt.Errorf("gpu: core %d state has %d wheel slots, want %d", c.ID, len(st.Wheel), wheelSize)
+	if len(st.Wheel) != len(c.wheel) {
+		return fmt.Errorf("gpu: core %d state has %d wheel masks, want %d", c.ID, len(st.Wheel), len(c.wheel))
+	}
+	for i, m := range st.Wheel {
+		if si := i % len(c.scheds); m>>c.scheds[si].Count != 0 {
+			return fmt.Errorf("gpu: core %d wheel slot %d wakes warps beyond scheduler %d's %d", c.ID, i/len(c.scheds), si, c.scheds[si].Count)
+		}
 	}
 	c.tlp = st.TLP
 	c.bypassL1 = st.BypassL1
@@ -84,11 +85,14 @@ func (c *Core) SetState(st CoreState) error {
 		*r = st.Outq[i]
 		c.outq = append(c.outq, r)
 	}
-	c.wheelBusy = 0
-	for i := range c.wheel {
-		c.wheel[i] = append(c.wheel[i][:0], st.Wheel[i]...)
-		c.wheelBusy += len(c.wheel[i])
+	c.wheelSlots = 0
+	for i, m := range st.Wheel {
+		c.wheel[i] = m
+		if m != 0 {
+			c.wheelSlots |= uint64(1) << (i / len(c.scheds))
+		}
 	}
+	clear(c.mshrBlocked)
 	if err := c.L1.SetState(st.L1); err != nil {
 		return fmt.Errorf("gpu: core %d L1: %w", c.ID, err)
 	}

@@ -150,23 +150,26 @@ func AppBase(app int) uint64 { return uint64(app+1) << appSpaceBits }
 
 // WarpStream generates the deterministic instruction stream of one warp.
 type WarpStream struct {
+	// TakeCompute touches only these leading fields; together they span
+	// at most two cache lines.
+	curValid  bool
+	cur       Inst
+	compLeft  int
+	generated uint64 // instructions handed out (telemetry/tests)
+
 	p         *Params
 	lineBytes uint64
-	rng       *stats.RNG
+	rng       stats.RNG
 
-	privBase  uint64
-	privSize  uint64 // line-aligned
-	shBase    uint64
-	shSize    uint64
-	seqPtr    uint64
-	shPtr     uint64
-	compLeft  int
-	runBase   int // integer part of ComputeRun
-	runFrac   float64
-	lines     [32]uint64
-	cur       Inst
-	curValid  bool
-	generated uint64 // instructions handed out (telemetry/tests)
+	privBase uint64
+	privSize uint64 // line-aligned
+	shBase   uint64
+	shSize   uint64
+	seqPtr   uint64
+	shPtr    uint64
+	runBase  int // integer part of ComputeRun
+	runFrac  float64
+	lines    [32]uint64
 }
 
 // NewWarpStream builds the stream for globalWarp (unique per app across all
@@ -193,7 +196,7 @@ func NewWarpStream(p *Params, appID, globalWarp, lineBytes int) *WarpStream {
 	s := &WarpStream{
 		p:         p,
 		lineBytes: lb,
-		rng:       root.Split(uint64(globalWarp)),
+		rng:       *root.Split(uint64(globalWarp)),
 		privBase:  base + privRegionBase + uint64(globalWarp)*privSize,
 		privSize:  privSize,
 		shBase:    base,
@@ -224,6 +227,27 @@ func (s *WarpStream) Current() *Inst {
 
 // Advance consumes the current instruction.
 func (s *WarpStream) Advance() { s.curValid = false }
+
+// TakeCompute consumes the next instruction when it is a compute one and
+// reports whether it did. It leaves the stream exactly as Current followed
+// by Advance would, without building the instruction; when it reports
+// false, Current returns a memory instruction.
+func (s *WarpStream) TakeCompute() bool {
+	if s.curValid {
+		if s.cur.IsMem {
+			return false
+		}
+		s.curValid = false
+		return true
+	}
+	if s.compLeft <= 0 {
+		return false
+	}
+	s.compLeft--
+	s.cur = Inst{}
+	s.generated++
+	return true
+}
 
 // Generated returns how many instructions have been handed out.
 func (s *WarpStream) Generated() uint64 { return s.generated }

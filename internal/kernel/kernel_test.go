@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -309,5 +310,51 @@ func TestAppBaseDisjoint(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTakeComputeMatchesCurrentAdvance holds TakeCompute to its contract
+// on every suite kernel: a stream that consumes each instruction through
+// TakeCompute, falling back to Current and Advance when it reports false,
+// is after every step in exactly the state of one driven by Current and
+// Advance alone. Midway both switch to a phase with the next suite
+// kernel's behaviour, and every seventh step peeks with Current first, so
+// TakeCompute also consumes a compute instruction already current.
+func TestTakeComputeMatchesCurrentAdvance(t *testing.T) {
+	all := All()
+	for i, p := range all {
+		next := all[(i+1)%len(all)]
+		phase := p
+		phase.Name += "#2"
+		phase.Rm, phase.ALUDelay, phase.CoalesceLines, phase.WriteFrac = next.Rm, next.ALUDelay, next.CoalesceLines, next.WriteFrac
+		t.Run(p.Name, func(t *testing.T) {
+			taker, ref := NewWarpStream(&p, 1, 3, 128), NewWarpStream(&p, 1, 3, 128)
+			taken := 0
+			for step := 0; step < 4000; step++ {
+				if step == 2000 {
+					taker.SetPhase(&phase)
+					ref.SetPhase(&phase)
+				}
+				if step%7 == 0 {
+					taker.Current()
+					ref.Current()
+				}
+				if taker.TakeCompute() {
+					taken++
+				} else if !taker.Current().IsMem {
+					t.Fatalf("step %d: TakeCompute declined a compute instruction", step)
+				} else {
+					taker.Advance()
+				}
+				ref.Current()
+				ref.Advance()
+				if a, b := taker.State(), ref.State(); !reflect.DeepEqual(a, b) {
+					t.Fatalf("step %d: TakeCompute left\n%+v\nCurrent+Advance left\n%+v", step, a, b)
+				}
+			}
+			if taken == 0 {
+				t.Fatal("no compute instruction taken")
+			}
+		})
 	}
 }

@@ -71,8 +71,10 @@ func (s *Simulator) buildSample(cycle uint64) tlp.Sample {
 					ws.SetPhase(next)
 				}
 				// A warp stalled at issue now holds a regenerated
-				// instruction, so a quiet core's next Tick may differ.
+				// instruction, so a quiet core's next Tick may differ
+				// and its memo of MSHR-blocked loads is stale.
 				for _, ci := range s.appCores[app] {
+					s.cores[ci].PhaseSwitched()
 					s.wakeQuiet(ci, cycle)
 				}
 			}
